@@ -6,10 +6,11 @@ operator norm decay as the grid refines.  With the semiclassical parameter
 tied to the grid (h = 1/N) the discretized transform is the unitary DFT, so
 unitarity and the single-column norm are exact and serve as hard anchors.
 
-Norms are estimated matrix-free by power iteration on the normal operator; on
-small problems a dense singular-value computation of the masked submatrix
-must agree to 1e-6 and runs automatically.  Power-law exponents are fitted by
-least squares in log-log coordinates with the residual always reported.
+Norms are computed matrix-free by ARPACK Lanczos (scipy's ``svds``) on the
+operator restricted to the mask supports; on small problems a dense
+singular-value computation of the masked submatrix must agree to 1e-10
+(relative) and runs automatically.  Power-law exponents are fitted by least
+squares in log-log coordinates with the residual always reported.
 
 The sphere section provides the oscillatory kernel with logarithmic phase,
 equal-weight quadrature grids on S^1 and S^2, gnomonic chart atlases with
@@ -36,10 +37,10 @@ __all__ = [
     "NormInfo",
     "semiclassical_dft",
     "resample_mask",
-    "masked_operator_from_sets",
     "masked_norm",
     "dense_norm",
     "beta_fit",
+    "ladder_fits",
     "general_phase_fio",
     "SphereGrid",
     "circle_grid",
@@ -232,25 +233,21 @@ def resample_mask(x: BoxSet, N: int) -> np.ndarray:
     return out.reshape(-1).copy()
 
 
-def masked_operator_from_sets(core, x_minus: BoxSet, x_plus: BoxSet) -> MaskedOperator:
-    if isinstance(core, FourierCore):
-        left = resample_mask(x_minus, core.N)
-        right = resample_mask(x_plus, core.N)
-    else:
-        raise ValueError("set-based masking is defined for grid cores")
-    return MaskedOperator(core, left, right)
-
-
 # ---------------------------------------------------------------------------
 # norms
 
 
 @dataclass
 class NormInfo:
+    """A masked operator norm with its solver diagnostics.
+
+    ``iters`` counts operator products (applies plus adjoints); ``dense_value``
+    is the independent dense value when the cross-check ran.
+    """
+
     value: float
     iters: int
     converged: bool
-    restarts: int
     dense_value: float | None = None
 
     @property
@@ -268,72 +265,60 @@ def dense_norm(op: MaskedOperator) -> float:
     return float(np.linalg.svd(sub, compute_uv=False)[0])
 
 
-def masked_norm(op: MaskedOperator, tol: float = 1e-8, restarts: int = 3,
-                seed: int = 0, maxiter: int | None = None,
-                dense_limit: int = 4096) -> NormInfo:
-    """Power iteration on the normal operator, with a dense cross-check.
+def masked_norm(op: MaskedOperator, seed: int = 0, dense_limit: int = 4096) -> NormInfo:
+    """Largest singular value by Lanczos on the supports, with a dense cross-check.
 
-    The iteration restarts from ``restarts`` random vectors and keeps the
-    largest Rayleigh estimate; convergence means the estimate moved less than
-    ``tol`` relatively between sweeps.  When the ambient size is at most
-    ``dense_limit`` the dense singular value is computed as well and a
-    disagreement beyond 1e-6 raises.
+    ARPACK Lanczos (``svds``, start vector drawn from ``seed``) runs on the
+    operator restricted to the mask supports, a |rows| x |cols| map built from
+    ``op.apply`` and ``op.adjoint_apply``.  Supports with fewer than 3 rows or
+    columns, which ARPACK cannot take, and operators that vanish on the
+    supports go to :func:`dense_norm`.  When Lanczos does not converge the value is NaN and ``converged`` is False.  When the
+    ambient size is at most ``dense_limit`` the dense value is computed as well
+    and a relative disagreement beyond 1e-10 raises.
     """
-    if not op.left.any() or not op.right.any():
-        info = NormInfo(0.0, 0, True, 0)
-        if op.size <= dense_limit:
-            info.dense_value = 0.0
-        return info
-    if maxiter is None:
-        maxiter = 10 * op.size
+    rows = np.flatnonzero(op.left)
+    cols = np.flatnonzero(op.right)
+    side = min(rows.size, cols.size)
+    if side < 3:
+        return NormInfo(dense_norm(op), 0, True)
+    # imported here: at module level it adds about 30 ms to importing the CLI
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
+
+    products = 0
+
+    def matvec(x):
+        nonlocal products
+        products += 1
+        u = np.zeros(op.size, dtype=complex)
+        u[cols] = x.ravel()
+        return op.apply(u)[rows]
+
+    def rmatvec(y):
+        nonlocal products
+        products += 1
+        u = np.zeros(op.size, dtype=complex)
+        u[rows] = y.ravel()
+        return op.adjoint_apply(u)[cols]
+
+    restricted = LinearOperator((rows.size, cols.size), matvec=matvec, rmatvec=rmatvec,
+                                dtype=complex)
     rng = np.random.default_rng(seed)
-    best = 0.0
-    best_iters = 0
-    converged = False
-    support = np.flatnonzero(op.right)
-    for _ in range(restarts):
-        v = np.zeros(op.size, dtype=complex)
-        v[support] = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
-        v /= np.linalg.norm(v)
-        sigma_prev = 0.0
-        d_prev = None
-        iters = 0
-        for iters in range(1, maxiter + 1):
-            w = op.adjoint_apply(op.apply(v))
-            lam = float(np.linalg.norm(w))
-            if lam == 0.0:
-                sigma_prev = 0.0
-                converged = True
-                break
-            v = w / lam
-            sigma = math.sqrt(lam)
-            d = sigma - sigma_prev
-            # with a small spectral gap the per-sweep increments decay
-            # geometrically; stop on the extrapolated remaining tail, not on
-            # the raw increment, so stagnation cannot fake convergence
-            if d <= 1e-14 * max(sigma, 1e-30):
-                sigma_prev = sigma
-                converged = True
-                break
-            if d_prev is not None and 0.0 < d < d_prev:
-                q = d / d_prev
-                tail = d * q / (1.0 - q)
-                if tail <= max(tol * sigma, 5e-8):
-                    sigma_prev = sigma
-                    converged = True
-                    break
-            sigma_prev = sigma
-            d_prev = d
-        if sigma_prev > best:
-            best = sigma_prev
-            best_iters = iters
-    info = NormInfo(best, best_iters, converged, restarts)
-    if op.size <= dense_limit:
+    v0 = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+    converged = True
+    try:
+        value = float(svds(restricted, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
+    except ArpackNoConvergence:
+        value, converged = math.nan, False
+    except ArpackError:
+        # ARPACK finds no start vector when the operator vanishes on the supports
+        value = dense_norm(op)
+    info = NormInfo(value, products, converged)
+    if converged and op.size <= dense_limit:
         info.dense_value = dense_norm(op)
-        if abs(info.dense_value - best) > 1e-6 * max(1.0, info.dense_value):
+        if abs(value - info.dense_value) > 1e-10 * info.dense_value:
             raise ArithmeticError(
-                f"power iteration ({best:.12g}) disagrees with dense norm "
-                f"({info.dense_value:.12g})")
+                f"Lanczos norm ({value:.17g}) disagrees with dense norm "
+                f"({info.dense_value:.17g})")
     return info
 
 
@@ -360,6 +345,20 @@ def beta_fit(samples) -> DecayFit:
     (beta, intercept), *_ = np.linalg.lstsq(a, lv, rcond=None)
     residual = float(np.max(np.abs(a @ np.array([beta, intercept]) - lv)))
     return DecayFit(samples, float(beta), float(intercept), residual)
+
+
+def ladder_fits(rows: list[dict]) -> dict:
+    """DecayFit of each energy w over experiment rows (w is None on grid cores).
+
+    Samples keep the row order; a w gets a fit only with at least 4 rows, all
+    of them with positive norms.
+    """
+    fits = {}
+    for w in dict.fromkeys(r["w"] for r in rows):
+        samples = [(r["h"], r["norm"]) for r in rows if r["w"] == w]
+        if len(samples) >= 4 and all(v > 0 for _, v in samples):
+            fits[w] = beta_fit(samples)
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -429,38 +428,9 @@ def chordal_cutoff(gap: float, width: float):
     return chi
 
 
-def log_phase_kernel(w: float, h: float, chi, grid: SphereGrid,
-                     diag_margin: float = 1e-6) -> KernelCore:
-    """Oscillatory kernel (2 pi h)^{-n/2} |(y-y')/2|^{2iw/h} chi(y,y') dy'.
-
-    The cutoff must vanish at chordal distances below ``diag_margin``; the
-    modulus of the kernel is chi times the quadrature factor, independent of
-    w, since the phase exponent is purely imaginary.
-    """
-    y = grid.points
-    d = np.linalg.norm(y[:, None, :] - y[None, :, :], axis=-1)
-    chi_mat = np.asarray(chi(y[:, None, :], y[None, :, :]), dtype=np.float64)
-    near = d < diag_margin
-    if np.any(chi_mat[near] != 0.0):
-        raise ValueError("cutoff does not vanish near the diagonal")
-    amp = (2.0 * np.pi * h) ** (-grid.n / 2) * chi_mat * grid.weights[None, :]
-    with np.errstate(divide="ignore"):
-        logd = np.where(d > 0.0, np.log(np.maximum(d, 1e-300) / 2.0), 0.0)
-    kernel = amp * np.exp(1j * (2.0 * w / h) * logd)
-    kernel[chi_mat == 0.0] = 0.0
-    return KernelCore(kernel)
-
-
-# ---------------------------------------------------------------------------
-# mixed Hessian probes
-
-
-def log_phase_masked_operator(w: float, h: float, chi, grid: SphereGrid,
-                              left: np.ndarray, right: np.ndarray,
-                              diag_margin: float = 1e-6) -> MaskedOperator:
-    """Masked log-phase kernel built only on the mask supports."""
-    rows = np.flatnonzero(left)
-    cols = np.flatnonzero(right)
+def _log_phase_block(w: float, h: float, chi, grid: SphereGrid, rows: np.ndarray,
+                     cols: np.ndarray, diag_margin: float) -> np.ndarray:
+    """Entries (2 pi h)^{-n/2} |(y-y')/2|^{2iw/h} chi(y,y') dy' for y in rows, y' in cols."""
     ya = grid.points[rows]
     yb = grid.points[cols]
     d = np.linalg.norm(ya[:, None, :] - yb[None, :, :], axis=-1)
@@ -472,8 +442,33 @@ def log_phase_masked_operator(w: float, h: float, chi, grid: SphereGrid,
         logd = np.where(d > 0.0, np.log(np.maximum(d, 1e-300) / 2.0), 0.0)
     block = amp * np.exp(1j * (2.0 * w / h) * logd)
     block[chi_mat == 0.0] = 0.0
-    core = SubmatrixKernelCore(grid.size, rows, cols, block)
-    return MaskedOperator(core, left, right)
+    return block
+
+
+def log_phase_kernel(w: float, h: float, chi, grid: SphereGrid,
+                     diag_margin: float = 1e-6) -> KernelCore:
+    """Oscillatory kernel (2 pi h)^{-n/2} |(y-y')/2|^{2iw/h} chi(y,y') dy'.
+
+    The cutoff must vanish at chordal distances below ``diag_margin``; the
+    modulus of the kernel is chi times the quadrature factor, independent of
+    w, since the phase exponent is purely imaginary.
+    """
+    nodes = np.arange(grid.size)
+    return KernelCore(_log_phase_block(w, h, chi, grid, nodes, nodes, diag_margin))
+
+
+def log_phase_masked_operator(w: float, h: float, chi, grid: SphereGrid,
+                              left: np.ndarray, right: np.ndarray,
+                              diag_margin: float = 1e-6) -> MaskedOperator:
+    """Masked log-phase kernel built only on the mask supports."""
+    rows = np.flatnonzero(left)
+    cols = np.flatnonzero(right)
+    block = _log_phase_block(w, h, chi, grid, rows, cols, diag_margin)
+    return MaskedOperator(SubmatrixKernelCore(grid.size, rows, cols, block), left, right)
+
+
+# ---------------------------------------------------------------------------
+# mixed Hessian probes
 
 
 def mixed_hessian_det(phi, y: np.ndarray, yprime: np.ndarray, fd_step: float = 1e-5) -> float:
@@ -685,8 +680,6 @@ class FupConfig:
     arc_minus: tuple[float, float] = (0.5, 0.75)
     arc_plus: tuple[float, float] = (0.0, 0.25)
     lower_bound_mode: bool = False
-    power_tol: float = 1e-8
-    restarts: int = 3
     seed: int = 0
     dense_limit: int = 4096
 
@@ -715,23 +708,54 @@ def _family_mask(cfg: FupConfig, which: str, N: int) -> np.ndarray:
 def _arc_cantor_mask(cfg: FupConfig, arc: tuple[float, float], grid: SphereGrid) -> np.ndarray:
     """Cantor set of angles inside an arc, sampled on the circle grid.
 
-    The construction depth tracks the number of grid nodes the arc holds, so
-    the mask refines with the ladder the way the cube-grid families do;
-    grids with J = 4 * base^k nodes align the quarter-arc cells exactly.
+    The arc holds a run of consecutive nodes; the t-th of its count nodes lies
+    in Cantor cell t * base^depth // count, in integer arithmetic.  The depth
+    tracks the node count, so the mask refines with the ladder the way the
+    cube-grid families do: on grids with J = 4 * base^k nodes each quarter arc
+    keeps exactly |kept|^k nodes.
     """
     J = grid.size
     lo, hi = arc
-    depth = min(8, max(1, round(math.log(max(J * (hi - lo), cfg.cantor_base), cfg.cantor_base))))
-    base = cantor_generate(CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept, depth, 1), 1)
     ang = np.arange(J) / J          # angle fraction of each node
-    inside = (ang >= lo) & (ang < hi)
-    frac = (ang - lo) / (hi - lo)
-    idx = np.clip((frac * base.m).astype(int), 0, base.m - 1)
-    return inside & base.mask[idx]
+    inside = np.flatnonzero((ang >= lo) & (ang < hi))
+    count = inside.size
+    depth = max(1, round(math.log(max(count, cfg.cantor_base), cfg.cantor_base)))
+    base = cantor_generate(CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept, depth, 1), 1)
+    mask = np.zeros(J, dtype=bool)
+    mask[inside] = base.mask[np.arange(count) * base.m // max(count, 1)]
+    return mask
 
 
 def _sanity(norm: float) -> bool:
     return norm <= 1.0 + 1e-10
+
+
+def _grid_operator(cfg: FupConfig, N: int) -> MaskedOperator:
+    left = _family_mask(cfg, "minus", N)
+    right = _family_mask(cfg, "plus", N)
+    if cfg.rho is not None:
+        rad = int(round(N ** (1.0 - cfg.rho)))
+        left = thicken_mask(left, rad, cfg.n)
+        right = thicken_mask(right, rad, cfg.n)
+    if cfg.core == "fourier":
+        return MaskedOperator(semiclassical_dft(N, cfg.n), left, right)
+    c = cfg.phase_quadratic
+    phi = lambda x, y: -2.0 * np.pi * np.sum(x * y, axis=-1) + c * np.sum(y * y, axis=-1)
+    amp = lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+    return MaskedOperator(general_phase_fio(phi, amp, N, cfg.n, 1.0 / N), left, right)
+
+
+def _log_phase_operator(cfg: FupConfig, w: float, J: int) -> MaskedOperator:
+    h = 1.0 / J
+    grid = circle_grid(J)
+    left = _arc_cantor_mask(cfg, cfg.arc_minus, grid)
+    right = _arc_cantor_mask(cfg, cfg.arc_plus, grid)
+    if cfg.rho is not None:
+        rad = int(round(J * h ** cfg.rho / (2.0 * np.pi)))
+        left = thicken_mask(left, rad, 1)
+        right = thicken_mask(right, rad, 1)
+    chi = chordal_cutoff(cfg.chi_gap, cfg.chi_width)
+    return log_phase_masked_operator(w, h, chi, grid, left, right)
 
 
 def fup_experiment(cfg: FupConfig):
@@ -740,68 +764,24 @@ def fup_experiment(cfg: FupConfig):
     Each row is a dict with keys core, n, N, h, rho, w, norm, iters,
     converged.  ``fits`` maps the energy w (None for grid cores) to the
     DecayFit across the ladder.  ``ok`` reports the sanity invariants:
-    unitarity cap everywhere and, in lower-bound mode, the exact
-    single-column value.
+    converged norms, the unitarity cap on grid cores and, in lower-bound mode,
+    the exact single-column value.
     """
     cfg.validate()
     rows: list[dict] = []
-    fits: dict = {}
     ok = True
-    if cfg.core in ("fourier", "general_phase"):
-        samples = []
+    grid_core = cfg.core != "log_phase"
+    for w in (None,) if grid_core else cfg.w_list:
         for N in cfg.ladder:
-            h = 1.0 / N
-            left = _family_mask(cfg, "minus", N)
-            right = _family_mask(cfg, "plus", N)
-            if cfg.rho is not None:
-                rad = int(round(N ** (1.0 - cfg.rho)))
-                left = thicken_mask(left, rad, cfg.n)
-                right = thicken_mask(right, rad, cfg.n)
-            if cfg.core == "fourier":
-                core = semiclassical_dft(N, cfg.n)
-            else:
-                c = cfg.phase_quadratic
-                phi = lambda x, y: -2.0 * np.pi * np.sum(x * y, axis=-1) \
-                    + c * np.sum(y * y, axis=-1)
-                amp = lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
-                core = general_phase_fio(phi, amp, N, cfg.n, h)
-            op = MaskedOperator(core, left, right)
-            info = masked_norm(op, cfg.power_tol, cfg.restarts, cfg.seed,
-                               dense_limit=cfg.dense_limit)
-            ok = ok and _sanity(info.value) and info.converged
+            op = _grid_operator(cfg, N) if grid_core else _log_phase_operator(cfg, w, N)
+            info = masked_norm(op, cfg.seed, cfg.dense_limit)
+            ok = ok and info.converged and (not grid_core or _sanity(info.value))
             if cfg.lower_bound_mode and cfg.core == "fourier":
-                single = np.zeros(core.size, dtype=bool)
-                single[np.flatnonzero(right)[0]] = True
-                lb = masked_norm(MaskedOperator(core, left, single), cfg.power_tol,
-                                 1, cfg.seed, dense_limit=0)
-                expected = math.sqrt(left.sum() / core.size)
+                single = np.zeros(op.size, dtype=bool)
+                single[np.flatnonzero(op.right)[0]] = True
+                lb = masked_norm(MaskedOperator(op.core, op.left, single), cfg.seed)
+                expected = math.sqrt(op.left.sum() / op.size)
                 ok = ok and abs(lb.value - expected) <= 1e-12
-            rows.append(dict(core=cfg.core, n=cfg.n, N=N, h=h, rho=cfg.rho, w=None,
+            rows.append(dict(core=cfg.core, n=cfg.n, N=N, h=1.0 / N, rho=cfg.rho, w=w,
                              norm=info.value, iters=info.iters, converged=info.converged))
-            samples.append((h, info.value))
-        if len(samples) >= 4 and all(v > 0 for _, v in samples):
-            fits[None] = beta_fit(samples)
-    else:
-        for w in cfg.w_list:
-            samples = []
-            for J in cfg.ladder:
-                h = 1.0 / J
-                grid = circle_grid(J)
-                chi = chordal_cutoff(cfg.chi_gap, cfg.chi_width)
-                left = _arc_cantor_mask(cfg, cfg.arc_minus, grid)
-                right = _arc_cantor_mask(cfg, cfg.arc_plus, grid)
-                if cfg.rho is not None:
-                    rad = int(round(J * h ** cfg.rho / (2.0 * np.pi)))
-                    left = thicken_mask(left, rad, 1)
-                    right = thicken_mask(right, rad, 1)
-                op = log_phase_masked_operator(w, h, chi, grid, left, right)
-                info = masked_norm(op, cfg.power_tol, cfg.restarts, cfg.seed,
-                                   dense_limit=cfg.dense_limit)
-                ok = ok and info.converged
-                rows.append(dict(core=cfg.core, n=cfg.n, N=J, h=h, rho=cfg.rho, w=w,
-                                 norm=info.value, iters=info.iters,
-                                 converged=info.converged))
-                samples.append((h, info.value))
-            if len(samples) >= 4 and all(v > 0 for _, v in samples):
-                fits[w] = beta_fit(samples)
-    return rows, fits, ok
+    return rows, ladder_fits(rows), ok

@@ -55,8 +55,8 @@ from .porosity import (
 from .fup_numerics import (
     FupConfig,
     SphereAtlas,
-    beta_fit,
     fup_experiment,
+    ladder_fits,
     log_phase_hessian_factors,
     mixed_hessian_det,
     sphere_porosity_check,
@@ -438,12 +438,7 @@ def _experiment_rows(cfg: FupConfig, workers: int):
             rows.extend(sub_rows)
             ok = ok and sub_ok
     rows.sort(key=lambda r: (r["w"] if r["w"] is not None else -1.0, r["N"]))
-    fits = {}
-    for w in sorted({r["w"] for r in rows}, key=lambda v: (-1.0 if v is None else v)):
-        samples = [(r["h"], r["norm"]) for r in rows if r["w"] == w]
-        if len(samples) >= 4 and all(v > 0 for _, v in samples):
-            fits[w] = beta_fit(samples)
-    return rows, fits, ok
+    return rows, ladder_fits(rows), ok
 
 
 FUP_HEADER = ["core", "n", "N", "h", "rho", "norm", "iters", "converged"]

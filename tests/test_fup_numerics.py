@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from fuplab.fup_numerics import (
     DecayFit,
@@ -26,6 +27,7 @@ from fuplab.fup_numerics import (
     sphere2_grid,
     sphere_porosity_check,
     thicken_mask,
+    _arc_cantor_mask,
 )
 from fuplab.porosity import BoxSet, CantorSpec, Verdict, cantor_generate
 
@@ -95,7 +97,7 @@ class TestMaskedNorm:
         info = masked_norm(MaskedOperator(core, left, right))
         assert abs(info.value - math.sqrt(40 / 256)) <= 1e-12
 
-    def test_power_iteration_matches_dense_oracle(self):
+    def test_lanczos_matches_dense_oracle(self):
         # independent oracle: full dense DFT matrix, masked and factorized
         N = 243
         core = semiclassical_dft(N, 1)
@@ -105,7 +107,30 @@ class TestMaskedNorm:
         dense[~mask, :] = 0.0
         dense[:, ~mask] = 0.0
         oracle = np.linalg.svd(dense, compute_uv=False)[0]
-        assert abs(info.value - oracle) <= 1e-6
+        assert abs(info.value - oracle) <= 1e-12
+
+    def test_cantor_and_thickened_norms_match_dense_to_1e_12(self):
+        for k in range(3, 8):
+            N = 3 ** k
+            core = semiclassical_dft(N, 1)
+            mask = cantor_mask(k)
+            for m in (mask, thicken_mask(mask, round(N ** 0.1), 1)):
+                op = MaskedOperator(core, m.copy(), m.copy())
+                info = masked_norm(op, seed=k)
+                dense = dense_norm(op)
+                assert info.converged
+                assert abs(info.value - dense) <= 1e-12 * dense, (k, int(m.sum()))
+
+    def test_no_convergence_is_reported_not_raised(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty(0))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", stalled)
+        mask = cantor_mask(3)
+        info = masked_norm(MaskedOperator(semiclassical_dft(27, 1), mask.copy(), mask.copy()))
+        assert not info.converged and math.isnan(info.value) and info.dense_value is None
+        rows, fits, ok = fup_experiment(FupConfig(core="fourier", n=1, ladder=(27,)))
+        assert not ok and rows[0]["converged"] is False
 
     def test_empty_mask_gives_zero(self):
         core = semiclassical_dft(27, 1)
@@ -133,6 +158,21 @@ class TestMaskedNorm:
         u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         assert abs(np.vdot(v, op.apply(u)) - np.vdot(op.adjoint_apply(v), u)) < 1e-10
+
+
+class TestArcCantorMask:
+    def test_arcs_are_exact_cantor_sets(self):
+        cfg = FupConfig(core="log_phase")
+        for k in range(3, 10):
+            J = 4 * 3 ** k
+            grid = circle_grid(J)
+            for lo, hi in (cfg.arc_minus, cfg.arc_plus):
+                first = round(lo * J)
+                expect = np.zeros(J, dtype=bool)
+                expect[first:first + 3 ** k] = cantor_mask(k)
+                got = _arc_cantor_mask(cfg, (lo, hi), grid)
+                assert np.array_equal(got, expect), (k, lo)
+                assert got.sum() == 2 ** k
 
 
 class TestResampleMask:
@@ -245,6 +285,11 @@ class TestLogPhaseKernel:
         op_full = MaskedOperator(full, left.copy(), right.copy())
         op_sub = log_phase_masked_operator(2.0, 0.05, chi, grid, left.copy(), right.copy())
         assert abs(dense_norm(op_full) - dense_norm(op_sub)) < 1e-12
+
+    def test_kernel_vanishing_on_the_arcs_gives_norm_zero(self):
+        cfg = FupConfig(core="log_phase", n=1, ladder=(108,), chi_gap=2.0)
+        rows, fits, ok = fup_experiment(cfg)
+        assert ok and rows[0]["converged"] and rows[0]["norm"] == 0.0
 
     def test_decay_for_every_energy(self):
         cfg = FupConfig(core="log_phase", n=1, ladder=(108, 324, 972, 2916),
@@ -446,6 +491,11 @@ class TestFupExperiment:
             FupConfig(core="nonsense").validate()
         with pytest.raises(ValueError):
             FupConfig(rho=1.5).validate()
+
+    def test_thickened_point_at_27_is_ok_on_a_seed_that_once_stalled(self):
+        cfg = FupConfig(core="fourier", n=1, ladder=(27,), rho=0.9, seed=143667987)
+        rows, fits, ok = fup_experiment(cfg)
+        assert ok and rows[0]["converged"]
 
     def test_two_dimensional_grid(self):
         cfg = FupConfig(core="fourier", n=2, ladder=(9, 27), dense_limit=81)
