@@ -692,6 +692,9 @@ class FupConfig:
             raise ValueError("the log-phase ladder runs on circle grids (n = 1)")
         if self.rho is not None and not 0.0 < self.rho <= 1.0:
             raise ValueError("thickening exponent must lie in (0, 1]")
+        if (self.lower_bound_mode and self.set_plus is not None
+                and self.set_plus.occupied_count == 0):
+            raise ValueError("lower_bound_mode needs a nonempty set_plus to probe")
 
 
 def _family_mask(cfg: FupConfig, which: str, N: int) -> np.ndarray:

@@ -195,17 +195,7 @@ class _Field:
     dist: np.ndarray
     lo: float          # physical coordinate of the padded grid origin
     delta: float
-    pad: int
     n: int
-    m: int
-
-    def cell_of(self, pts: np.ndarray) -> tuple:
-        idx = np.floor((pts - self.lo) / self.delta).astype(np.int64)
-        np.clip(idx, 0, self.dist.shape[0] - 1, out=idx)
-        return tuple(idx[..., a] for a in range(self.n))
-
-    def at_points(self, pts: np.ndarray) -> np.ndarray:
-        return self.dist[self.cell_of(pts)]
 
 
 def _distance_field(x: BoxSet, pad_phys: float) -> _Field:
@@ -213,11 +203,24 @@ def _distance_field(x: BoxSet, pad_phys: float) -> _Field:
     shape = tuple(x.m + 2 * pad for _ in range(x.n))
     occ = np.zeros(shape, dtype=bool)
     occ[(slice(pad, pad + x.m),) * x.n] = x.mask
-    if not occ.any():
-        dist = np.full(shape, np.inf)
-    else:
-        dist = ndimage.distance_transform_edt(~occ, sampling=x.delta)
-    return _Field(dist, -pad * x.delta, x.delta, pad, x.n, x.m)
+    # distances from the feature transform by the formula distance_transform_edt
+    # uses, bit for bit, but a slab at a time: its whole-field integer and float
+    # temporaries would double the peak memory of a decision
+    ft = ndimage.distance_transform_edt(~occ, sampling=x.delta, return_distances=False,
+                                        return_indices=True)
+    dist = np.empty(shape)
+    step = max(1, (1 << 16) // ft[0, 0].size)
+    for s in range(0, shape[0], step):
+        slab = ft[:, s:s + step]
+        sq = np.zeros(slab.shape[1:])
+        for a in range(x.n):
+            idx = np.arange(slab.shape[1 + a], dtype=ft.dtype) + (s if a == 0 else 0)
+            idx = idx.reshape([-1 if b == a else 1 for b in range(x.n)])
+            gap = (slab[a] - idx).astype(np.float64)
+            gap *= x.delta
+            sq += gap * gap
+        np.sqrt(sq, out=dist[s:s + step])
+    return _Field(dist, -pad * x.delta, x.delta, x.n)
 
 
 def scale_ladder(alpha0: float, alpha1: float) -> np.ndarray:
@@ -309,66 +312,42 @@ def _require_resolution(x: BoxSet, nu: float, alpha0: float) -> None:
             f"grid pitch {x.delta:.3g} exceeds nu*alpha0/4 = {nu * alpha0 / 4.0:.3g}")
 
 
-def _interior_min(filtered: np.ndarray, f: _Field, reach_phys: float, wlo: int, whi: int):
-    """Min of a windowed filter over window positions whose window stays in
-    bounds and whose center covers the cube fattened by ``reach_phys``."""
-    n = f.n
+def _region(f: _Field, reach_phys: float, wlo: int, whi: int) -> tuple[int, int]:
+    """Index range, on every axis, of the window positions whose window stays
+    in bounds and whose center covers the cube fattened by ``reach_phys``."""
     lo_idx = max(wlo, int(math.floor((-reach_phys - f.lo) / f.delta)) - 1)
-    hi_idx = min(filtered.shape[0] - 1 - whi,
+    hi_idx = min(f.dist.shape[0] - 1 - whi,
                  int(math.ceil((1.0 + reach_phys - f.lo) / f.delta)) + 1)
     if hi_idx < lo_idx:
         raise ResolutionError("padding too small for requested scales")
-    sl = (slice(lo_idx, hi_idx + 1),) * n
-    region = filtered[sl]
-    pos = np.unravel_index(np.argmin(region), region.shape)
-    center = f.lo + (np.array(pos) + lo_idx + 0.5) * f.delta
-    return float(region[pos]), center
+    return lo_idx, hi_idx
 
 
-def ball_porosity_check(x: BoxSet, nu: float, alpha0: float, alpha1: float) -> PorosityReport:
-    """Decide nu-porosity on balls from scales alpha0 to alpha1.
+@dataclass
+class _WindowMax:
+    """Max of the distance field over a cubic window of width w, kept only at
+    the window positions that a query of reach up to the build reach reads."""
 
-    At each ladder scale R the decision compares windowed extrema of the
-    distance field against nu*R with explicit grid slack: a scale is certified
-    when every inscribed window holds a cell of clearance >= nu*R + slack, and
-    refuted when some circumscribed window has all clearances < nu*R - slack.
-    """
-    _require_resolution(x, nu, alpha0)
-    n, d = x.n, x.delta
-    rs = scale_ladder(alpha0, alpha1)
-    sq = math.sqrt(n)
-    margins = np.zeros(len(rs))
-    per_scale: list[Verdict] = []
-    witness = None
-    if x.occupied_count == 0:
-        margins[:] = np.inf
-        per_scale = [Verdict.CERTIFIED] * len(rs)
-        return PorosityReport("ball", nu, alpha0, alpha1, rs, margins, per_scale,
-                              Verdict.CERTIFIED, None)
-    f = _distance_field(x, alpha1 * (0.5 + nu) + alpha1 / 2.0 + 6 * d * sq)
-    for k, r in enumerate(rs):
-        cert_slack = d * max(1.0, sq / 2.0)
-        w_cert = int(math.floor((r - d * sq) / (sq * d)))
-        w_ce = int(math.ceil((r + d * sq) / d))
-        reach = r / 2.0 + nu * r + 2 * d
-        if w_cert >= 1:
-            filt = ndimage.maximum_filter(f.dist, size=w_cert, mode="constant", cval=-np.inf)
-            m_cert, _ = _interior_min(filt, f, reach, (w_cert - 1) // 2, w_cert // 2)
-        else:
-            m_cert = -np.inf
-        filt_ce = ndimage.maximum_filter(f.dist, size=w_ce, mode="constant", cval=-np.inf)
-        m_ce, ce_center = _interior_min(filt_ce, f, reach, (w_ce - 1) // 2, w_ce // 2)
-        margins[k] = (m_cert - cert_slack) / (nu * r)
-        if m_cert >= nu * r + cert_slack:
-            per_scale.append(Verdict.CERTIFIED)
-        elif m_ce < nu * r - d * sq:
-            per_scale.append(Verdict.COUNTEREXAMPLE)
-            if witness is None:
-                witness = BallWitness(ce_center, float(r))
-        else:
-            per_scale.append(Verdict.INCONCLUSIVE)
-    verdict = _combine(per_scale)
-    return PorosityReport("ball", nu, alpha0, alpha1, rs, margins, per_scale, verdict, witness)
+    crop: np.ndarray
+    start: int          # padded-field index of the crop's first position, every axis
+    wlo: int
+    whi: int
+
+    @classmethod
+    def build(cls, f: _Field, w: int, reach_phys: float) -> "_WindowMax":
+        wlo, whi = (w - 1) // 2, w // 2
+        lo_idx, hi_idx = _region(f, reach_phys, wlo, whi)
+        filtered = ndimage.maximum_filter(f.dist, size=w, mode="constant", cval=-np.inf)
+        return cls(filtered[(slice(lo_idx, hi_idx + 1),) * f.n].copy(), lo_idx, wlo, whi)
+
+    def interior_min(self, f: _Field, reach_phys: float):
+        """Min over the positions of ``_region`` at ``reach_phys``, which must
+        not exceed the build reach, and the center of the minimizing window."""
+        lo_idx, hi_idx = _region(f, reach_phys, self.wlo, self.whi)
+        region = self.crop[(slice(lo_idx - self.start, hi_idx - self.start + 1),) * f.n]
+        pos = np.unravel_index(np.argmin(region), region.shape)
+        center = f.lo + (np.array(pos) + lo_idx + 0.5) * f.delta
+        return float(region[pos]), center
 
 
 def _segment_offsets(u: np.ndarray, r: float, delta: float) -> np.ndarray:
@@ -379,13 +358,149 @@ def _segment_offsets(u: np.ndarray, r: float, delta: float) -> np.ndarray:
 
 
 def _segment_max_at(dist: np.ndarray, anchors: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """max over segment offsets of the distance field, gathered per anchor."""
+    """max over segment offsets of the distance field, gathered per anchor
+    through flat indices.  Every anchor + offset must lie inside ``dist``."""
+    if (np.any(anchors.min(axis=0) + offsets.min(axis=0) < 0)
+            or np.any(anchors.max(axis=0) + offsets.max(axis=0) >= dist.shape)):
+        raise ResolutionError("segment reaches outside the padded field")
+    strides = np.cumprod((1,) + dist.shape[:0:-1])[::-1]
+    flat = dist.ravel()
+    base = anchors @ strides
     out = np.full(anchors.shape[0], -np.inf)
-    top = np.array(dist.shape) - 1
-    for off in offsets:
-        pos = np.clip(anchors + off[None, :], 0, top[None, :])
-        np.maximum(out, dist[tuple(pos.T)], out=out)
+    for off in offsets @ strides:
+        np.maximum(out, flat[base + off], out=out)
     return out
+
+
+class _Decider:
+    """A porosity decider split into the part that does not depend on nu,
+    built once, and a query per nu.
+
+    The build serves every nu up to ``nu_max``: the distance field is padded
+    for ``nu_max``, and each windowed max is cropped to the positions that a
+    query at ``nu_max`` reads, which contain those of any smaller nu.  A
+    single decision builds with ``nu_max = nu``; a bisection builds once.
+    """
+
+    def __init__(self, x: BoxSet, alpha0: float, alpha1: float, kind: str,
+                 directions: int, nu_max: float):
+        _require_resolution(x, nu_max, alpha0)
+        self.x, self.alpha0, self.alpha1, self.kind, self.nu_max = x, alpha0, alpha1, kind, nu_max
+        n, d = x.n, x.delta
+        sq = math.sqrt(n)
+        if kind == "ball":
+            self.dirs = None
+            self.cert_slack = d * max(1.0, sq / 2.0)
+            self.ce_slack = d * sq
+        else:
+            self.dirs = direction_set(n, directions if n > 1 else 1)
+            self.cert_slack = 2.0 * d * sq      # anchor + rasterization + lookup slack
+            self.ce_slack = d * sq + d / 2.0    # lookup + rasterization + sample-pitch slack
+        self.rs = scale_ladder(alpha0, alpha1)
+        if x.occupied_count == 0:
+            return
+        self.f = f = _distance_field(x, alpha1 * (0.5 + nu_max) + alpha1 / 2.0 + 6 * d * sq)
+        # per scale: (certifying window, refuting window), or for lines in
+        # n >= 2 the segment offsets of every direction
+        self.per_scale = []
+        for r in self.rs:
+            reach = self._reach(r, nu_max)
+            if kind == "ball":
+                w_cert = int(math.floor((r - d * sq) / (sq * d)))
+                w_ce = int(math.ceil((r + d * sq) / d))
+            elif n == 1:
+                w_cert = max(1, int(math.floor(r / d)))
+                w_ce = int(math.ceil(r / d)) + 1
+            else:
+                self.per_scale.append([_segment_offsets(u, r, d) for u in self.dirs])
+                continue
+            cert = _WindowMax.build(f, w_cert, reach) if w_cert >= 1 else None
+            self.per_scale.append((cert, _WindowMax.build(f, w_ce, reach)))
+
+    def _reach(self, r: float, nu: float) -> float:
+        return r / 2.0 + nu * r + 2 * self.x.delta
+
+    def decide(self, nu: float) -> PorosityReport:
+        if nu > self.nu_max:
+            raise ValueError(f"nu={nu} exceeds the nu_max={self.nu_max} the decider was built for")
+        _require_resolution(self.x, nu, self.alpha0)
+        rs = self.rs
+        margins = np.zeros(len(rs))
+        per_scale: list[Verdict] = []
+        witness = None
+        directions = None if self.dirs is None else len(self.dirs)
+        if self.x.occupied_count == 0:
+            margins[:] = np.inf
+            per_scale = [Verdict.CERTIFIED] * len(rs)
+            return PorosityReport(self.kind, nu, self.alpha0, self.alpha1, rs.copy(), margins,
+                                  per_scale, Verdict.CERTIFIED, None, directions=directions)
+        for k, (r, cached) in enumerate(zip(rs, self.per_scale)):
+            if self.dirs is None or self.x.n == 1:
+                verdict_r, margins[k], found = self._windowed(nu, r, *cached)
+            else:
+                verdict_r, margins[k], found = self._segments(nu, r, cached)
+            per_scale.append(verdict_r)
+            witness = witness or found
+        return PorosityReport(self.kind, nu, self.alpha0, self.alpha1, rs.copy(), margins,
+                              per_scale, _combine(per_scale), witness, directions=directions)
+
+    def _windowed(self, nu: float, r: float, cert: _WindowMax | None, ce: _WindowMax):
+        """Balls, and lines in 1-D: a scale is certified when every inscribed
+        window holds a cell of clearance >= nu*R + slack, and refuted when some
+        circumscribed window has all clearances < nu*R - slack."""
+        f = self.f
+        reach = self._reach(r, nu)
+        m_cert = cert.interior_min(f, reach)[0] if cert is not None else -np.inf
+        margin = (m_cert - self.cert_slack) / (nu * r)
+        if m_cert >= nu * r + self.cert_slack:
+            return Verdict.CERTIFIED, margin, None
+        m_ce, center = ce.interior_min(f, reach)
+        if m_ce < nu * r - self.ce_slack:
+            if self.dirs is None:
+                return Verdict.COUNTEREXAMPLE, margin, BallWitness(center, float(r))
+            return Verdict.COUNTEREXAMPLE, margin, LineWitness(center, self.dirs[0].copy(), float(r))
+        return Verdict.INCONCLUSIVE, margin, None
+
+    def _segments(self, nu: float, r: float, offsets: list[np.ndarray]):
+        """Lines in n >= 2: segment maxima along each sampled direction."""
+        f = self.f
+        lo_idx, hi_idx = _region(f, self._reach(r, nu), 0, 0)
+        dist_region = f.dist[(slice(lo_idx, hi_idx + 1),) * f.n]
+        # anchors whose own clearance certifies them work for every direction;
+        # only the rest need per-direction segment maxima
+        low = np.argwhere(dist_region < nu * r + self.cert_slack)
+        if low.shape[0] == 0:
+            worst = float(dist_region.min(initial=np.inf))
+            return Verdict.CERTIFIED, (worst - self.cert_slack) / (nu * r), None
+        anchors = low + lo_idx
+        worst = np.inf
+        verdict_r = Verdict.CERTIFIED
+        witness = None
+        for u, offs in zip(self.dirs, offsets):
+            segmax = _segment_max_at(f.dist, anchors, offs)
+            m_pos = int(np.argmin(segmax))
+            m_val = float(segmax[m_pos])
+            worst = min(worst, m_val)
+            if m_val < nu * r + self.cert_slack:
+                if m_val < nu * r - self.ce_slack:
+                    verdict_r = Verdict.COUNTEREXAMPLE
+                    if witness is None:
+                        center = f.lo + (anchors[m_pos] + 0.5) * f.delta
+                        witness = LineWitness(center, u.copy(), float(r))
+                elif verdict_r is Verdict.CERTIFIED:
+                    verdict_r = Verdict.INCONCLUSIVE
+        return verdict_r, (worst - self.cert_slack) / (nu * r), witness
+
+
+def ball_porosity_check(x: BoxSet, nu: float, alpha0: float, alpha1: float) -> PorosityReport:
+    """Decide nu-porosity on balls from scales alpha0 to alpha1.
+
+    At each ladder scale R the decision compares windowed extrema of the
+    distance field against nu*R with explicit grid slack: a scale is certified
+    when every inscribed window holds a cell of clearance >= nu*R + slack, and
+    refuted when some circumscribed window has all clearances < nu*R - slack.
+    """
+    return _Decider(x, alpha0, alpha1, "ball", 0, nu).decide(nu)
 
 
 def line_porosity_check(x: BoxSet, nu: float, alpha0: float, alpha1: float,
@@ -397,79 +512,7 @@ def line_porosity_check(x: BoxSet, nu: float, alpha0: float, alpha1: float,
     hold for the sampled direction set.  Segment anchors run over every grid
     cell, which is finer than the nu*R/4 lattice the slack budget assumes.
     """
-    _require_resolution(x, nu, alpha0)
-    n, d = x.n, x.delta
-    dirs = direction_set(n, directions if n > 1 else 1)
-    rs = scale_ladder(alpha0, alpha1)
-    sq = math.sqrt(n)
-    cert_slack = 2.0 * d * sq           # anchor + rasterization + lookup slack
-    ce_slack = d * sq + d / 2.0         # lookup + rasterization + sample-pitch slack
-    margins = np.zeros(len(rs))
-    per_scale: list[Verdict] = []
-    witness = None
-    if x.occupied_count == 0:
-        margins[:] = np.inf
-        per_scale = [Verdict.CERTIFIED] * len(rs)
-        return PorosityReport("line", nu, alpha0, alpha1, rs, margins, per_scale,
-                              Verdict.CERTIFIED, None, directions=len(dirs))
-    f = _distance_field(x, alpha1 * (0.5 + nu) + alpha1 / 2.0 + 6 * d * sq)
-    for k, r in enumerate(rs):
-        reach = r / 2.0 + nu * r + 2 * d
-        worst = np.inf
-        verdict_r = Verdict.CERTIFIED
-        if n == 1:
-            w = max(1, int(math.floor(r / d)))
-            segmax = ndimage.maximum_filter1d(f.dist, size=w, mode="constant",
-                                              cval=-np.inf)
-            m_val, _ = _interior_min(segmax, f, reach, (w - 1) // 2, w // 2)
-            w_ce = int(math.ceil(r / d)) + 1
-            segmax_ce = ndimage.maximum_filter1d(f.dist, size=w_ce, mode="constant",
-                                                 cval=-np.inf)
-            m_ce, m_center = _interior_min(segmax_ce, f, reach,
-                                           (w_ce - 1) // 2, w_ce // 2)
-            worst = m_val
-            if m_val < nu * r + cert_slack:
-                if m_ce < nu * r - ce_slack:
-                    verdict_r = Verdict.COUNTEREXAMPLE
-                    witness = witness or LineWitness(m_center, dirs[0].copy(), float(r))
-                else:
-                    verdict_r = Verdict.INCONCLUSIVE
-            margins[k] = (worst - cert_slack) / (nu * r)
-            per_scale.append(verdict_r)
-            continue
-        # anchors whose own clearance certifies them work for every direction;
-        # only the rest need per-direction segment maxima
-        lo_idx = int(math.floor((-reach - f.lo) / f.delta)) - 1
-        hi_idx = int(math.ceil((1.0 + reach - f.lo) / f.delta)) + 1
-        region = (slice(lo_idx, hi_idx + 1),) * n
-        dist_region = f.dist[region]
-        low = np.argwhere(dist_region < nu * r + cert_slack)
-        worst = float(dist_region.min(initial=np.inf))
-        if low.shape[0] == 0:
-            margins[k] = (worst - cert_slack) / (nu * r)
-            per_scale.append(Verdict.CERTIFIED)
-            continue
-        anchors = low + lo_idx
-        worst = np.inf
-        for u in dirs:
-            offsets = _segment_offsets(u, r, d)
-            segmax = _segment_max_at(f.dist, anchors, offsets)
-            m_pos = int(np.argmin(segmax))
-            m_val = float(segmax[m_pos])
-            worst = min(worst, m_val)
-            if m_val < nu * r + cert_slack:
-                if m_val < nu * r - ce_slack:
-                    verdict_r = Verdict.COUNTEREXAMPLE
-                    if witness is None:
-                        center = f.lo + (anchors[m_pos] + 0.5) * f.delta
-                        witness = LineWitness(center, u.copy(), float(r))
-                elif verdict_r is Verdict.CERTIFIED:
-                    verdict_r = Verdict.INCONCLUSIVE
-        margins[k] = (worst - cert_slack) / (nu * r)
-        per_scale.append(verdict_r)
-    verdict = _combine(per_scale)
-    return PorosityReport("line", nu, alpha0, alpha1, rs, margins, per_scale, verdict,
-                          witness, directions=len(dirs))
+    return _Decider(x, alpha0, alpha1, "line", directions, nu).decide(nu)
 
 
 def _combine(per_scale: list[Verdict]) -> Verdict:
@@ -521,13 +564,20 @@ def verify_line_witness(x: BoxSet, nu: float, w: LineWitness, probe_pitch: float
 
 def max_certified_nu(x: BoxSet, alpha0: float, alpha1: float, kind: str = "ball",
                      directions: int = 8, iters: int = 20) -> float:
-    """Largest nu the checker certifies, found by bisection (0 if none)."""
-    check = (lambda nu: ball_porosity_check(x, nu, alpha0, alpha1).verdict
-             if kind == "ball"
-             else line_porosity_check(x, nu, alpha0, alpha1, directions).verdict)
+    """Largest nu the checker certifies, found by bisection (0 if none).
+
+    Every bisection step queries one decider built for nu up to 1, so the
+    distance field and the windowed maxima are computed once per call."""
     lo_nu, hi_nu = 0.0, 1.0
     floor_nu = 4.0 * x.delta / alpha0
-    if floor_nu > 1.0 or check(floor_nu) is not Verdict.CERTIFIED:
+    if floor_nu > 1.0:
+        return 0.0
+    decider = _Decider(x, alpha0, alpha1, "ball" if kind == "ball" else "line", directions, 1.0)
+
+    def check(nu: float) -> Verdict:
+        return decider.decide(nu).verdict
+
+    if check(floor_nu) is not Verdict.CERTIFIED:
         return 0.0
     lo_nu = floor_nu
     for _ in range(iters):

@@ -465,6 +465,12 @@ def test_criterion_10_word_counting():
     rows = bound_check(0.9, Fraction(4, 100), [2.0 ** (-j) for j in range(40, 61)])
     target = 4 * math.sqrt(0.04) + 0.1
     assert rows[-1]["ratio"] <= target
+    # that ladder has floor(alpha T0) = 0, so every count is 1 and every ratio
+    # 0; this one (T0 = 32..63) has counts above 1 and the bound can fail
+    rows = bound_check(0.9, Fraction(4, 100), [2.0 ** (-j) for j in range(200, 401)])
+    assert any(r["count"] > 1 and r["ratio"] > 0 for r in rows)
+    assert all(r["within"] for r in rows)
+    assert rows[-1]["ratio"] <= target
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(10, "word counting, formula vs enumeration", elapsed, 10)

@@ -128,6 +128,15 @@ class TestFupScan:
         assert main(["--out", str(tmp_path), "fup-scan", "--config", cfg]) == 1
         assert "banana" in capsys.readouterr().out
 
+    def test_lower_bound_mode_with_empty_set_plus_exits_one(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", {
+            "set_plus": {"boxes": [], "dims": 1, "resolution": 27},
+            "lower_bound_mode": True,
+        })
+        assert main(["--out", str(tmp_path), "fup-scan", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("config error:") and "set_plus" in out
+
     def test_manifest_lists_outputs_and_inputs(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json",
                          {"core": "fourier", "n": 1, "ladder": [27, 81]})

@@ -35,6 +35,7 @@ from fuplab.porosity import (
     verify_line_witness,
     verify_neighborhood_lemma,
 )
+from fuplab.porosity import _distance_field, _segment_max_at, _segment_offsets
 from fuplab.stable_unstable import PhasePoint, phase_point_from_frame
 
 
@@ -208,6 +209,67 @@ class TestLinePorosityCheck:
         rep = line_porosity_check(x, 0.08, 1 / 3, 1.0)
         assert rep.directions == 1
         assert rep.verdict is Verdict.CERTIFIED
+
+
+class TestDistanceField:
+    @pytest.mark.parametrize("n,m", [(1, 81), (2, 64), (3, 9)])
+    def test_slabs_equal_whole_field_transform(self, n, m):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(n)
+        for density in (0.002, 0.05, 0.5):
+            mask = rng.random((m,) * n) < density
+            mask.flat[0] = True
+            # a pad of 2 gives 324 and 49 cells a side in 2-D and 3-D: several slabs
+            f = _distance_field(BoxSet(n, m, mask), 2.0)
+            pad = 2 * m + 2
+            occ = np.zeros((m + 2 * pad,) * n, dtype=bool)
+            occ[(slice(pad, pad + m),) * n] = mask
+            assert np.array_equal(f.dist, ndimage.distance_transform_edt(~occ, sampling=1.0 / m))
+
+
+class TestSegmentMaxGather:
+    @staticmethod
+    def reference(dist, anchors, offsets):
+        # one plain lookup per anchor and offset
+        out = np.full(anchors.shape[0], -np.inf)
+        for i, a in enumerate(anchors):
+            for off in offsets:
+                out[i] = max(out[i], dist[tuple(a + off)])
+        return out
+
+    @staticmethod
+    def case(rng, n):
+        side = int(rng.integers(20, 40))
+        dist = rng.random((side,) * n)
+        u = rng.normal(size=n)
+        offsets = _segment_offsets(u / np.linalg.norm(u), float(rng.uniform(0.1, 0.4)), 1 / 32)
+        lo = -offsets.min(axis=0)
+        hi = side - 1 - offsets.max(axis=0)
+        anchors = rng.integers(lo, hi + 1, size=(60, n))
+        return dist, anchors, offsets
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_flat_gather_equals_per_offset_reference(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            dist, anchors, offsets = self.case(rng, n)
+            assert len(offsets) > 1
+            assert np.array_equal(_segment_max_at(dist, anchors, offsets),
+                                  self.reference(dist, anchors, offsets))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_anchor_outside_the_padded_field_raises(self, n):
+        rng = np.random.default_rng(10 + n)
+        dist, anchors, offsets = self.case(rng, n)
+        for axis in range(n):
+            # one cell past the last and before the first position a segment may reach
+            for past in (dist.shape[axis] - offsets[:, axis].max(),
+                         -offsets[:, axis].min() - 1):
+                pushed = anchors.copy()
+                pushed[0, axis] = past
+                with pytest.raises(ResolutionError):
+                    _segment_max_at(dist, pushed, offsets)
 
 
 class TestAffineImage:
