@@ -272,15 +272,19 @@ def cmd_algebra_verify(args) -> int:
 
 def cmd_flow_trace(args) -> int:
     started = _now()
-    if args.frame:
-        q = read_group_element(args.frame, args.tol)
-        n = q.n
-        inputs = [args.frame]
-    else:
-        n = args.n
-        q = GroupElement.identity(n)
-        inputs = []
-    gen = parse_label(args.generator, n)
+    try:
+        if args.frame:
+            q = read_group_element(args.frame, args.tol)
+            n = q.n
+            inputs = [args.frame]
+        else:
+            n = args.n
+            q = GroupElement.identity(n)
+            inputs = []
+        gen = parse_label(args.generator, n)
+    except (OSError, LorentzError) as exc:
+        print(f"error: {exc}")
+        return 1
     ts = np.linspace(args.t0, args.t1, args.steps)
     rows = []
     for t in ts:
@@ -637,6 +641,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_problem(args) -> str | None:
+    """Arguments that parse but would crash a command or let it check nothing."""
+    cmd = args.subcommand
+    if cmd == "algebra-verify" and not 1 <= args.n_min <= args.n_max:
+        return "need 1 <= --n-min <= --n-max"
+    if cmd == "flow-trace" and args.steps < 1:
+        return "--steps must be at least 1"
+    if cmd == "hessian-check" and args.pairs < 1:
+        return "--pairs must be at least 1"
+    if cmd == "hessian-check" and not args.fd_step > 0:
+        return "--fd-step must be positive"
+    if cmd == "fio-sphere" and len(args.ladder) < 4:
+        return "a decay fit needs at least 4 --ladder values"
+    if cmd == "words-count" and args.j_min > args.j_max:
+        return "need --j-min <= --j-max"
+    return None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
@@ -644,6 +666,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    problem = _usage_problem(args)
+    if problem is not None:
+        print(f"error: {problem}")
+        return 1
     args.command = argv
     os.makedirs(args.out, exist_ok=True)
     return args.func(args)

@@ -562,17 +562,23 @@ def verify_line_witness(x: BoxSet, nu: float, w: LineWitness, probe_pitch: float
     return bool(np.all(_true_distance(pts, x) < nu * r))
 
 
+def _require_kind(kind: str) -> None:
+    if kind not in ("ball", "line"):
+        raise ValueError(f"porosity kind must be 'ball' or 'line', got {kind!r}")
+
+
 def max_certified_nu(x: BoxSet, alpha0: float, alpha1: float, kind: str = "ball",
                      directions: int = 8, iters: int = 20) -> float:
     """Largest nu the checker certifies, found by bisection (0 if none).
 
     Every bisection step queries one decider built for nu up to 1, so the
     distance field and the windowed maxima are computed once per call."""
+    _require_kind(kind)
     lo_nu, hi_nu = 0.0, 1.0
     floor_nu = 4.0 * x.delta / alpha0
     if floor_nu > 1.0:
         return 0.0
-    decider = _Decider(x, alpha0, alpha1, "ball" if kind == "ball" else "line", directions, 1.0)
+    decider = _Decider(x, alpha0, alpha1, kind, directions, 1.0)
 
     def check(nu: float) -> Verdict:
         return decider.decide(nu).verdict
@@ -705,6 +711,7 @@ class LemmaOutcome:
 
 def _checked(x: BoxSet, nu: float, a0: float, a1: float, kind: str,
              directions: int) -> PorosityReport:
+    _require_kind(kind)
     if kind == "ball":
         return ball_porosity_check(x, nu, a0, a1)
     return line_porosity_check(x, nu, a0, a1, directions)
@@ -714,6 +721,7 @@ def verify_affine_lemma(x: BoxSet, lam: float, y: np.ndarray, alpha0: float,
                         alpha1: float, kind: str = "ball", directions: int = 8,
                         slack_cells: float = 4.0, nu: float | None = None) -> LemmaOutcome:
     """Certified nu for X must transfer to y + lam X at scales lam*alpha."""
+    _require_kind(kind)
     if nu is None:
         nu = max_certified_nu(x, alpha0, alpha1, kind, directions)
     if nu <= 0:
@@ -731,6 +739,7 @@ def verify_neighborhood_lemma(x: BoxSet, alpha2: float, alpha0: float, alpha1: f
                               slack_cells: float = 4.0, nu: float | None = None) -> LemmaOutcome:
     """nu-porous from alpha0..alpha1 with alpha2 <= nu*alpha1/2 implies the
     alpha2-neighborhood is nu/2-porous from max(alpha0, 2*alpha2/nu)."""
+    _require_kind(kind)
     if nu is None:
         nu = max_certified_nu(x, alpha0, alpha1, kind, directions)
     if nu <= 0:
@@ -752,6 +761,7 @@ def verify_bilipschitz_lemma(x: BoxSet, fwd, c1: float, alpha0: float, alpha1: f
                              nu: float | None = None) -> LemmaOutcome:
     """Porosity of the image fwd(X) pulls back to X at constants nu/C1^2
     (balls) or nu/(2 C1^2) (lines, with the second-derivative scale cap)."""
+    _require_kind(kind)
     img = bilipschitz_image(x, fwd, c1)
     if nu is None:
         nu = max_certified_nu(img, alpha0, alpha1, kind, directions)

@@ -117,8 +117,14 @@ def bound_check(rho: float, alpha, h_ladder, slack: float = 0.1):
     For each h the row carries the exact count, the ratio
     log(count)/log(1/h), the bound 4 sqrt(alpha) + slack it is compared
     against, and the implied-constant diagnostic
-    log C = log(count) - 4 sqrt(alpha) log(1/h).
+    log C = log(count) - 4 sqrt(alpha) log(1/h).  A ladder with an h so small
+    that 1/h overflows a float (h = 2^-j for j >= 1024) is refused before any
+    row is computed.
     """
+    h_ladder = list(h_ladder)
+    for h in h_ladder:
+        if 0 <= h and (h == 0 or math.isinf(1.0 / h)):
+            raise ValueError(f"h = {float(h):.17g} underflows: 1/h overflows a float")
     alpha = Fraction(alpha)
     rows = []
     target = 4.0 * math.sqrt(float(alpha))

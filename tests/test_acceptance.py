@@ -297,6 +297,23 @@ def test_criterion_7_fup_sanity_and_decay():
     assert all(v <= 1.0 + 1e-10 for v in norms)
     assert all(b <= a + 1e-10 for a, b in zip(norms, norms[1:]))
     assert fits[None].beta > 0
+
+    # the deep ladder N = 3^k, k = 9..14, runs on the pruned DFT within 10 s.
+    # 3^15 and up are refused by cantor_generate's grid budget: the masks are
+    # still ambient arrays, even though the norm never touches the ambient grid.
+    t_deep = time.perf_counter()
+    deep = FupConfig(core="fourier", n=1, ladder=tuple(3 ** k for k in range(9, 15)),
+                     lower_bound_mode=True)
+    deep_rows, deep_fits, deep_ok = fup_experiment(deep)
+    assert time.perf_counter() - t_deep < 10.0
+    assert deep_ok
+    r = {round(math.log(row["N"], 3)): row["norm"] for row in rows + deep_rows}
+    assert sorted(r) == list(range(3, 15))
+    # single-column lower bound sqrt(2^k / 3^k) and the unitarity cap
+    assert all((2 / 3) ** (k / 2) <= v <= 1.0 for k, v in r.items())
+    # submultiplicativity of the discrete Cantor norms (Dyatlov-Jin)
+    assert all(r[a + b] <= r[a] * r[b] for a in r for b in r if a + b in r)
+    assert deep_fits[None].beta > 0
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     report(7, f"masked transform sanity and decay (beta={fits[None].beta:.4f})",

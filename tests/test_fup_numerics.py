@@ -29,6 +29,8 @@ from fuplab.fup_numerics import (
     thicken_mask,
     _arc_cantor_mask,
 )
+from fuplab import fup_numerics
+from fuplab.fup_numerics import _PrunedDft
 from fuplab.porosity import BoxSet, CantorSpec, Verdict, cantor_generate
 
 
@@ -154,10 +156,157 @@ class TestMaskedNorm:
         rng = np.random.default_rng(65)
         left = rng.random(64) < 0.4
         right = rng.random(64) < 0.4
-        op = MaskedOperator(core, left, right)
-        u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert abs(np.vdot(v, op.apply(u)) - np.vdot(op.adjoint_apply(v), u)) < 1e-10
+        rows, cols = np.flatnonzero(left), np.flatnonzero(right)
+        matvec, rmatvec = core.restricted(rows, cols)
+        u = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
+        v = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+        assert abs(np.vdot(v, matvec(u)) - np.vdot(rmatvec(v), u)) < 1e-10
+
+
+def digit_support(p, digit_sets):
+    """Increasing indices sum_j d_j p^j with d_j in digit_sets[j] (digit 0 the units)."""
+    values = np.zeros(1, dtype=np.int64)
+    for j, digits in enumerate(digit_sets):
+        values = (np.asarray(digits)[:, None] * p ** j + values[None, :]).reshape(-1)
+    return np.sort(values)
+
+
+def product_support(N, axes):
+    """Increasing flat indices of the product of per-axis index sets on the N^n grid."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.sort(np.ravel_multi_index([g.reshape(-1) for g in grids], (N,) * len(axes)))
+
+
+def rel_err(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def assert_plan_matches_submatrix(core, rows, cols, rng):
+    plan = _PrunedDft.build(core, rows, cols)
+    assert plan is not None
+    sub = core.submatrix(rows, cols)
+    x = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
+    y = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+    assert rel_err(plan.apply(x), sub @ x) <= 1e-12
+    assert rel_err(plan.adjoint(y), sub.conj().T @ y) <= 1e-12
+
+
+def random_digit_sets(rng, p, k):
+    return [np.sort(rng.choice(p, int(rng.integers(1, p + 1)), replace=False))
+            for _ in range(k)]
+
+
+class TestPrunedDft:
+    """The pruned map, built directly (no cost rule), against independent oracles."""
+
+    def test_cantor_set_matches_submatrix(self):
+        rng = np.random.default_rng(70)
+        for k in range(1, 9):
+            rows = np.flatnonzero(cantor_mask(k))
+            assert_plan_matches_submatrix(FourierCore(3 ** k, 1), rows, rows, rng)
+
+    def test_two_dimensional_product_matches_submatrix(self):
+        rng = np.random.default_rng(71)
+        for k in range(1, 6):
+            rows = np.flatnonzero(cantor_mask(k, 2))
+            assert_plan_matches_submatrix(FourierCore(3 ** k, 2), rows, rows, rng)
+
+    def test_unequal_digit_sets_on_the_two_sides(self):
+        rng = np.random.default_rng(72)
+        for k in range(1, 9):
+            rows = digit_support(3, [(1,)] * k)
+            cols = digit_support(3, [(0, 2)] * k)
+            assert_plan_matches_submatrix(FourierCore(3 ** k, 1), rows, cols, rng)
+            rows = digit_support(3, random_digit_sets(rng, 3, k))
+            cols = digit_support(3, random_digit_sets(rng, 3, k))
+            assert_plan_matches_submatrix(FourierCore(3 ** k, 1), rows, cols, rng)
+        for k in range(1, 5):
+            N = 3 ** k
+            rows = product_support(N, [digit_support(3, random_digit_sets(rng, 3, k))
+                                       for _ in range(2)])
+            cols = product_support(N, [digit_support(3, random_digit_sets(rng, 3, k))
+                                       for _ in range(2)])
+            assert_plan_matches_submatrix(FourierCore(N, 2), rows, cols, rng)
+
+    def test_base_two_and_base_five(self):
+        rng = np.random.default_rng(73)
+        for k in range(1, 9):
+            for _ in range(3):
+                rows = digit_support(2, random_digit_sets(rng, 2, k))
+                cols = digit_support(2, random_digit_sets(rng, 2, k))
+                assert_plan_matches_submatrix(FourierCore(2 ** k, 1), rows, cols, rng)
+        for k in range(1, 4):
+            rows = digit_support(5, random_digit_sets(rng, 5, k))
+            cols = digit_support(5, random_digit_sets(rng, 5, k))
+            assert_plan_matches_submatrix(FourierCore(5 ** k, 1), rows, cols, rng)
+
+    def test_matches_masked_fft_up_to_3_to_the_10(self):
+        rng = np.random.default_rng(74)
+        for k in range(1, 11):
+            N = 3 ** k
+            rows = np.flatnonzero(cantor_mask(k))
+            plan = _PrunedDft.build(FourierCore(N, 1), rows, rows)
+            x = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+            u = np.zeros(N, dtype=complex)
+            u[rows] = x
+            assert rel_err(plan.apply(x), np.fft.fft(u)[rows] / math.sqrt(N)) <= 1e-12
+            assert rel_err(plan.adjoint(x), np.fft.ifft(u)[rows] * math.sqrt(N)) <= 1e-12
+
+    def test_lanczos_on_the_pruned_map_matches_dense(self, monkeypatch):
+        # an unbounded FFT cost makes every digit-product support take the pruned map
+        monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: math.inf)
+
+        def no_fft(self, u):
+            raise AssertionError("the pruned map must not call the ambient FFT")
+
+        monkeypatch.setattr(FourierCore, "apply", no_fft)
+        monkeypatch.setattr(FourierCore, "adjoint", no_fft)
+        for k in range(3, 8):
+            op = MaskedOperator(FourierCore(3 ** k, 1), cantor_mask(k), cantor_mask(k))
+            info = masked_norm(op, seed=k, dense_limit=0)
+            assert info.converged
+            dense = dense_norm(op)
+            assert abs(info.value - dense) <= 1e-12 * dense, k
+
+    def test_pruned_and_fft_norms_agree(self, monkeypatch):
+        pruned = {}
+        for n, k in ((1, 9), (1, 10), (2, 5)):
+            op = MaskedOperator(FourierCore(3 ** k, n), cantor_mask(k, n), cantor_mask(k, n))
+            pruned[n, k] = masked_norm(op, seed=3)
+        monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: 0.0)
+        for (n, k), fast in pruned.items():
+            op = MaskedOperator(FourierCore(3 ** k, n), cantor_mask(k, n), cantor_mask(k, n))
+            slow = masked_norm(op, seed=3)
+            assert abs(fast.value - slow.value) <= 1e-12 * slow.value
+            assert fast.iters == slow.iters
+
+    def test_cost_rule_keeps_small_points_on_the_fft(self, monkeypatch):
+        calls = []
+        fft = FourierCore.apply
+        monkeypatch.setattr(FourierCore, "apply", lambda self, u: calls.append(1) or fft(self, u))
+        for n, k, expect_fft in ((1, 8, True), (1, 9, False), (2, 4, True), (2, 5, False)):
+            rows = np.flatnonzero(cantor_mask(k, n))
+            matvec, _ = FourierCore(3 ** k, n).restricted(rows, rows)
+            calls.clear()
+            matvec(np.ones(rows.size, dtype=complex))
+            assert bool(calls) is expect_fft, (n, k)
+
+    def test_non_product_supports_decline(self):
+        k = 6
+        N = 3 ** k
+        core = FourierCore(N, 1)
+        cantor = cantor_mask(k)
+        thick = np.flatnonzero(thicken_mask(cantor, round(N ** 0.1), 1))
+        box = np.flatnonzero(resample_mask(BoxSet.from_boxes([([0.1], [0.4])], N, 1), N))
+        rows = np.flatnonzero(cantor)
+        assert _PrunedDft.build(core, thick, thick) is None
+        assert _PrunedDft.build(core, box, box) is None
+        assert _PrunedDft.build(core, rows, box) is None
+        assert _PrunedDft.build(core, rows[::-1], rows) is None
+        assert _PrunedDft.build(core, rows, rows) is not None
+        # N = 6^3 is no prime power, even on a full digit product
+        full = np.arange(216)
+        assert _PrunedDft.build(FourierCore(216, 1), full, full) is None
 
 
 class TestArcCantorMask:

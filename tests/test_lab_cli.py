@@ -161,6 +161,10 @@ class TestWordsCount:
         rows = (tmp_path / "words_count.csv").read_text().splitlines()
         assert len(rows) == 2
 
+    def test_smallest_h_with_a_finite_inverse_runs(self, tmp_path):
+        assert main(["--out", str(tmp_path), "words-count", "--alpha", "0.04",
+                     "--rho", "0.9", "--j-min", "1023", "--j-max", "1023"]) == 0
+
     def test_bad_range_exits_one(self, tmp_path):
         assert main(["--out", str(tmp_path), "words-count", "--alpha", "0.7",
                      "--rho", "0.9", "--j-min", "5", "--j-max", "6"]) == 1
@@ -252,3 +256,37 @@ class TestSetSpecLoader:
         spec = write_json(tmp_path / "u.json", {"circles": []})
         with pytest.raises(ValueError):
             load_set_spec(spec)
+
+
+class TestUsageContract:
+    """Inputs that parse but cannot be run exit 1 with one line and nothing written."""
+
+    def assert_one_line_usage_error(self, tmp_path, capsys, *argv):
+        assert main(["--out", str(tmp_path), *argv]) == 1
+        captured = capsys.readouterr()
+        lines = [ln for ln in (captured.out + captured.err).splitlines() if ln.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert not any(p.suffix in (".csv", ".json") for p in tmp_path.iterdir())
+
+    def test_unknown_flow_generator(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "flow-trace", "--generator", "Q9")
+
+    def test_algebra_dimension_zero(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "algebra-verify", "--n-min", "0")
+
+    def test_hessian_without_pairs(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check", "--pairs", "0")
+
+    def test_hessian_with_zero_difference_step(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check", "--fd-step", "0")
+
+    def test_flow_without_steps(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "flow-trace", "--steps", "0")
+
+    def test_fio_ladder_too_short_to_fit(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "fio-sphere",
+                                         "--ladder", "108", "324")
+
+    def test_words_ladder_whose_h_underflows(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "words-count", "--alpha", "0.04",
+                                         "--rho", "0.9", "--j-min", "200", "--j-max", "1024")

@@ -372,6 +372,38 @@ class TestBilipschitz:
                                      c2=cap_breaker * max(inv_est, 1.0))
 
 
+class TestPorosityKind:
+    """A kind other than "ball" or "line" is refused, not read as "line"."""
+
+    def test_max_certified_nu(self):
+        with pytest.raises(ValueError, match="kind"):
+            max_certified_nu(cantor1(6), 1 / 3, 1.0, "Ball")
+
+    def test_lemma_verifiers(self):
+        x = cantor1(5)
+        with pytest.raises(ValueError, match="kind"):
+            verify_affine_lemma(x, 0.5, np.zeros(1), 1 / 3, 1.0, "Ball")
+        with pytest.raises(ValueError, match="kind"):
+            verify_neighborhood_lemma(x, 0.001, 1 / 3, 1.0, "Ball")
+        with pytest.raises(ValueError, match="kind"):
+            verify_bilipschitz_lemma(x, lambda p: p, 1.0, 1 / 3, 1.0, "Ball")
+        # a given nu skips the bisection, so the kind reaches the final check
+        with pytest.raises(ValueError, match="kind"):
+            verify_affine_lemma(x, 0.5, np.zeros(1), 1 / 3, 1.0, "Ball", nu=0.1)
+
+    def test_private_dispatch(self):
+        from fuplab.porosity import _checked
+        with pytest.raises(ValueError, match="kind"):
+            _checked(cantor1(5), 0.1, 1 / 3, 1.0, "Ball", 8)
+
+    def test_sphere_charts(self):
+        from fuplab.fup_numerics import SphereAtlas, sphere_porosity_check
+        empty = lambda y: np.zeros(y.shape[0], dtype=bool)
+        with pytest.raises(ValueError, match="kind"):
+            sphere_porosity_check(empty, 0.1, 0.45, 0.9, SphereAtlas.for_circle(8),
+                                  m=64, kind="Ball")
+
+
 class TestReports:
     def test_text_has_one_row_per_scale(self):
         x = cantor1(5)
