@@ -864,6 +864,14 @@ class FupConfig:
             raise ValueError(f"unknown core {self.core!r}")
         if self.n < 1 or len(self.ladder) == 0:
             raise ValueError("bad dimensions or empty ladder")
+        if min(self.ladder) < 2 or self.cantor_base < 2:
+            raise ValueError("ladder values and cantor_base must be at least 2")
+        if self.core != "log_phase" and None in (self.set_minus, self.set_plus):
+            bad = [N for N in self.ladder
+                   if self.cantor_base ** _cantor_depth(self.cantor_base, N) != N]
+            if bad:
+                raise ValueError(f"ladder values {bad} of a Cantor family are not powers "
+                                 f"of cantor_base {self.cantor_base}")
         if self.core == "log_phase" and self.n != 1:
             raise ValueError("the log-phase ladder runs on circle grids (n = 1)")
         if self.rho is not None and not 0.0 < self.rho <= 1.0:
@@ -873,13 +881,16 @@ class FupConfig:
             raise ValueError("lower_bound_mode needs a nonempty set_plus to probe")
 
 
+def _cantor_depth(base: int, N: int) -> int:
+    """Depth of the Cantor family on an N-cell axis; validate checks base^depth == N."""
+    return max(1, round(math.log(N, base)))
+
+
 def _family_mask(cfg: FupConfig, which: str, N: int) -> np.ndarray:
     explicit = cfg.set_minus if which == "minus" else cfg.set_plus
     if explicit is not None:
         return resample_mask(explicit, N)
-    depth = max(1, round(math.log(N, cfg.cantor_base)))
-    if cfg.cantor_base ** depth != N:
-        raise ValueError(f"ladder value {N} is not a power of base {cfg.cantor_base}")
+    depth = _cantor_depth(cfg.cantor_base, N)
     spec = CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept, depth, cfg.n)
     return cantor_generate(spec, cfg.n).mask.reshape(-1)
 
@@ -898,7 +909,7 @@ def _arc_cantor_mask(cfg: FupConfig, arc: tuple[float, float], grid: SphereGrid)
     ang = np.arange(J) / J          # angle fraction of each node
     inside = np.flatnonzero((ang >= lo) & (ang < hi))
     count = inside.size
-    depth = max(1, round(math.log(max(count, cfg.cantor_base), cfg.cantor_base)))
+    depth = _cantor_depth(cfg.cantor_base, max(count, cfg.cantor_base))
     base = cantor_generate(CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept, depth, 1), 1)
     mask = np.zeros(J, dtype=bool)
     mask[inside] = base.mask[np.arange(count) * base.m // max(count, 1)]

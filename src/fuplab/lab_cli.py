@@ -7,33 +7,37 @@ counting (words-count).
 
 Conventions shared by every command:
 
-* ``--out`` directory collects all produced files; every run writes a JSON
-  manifest listing the resolved configuration, the seed, digests of the
-  inputs, and the output files, so a run can be reproduced byte-for-byte.
+* ``--out`` directory collects all produced files.  Every command that writes
+  files also writes a JSON manifest listing the command line, the resolved
+  configuration, the seed, digests of the inputs, the output files and the
+  environment (Python, numpy, scipy, BLAS, core count), so a run can be
+  reproduced byte-for-byte.  algebra-verify writes no files and no manifest.
 * numeric output is serialized with 17 significant digits;
 * exit codes: 0 pass, 1 usage/configuration error, 2 counterexample or
-  failed check, 3 inconclusive.
+  failed check, 3 inconclusive.  Input that cannot be run ends in exit 1 and
+  one line on stdout, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
 import math
 import os
+import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .lorentz_core import (
     DecompositionError,
     GroupElement,
-    LorentzError,
     exp_flow,
     generator,
     geodesic_flow,
@@ -56,7 +60,6 @@ from .fup_numerics import (
     FupConfig,
     SphereAtlas,
     fup_experiment,
-    ladder_fits,
     log_phase_hessian_factors,
     mixed_hessian_det,
     sphere_porosity_check,
@@ -64,6 +67,26 @@ from .fup_numerics import (
 from .word_combinatorics import bound_check
 
 VERDICT_EXIT = {Verdict.CERTIFIED: 0, Verdict.COUNTEREXAMPLE: 2, Verdict.INCONCLUSIVE: 3}
+
+# Errors that bad input raises from inside a command (LorentzError and
+# ResolutionError are ValueErrors).  Set files and configs are JSON of any
+# shape, so a wrongly typed field raises TypeError wherever it is first used.
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
+CONFIG_COMMANDS = ("fup-scan", "fio-sphere")   # their input errors read "config error:"
+
+
+@dataclasses.dataclass
+class RunRecord:
+    """What a command that wrote files hands to ``main`` for its manifest.
+
+    Every ``cmd_*`` returns ``(exit code, RunRecord or None)``.
+    """
+
+    manifest: str                # file name inside --out
+    config: dict
+    inputs: list[str]
+    outputs: list[str]
+    seed: int | None = None      # None: the --seed value (0 when unset)
 
 
 def _seed(args) -> int:
@@ -86,6 +109,14 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
+def _environment() -> dict:
+    """Interpreter, numerical libraries and core count that produced a run."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "cpu_count": os.cpu_count()}
+
+
 def write_manifest(out_dir: str, name: str, command: list[str], config: dict,
                    seed: int, inputs: list[str], outputs: list[str],
                    started: str, finished: str) -> str:
@@ -99,6 +130,7 @@ def write_manifest(out_dir: str, name: str, command: list[str], config: dict,
         "finished": finished,
         "inputs": {p: _sha256(p) for p in inputs},
         "outputs": outputs,
+        "environment": _environment(),
     }
     path = os.path.join(out_dir, name)
     with open(path, "w") as fh:
@@ -138,12 +170,21 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _append_fit_footer(path: str, fits: dict) -> None:
+def _write_ladder(path: str, columns: list[str], rows: list[dict], fits: dict,
+                  label: str) -> None:
+    """Write ladder rows, then a ``# fit`` footer line per fit, printing each fit.
+
+    A fit's key is its energy w, or None on grid cores; its stdout line is
+    ``label`` followed by the key, e.g. ``fit w=1: ...`` or ``w=1: ...``.
+    """
+    _write_csv(path, columns, [[r[c] for c in columns] for r in rows])
     with open(path, "a", newline="") as fh:
         for key, fit in fits.items():
             tag = "" if key is None else f" w={_fmt(key)}"
             fh.write(f"# fit{tag} beta={_fmt(fit.beta)} intercept={_fmt(fit.intercept)} "
                      f"residual={_fmt(fit.residual)}\n")
+            print(f"{(label + tag).lstrip()}: beta={_fmt(fit.beta)} "
+                  f"residual={_fmt(fit.residual)}")
 
 
 def set_from_spec(spec: dict) -> BoxSet:
@@ -245,7 +286,7 @@ def _horocyclic_suite(n: int, rng: np.random.Generator, trials: int = 100) -> fl
     return worst
 
 
-def cmd_algebra_verify(args) -> int:
+def cmd_algebra_verify(args) -> tuple[int, RunRecord | None]:
     rng = np.random.default_rng(_seed(args))
     status = 0
     for n in range(args.n_min, args.n_max + 1):
@@ -263,28 +304,22 @@ def cmd_algebra_verify(args) -> int:
         print(f"n={n} horocyclic-commutation {'pass' if horo_err <= 1e-8 else 'FAIL'} "
               f"(worst {_fmt(horo_err)})")
         status = status or (0 if horo_err <= 1e-8 else 2)
-    return status
+    return status, None
 
 
 # ---------------------------------------------------------------------------
 # flow-trace / group-decompose
 
 
-def cmd_flow_trace(args) -> int:
-    started = _now()
-    try:
-        if args.frame:
-            q = read_group_element(args.frame, args.tol)
-            n = q.n
-            inputs = [args.frame]
-        else:
-            n = args.n
-            q = GroupElement.identity(n)
-            inputs = []
-        gen = parse_label(args.generator, n)
-    except (OSError, LorentzError) as exc:
-        print(f"error: {exc}")
-        return 1
+def cmd_flow_trace(args) -> tuple[int, RunRecord | None]:
+    if args.frame:
+        q = read_group_element(args.frame, args.tol)
+        inputs = [args.frame]
+    else:
+        q = GroupElement.identity(args.n)
+        inputs = []
+    n = q.n
+    gen = parse_label(args.generator, n)
     ts = np.linspace(args.t0, args.t1, args.steps)
     rows = []
     for t in ts:
@@ -293,82 +328,66 @@ def cmd_flow_trace(args) -> int:
     header = ["t"] + [f"x{i}" for i in range(n + 2)] + [f"xi{i}" for i in range(n + 2)]
     out_csv = os.path.join(args.out, "flow_trace.csv")
     _write_csv(out_csv, header, rows)
-    write_manifest(args.out, "flow_trace.manifest.json", args.command,
-                   dict(n=n, generator=args.generator, t0=args.t0, t1=args.t1,
-                        steps=args.steps), _seed(args), inputs, [out_csv], started, _now())
     print(f"wrote {out_csv}")
-    return 0
+    return 0, RunRecord("flow_trace.manifest.json",
+                        dict(n=n, generator=args.generator, t0=args.t0, t1=args.t1,
+                             steps=args.steps), inputs, [out_csv])
 
 
-def cmd_group_decompose(args) -> int:
-    try:
-        g = read_group_element(args.input, args.tol)
-    except (OSError, LorentzError) as exc:
-        print(f"error: {exc}")
-        return 1
+def cmd_group_decompose(args) -> tuple[int, RunRecord | None]:
+    g = read_group_element(args.input, args.tol)
     try:
         if args.mode in ("kan+", "kan-"):
             sign = 1 if args.mode == "kan+" else -1
             fac = kan_decompose(g, sign, args.tol)
+            factors = {"k": fac.k, "a": fac.a, "b": fac.b}
             err = float(np.max(np.abs(fac.product().matrix - g.matrix)))
-            for tag, el in (("k", fac.k), ("a", fac.a), ("b", fac.b)):
-                write_group_element(el, os.path.join(args.out, f"factor_{tag}.txt"))
-            print(f"kan reconstruction error {_fmt(err)} t={_fmt(fac.t)} "
-                  f"v={' '.join(_fmt(v) for v in fac.v)}")
-            return 0 if err <= 100 * args.tol else 2
-        w, k, kind = normalizer_decompose(g, args.l, args.tol)
-        err = float(np.max(np.abs((w @ k).matrix - g.matrix)))
-        write_group_element(w, os.path.join(args.out, "factor_w.txt"))
-        write_group_element(k, os.path.join(args.out, "factor_k.txt"))
-        print(f"normalizer decomposition kind={kind.value} error {_fmt(err)}")
-        return 0 if err <= 100 * args.tol else 2
+            summary = (f"kan reconstruction error {_fmt(err)} t={_fmt(fac.t)} "
+                       f"v={' '.join(_fmt(v) for v in fac.v)}")
+        else:
+            w, k, kind = normalizer_decompose(g, args.l, args.tol)
+            factors = {"w": w, "k": k}
+            err = float(np.max(np.abs((w @ k).matrix - g.matrix)))
+            summary = f"normalizer decomposition kind={kind.value} error {_fmt(err)}"
     except DecompositionError as exc:
         print(f"decomposition failed: {exc}")
-        return 2
+        return 2, None
+    outputs = [os.path.join(args.out, f"factor_{tag}.txt") for tag in factors]
+    for el, path in zip(factors.values(), outputs):
+        write_group_element(el, path)
+    print(summary)
+    return (0 if err <= 100 * args.tol else 2), RunRecord(
+        "group_decompose.manifest.json", dict(input=args.input, mode=args.mode, l=args.l,
+                                              tol=args.tol), [args.input], outputs)
 
 
 # ---------------------------------------------------------------------------
 # porosity commands
 
 
-def cmd_porosity_check(args) -> int:
-    started = _now()
-    try:
-        x = load_set_spec(args.set)
-        if args.mode == "ball":
-            rep = ball_porosity_check(x, args.nu, args.alpha0, args.alpha1)
-        else:
-            rep = line_porosity_check(x, args.nu, args.alpha0, args.alpha1,
-                                      args.directions)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}")
-        return 1
+def cmd_porosity_check(args) -> tuple[int, RunRecord | None]:
+    x = load_set_spec(args.set)
+    if args.mode == "ball":
+        rep = ball_porosity_check(x, args.nu, args.alpha0, args.alpha1)
+    else:
+        rep = line_porosity_check(x, args.nu, args.alpha0, args.alpha1, args.directions)
     out_path = os.path.join(args.out, "porosity_report.txt")
     with open(out_path, "w") as fh:
         fh.write(rep.to_text())
-    write_manifest(args.out, "porosity_report.manifest.json", args.command,
-                   dict(set=args.set, nu=args.nu, alpha0=args.alpha0,
-                        alpha1=args.alpha1, mode=args.mode,
-                        directions=args.directions), _seed(args), [args.set],
-                   [out_path], started, _now())
     print(rep.to_text(), end="")
-    return VERDICT_EXIT[rep.verdict]
+    return VERDICT_EXIT[rep.verdict], RunRecord(
+        "porosity_report.manifest.json",
+        dict(set=args.set, nu=args.nu, alpha0=args.alpha0, alpha1=args.alpha1,
+             mode=args.mode, directions=args.directions), [args.set], [out_path])
 
 
-def cmd_sphere_porosity(args) -> int:
-    started = _now()
-    try:
-        with open(args.set) as fh:
-            spec = json.load(fh)
-        band = spec["band"]
-        base = cantor_generate(
-            CantorSpec.uniform(int(band["base"]),
-                               tuple(int(d) for d in band["kept_digits"]),
-                               int(band["depth"]), 1), 1)
-        lo, hi = (float(v) for v in band["arc"])
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}")
-        return 1
+def cmd_sphere_porosity(args) -> tuple[int, RunRecord | None]:
+    with open(args.set) as fh:
+        band = json.load(fh)["band"]
+    base = cantor_generate(
+        CantorSpec.uniform(int(band["base"]), tuple(int(d) for d in band["kept_digits"]),
+                           int(band["depth"]), 1), 1)
+    lo, hi = (float(v) for v in band["arc"])
 
     def oracle(y):
         ang = (np.arctan2(y[:, 1], y[:, 0]) / (2 * np.pi)) % 1.0
@@ -387,13 +406,12 @@ def cmd_sphere_porosity(args) -> int:
         for k, rep in enumerate(reports):
             fh.write(f"# chart {k}\n")
             fh.write(rep.to_text())
-    write_manifest(args.out, "sphere_porosity.manifest.json", args.command,
-                   dict(set=args.set, nu=args.nu, alpha0=args.alpha0,
-                        alpha1=args.alpha1, mode=args.mode, charts=args.charts,
-                        resolution=args.resolution), _seed(args), [args.set],
-                   [out_path], started, _now())
     print(f"aggregate={verdict.value}")
-    return VERDICT_EXIT[verdict]
+    return VERDICT_EXIT[verdict], RunRecord(
+        "sphere_porosity.manifest.json",
+        dict(set=args.set, nu=args.nu, alpha0=args.alpha0, alpha1=args.alpha1,
+             mode=args.mode, charts=args.charts, resolution=args.resolution),
+        [args.set], [out_path])
 
 
 # ---------------------------------------------------------------------------
@@ -420,112 +438,59 @@ def _config_from_json(path: str) -> tuple[FupConfig, dict]:
     for key in ("set_minus", "set_plus"):
         if parsed.get(key) is not None:
             parsed[key] = set_from_spec(parsed[key])
-    cfg = FupConfig(**parsed)
-    cfg.validate()
-    return cfg, raw
-
-
-def _experiment_rows(cfg: FupConfig, workers: int):
-    if workers <= 1 or len(cfg.ladder) == 1:
-        return fup_experiment(cfg)
-    # dispatch one ladder point per task; aggregation is sorted by (w, N)
-    import dataclasses
-
-    points = []
-    for N in cfg.ladder:
-        sub = dataclasses.replace(cfg, ladder=(N,))
-        points.append(sub)
-    rows = []
-    ok = True
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for sub_rows, _fits, sub_ok in pool.map(fup_experiment, points):
-            rows.extend(sub_rows)
-            ok = ok and sub_ok
-    rows.sort(key=lambda r: (r["w"] if r["w"] is not None else -1.0, r["N"]))
-    return rows, ladder_fits(rows), ok
+    return FupConfig(**parsed), raw
 
 
 FUP_HEADER = ["core", "n", "N", "h", "rho", "norm", "iters", "converged"]
+FIO_HEADER = ["core", "n", "N", "h", "rho", "w", "norm", "iters", "converged"]
 
 
-def cmd_fup_scan(args) -> int:
-    started = _now()
-    try:
-        cfg, raw_cfg = _config_from_json(args.config)
-    except (OSError, ValueError, TypeError) as exc:
-        print(f"config error: {exc}")
-        return 1
+def cmd_fup_scan(args) -> tuple[int, RunRecord | None]:
+    cfg, raw_cfg = _config_from_json(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    rows, fits, ok = _experiment_rows(cfg, args.workers)
+    rows, fits, ok = fup_experiment(cfg)
     out_csv = os.path.join(args.out, "fup_scan.csv")
-    _write_csv(out_csv, FUP_HEADER,
-               [[r["core"], r["n"], r["N"], r["h"], r["rho"], r["norm"], r["iters"],
-                 r["converged"]] for r in rows])
-    _append_fit_footer(out_csv, fits)
-    write_manifest(args.out, "fup_scan.manifest.json", args.command, raw_cfg,
-                   cfg.seed, [args.config], [out_csv], started, _now())
-    for key, fit in fits.items():
-        tag = "" if key is None else f" w={_fmt(key)}"
-        print(f"fit{tag}: beta={_fmt(fit.beta)} residual={_fmt(fit.residual)}")
+    _write_ladder(out_csv, FUP_HEADER, rows, fits, "fit")
     print(f"sanity {'pass' if ok else 'FAIL'}; wrote {out_csv}")
-    return 0 if ok else 2
+    return (0 if ok else 2), RunRecord("fup_scan.manifest.json", raw_cfg, [args.config],
+                                       [out_csv], cfg.seed)
 
 
-def cmd_fio_sphere(args) -> int:
-    started = _now()
+def cmd_fio_sphere(args) -> tuple[int, RunRecord | None]:
     cfg = FupConfig(core="log_phase", n=1,
                     ladder=tuple(args.ladder), w_list=tuple(args.w),
                     rho=args.rho, seed=_seed(args))
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"config error: {exc}")
-        return 1
-    rows, fits, ok = _experiment_rows(cfg, args.workers)
+    rows, fits, ok = fup_experiment(cfg)
     out_csv = os.path.join(args.out, "fio_sphere.csv")
-    _write_csv(out_csv, ["core", "n", "N", "h", "rho", "w", "norm", "iters", "converged"],
-               [[r["core"], r["n"], r["N"], r["h"], r["rho"], r["w"], r["norm"],
-                 r["iters"], r["converged"]] for r in rows])
-    _append_fit_footer(out_csv, fits)
-    import dataclasses
-    write_manifest(args.out, "fio_sphere.manifest.json", args.command,
-                   dataclasses.asdict(cfg), cfg.seed, [], [out_csv], started, _now())
-    all_decay = all(fit.beta > 0 for fit in fits.values()) if fits else False
-    for w, fit in fits.items():
-        print(f"w={_fmt(w)}: beta={_fmt(fit.beta)} residual={_fmt(fit.residual)}")
-    print(f"{'pass' if ok and all_decay else 'FAIL'}; wrote {out_csv}")
-    return 0 if ok and all_decay else 2
+    _write_ladder(out_csv, FIO_HEADER, rows, fits, "")
+    passed = ok and bool(fits) and all(fit.beta > 0 for fit in fits.values())
+    print(f"{'pass' if passed else 'FAIL'}; wrote {out_csv}")
+    return (0 if passed else 2), RunRecord("fio_sphere.manifest.json", dataclasses.asdict(cfg),
+                                           [], [out_csv])
 
 
 # ---------------------------------------------------------------------------
 # words-count / hessian-check
 
 
-def cmd_words_count(args) -> int:
-    started = _now()
-    try:
-        ladder = [float(args.base) ** (-j) for j in range(args.j_min, args.j_max + 1)]
-        rows = bound_check(args.rho, args.alpha, ladder, args.slack)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 1
+def cmd_words_count(args) -> tuple[int, RunRecord | None]:
+    ladder = [float(args.base) ** (-j) for j in range(args.j_min, args.j_max + 1)]
+    rows = bound_check(args.rho, args.alpha, ladder, args.slack)
     out_csv = os.path.join(args.out, "words_count.csv")
     _write_csv(out_csv, ["alpha", "rho", "h", "T0", "count", "ratio", "logC"],
                [[r["alpha"], r["rho"], r["h"], r["T0"], r["count"], r["ratio"], r["logC"]]
                 for r in rows])
-    write_manifest(args.out, "words_count.manifest.json", args.command,
-                   dict(alpha=args.alpha, rho=args.rho, j_min=args.j_min,
-                        j_max=args.j_max, base=args.base, slack=args.slack),
-                   _seed(args), [], [out_csv], started, _now())
     final = rows[-1]
     print(f"final ratio {_fmt(final['ratio'])} vs bound "
           f"{_fmt(4 * math.sqrt(args.alpha) + args.slack)}; wrote {out_csv}")
-    return 0 if final["within"] else 2
+    return (0 if final["within"] else 2), RunRecord(
+        "words_count.manifest.json",
+        dict(alpha=args.alpha, rho=args.rho, j_min=args.j_min, j_max=args.j_max,
+             base=args.base, slack=args.slack), [], [out_csv])
 
 
-def cmd_hessian_check(args) -> int:
-    started = _now()
+def cmd_hessian_check(args) -> tuple[int, RunRecord | None]:
     rng = np.random.default_rng(_seed(args))
     rows = []
     worst = 0.0
@@ -547,12 +512,11 @@ def cmd_hessian_check(args) -> int:
         checked += 1
     out_csv = os.path.join(args.out, "hessian_check.csv")
     _write_csv(out_csv, ["n", "w", "separation", "fd_det", "symbolic_det", "rel_err"], rows)
-    write_manifest(args.out, "hessian_check.manifest.json", args.command,
-                   dict(n=args.n, pairs=args.pairs, w_min=args.w_min, w_max=args.w_max,
-                        fd_step=args.fd_step, rel_tol=args.rel_tol), _seed(args), [],
-                   [out_csv], started, _now())
     print(f"worst relative error {_fmt(worst)} over {args.pairs} pairs; wrote {out_csv}")
-    return 0 if worst <= args.rel_tol else 2
+    return (0 if worst <= args.rel_tol else 2), RunRecord(
+        "hessian_check.manifest.json",
+        dict(n=args.n, pairs=args.pairs, w_min=args.w_min, w_max=args.w_max,
+             fd_step=args.fd_step, rel_tol=args.rel_tol), [], [out_csv])
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="hyperbolic-flow and masked-transform laboratory")
     parser.add_argument("--seed", type=int, default=None, help="deterministic seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="parallel ladder workers")
     parser.add_argument("--tol", type=float, default=1e-10, help="certification tolerance")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -644,22 +607,33 @@ def build_parser() -> argparse.ArgumentParser:
 def _usage_problem(args) -> str | None:
     """Arguments that parse but would crash a command or let it check nothing."""
     cmd = args.subcommand
+    if args.seed is not None and args.seed < 0:
+        return "--seed must be non-negative"
     if cmd == "algebra-verify" and not 1 <= args.n_min <= args.n_max:
         return "need 1 <= --n-min <= --n-max"
+    if cmd in ("flow-trace", "hessian-check") and args.n < 1:
+        return "--n must be at least 1"
     if cmd == "flow-trace" and args.steps < 1:
         return "--steps must be at least 1"
     if cmd == "hessian-check" and args.pairs < 1:
         return "--pairs must be at least 1"
     if cmd == "hessian-check" and not args.fd_step > 0:
         return "--fd-step must be positive"
+    if cmd == "hessian-check" and not 0 < args.w_min <= args.w_max:
+        return "need 0 < --w-min <= --w-max"
+    if cmd == "sphere-porosity" and min(args.charts, args.resolution) < 1:
+        return "--charts and --resolution must be at least 1"
     if cmd == "fio-sphere" and len(args.ladder) < 4:
         return "a decay fit needs at least 4 --ladder values"
     if cmd == "words-count" and args.j_min > args.j_max:
         return "need --j-min <= --j-max"
+    if cmd == "words-count" and not args.base > 1:
+        return "--base must exceed 1"
     return None
 
 
 def main(argv=None) -> int:
+    """Parse, refuse unusable input, run the command, then write its manifest."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
@@ -670,9 +644,18 @@ def main(argv=None) -> int:
     if problem is not None:
         print(f"error: {problem}")
         return 1
-    args.command = argv
     os.makedirs(args.out, exist_ok=True)
-    return args.func(args)
+    started = _now()
+    try:
+        code, record = args.func(args)
+    except INPUT_ERRORS as exc:
+        print(f"{'config error' if args.subcommand in CONFIG_COMMANDS else 'error'}: {exc}")
+        return 1
+    if record is not None:
+        seed = _seed(args) if record.seed is None else record.seed
+        write_manifest(args.out, record.manifest, argv, record.config, seed,
+                       record.inputs, record.outputs, started, _now())
+    return code
 
 
 if __name__ == "__main__":

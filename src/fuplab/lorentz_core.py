@@ -538,6 +538,8 @@ def normalizer_decompose(g: GroupElement, l: int,
     det(k0) = -1 on the trailing block.
     """
     n = g.n
+    if not 2 <= l <= n + 1:
+        raise LorentzError(f"normalizer decomposition needs 2 <= l <= n+1, got l={l}")
     blocks = _normalizer_blocks(g, l, max(tol, 1e-9))
     if blocks is None:
         raise DecompositionError("input is not in the normalizer of W_l")

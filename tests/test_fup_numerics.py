@@ -683,3 +683,19 @@ class TestConfigValidation:
     def test_log_phase_requires_circle_grids(self):
         with pytest.raises(ValueError):
             FupConfig(core="log_phase", n=2).validate()
+
+    @pytest.mark.parametrize("cfg", [
+        FupConfig(ladder=(0, 3, 9, 27)),
+        FupConfig(core="log_phase", ladder=(0, 1, 2, 3)),
+        FupConfig(ladder=(2, 4)),
+        FupConfig(core="general_phase", ladder=(27, 80)),
+        FupConfig(cantor_base=1, ladder=(1, 1)),
+    ])
+    def test_ladder_values_that_no_family_can_take(self, cfg):
+        with pytest.raises(ValueError, match="ladder values"):
+            cfg.validate()
+
+    def test_explicit_sets_and_log_phase_take_any_ladder_from_2(self):
+        box = BoxSet.from_boxes([((0.0,), (1.0,))], 8, 1)
+        FupConfig(ladder=(2, 4, 10), set_minus=box, set_plus=box).validate()
+        FupConfig(core="log_phase", ladder=(2, 100)).validate()

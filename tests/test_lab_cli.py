@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import subprocess
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fuplab.lab_cli import load_set_spec, main, rerun_manifest
 from fuplab.lorentz_core import random_group_element, write_group_element
@@ -17,6 +24,10 @@ def write_json(path, payload):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+CANTOR = {"cantor": {"base": 3, "kept_digits": [0, 2], "depth": 6, "dims": 1}}
+BAND = {"band": {"base": 3, "kept_digits": [0, 2], "depth": 4, "arc": [0.1, 0.35]}}
 
 
 class TestAlgebraVerify:
@@ -98,6 +109,20 @@ class TestGroupDecompose:
         assert main(["--out", str(tmp_path), "group-decompose", "--input",
                      str(tmp_path / "nope.txt")]) == 1
 
+    def test_manifest_reruns_to_the_same_factors(self, tmp_path):
+        path = tmp_path / "g.txt"
+        write_group_element(random_group_element(np.random.default_rng(92), 2), str(path))
+        first = tmp_path / "first"
+        assert main(["--out", str(first), "group-decompose", "--input", str(path),
+                     "--mode", "kan-"]) == 0
+        manifest = json.loads((first / "group_decompose.manifest.json").read_text())
+        assert manifest["outputs"] == [str(first / f"factor_{t}.txt") for t in "kab"]
+        assert str(path) in manifest["inputs"]
+        second = tmp_path / "second"
+        assert rerun_manifest(str(first / "group_decompose.manifest.json"), str(second)) == 0
+        for t in "kab":
+            assert read_bytes(first / f"factor_{t}.txt") == read_bytes(second / f"factor_{t}.txt")
+
 
 class TestFupScan:
     def test_full_masks_flat(self, tmp_path, capsys):
@@ -145,6 +170,9 @@ class TestFupScan:
         assert manifest["outputs"] == [str(tmp_path / "fup_scan.csv")]
         assert cfg in manifest["inputs"]
         assert manifest["tool"] == "fuplab"
+        env = manifest["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count"}
+        assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
 
 
 class TestWordsCount:
@@ -227,14 +255,10 @@ class TestDeterminism:
         assert rerun_manifest(str(first / "fup_scan.manifest.json"), str(second)) == 0
         assert read_bytes(first / "fup_scan.csv") == read_bytes(second / "fup_scan.csv")
 
-    def test_workers_do_not_change_results(self, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json",
-                         {"core": "fourier", "n": 1, "ladder": [27, 81, 243, 729]})
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        assert main(["--out", str(a), "fup-scan", "--config", cfg]) == 0
-        assert main(["--out", str(b), "--workers", "2", "fup-scan", "--config", cfg]) == 0
-        assert read_bytes(a / "fup_scan.csv") == read_bytes(b / "fup_scan.csv")
+    def test_algebra_verify_writes_no_manifest(self, tmp_path):
+        assert main(["--out", str(tmp_path), "algebra-verify", "--n-min", "1",
+                     "--n-max", "1"]) == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSetSpecLoader:
@@ -261,12 +285,16 @@ class TestSetSpecLoader:
 class TestUsageContract:
     """Inputs that parse but cannot be run exit 1 with one line and nothing written."""
 
-    def assert_one_line_usage_error(self, tmp_path, capsys, *argv):
+    def assert_one_line_usage_error(self, tmp_path, capsys, *argv, prefix="error:"):
         assert main(["--out", str(tmp_path), *argv]) == 1
         captured = capsys.readouterr()
         lines = [ln for ln in (captured.out + captured.err).splitlines() if ln.strip()]
-        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
         assert not any(p.suffix in (".csv", ".json") for p in tmp_path.iterdir())
+
+    def input_json(self, tmp_path, payload):
+        (tmp_path / "in").mkdir()
+        return write_json(tmp_path / "in" / "input.json", payload)
 
     def test_unknown_flow_generator(self, tmp_path, capsys):
         self.assert_one_line_usage_error(tmp_path, capsys, "flow-trace", "--generator", "Q9")
@@ -290,3 +318,128 @@ class TestUsageContract:
     def test_words_ladder_whose_h_underflows(self, tmp_path, capsys):
         self.assert_one_line_usage_error(tmp_path, capsys, "words-count", "--alpha", "0.04",
                                          "--rho", "0.9", "--j-min", "200", "--j-max", "1024")
+
+    @pytest.mark.parametrize("flags", [("--charts", "0"), ("--charts", "-1"),
+                                       ("--resolution", "0")])
+    def test_sphere_without_charts_or_cells(self, tmp_path, capsys, flags):
+        spec = self.input_json(tmp_path, BAND)
+        self.assert_one_line_usage_error(tmp_path, capsys, "sphere-porosity", "--set", spec,
+                                         "--nu", "0.1", "--alpha0", "0.45", "--alpha1", "0.9",
+                                         *flags)
+
+    @pytest.mark.parametrize("w_range", [("0", "0"), ("2", "1"), ("-1", "2")])
+    def test_hessian_energy_range_not_positive_and_ordered(self, tmp_path, capsys, w_range):
+        self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check",
+                                         "--w-min", w_range[0], "--w-max", w_range[1])
+
+    @pytest.mark.parametrize("argv", [("flow-trace", "--n", "-1"), ("flow-trace", "--n", "0"),
+                                      ("hessian-check", "--n", "0")])
+    def test_dimension_below_one(self, tmp_path, capsys, argv):
+        self.assert_one_line_usage_error(tmp_path, capsys, *argv)
+
+    def test_words_base_not_above_one(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "words-count", "--alpha", "0.04",
+                                         "--rho", "0.9", "--j-min", "40", "--j-max", "41",
+                                         "--base", "0")
+
+    def test_negative_seed(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "--seed", "-1", "hessian-check")
+
+    def test_normalizer_index_past_the_group(self, tmp_path, capsys):
+        path = tmp_path / "g.txt"
+        write_group_element(random_group_element(np.random.default_rng(93), 3), str(path))
+        self.assert_one_line_usage_error(tmp_path, capsys, "group-decompose", "--input",
+                                         str(path), "--mode", "normalizer", "--l", "9")
+
+    def test_fio_ladder_values_below_two(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "fio-sphere", "--ladder",
+                                         "0", "1", "2", "3", prefix="config error:")
+
+    @pytest.mark.parametrize("ladder", [[0, 3, 9, 27], [2, 4]])
+    def test_fup_ladder_that_the_cantor_family_cannot_take(self, tmp_path, capsys, ladder):
+        cfg = self.input_json(tmp_path, {"core": "fourier", "n": 1, "ladder": ladder})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix="config error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["sphere-porosity", "--set", "{band}", "--nu", "0.1", "--alpha0", "0.45",
+         "--alpha1", "0.9", "--charts", "0"],
+        ["hessian-check", "--n", "-1"],          # used to loop forever
+    ])
+    def test_fresh_process_exits_one_without_traceback(self, tmp_path, argv):
+        band = write_json(tmp_path / "band.json", BAND)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "fuplab.lab_cli", "--out", str(tmp_path),
+                               *(a.format(band=band) for a in argv)],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("error:")
+
+
+# Every numeric flag of each subcommand, with the value it takes when the draw
+# is "default": None leaves it to argparse, and required flags get the README
+# value.  File arguments are fixed; group-decompose runs the normalizer so
+# that --l is read.
+NUMERIC_FLAGS = {
+    "algebra-verify": {"--n-min": None, "--n-max": None},
+    "flow-trace": {"--n": None, "--t0": None, "--t1": None, "--steps": None},
+    "group-decompose": {"--l": None},
+    "porosity-check": {"--nu": "0.08", "--alpha0": "0.111", "--alpha1": "1.0",
+                       "--directions": None},
+    "sphere-porosity": {"--nu": "0.1", "--alpha0": "0.45", "--alpha1": "0.9",
+                        "--charts": None, "--resolution": None, "--directions": None},
+    "fup-scan": {},
+    "fio-sphere": {"--w": None, "--ladder": None, "--rho": None},
+    "words-count": {"--alpha": "0.04", "--rho": "0.9", "--j-min": "40", "--j-max": "60",
+                    "--base": None, "--slack": None},
+    "hessian-check": {"--n": None, "--pairs": None, "--w-min": None, "--w-max": None,
+                      "--fd-step": None, "--rel-tol": None},
+}
+FILE_ARGS = {
+    "group-decompose": ["--input", "{g}", "--mode", "normalizer"],
+    "porosity-check": ["--set", "{cantor}"],
+    "sphere-porosity": ["--set", "{band}"],
+    "fup-scan": ["--config", "{fup}"],
+}
+# Half the draws keep the default, so that most runs get past the usage checks.
+EDGE = st.one_of(st.none(), st.sampled_from(("-1", "0", "1", "2")))
+
+
+@st.composite
+def cli_argv(draw):
+    argv = []
+    for flag in ("--seed", "--tol"):
+        value = draw(EDGE)
+        argv += [] if value is None else [flag, value]
+    cmd = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    argv += [cmd, *FILE_ARGS.get(cmd, [])]
+    for flag, default in NUMERIC_FLAGS[cmd].items():
+        value = draw(EDGE) or default
+        if value is not None:
+            argv += [flag, *[value] * (4 if flag == "--ladder" else 1)]
+    return argv
+
+
+class TestArgvContract:
+    """Any edge value of any numeric flag ends in a defined exit code, never a raise."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=cli_argv())
+    def test_exit_code_is_defined_and_usage_errors_take_one_line(self, tmp_path, argv):
+        files = {"cantor": write_json(tmp_path / "cantor.json", CANTOR),
+                 "band": write_json(tmp_path / "band.json", BAND),
+                 "fup": write_json(tmp_path / "fup.json",
+                                   {"core": "fourier", "n": 1, "ladder": [27, 81, 243, 729]}),
+                 "g": str(tmp_path / "g.txt")}
+        write_group_element(random_group_element(np.random.default_rng(94), 3), files["g"])
+        out = tempfile.mkdtemp(dir=tmp_path)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+            code = main(["--out", out, *(a.format(**files) for a in argv)])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert len([ln for ln in buf.getvalue().splitlines() if ln.strip()]) == 1

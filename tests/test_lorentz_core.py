@@ -461,6 +461,13 @@ class TestNormalizerDecompose:
         with pytest.raises(DecompositionError):
             normalizer_decompose(g, 2)
 
+    @pytest.mark.parametrize("l", [0, 1, 5, 9])
+    def test_subgroup_index_outside_2_to_n_plus_1_rejected(self, l):
+        g = GroupElement.identity(3)
+        with pytest.raises(LorentzError, match=r"2 <= l <= n\+1"):
+            normalizer_decompose(g, l)
+        normalizer_decompose(g, 4)
+
 
 class TestKuMember:
     def test_identity(self):
