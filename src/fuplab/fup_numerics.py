@@ -6,16 +6,22 @@ operator norm decay as the grid refines.  With the semiclassical parameter
 tied to the grid (h = 1/N) the discretized transform is the unitary DFT, so
 unitarity and the single-column norm are exact and serve as hard anchors.
 
-Norms are computed matrix-free by ARPACK Lanczos (scipy's ``svds``) on the
-operator restricted to the mask supports; on small problems a dense
-singular-value computation of the masked submatrix must agree to 1e-10
-(relative) and runs automatically.  Each core supplies the restricted map
-itself.  The DFT core runs a pruned Cooley-Tukey plan on digit-product
-supports of N = p^k (every full-depth Cantor family of prime base), whose
-products never touch the ambient grid, whenever that is estimated cheaper
-than an FFT of the whole grid; other supports, and the quadrature cores,
-scatter, apply and gather.  Power-law exponents are fitted by least squares
-in log-log coordinates with the residual always reported.
+A masked operator is a core and two supports: strictly increasing flat
+indices of the output cells (``rows``) and the input cells (``cols``).  Every
+core answers the same protocol: its ambient ``size``, the dense block
+``submatrix(rows, cols)`` and the maps ``restricted(rows, cols)`` of that
+block.  Norms are computed matrix-free by ARPACK Lanczos (scipy's ``svds``)
+on the restricted maps; on small problems a dense singular-value computation
+of the block must agree to 1e-10 (relative) and runs automatically.  The DFT
+core runs a pruned Cooley-Tukey plan on digit-product supports of N = p^k
+(every full-depth Cantor family of prime base), whose products never touch
+the ambient grid, whenever that is estimated cheaper than an FFT of the
+whole grid; other supports scatter, FFT and gather.  The quadrature cores
+multiply by their block.  Power-law exponents are fitted by least squares in
+log-log coordinates with the residual always reported.
+
+``FupConfig`` runs two cores: ``fourier`` (the unitary DFT on the cube grid)
+and ``log_phase`` (the logarithmic-phase kernel on circle grids).
 
 The sphere section provides the oscillatory kernel with logarithmic phase,
 equal-weight quadrature grids on S^1 and S^2, gnomonic chart atlases with
@@ -32,7 +38,7 @@ import numpy as np
 from scipy import ndimage
 
 from .porosity import BoxSet, CantorSpec, PorosityReport, Verdict, cantor_generate
-from .porosity import _require_kind, ball_porosity_check, line_porosity_check
+from .porosity import _checked, _combine, _require_kind
 
 __all__ = [
     "FourierCore",
@@ -69,26 +75,8 @@ __all__ = [
 # operator cores
 
 
-class _AmbientCore:
-    """Restricted products of a core through its ambient apply and adjoint."""
-
-    def restricted(self, rows: np.ndarray, cols: np.ndarray):
-        """(matvec, rmatvec) of the |rows| x |cols| block: scatter, apply, gather."""
-        def matvec(x):
-            u = np.zeros(self.size, dtype=complex)
-            u[cols] = x
-            return self.apply(u)[rows]
-
-        def rmatvec(y):
-            u = np.zeros(self.size, dtype=complex)
-            u[rows] = y
-            return self.adjoint(u)[cols]
-
-        return matvec, rmatvec
-
-
 @dataclass(frozen=True)
-class FourierCore(_AmbientCore):
+class FourierCore:
     """Unitary DFT on the grid {j/N}^n, the h = 1/N discretization."""
 
     N: int
@@ -124,9 +112,20 @@ class FourierCore(_AmbientCore):
         never leave the supports; otherwise they scatter, FFT and gather.
         """
         plan = _PrunedDft.build(self, rows, cols, budget=_fft_work(self.size))
-        if plan is None:
-            return super().restricted(rows, cols)
-        return plan.apply, plan.adjoint
+        if plan is not None:
+            return plan.apply, plan.adjoint
+
+        def matvec(x):
+            u = np.zeros(self.size, dtype=complex)
+            u[cols] = x
+            return self.apply(u)[rows]
+
+        def rmatvec(y):
+            u = np.zeros(self.size, dtype=complex)
+            u[rows] = y
+            return self.adjoint(u)[cols]
+
+        return matvec, rmatvec
 
 
 # The cost rule of FourierCore.restricted counts work in complex multiply-adds
@@ -282,8 +281,18 @@ class _PrunedDft:
         return self._run(self.backward, y)
 
 
+class _BlockCore:
+    """Restricted products of a quadrature core: multiply by its block."""
+
+    def restricted(self, rows: np.ndarray, cols: np.ndarray):
+        """(matvec, rmatvec) of ``submatrix(rows, cols)``; the adjoint is formed once."""
+        block = self.submatrix(rows, cols)
+        adjoint = block.conj().T
+        return (lambda x: block @ x), (lambda y: adjoint @ y)
+
+
 @dataclass(frozen=True)
-class KernelCore(_AmbientCore):
+class KernelCore(_BlockCore):
     """Dense quadrature kernel; apply is a matrix product."""
 
     matrix: np.ndarray
@@ -303,10 +312,10 @@ class KernelCore(_AmbientCore):
 
 
 @dataclass(frozen=True)
-class SubmatrixKernelCore(_AmbientCore):
-    """Kernel stored only on its support: rows x cols block of a large grid.
+class SubmatrixKernelCore(_BlockCore):
+    """Kernel stored only on its supports: rows x cols block of a large grid.
 
-    Lets masked sphere kernels on fine grids stay small: porous masks keep a
+    Lets masked sphere kernels on fine grids stay small: porous supports keep a
     few hundred nodes, so the stored block is tiny even when the ambient grid
     has thousands of points.
     """
@@ -331,14 +340,11 @@ class SubmatrixKernelCore(_AmbientCore):
         return out
 
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rpos = {int(g): i for i, g in enumerate(self.rows)}
-        cpos = {int(g): i for i, g in enumerate(self.cols)}
-        rr = np.array([rpos.get(int(g), -1) for g in rows])
-        cc = np.array([cpos.get(int(g), -1) for g in cols])
+        """Entries off the stored supports are zero."""
+        rok, cok = np.isin(rows, self.rows), np.isin(cols, self.cols)
         out = np.zeros((rows.size, cols.size), dtype=complex)
-        rok = rr >= 0
-        cok = cc >= 0
-        out[np.ix_(rok, cok)] = self.block[np.ix_(rr[rok], cc[cok])]
+        out[np.ix_(rok, cok)] = self.block[np.ix_(np.searchsorted(self.rows, rows[rok]),
+                                                  np.searchsorted(self.cols, cols[cok]))]
         return out
 
 
@@ -357,57 +363,43 @@ def semiclassical_dft(N: int, n: int) -> FourierCore:
 
 @dataclass
 class MaskedOperator:
-    """mask_left . core . mask_right; products run on the mask supports through
-    ``core.restricted`` (see :func:`masked_norm`)."""
+    """Cut off to ``cols``, apply ``core``, cut off to ``rows``: the rows x cols
+    block of the core.  Both supports are strictly increasing flat indices in
+    [0, core.size); products run through ``core.restricted`` (see
+    :func:`masked_norm`)."""
 
     core: object
-    left: np.ndarray     # boolean, flat length core.size
-    right: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
 
     def __post_init__(self):
-        if self.left.shape != (self.core.size,) or self.right.shape != (self.core.size,):
-            raise ValueError("mask length does not match the operator size")
+        for name, s in (("rows", self.rows), ("cols", self.cols)):
+            if (not isinstance(s, np.ndarray) or s.ndim != 1 or s.dtype.kind not in "iu"
+                    or np.any(s[1:] <= s[:-1])
+                    or (s.size and (s[0] < 0 or s[-1] >= self.core.size))):
+                raise ValueError(f"{name} must be strictly increasing integer indices "
+                                 f"in [0, {self.core.size})")
 
     @property
     def size(self) -> int:
         return self.core.size
 
-    def dense_submatrix(self) -> np.ndarray:
-        rows = np.flatnonzero(self.left)
-        cols = np.flatnonzero(self.right)
-        if rows.size == 0 or cols.size == 0:
-            return np.zeros((max(rows.size, 1), max(cols.size, 1)), dtype=complex)
-        return self.core.submatrix(rows, cols)
-
 
 def resample_mask(x: BoxSet, N: int) -> np.ndarray:
-    """Flat boolean mask of x rasterized at resolution 1/N per axis."""
-    if N == x.m:
-        return x.mask.reshape(-1).copy()
-    if N % x.m == 0:
-        k = N // x.m
-        out = x.mask
-        for axis in range(x.n):
-            out = np.repeat(out, k, axis=axis)
-        return out.reshape(-1).copy()
-    if x.m % N == 0:
-        k = x.m // N
-        out = x.mask
-        for axis in range(x.n):
-            shape = out.shape[:axis] + (N, k) + out.shape[axis + 1:]
-            out = out.reshape(shape).any(axis=axis + 1)
-        return out.reshape(-1).copy()
-    # general overlap rasterization along each axis
+    """Flat boolean mask of x rasterized at resolution 1/N per axis.
+
+    Along each axis, cell j is occupied when one of the m source cells it
+    overlaps is, that is one of cells j*m//N .. ceil((j+1)*m/N) - 1; a
+    cumulative count of occupied cells answers every j at once.
+    """
+    j = np.arange(N)
+    first, end = j * x.m // N, -(-(j + 1) * x.m // N)
     out = x.mask
     for axis in range(x.n):
-        first = np.floor(np.arange(N) * x.m / N).astype(int)
-        last = np.ceil((np.arange(N) + 1) * x.m / N).astype(int) - 1
-        moved = np.moveaxis(out, axis, 0)
-        acc = np.zeros((N,) + moved.shape[1:], dtype=bool)
-        for j in range(N):
-            acc[j] = moved[first[j]:last[j] + 1].any(axis=0)
-        out = np.moveaxis(acc, 0, axis)
-    return out.reshape(-1).copy()
+        count = np.cumsum(np.moveaxis(out, axis, 0), axis=0, dtype=np.int32)
+        count = np.concatenate([np.zeros_like(count[:1]), count])
+        out = np.moveaxis(count[end] > count[first], 0, axis)
+    return out.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -434,28 +426,29 @@ class NormInfo:
         return abs(self.value - self.dense_value)
 
 
+# masked_norm cross-checks every operator of at most this ambient size densely
+_DENSE_LIMIT = 4096
+
+
 def dense_norm(op: MaskedOperator) -> float:
-    """Largest singular value of the masked submatrix (exact operator norm)."""
-    sub = op.dense_submatrix()
-    if sub.size == 0 or not op.left.any() or not op.right.any():
+    """Largest singular value of the block on the supports (exact operator norm)."""
+    if op.rows.size == 0 or op.cols.size == 0:
         return 0.0
-    return float(np.linalg.svd(sub, compute_uv=False)[0])
+    return float(np.linalg.svd(op.core.submatrix(op.rows, op.cols), compute_uv=False)[0])
 
 
-def masked_norm(op: MaskedOperator, seed: int = 0, dense_limit: int = 4096) -> NormInfo:
+def masked_norm(op: MaskedOperator, seed: int = 0) -> NormInfo:
     """Largest singular value by Lanczos on the supports, with a dense cross-check.
 
     ARPACK Lanczos (``svds``, start vector drawn from ``seed``) runs on the
-    operator restricted to the mask supports, the |rows| x |cols| map given
-    by ``op.core.restricted``.  Supports with fewer than 3 rows or columns,
-    which ARPACK cannot take, and operators that vanish on the supports go to
-    :func:`dense_norm`.  When Lanczos does not converge the value is NaN and
-    ``converged`` is False.  When the ambient size is at most ``dense_limit``
-    the dense value is computed as well and a relative disagreement beyond
-    1e-10 raises.
+    |rows| x |cols| maps given by ``op.core.restricted``.  Supports with fewer
+    than 3 rows or columns, which ARPACK cannot take, and operators that
+    vanish on the supports go to :func:`dense_norm`.  When Lanczos does not
+    converge the value is NaN and ``converged`` is False.  When the ambient
+    size is at most ``_DENSE_LIMIT`` the dense value is computed as well and a
+    relative disagreement beyond 1e-10 raises.
     """
-    rows = np.flatnonzero(op.left)
-    cols = np.flatnonzero(op.right)
+    rows, cols = op.rows, op.cols
     side = min(rows.size, cols.size)
     if side < 3:
         return NormInfo(dense_norm(op), 0, True)
@@ -488,7 +481,7 @@ def masked_norm(op: MaskedOperator, seed: int = 0, dense_limit: int = 4096) -> N
         # ARPACK finds no start vector when the operator vanishes on the supports
         value = dense_norm(op)
     info = NormInfo(value, products, converged)
-    if converged and op.size <= dense_limit:
+    if converged and op.size <= _DENSE_LIMIT:
         info.dense_value = dense_norm(op)
         if abs(value - info.dense_value) > 1e-10 * info.dense_value:
             raise ArithmeticError(
@@ -633,13 +626,11 @@ def log_phase_kernel(w: float, h: float, chi, grid: SphereGrid,
 
 
 def log_phase_masked_operator(w: float, h: float, chi, grid: SphereGrid,
-                              left: np.ndarray, right: np.ndarray,
+                              rows: np.ndarray, cols: np.ndarray,
                               diag_margin: float = 1e-6) -> MaskedOperator:
-    """Masked log-phase kernel built only on the mask supports."""
-    rows = np.flatnonzero(left)
-    cols = np.flatnonzero(right)
+    """Log-phase kernel between two node supports, built only on them."""
     block = _log_phase_block(w, h, chi, grid, rows, cols, diag_margin)
-    return MaskedOperator(SubmatrixKernelCore(grid.size, rows, cols, block), left, right)
+    return MaskedOperator(SubmatrixKernelCore(grid.size, rows, cols, block), rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -801,24 +792,10 @@ def sphere_porosity_check(oracle, nu: float, alpha0: float, alpha1: float,
     chart half-width.  The aggregate verdict is the worst chart verdict.
     """
     _require_kind(kind)
-    s_max = math.tan(atlas.radius)
-    lam = 1.0 / (2.0 * s_max)
-    reports = []
-    worst = Verdict.CERTIFIED
-    for k in range(atlas.chart_count):
-        x = _chart_raster(atlas, k, oracle, m)
-        a0 = alpha0 * lam
-        a1 = alpha1 * lam
-        if kind == "ball":
-            rep = ball_porosity_check(x, nu, a0, a1)
-        else:
-            rep = line_porosity_check(x, nu, a0, a1, directions)
-        reports.append(rep)
-        if rep.verdict is Verdict.COUNTEREXAMPLE:
-            worst = Verdict.COUNTEREXAMPLE
-        elif rep.verdict is Verdict.INCONCLUSIVE and worst is Verdict.CERTIFIED:
-            worst = Verdict.INCONCLUSIVE
-    return worst, reports
+    lam = 1.0 / (2.0 * math.tan(atlas.radius))
+    reports = [_checked(_chart_raster(atlas, k, oracle, m), nu, alpha0 * lam, alpha1 * lam,
+                        kind, directions) for k in range(atlas.chart_count)]
+    return _combine([rep.verdict for rep in reports]), reports
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +818,7 @@ def thicken_mask(mask: np.ndarray, radius_cells: int, n: int) -> np.ndarray:
 class FupConfig:
     """Configuration of one decay experiment."""
 
-    core: str = "fourier"                  # fourier | general_phase | log_phase
+    core: str = "fourier"                  # fourier | log_phase
     n: int = 1
     ladder: tuple[int, ...] = (27, 81, 243, 729)
     cantor_base: int = 3
@@ -849,7 +826,6 @@ class FupConfig:
     set_minus: BoxSet | None = None        # overrides the Cantor family
     set_plus: BoxSet | None = None
     rho: float | None = None               # mask thickening exponent
-    phase_quadratic: float = 0.0           # general phase: -2 pi <x,y> + c <y,y>
     w_list: tuple[float, ...] = (1.0,)
     chi_gap: float = 0.4
     chi_width: float = 0.3
@@ -857,10 +833,9 @@ class FupConfig:
     arc_plus: tuple[float, float] = (0.0, 0.25)
     lower_bound_mode: bool = False
     seed: int = 0
-    dense_limit: int = 4096
 
     def validate(self) -> None:
-        if self.core not in ("fourier", "general_phase", "log_phase"):
+        if self.core not in ("fourier", "log_phase"):
             raise ValueError(f"unknown core {self.core!r}")
         if self.n < 1 or len(self.ladder) == 0:
             raise ValueError("bad dimensions or empty ladder")
@@ -927,12 +902,8 @@ def _grid_operator(cfg: FupConfig, N: int) -> MaskedOperator:
         rad = int(round(N ** (1.0 - cfg.rho)))
         left = thicken_mask(left, rad, cfg.n)
         right = thicken_mask(right, rad, cfg.n)
-    if cfg.core == "fourier":
-        return MaskedOperator(semiclassical_dft(N, cfg.n), left, right)
-    c = cfg.phase_quadratic
-    phi = lambda x, y: -2.0 * np.pi * np.sum(x * y, axis=-1) + c * np.sum(y * y, axis=-1)
-    amp = lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
-    return MaskedOperator(general_phase_fio(phi, amp, N, cfg.n, 1.0 / N), left, right)
+    return MaskedOperator(semiclassical_dft(N, cfg.n), np.flatnonzero(left),
+                          np.flatnonzero(right))
 
 
 def _log_phase_operator(cfg: FupConfig, w: float, J: int) -> MaskedOperator:
@@ -945,7 +916,8 @@ def _log_phase_operator(cfg: FupConfig, w: float, J: int) -> MaskedOperator:
         left = thicken_mask(left, rad, 1)
         right = thicken_mask(right, rad, 1)
     chi = chordal_cutoff(cfg.chi_gap, cfg.chi_width)
-    return log_phase_masked_operator(w, h, chi, grid, left, right)
+    return log_phase_masked_operator(w, h, chi, grid, np.flatnonzero(left),
+                                     np.flatnonzero(right))
 
 
 def fup_experiment(cfg: FupConfig):
@@ -964,13 +936,11 @@ def fup_experiment(cfg: FupConfig):
     for w in (None,) if grid_core else cfg.w_list:
         for N in cfg.ladder:
             op = _grid_operator(cfg, N) if grid_core else _log_phase_operator(cfg, w, N)
-            info = masked_norm(op, cfg.seed, cfg.dense_limit)
+            info = masked_norm(op, cfg.seed)
             ok = ok and info.converged and (not grid_core or _sanity(info.value))
-            if cfg.lower_bound_mode and cfg.core == "fourier":
-                single = np.zeros(op.size, dtype=bool)
-                single[np.flatnonzero(op.right)[0]] = True
-                lb = masked_norm(MaskedOperator(op.core, op.left, single), cfg.seed)
-                expected = math.sqrt(op.left.sum() / op.size)
+            if cfg.lower_bound_mode and grid_core:
+                lb = masked_norm(MaskedOperator(op.core, op.rows, op.cols[:1]), cfg.seed)
+                expected = math.sqrt(op.rows.size / op.size)
                 ok = ok and abs(lb.value - expected) <= 1e-12
             rows.append(dict(core=cfg.core, n=cfg.n, N=N, h=1.0 / N, rho=cfg.rho, w=w,
                              norm=info.value, iters=info.iters, converged=info.converged))

@@ -528,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="hyperbolic-flow and masked-transform laboratory")
     parser.add_argument("--seed", type=int, default=None, help="deterministic seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--tol", type=float, default=1e-10, help="certification tolerance")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("algebra-verify", help="bracket table, flow and commutation suites")
@@ -545,12 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=11)
+    p.add_argument("--tol", type=float, default=1e-10, help="certification tolerance of --frame")
     p.set_defaults(func=cmd_flow_trace)
 
     p = sub.add_parser("group-decompose", help="KAN or normalizer factorization")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["kan+", "kan-", "normalizer"], default="kan+")
     p.add_argument("--l", type=int, default=2)
+    p.add_argument("--tol", type=float, default=1e-10, help="certification tolerance")
     p.set_defaults(func=cmd_group_decompose)
 
     p = sub.add_parser("porosity-check", help="ball/line porosity decision for a set file")
@@ -613,6 +614,8 @@ def _usage_problem(args) -> str | None:
         return "need 1 <= --n-min <= --n-max"
     if cmd in ("flow-trace", "hessian-check") and args.n < 1:
         return "--n must be at least 1"
+    if cmd in ("flow-trace", "group-decompose") and not args.tol > 0:
+        return "--tol must be positive"
     if cmd == "flow-trace" and args.steps < 1:
         return "--steps must be at least 1"
     if cmd == "hessian-check" and args.pairs < 1:

@@ -223,10 +223,14 @@ def _distance_field(x: BoxSet, pad_phys: float) -> _Field:
     return _Field(dist, -pad * x.delta, x.delta, x.n)
 
 
-def scale_ladder(alpha0: float, alpha1: float) -> np.ndarray:
-    """Geometric ladder of ratio sqrt(2) from alpha0 to alpha1, ends included."""
+def _require_scales(alpha0: float, alpha1: float) -> None:
     if not 0 < alpha0 <= alpha1:
         raise ValueError("need 0 < alpha0 <= alpha1")
+
+
+def scale_ladder(alpha0: float, alpha1: float) -> np.ndarray:
+    """Geometric ladder of ratio sqrt(2) from alpha0 to alpha1, ends included."""
+    _require_scales(alpha0, alpha1)
     out = [alpha0]
     while out[-1] * math.sqrt(2.0) < alpha1 * (1.0 - 1e-12):
         out.append(out[-1] * math.sqrt(2.0))
@@ -384,6 +388,7 @@ class _Decider:
 
     def __init__(self, x: BoxSet, alpha0: float, alpha1: float, kind: str,
                  directions: int, nu_max: float):
+        _require_scales(alpha0, alpha1)
         _require_resolution(x, nu_max, alpha0)
         self.x, self.alpha0, self.alpha1, self.kind, self.nu_max = x, alpha0, alpha1, kind, nu_max
         n, d = x.n, x.delta
@@ -574,6 +579,7 @@ def max_certified_nu(x: BoxSet, alpha0: float, alpha1: float, kind: str = "ball"
     Every bisection step queries one decider built for nu up to 1, so the
     distance field and the windowed maxima are computed once per call."""
     _require_kind(kind)
+    _require_scales(alpha0, alpha1)
     lo_nu, hi_nu = 0.0, 1.0
     floor_nu = 4.0 * x.delta / alpha0
     if floor_nu > 1.0:

@@ -272,18 +272,18 @@ def test_criterion_7_fup_sanity_and_decay():
     rng = np.random.default_rng(1006)
     # unitarity cap and single-column exactness
     core = semiclassical_dft(243, 1)
-    full = np.ones(243, dtype=bool)
+    full = np.flatnonzero(np.ones(243, dtype=bool))
     assert masked_norm(MaskedOperator(core, full, full)).value <= 1.0 + 1e-10
     left = np.zeros(243, dtype=bool)
     left[rng.choice(243, 31, replace=False)] = True
     single = np.zeros(243, dtype=bool)
     single[7] = True
-    got = masked_norm(MaskedOperator(core, left, single)).value
+    got = masked_norm(MaskedOperator(core, np.flatnonzero(left), np.flatnonzero(single))).value
     assert abs(got - math.sqrt(31 / 243)) <= 1e-12
 
     # Lanczos vs dense for feasible sizes (checked internally too)
-    mask = cantor_generate(CantorSpec.uniform(3, (0, 2), 5, 1), 1).mask
-    op = MaskedOperator(semiclassical_dft(243, 1), mask.copy(), mask.copy())
+    support = np.flatnonzero(cantor_generate(CantorSpec.uniform(3, (0, 2), 5, 1), 1).mask)
+    op = MaskedOperator(semiclassical_dft(243, 1), support, support)
     info = masked_norm(op)
     assert info.dense_value is not None
     assert abs(info.value - info.dense_value) <= 1e-10 * info.dense_value

@@ -355,6 +355,33 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "fio-sphere", "--ladder",
                                          "0", "1", "2", "3", prefix="config error:")
 
+    @pytest.mark.parametrize("payload", [{"phase_quadratic": 0.1}, {"dense_limit": 81},
+                                         {"core": "general_phase"}])
+    def test_fup_config_naming_a_removed_setting(self, tmp_path, capsys, payload):
+        cfg = self.input_json(tmp_path, {"n": 1, "ladder": [27, 81], **payload})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix="config error: unknown")
+
+    @pytest.mark.parametrize("alpha0", ["0", "-1"])
+    @pytest.mark.parametrize("mode", ["ball", "line"])
+    def test_porosity_scales_not_positive_and_ordered(self, tmp_path, capsys, alpha0, mode):
+        spec = self.input_json(tmp_path, CANTOR)
+        self.assert_one_line_usage_error(tmp_path, capsys, "porosity-check", "--set", spec,
+                                         "--nu", "0.08", "--alpha0", alpha0, "--alpha1", "1.0",
+                                         "--mode", mode,
+                                         prefix="error: need 0 < alpha0 <= alpha1")
+
+    @pytest.mark.parametrize("argv", [("flow-trace", "--tol", "0"),
+                                      ("group-decompose", "--input", "{g}", "--tol", "-1")])
+    def test_tolerance_not_positive(self, tmp_path, capsys, argv):
+        path = tmp_path / "g.txt"
+        write_group_element(random_group_element(np.random.default_rng(93), 3), str(path))
+        self.assert_one_line_usage_error(tmp_path, capsys,
+                                         *(a.format(g=path) for a in argv))
+
+    def test_tolerance_is_not_a_global_flag(self, tmp_path):
+        assert main(["--out", str(tmp_path), "--tol", "1e-10", "hessian-check"]) == 1
+
     @pytest.mark.parametrize("ladder", [[0, 3, 9, 27], [2, 4]])
     def test_fup_ladder_that_the_cantor_family_cannot_take(self, tmp_path, capsys, ladder):
         cfg = self.input_json(tmp_path, {"core": "fourier", "n": 1, "ladder": ladder})
@@ -385,8 +412,8 @@ class TestUsageContract:
 # that --l is read.
 NUMERIC_FLAGS = {
     "algebra-verify": {"--n-min": None, "--n-max": None},
-    "flow-trace": {"--n": None, "--t0": None, "--t1": None, "--steps": None},
-    "group-decompose": {"--l": None},
+    "flow-trace": {"--n": None, "--t0": None, "--t1": None, "--steps": None, "--tol": None},
+    "group-decompose": {"--l": None, "--tol": None},
     "porosity-check": {"--nu": "0.08", "--alpha0": "0.111", "--alpha1": "1.0",
                        "--directions": None},
     "sphere-porosity": {"--nu": "0.1", "--alpha0": "0.45", "--alpha1": "0.9",
@@ -411,9 +438,8 @@ EDGE = st.one_of(st.none(), st.sampled_from(("-1", "0", "1", "2")))
 @st.composite
 def cli_argv(draw):
     argv = []
-    for flag in ("--seed", "--tol"):
-        value = draw(EDGE)
-        argv += [] if value is None else [flag, value]
+    seed = draw(EDGE)
+    argv += [] if seed is None else ["--seed", seed]
     cmd = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
     argv += [cmd, *FILE_ARGS.get(cmd, [])]
     for flag, default in NUMERIC_FLAGS[cmd].items():

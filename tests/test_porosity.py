@@ -103,6 +103,16 @@ class TestScaleLadder:
         rs = scale_ladder(0.3, 0.3)
         assert len(rs) == 1
 
+    @pytest.mark.parametrize("alpha0", [0.0, -1.0])
+    def test_scale_range_is_checked_before_the_resolution(self, alpha0):
+        x = cantor1(4)
+        for decide in (lambda: ball_porosity_check(x, 0.1, alpha0, 1.0),
+                       lambda: line_porosity_check(x, 0.1, alpha0, 1.0),
+                       lambda: max_certified_nu(x, alpha0, 1.0),
+                       lambda: max_certified_nu(x, alpha0, 1.0, "line")):
+            with pytest.raises(ValueError, match="0 < alpha0 <= alpha1"):
+                decide()
+
 
 class TestBallPorosityCheck:
     def test_empty_set_certified(self):
