@@ -714,6 +714,7 @@ class TestConfigValidation:
         FupConfig(ladder=(0, 3, 9, 27)),
         FupConfig(core="log_phase", ladder=(0, 1, 2, 3)),
         FupConfig(ladder=(2, 4)),
+        FupConfig(cantor_base=5, ladder=(25, 27)),
         FupConfig(cantor_base=1, ladder=(1, 1)),
     ])
     def test_ladder_values_that_no_family_can_take(self, cfg):
