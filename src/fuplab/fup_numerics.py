@@ -13,10 +13,12 @@ core answers the same protocol: its ambient ``size``, the dense block
 block.  Norms are computed matrix-free by ARPACK Lanczos (scipy's ``svds``)
 on the restricted maps; on small problems a dense singular-value computation
 of the block must agree to 1e-10 (relative) and runs automatically.  The DFT
-core runs a pruned Cooley-Tukey plan on digit-product supports of N = p^k
-(every full-depth Cantor family of prime base), whose products never touch
-the ambient grid, whenever that is estimated cheaper than an FFT of the
-whole grid; other supports scatter, FFT and gather.  The quadrature cores
+core runs a pruned Cooley-Tukey plan on the supports of N = p^k whose base-p
+digit tuples form a product over the k levels (every full-depth Cantor
+family of prime base, and joint-digit sets that are no per-axis product),
+whose products never touch the ambient grid, whenever that is estimated
+cheaper than an FFT of the whole grid; other supports scatter, FFT and
+gather.  The quadrature cores
 multiply by their block.  Power-law exponents are fitted by least squares in
 log-log coordinates with the residual always reported.
 
@@ -107,9 +109,11 @@ class FourierCore:
     def restricted(self, rows: np.ndarray, cols: np.ndarray):
         """(matvec, rmatvec) of the |rows| x |cols| block of the DFT.
 
-        When the supports are digit products (see :class:`_PrunedDft`) and the
-        pruned stages are estimated cheaper than the ambient FFT, the products
-        never leave the supports; otherwise they scatter, FFT and gather.
+        When N = p^k for a prime p, each support is the product over the k
+        levels of its sets of base-p digit tuples (see :class:`_PrunedDft`),
+        and the pruned stages are estimated cheaper than the ambient FFT, the
+        products never leave the supports; otherwise they scatter, FFT and
+        gather.
         """
         plan = _PrunedDft.build(self, rows, cols, budget=_fft_work(self.size))
         if plan is not None:
@@ -130,10 +134,11 @@ class FourierCore:
 
 # The cost rule of FourierCore.restricted counts work in complex multiply-adds
 # on contiguous arrays.  An FFT of size S with its scatter and gather costs
-# about S log2(S) of them; every numpy call of a pruned stage is charged
-# _CALL_WORK, about twice its measured overhead, so that the pruned path is
-# taken only where it wins clearly (on the Cantor masks of digits {0, 2} in
-# base 3: from 3^9 cells in one dimension and 243^2 in two).
+# about S log2(S) of them; every numpy call of a pruned product (three per
+# stage, plus the scatter into level order and the gather out of it) is
+# charged _CALL_WORK, about twice its measured overhead, so that the pruned
+# path is taken only where it wins clearly (on the Cantor masks of digits
+# {0, 2} in base 3: from 3^9 cells in one dimension and 81^2 in two).
 _CALL_WORK = 4000
 
 
@@ -154,97 +159,75 @@ def _prime_power(N: int) -> tuple[int, int] | None:
 
 
 def _digit_product(support: np.ndarray, p: int, k: int, shape: tuple[int, ...]):
-    """Per-axis lists of per-digit sets D_0..D_{k-1} (base p, D_0 the units) of a
-    flat support, or None unless the support is the whole product of them."""
-    sets, total = [], 1
-    for coords in np.unravel_index(support, shape):
-        axis = []
-        for j in range(k):
-            digits = np.flatnonzero(np.bincount((coords // p ** j) % p, minlength=p))
-            total *= digits.size
-            if total > support.size:
-                return None
-            axis.append(digits)
-        sets.append(axis)
-    return sets if total == support.size else None
+    """(levels, position) of a flat support whose cells are the whole product
+    of their per-level digit tuples (coords // p^j) % p, else None.
 
-
-def _stage_elems(row_digits: list, col_digits: list) -> int:
-    """Element operations of one pruned product.
-
-    Each stage is charged the tensor it takes times |B_s| + 2 (block, twiddle,
-    copy); an axis runs on the outputs of the axes before it and the inputs of
-    the axes after it.
+    ``levels[j]`` is the increasing (|D_j|, n) array of the level-j tuples
+    (level 0 the units), and ``position`` the place of each cell in level order,
+    the row-major order of prod_j D_j with level k-1 slowest.
     """
-    rows = [[d.size for d in axis] for axis in row_digits]
-    cols = [[d.size for d in axis] for axis in col_digits]
-    total = 0
-    for d, (dst, src) in enumerate(zip(rows, cols)):
-        batch = math.prod(map(math.prod, rows[:d])) * math.prod(map(math.prod, cols[d + 1:]))
-        size = math.prod(src)
-        for s, b in enumerate(dst):
-            total += batch * size * (b + 2)
-            size = size // src[-1 - s] * b
-    return total
+    coords = np.array(np.unravel_index(support, shape))
+    weights = p ** np.arange(len(shape) - 1, -1, -1)
+    levels, position, total = [], 0, 1
+    for j in range(k):
+        codes = weights @ (coords // p ** j % p)
+        seen = np.bincount(codes, minlength=p ** len(shape)) > 0
+        position = position + (np.cumsum(seen) - 1)[codes] * total
+        total *= np.count_nonzero(seen)
+        if total > support.size:
+            return None
+        levels.append(np.stack(np.unravel_index(np.flatnonzero(seen), (p,) * len(shape)), axis=1))
+    return (levels, position) if total == support.size else None
 
 
-class _AxisDft:
-    """DFT of size p^k along one axis, pruned to digit sets on both sides.
+def _stages(p: int, src: list, dst: list, sign: int, scale: float, budget: float = math.inf):
+    """The k stages (size, rest, twiddle, block) of the pruned DFT from the
+    level sets ``src`` to ``dst``, or None once their work reaches ``budget``.
 
-    Input index b = sum_j b_j p^j with b_j in ``src[j]``, output index a with
-    a_s in ``dst[s]``; both sides are ordered increasingly.  The exponent
-    ab/p^k splits into terms b_j (a mod p^(k-j)) / p^(k-j), so stage s contracts
-    the digit b_(k-1-s) into a_s: a twiddle by b_j (a mod p^s) / p^(s+1) over the
-    output digits made so far, then the |dst[s]| x |src[j]| block of the p-point
-    DFT.  Every stage stays on the digit sets (Cooley-Tukey decimation in time,
-    pruned on input and output).
+    Input index b = sum_j b_j p^j with digit tuples b_j in ``src[j]``, output a
+    with a_s in ``dst[s]``.  The exponent <a, b>/p^k splits into terms
+    <b_j, a mod p^(k-j)> / p^(k-j), so stage s contracts the tuple b_(k-1-s)
+    into a_s: a twiddle by <b_j, a mod p^s> / p^(s+1) over the output tuples
+    made so far, then the |dst[s]| x |src[j]| block of the n-D p-point DFT.
+    Each stage is charged the tensor it takes times |dst[s]| + 2 (block,
+    twiddle, copy).
     """
-
-    def __init__(self, p: int, src: list[np.ndarray], dst: list[np.ndarray], sign: int,
-                 scale: float):
-        k = len(src)
-        self.src_size = math.prod(a.size for a in src)
-        self.dst_size = math.prod(b.size for b in dst)
-        self.stages = []
-        made = np.zeros(1, dtype=np.int64)          # a mod p^s over the digits made
-        rest = self.src_size
-        for s in range(k):
-            a, b = src[k - 1 - s], dst[s]
-            rest //= a.size
-            q = p ** (s + 1)
-            twiddle = None
-            if s:
-                twiddle = np.exp(sign * 2j * np.pi * (np.outer(a, made) % q) / q)
-            block = np.exp(sign * 2j * np.pi * (np.outer(b, a) % p) / p)
-            if s == k - 1:
-                block *= scale
-            self.stages.append((a.size, rest, made.size, twiddle, block))
-            made = (b[:, None] * p ** s + made[None, :]).reshape(-1)
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """(src_size, batch) -> (dst_size, batch); axis 0 in increasing index order."""
-        batch = t.shape[1]
-        for size, rest, made, twiddle, block in self.stages:
-            t = t.reshape(size, rest, made, batch)
-            if twiddle is not None:
-                t = t * twiddle[:, None, :, None]
-            t = block @ t.reshape(size, -1)
-            t = t.reshape(block.shape[0], rest, -1).transpose(1, 0, 2)
-        return t.reshape(self.dst_size, batch)
+    k = len(src)
+    rest = math.prod(len(a) for a in src)
+    made = np.zeros((1, src[0].shape[1]), dtype=np.int64)   # a mod p^s, made so far
+    stages, work = [], 0
+    for s in range(k):
+        a, b = src[k - 1 - s], dst[s]
+        rest //= len(a)
+        work += len(a) * rest * len(made) * (len(b) + 2)
+        if work >= budget:
+            return None
+        q = p ** (s + 1)
+        twiddle = np.exp(sign * 2j * np.pi * ((a @ made.T) % q) / q) if s else None
+        block = np.exp(sign * 2j * np.pi * ((b @ a.T) % p) / p)
+        if s == k - 1:
+            block *= scale
+        stages.append((len(a), rest, twiddle, block))
+        made = (b[:, None] * p ** s + made[None, :]).reshape(-1, made.shape[1])
+    return stages
 
 
+@dataclass(frozen=True)
 class _PrunedDft:
-    """The restricted unitary DFT on per-axis products of per-digit sets.
+    """The restricted unitary DFT on supports that are products of per-level
+    digit-tuple sets (see :func:`_digit_product`).
 
-    For N = p^k with p prime, a support of the form prod_axes prod_j D_j keeps
-    the Cooley-Tukey recursion closed: products run one :class:`_AxisDft` per
-    axis and cost about k |D|^(k+1) per axis instead of N^n log N^n.
+    For N = p^k with p prime such supports keep the Cooley-Tukey recursion
+    closed (decimation in time, pruned on input and output; see
+    :func:`_stages`), so a product costs about k |D|^(k+1) instead of
+    N^n log N^n.  The stages run in level order: a product scatters its input
+    into that order and gathers its output back.
     """
 
-    def __init__(self, p: int, row_digits: list, col_digits: list, N: int):
-        pairs = list(zip(row_digits, col_digits))
-        self.forward = [_AxisDft(p, c, r, -1, N ** -0.5) for r, c in pairs]
-        self.backward = [_AxisDft(p, r, c, 1, N ** -0.5) for r, c in pairs]
+    forward: list
+    backward: list
+    row_position: np.ndarray
+    col_position: np.ndarray
 
     @classmethod
     def build(cls, core: FourierCore, rows: np.ndarray, cols: np.ndarray,
@@ -256,29 +239,38 @@ class _PrunedDft:
         if pk is None or rows.size == 0 or cols.size == 0:
             return None
         p, k = pk
-        calls = core.n * (3 * k + 2) * _CALL_WORK
+        calls = (3 * k + 2) * _CALL_WORK
         if calls >= budget or np.any(np.diff(rows) <= 0) or np.any(np.diff(cols) <= 0):
             return None
-        shape = (core.N,) * core.n
-        row_digits = _digit_product(rows, p, k, shape)
-        col_digits = None if row_digits is None else _digit_product(cols, p, k, shape)
-        if col_digits is None or calls + _stage_elems(row_digits, col_digits) >= budget:
+        shape, scale = (core.N,) * core.n, core.N ** (-core.n / 2)
+        row = _digit_product(rows, p, k, shape)
+        col = None if row is None else _digit_product(cols, p, k, shape)
+        if col is None:
             return None
-        return cls(p, row_digits, col_digits, core.N)
+        (row_levels, row_position), (col_levels, col_position) = row, col
+        forward = _stages(p, col_levels, row_levels, -1, scale, budget - calls)
+        if forward is None:
+            return None
+        return cls(forward, _stages(p, row_levels, col_levels, 1, scale),
+                   row_position, col_position)
 
     @staticmethod
-    def _run(plans: list[_AxisDft], x: np.ndarray) -> np.ndarray:
-        # each pass transforms the leading axis and rolls it to the back
-        y = x
-        for plan in plans:
-            y = plan(y.reshape(plan.src_size, -1)).T
-        return y.reshape(-1)
+    def _run(stages: list, src: np.ndarray, dst: np.ndarray, x: np.ndarray) -> np.ndarray:
+        t = np.empty_like(x)
+        t[src] = x
+        for size, rest, twiddle, block in stages:
+            t = t.reshape(size, rest, -1)
+            if twiddle is not None:
+                t = t * twiddle[:, None, :]
+            t = block @ t.reshape(size, -1)
+            t = t.reshape(block.shape[0], rest, -1).transpose(1, 0, 2)
+        return t.reshape(-1)[dst]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self._run(self.forward, x)
+        return self._run(self.forward, self.col_position, self.row_position, x)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self._run(self.backward, y)
+        return self._run(self.backward, self.row_position, self.col_position, y)
 
 
 class _BlockCore:
@@ -418,12 +410,6 @@ class NormInfo:
     iters: int
     converged: bool
     dense_value: float | None = None
-
-    @property
-    def dense_gap(self) -> float | None:
-        if self.dense_value is None:
-            return None
-        return abs(self.value - self.dense_value)
 
 
 # masked_norm cross-checks every operator of at most this ambient size densely

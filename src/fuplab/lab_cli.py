@@ -523,9 +523,17 @@ def cmd_hessian_check(args) -> tuple[int, RunRecord | None]:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors print one ``error:`` line, not a
+    usage block; its subcommand parsers are of the same class."""
+
+    def error(self, message):
+        print(f"error: {message}")
+        raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fuplab",
-                                     description="hyperbolic-flow and masked-transform laboratory")
+    parser = _Parser(prog="fuplab", description="hyperbolic-flow and masked-transform laboratory")
     parser.add_argument("--seed", type=int, default=None, help="deterministic seed")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="subcommand", required=True)

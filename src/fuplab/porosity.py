@@ -135,28 +135,31 @@ class BoxSet:
 
     @classmethod
     def from_boxes(cls, boxes, m: int, n: int) -> "BoxSet":
-        """Cells intersecting any of the closed boxes [lo, hi] (coordinates in [0,1])."""
-        mask = np.zeros((m,) * n, dtype=bool)
-        for lo, hi in boxes:
-            lo = np.asarray(lo, dtype=np.float64)
-            hi = np.asarray(hi, dtype=np.float64)
-            idx = []
-            empty = False
-            for a in range(n):
-                first = max(0, int(math.floor(lo[a] * m + 1e-9)))
-                last = min(m - 1, int(math.ceil(hi[a] * m - 1e-9)) - 1)
-                if first > last:
-                    empty = True
-                    break
-                idx.append(slice(first, last + 1))
-            if not empty:
-                mask[tuple(idx)] = True
-        return cls(n, m, mask)
+        """Cells intersecting any of the closed boxes [lo, hi] (coordinates in [0,1]).
 
-    def occupied_centers(self) -> np.ndarray:
-        """(k, n) array of occupied cell centers."""
-        idx = np.argwhere(self.mask)
-        return (idx + 0.5) * self.delta
+        ``boxes`` is a sequence of (lo, hi) corner pairs, each corner of n
+        coordinates.  On each axis a box meets cells floor(lo m + 1e-9) ..
+        ceil(hi m - 1e-9) - 1, clipped to the grid.
+        """
+        if m < 1 or n < 1:
+            raise ValueError("a box set needs a resolution and dims of at least 1")
+        try:
+            corners = np.asarray(boxes, dtype=np.float64) if len(boxes) else np.empty((0, 2, n))
+        except ValueError:          # corners of unequal lengths
+            corners = None
+        if corners is None or corners.shape != (len(boxes), 2, n) or not np.isfinite(corners).all():
+            raise ValueError(f"every box needs two finite corners of {n} coordinates")
+        mask = np.zeros((m,) * n, dtype=bool)
+        first = np.maximum(np.floor(corners[:, 0] * m + 1e-9).astype(np.int64), 0)
+        last = np.minimum(np.ceil(corners[:, 1] * m - 1e-9).astype(np.int64) - 1, m - 1)
+        keep = np.all(first <= last, axis=1)
+        if n == 1:                  # plain slices: about twice as fast as the tuples below
+            for a, b in zip(first[keep, 0], last[keep, 0]):
+                mask[a:b + 1] = True
+        else:
+            for f, l in zip(first[keep], last[keep]):
+                mask[tuple(slice(a, b + 1) for a, b in zip(f, l))] = True
+        return cls(n, m, mask)
 
     def occupied_boxes(self) -> tuple[np.ndarray, np.ndarray]:
         idx = np.argwhere(self.mask)
@@ -611,22 +614,7 @@ def affine_image(x: BoxSet, lam: float, y: np.ndarray) -> BoxSet:
         raise ValueError("scaling factor must be positive")
     y = np.broadcast_to(np.asarray(y, dtype=np.float64), (x.n,))
     lo, hi = x.occupied_boxes()
-    if lo.shape[0] == 0:
-        return BoxSet.empty(x.n, x.m)
-    lo = lam * lo + y
-    hi = lam * hi + y
-    mask = np.zeros((x.m,) * x.n, dtype=bool)
-    first = np.floor(lo * x.m + 1e-9).astype(np.int64)
-    last = np.ceil(hi * x.m - 1e-9).astype(np.int64) - 1
-    keep = np.all((last >= 0) & (first <= x.m - 1), axis=1)
-    first = np.clip(first[keep], 0, x.m - 1)
-    last = np.clip(last[keep], 0, x.m - 1)
-    if x.n == 1:
-        for a, b in zip(first[:, 0], last[:, 0]):
-            mask[a:b + 1] = True
-    else:
-        for f0, l0 in zip(first, last):
-            mask[tuple(slice(a, b + 1) for a, b in zip(f0, l0))] = True
+    mask = BoxSet.from_boxes(np.stack([lam * lo + y, lam * hi + y], axis=1), x.m, x.n).mask
     return BoxSet(x.n, x.m, mask, provenance=("affine", lam, tuple(y), x.provenance))
 
 

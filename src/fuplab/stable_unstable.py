@@ -35,7 +35,6 @@ __all__ = [
     "stable_unstable_basis",
     "flow_tangent",
     "geodesic_tangent",
-    "apply_tangent_flow",
     "expansion_rate",
     "poisson_kernel",
     "half_stereographic",
@@ -104,9 +103,6 @@ class TangentPair:
             abs(minkowski_inner(p.x, self.v_xi) + minkowski_inner(p.xi, self.v_x)),
             abs(minkowski_inner(p.xi, self.v_xi)),
         )
-
-    def scaled(self, c: float) -> "TangentPair":
-        return TangentPair(c * self.v_x, c * self.v_xi)
 
 
 @dataclass(frozen=True)
@@ -221,9 +217,6 @@ def flow_tangent(v: TangentPair, t: float) -> TangentPair:
     """Differential of the unit-speed geodesic flow (it is linear)."""
     c, s = math.cosh(t), math.sinh(t)
     return TangentPair(v.v_x * c + v.v_xi * s, v.v_x * s + v.v_xi * c)
-
-
-apply_tangent_flow = flow_tangent
 
 
 def _metric_norm(v: TangentPair) -> float:

@@ -217,6 +217,36 @@ def random_digit_sets(rng, p, k):
             for _ in range(k)]
 
 
+def tuple_support(p, n, level_sets):
+    """Increasing flat indices of the cells of the (p^k)^n grid whose base-p digit
+    tuple at level j lies in level_sets[j] (level 0 the units)."""
+    coords = np.zeros((1, n), dtype=np.int64)
+    for j, tuples in enumerate(level_sets):
+        coords = (np.asarray(tuples)[:, None, :] * p ** j + coords[None]).reshape(-1, n)
+    return np.sort(np.ravel_multi_index(coords.T, (p ** len(level_sets),) * n))
+
+
+def corner(p, n):
+    """The origin and (p-1) e_i on every axis: no product of per-axis digit sets."""
+    return np.vstack([np.zeros((1, n), dtype=np.int64), (p - 1) * np.eye(n, dtype=np.int64)])
+
+
+def diagonal(p, n):
+    return np.repeat(np.arange(p)[:, None], n, axis=1)
+
+
+def random_tuple_sets(rng, p, n, k, first):
+    """``first`` at level 0, then random nonempty sets of tuples in {0..p-1}^n."""
+    cube = np.stack(np.unravel_index(np.arange(p ** n), (p,) * n), axis=1)
+    return [first] + [cube[np.sort(rng.choice(p ** n, int(rng.integers(1, p ** n + 1)),
+                                              replace=False))] for _ in range(k - 1)]
+
+
+# (p, n, k_max) of the joint-digit cases, bases 2, 3 and 5 in two and three
+# dimensions; every grid has at most 1024 cells, so dense blocks stay small
+JOINT_CASES = ((2, 2, 5), (3, 2, 3), (5, 2, 2), (2, 3, 3), (3, 3, 2), (5, 3, 1))
+
+
 class TestPrunedDft:
     """The pruned map, built directly (no cost rule), against independent oracles."""
 
@@ -308,7 +338,7 @@ class TestPrunedDft:
         calls = []
         fft = FourierCore.apply
         monkeypatch.setattr(FourierCore, "apply", lambda self, u: calls.append(1) or fft(self, u))
-        for n, k, expect_fft in ((1, 8, True), (1, 9, False), (2, 4, True), (2, 5, False)):
+        for n, k, expect_fft in ((1, 8, True), (1, 9, False), (2, 3, True), (2, 4, False)):
             rows = np.flatnonzero(cantor_mask(k, n))
             matvec, _ = FourierCore(3 ** k, n).restricted(rows, rows)
             calls.clear()
@@ -331,6 +361,56 @@ class TestPrunedDft:
         # N = 6^3 is no prime power, even on a full digit product
         full = np.arange(216)
         assert _PrunedDft.build(FourierCore(216, 1), full, full) is None
+        # in 2-D the cells (0, 0) and (4, 4) of the 9 x 9 grid have level tuples
+        # {(0, 0), (1, 1)} at both levels, whose product holds four cells
+        pair = np.array([0, 40])
+        assert _PrunedDft.build(FourierCore(9, 2), pair, pair) is None
+
+    def test_joint_digit_sets_match_submatrix(self):
+        # non-product tuple sets, unequal on the two sides
+        rng = np.random.default_rng(76)
+        for p, n, k_max in JOINT_CASES:
+            for k in range(1, k_max + 1):
+                rows = tuple_support(p, n, random_tuple_sets(rng, p, n, k, corner(p, n)))
+                cols = tuple_support(p, n, random_tuple_sets(rng, p, n, k, diagonal(p, n)))
+                assert_plan_matches_submatrix(FourierCore(p ** k, n), rows, cols, rng)
+
+    def test_joint_digit_sets_match_masked_fftn_up_to_3_to_the_5_squared(self):
+        rng = np.random.default_rng(77)
+        for k in range(1, 6):
+            N = 3 ** k
+            rows = tuple_support(3, 2, [corner(3, 2)] * k)
+            cols = tuple_support(3, 2, [diagonal(3, 2)[:2]] + [corner(3, 2)] * (k - 1))
+            plan = _PrunedDft.build(FourierCore(N, 2), rows, cols)
+            assert plan is not None
+            x = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
+            y = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+            u = np.zeros(N * N, dtype=complex)
+            u[cols] = x
+            want = np.fft.fftn(u.reshape(N, N)).reshape(-1)[rows] / N
+            assert rel_err(plan.apply(x), want) <= 1e-12, k
+            v = np.zeros(N * N, dtype=complex)
+            v[rows] = y
+            want = np.fft.ifftn(v.reshape(N, N)).reshape(-1)[cols] * N
+            assert rel_err(plan.adjoint(y), want) <= 1e-12, k
+
+    def test_lanczos_on_joint_digit_sets_matches_dense(self, monkeypatch):
+        monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: math.inf)
+
+        def no_fft(self, u):
+            raise AssertionError("the pruned map must not call the ambient FFT")
+
+        monkeypatch.setattr(FourierCore, "apply", no_fft)
+        monkeypatch.setattr(FourierCore, "adjoint", no_fft)
+        rng = np.random.default_rng(78)
+        for p, n, k in JOINT_CASES:
+            rows = tuple_support(p, n, random_tuple_sets(rng, p, n, k, corner(p, n)))
+            cols = tuple_support(p, n, [diagonal(p, n)] * k)
+            op = MaskedOperator(FourierCore(p ** k, n), rows, cols)
+            info = masked_norm(op, seed=k)
+            assert info.converged and info.iters > 0
+            dense = dense_norm(op)
+            assert abs(info.value - dense) <= 1e-12 * dense, (p, n, k)
 
 
 class TestArcCantorMask:

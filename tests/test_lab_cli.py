@@ -382,6 +382,38 @@ class TestUsageContract:
     def test_tolerance_is_not_a_global_flag(self, tmp_path):
         assert main(["--out", str(tmp_path), "--tol", "1e-10", "hessian-check"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["porosity-check", "--set", "x.json", "--nu", "0.1"],    # required flags missing
+        ["--tol", "1", "hessian-check"],                          # flag before its subcommand
+        ["no-such-command"],
+        [],
+        ["hessian-check", "--pairs", "many"],                     # not an integer
+        ["porosity-check", "--set", "x.json", "--nu", "0.1", "--alpha0", "0.1",
+         "--alpha1", "1", "--mode", "disc"],                      # not a choice
+    ], ids=["missing", "misplaced", "unknown-command", "no-command", "bad-int", "bad-choice"])
+    def test_parse_errors_take_one_line(self, tmp_path, capsys, argv):
+        self.assert_one_line_usage_error(tmp_path, capsys, *argv)
+
+    def test_help_still_exits_zero(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "--help"]) == 0
+        assert "usage: fuplab" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", [
+        {"boxes": [[[0.1], [0.4]]], "resolution": 27, "dims": 2},
+        {"boxes": [[[0.1, 0.1], [0.4]]], "resolution": 27, "dims": 2},
+        {"boxes": [[0.1, 0.4]], "resolution": 27, "dims": 1},
+    ], ids=["short-corners", "ragged-corners", "scalar-corners"])
+    def test_box_corners_of_the_wrong_length(self, tmp_path, capsys, spec):
+        good = {"boxes": [[[0.1, 0.1], [0.4, 0.4]]], "resolution": 27, "dims": 2}
+        path = self.input_json(tmp_path, spec)
+        self.assert_one_line_usage_error(tmp_path, capsys, "porosity-check", "--set", path,
+                                         "--nu", "0.1", "--alpha0", "0.111", "--alpha1", "1")
+        cfg = write_json(tmp_path / "in" / "fup.json",
+                         {"core": "fourier", "n": spec["dims"], "ladder": [27, 81, 243, 729],
+                          "set_minus": spec, "set_plus": good})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix="config error:")
+
     @pytest.mark.parametrize("ladder", [[0, 3, 9, 27], [2, 4]])
     def test_fup_ladder_that_the_cantor_family_cannot_take(self, tmp_path, capsys, ladder):
         cfg = self.input_json(tmp_path, {"core": "fourier", "n": 1, "ladder": ladder})
@@ -404,6 +436,17 @@ class TestUsageContract:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("error:")
+
+    def test_fresh_process_parse_error_takes_one_line(self, tmp_path):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "fuplab.lab_cli", "--out", str(tmp_path),
+                               "porosity-check", "--set", "x.json", "--nu", "0.1"],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 1
+        lines = [ln for ln in (proc.stdout + proc.stderr).splitlines() if ln.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 # Every numeric flag of each subcommand, with the value it takes when the draw

@@ -282,6 +282,39 @@ class TestSegmentMaxGather:
                     _segment_max_at(dist, pushed, offsets)
 
 
+class TestFromBoxes:
+    def test_cells_meeting_the_open_boxes(self):
+        # off grid lines, a cell meets a closed box exactly when it meets its interior
+        rng = np.random.default_rng(49)
+        for n, m in ((1, 40), (2, 12), (3, 6)):
+            lo = rng.uniform(-0.2, 1.0, size=(5, n))
+            hi = lo + rng.uniform(0.0, 0.5, size=(5, n))
+            got = BoxSet.from_boxes(list(zip(lo, hi)), m, n).mask
+            cells = np.argwhere(np.ones((m,) * n, dtype=bool))[:, None, :]
+            meets = ((cells < hi * m) & (cells + 1 > lo * m)).all(axis=2).any(axis=1)
+            assert np.array_equal(got.reshape(-1), meets), (n, m)
+
+    def test_no_boxes_give_the_empty_set(self):
+        assert BoxSet.from_boxes([], 9, 2).occupied_count == 0
+
+    @pytest.mark.parametrize("m, n", [(0, 1), (-3, 1), (27, 0)])
+    def test_grid_needs_a_cell_and_an_axis(self, m, n):
+        with pytest.raises(ValueError, match="at least 1"):
+            BoxSet.from_boxes([], m, n)
+
+    @pytest.mark.parametrize("boxes", [
+        [([0.1], [0.4])],                # corners of one coordinate in 2-D
+        [([0.1, 0.1], [0.4])],           # corners of unequal lengths
+        [([0.1, 0.1, 0.1], [0.4, 0.4, 0.4])],
+        [(0.1, 0.4)],                    # scalar corners
+        [([0.1, math.nan], [0.4, 0.4])],
+        [([0.1, 0.1], [0.4, math.inf])],
+    ], ids=["short", "ragged", "long", "scalar", "nan", "inf"])
+    def test_corners_need_dims_finite_coordinates(self, boxes):
+        with pytest.raises(ValueError, match="two finite corners of 2 coordinates"):
+            BoxSet.from_boxes(boxes, 27, 2)
+
+
 class TestAffineImage:
     def test_identity(self):
         x = cantor1(5)

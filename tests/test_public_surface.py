@@ -1,0 +1,33 @@
+"""The names that the benchmark tracer (fupbench/tracing.py) binds by lookup.
+
+The tracer wraps every name in each layer module's ``__all__`` (found with
+``getattr``), the public entry points of ``lab_cli``, and ``apply``/``adjoint``
+of the three operator cores (taken from the class ``__dict__``).  A stale
+name there breaks traced benchmark runs without failing any other test.
+"""
+
+import importlib
+
+import pytest
+
+LAYERS = ("fup_numerics", "porosity", "word_combinatorics", "lorentz_core", "stable_unstable")
+LAB_CLI_PUBLIC = ("main", "rerun_manifest", "write_manifest", "set_from_spec", "load_set_spec")
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_every_exported_name_is_bound(layer):
+    mod = importlib.import_module(f"fuplab.{layer}")
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_lab_cli_entry_points_are_bound():
+    mod = importlib.import_module("fuplab.lab_cli")
+    assert [name for name in LAB_CLI_PUBLIC if not callable(getattr(mod, name, None))] == []
+
+
+@pytest.mark.parametrize("cls_name", ["FourierCore", "KernelCore", "SubmatrixKernelCore"])
+def test_cores_define_apply_and_adjoint_in_their_own_body(cls_name):
+    cls = getattr(importlib.import_module("fuplab.fup_numerics"), cls_name)
+    for meth in ("apply", "adjoint"):
+        assert callable(cls.__dict__.get(meth)), (cls_name, meth)
