@@ -34,7 +34,7 @@ Hessian determinant probes for the phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -800,6 +800,12 @@ def thicken_mask(mask: np.ndarray, radius_cells: int, n: int) -> np.ndarray:
     return ndimage.binary_dilation(shaped, structure=se).reshape(-1)
 
 
+# The fields that only the other core reads.  A config must leave them at
+# their defaults, or it would run while ignoring what it asked for.
+_UNREAD_FIELDS = {"fourier": ("w_list", "chi_gap", "chi_width", "arc_minus", "arc_plus"),
+                  "log_phase": ("set_minus", "set_plus", "lower_bound_mode")}
+
+
 @dataclass
 class FupConfig:
     """Configuration of one decay experiment."""
@@ -823,6 +829,15 @@ class FupConfig:
     def validate(self) -> None:
         if self.core not in ("fourier", "log_phase"):
             raise ValueError(f"unknown core {self.core!r}")
+        defaults = {f.name: f.default for f in fields(self)}
+        unread = [k for k in _UNREAD_FIELDS[self.core] if getattr(self, k) != defaults[k]]
+        if unread:
+            raise ValueError(f"the {self.core} core does not read {', '.join(unread)}; "
+                             "leave them at their defaults")
+        for key in ("set_minus", "set_plus"):
+            explicit = getattr(self, key)
+            if explicit is not None and explicit.n != self.n:
+                raise ValueError(f"{key} has n = {explicit.n}, but the config has n = {self.n}")
         if self.n < 1 or len(self.ladder) == 0:
             raise ValueError("bad dimensions or empty ladder")
         if min(self.ladder) < 2 or self.cantor_base < 2:

@@ -36,6 +36,7 @@ import scipy
 
 from . import __version__
 from .lorentz_core import (
+    DEFAULT_TOL,
     DecompositionError,
     GroupElement,
     exp_flow,
@@ -187,14 +188,18 @@ def _write_ladder(path: str, columns: list[str], rows: list[dict], fits: dict,
                   f"residual={_fmt(fit.residual)}")
 
 
+def _cantor_set(decl: dict, n: int) -> BoxSet:
+    """The n-dimensional Cantor set of a declaration's base, kept_digits and depth."""
+    spec = CantorSpec.uniform(int(decl["base"]), tuple(int(d) for d in decl["kept_digits"]),
+                              int(decl["depth"]), n)
+    return cantor_generate(spec, n)
+
+
 def set_from_spec(spec: dict) -> BoxSet:
     """Structured-text set declaration: a Cantor family or explicit boxes."""
     if "cantor" in spec:
         c = spec["cantor"]
-        n = int(c.get("dims", 1))
-        cs = CantorSpec.uniform(int(c["base"]), tuple(int(d) for d in c["kept_digits"]),
-                                int(c["depth"]), n)
-        return cantor_generate(cs, n)
+        return _cantor_set(c, int(c.get("dims", 1)))
     if "boxes" in spec:
         if "dims" in spec:
             n = int(spec["dims"])
@@ -384,9 +389,7 @@ def cmd_porosity_check(args) -> tuple[int, RunRecord | None]:
 def cmd_sphere_porosity(args) -> tuple[int, RunRecord | None]:
     with open(args.set) as fh:
         band = json.load(fh)["band"]
-    base = cantor_generate(
-        CantorSpec.uniform(int(band["base"]), tuple(int(d) for d in band["kept_digits"]),
-                           int(band["depth"]), 1), 1)
+    base = _cantor_set(band, 1)
     lo, hi = (float(v) for v in band["arc"])
 
     def oracle(y):
@@ -552,14 +555,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=11)
-    p.add_argument("--tol", type=float, default=1e-10, help="certification tolerance of --frame")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="certification tolerance of --frame")
     p.set_defaults(func=cmd_flow_trace)
 
     p = sub.add_parser("group-decompose", help="KAN or normalizer factorization")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["kan+", "kan-", "normalizer"], default="kan+")
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-10, help="certification tolerance")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certification tolerance")
     p.set_defaults(func=cmd_group_decompose)
 
     p = sub.add_parser("porosity-check", help="ball/line porosity decision for a set file")

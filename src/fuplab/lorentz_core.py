@@ -21,7 +21,6 @@ are wrapped in :class:`GroupElement`.
 from __future__ import annotations
 
 import enum
-import io
 import math
 from dataclasses import dataclass
 
@@ -89,10 +88,7 @@ def minkowski_matrix(n: int, dtype=np.float64) -> np.ndarray:
     """Return the form matrix J = diag(-1, 1, ..., 1) of size (n+2, n+2)."""
     if n < 1:
         raise LorentzError(f"dimension n must be >= 1, got {n}")
-    if dtype is object:
-        j = np.eye(n + 2, dtype=object) * 1
-    else:
-        j = np.eye(n + 2, dtype=dtype)
+    j = np.eye(n + 2, dtype=dtype)
     j[0, 0] = -j[0, 0]
     return j
 
@@ -162,11 +158,7 @@ class GroupElement:
                 "matrix is not in SO0(1,n+1): "
                 f"form residual {form:.3e}, det residual {det:.3e}, M00 {corner:.3e}"
             )
-        m.setflags(write=False)
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "matrix", m)
-        object.__setattr__(obj, "n", n)
-        return obj
+        return cls(m, n)
 
     def __post_init__(self):
         # direct construction bypasses certification on purpose (internal use);
@@ -190,9 +182,6 @@ class GroupElement:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(v, dtype=np.float64)
 
-    def is_certified(self, tol: float = DEFAULT_TOL) -> bool:
-        return is_group_element(self.matrix, tol)
-
 
 @dataclass(frozen=True)
 class LieAlgebraElement:
@@ -209,20 +198,13 @@ class LieAlgebraElement:
     def residual(self) -> float:
         j = minkowski_matrix(self.n, dtype=self.matrix.dtype)
         r = self.matrix.T @ j + j @ self.matrix
-        if self.matrix.dtype == object:
-            return float(max(abs(x) for x in r.flat))
         return float(np.max(np.abs(r)))
 
 
 def _basis_matrix(entries: list[tuple[int, int, int]], size: int, dtype) -> np.ndarray:
-    if dtype is object:
-        m = np.zeros((size, size), dtype=object)
-        for i, j, v in entries:
-            m[i, j] = int(v)
-    else:
-        m = np.zeros((size, size), dtype=dtype)
-        for i, j, v in entries:
-            m[i, j] = v
+    m = np.zeros((size, size), dtype=dtype)
+    for i, j, v in entries:
+        m[i, j] = v
     return m
 
 
@@ -308,10 +290,7 @@ def bracket(y: LieAlgebraElement, z: LieAlgebraElement) -> LieAlgebraElement:
     """Commutator [Y, Z] = YZ - ZY."""
     if y.n != z.n:
         raise LorentzError("dimension mismatch in bracket")
-    if y.matrix.dtype == object or z.matrix.dtype == object:
-        m = np.dot(y.matrix, z.matrix) - np.dot(z.matrix, y.matrix)
-    else:
-        m = y.matrix @ z.matrix - z.matrix @ y.matrix
+    m = y.matrix @ z.matrix - z.matrix @ y.matrix
     lbl = None
     if y.label and z.label:
         lbl = f"[{y.label},{z.label}]"
@@ -634,34 +613,20 @@ def random_group_element(rng: np.random.Generator, n: int, factors: int = 5,
 # serialization
 
 
-def write_group_element(g: GroupElement, f) -> None:
-    """Write row-major decimal text with header ``lorentz n=<n>``."""
-    own = isinstance(f, str)
-    fh = open(f, "w") if own else f
-    try:
+def write_group_element(g: GroupElement, path: str) -> None:
+    """Write g to ``path`` as row-major decimal text under the header ``lorentz n=<n>``."""
+    with open(path, "w") as fh:
         fh.write(f"lorentz n={g.n}\n")
         for row in g.matrix:
             fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
-def read_group_element(f, tol: float = DEFAULT_TOL) -> GroupElement:
-    """Inverse of :func:`write_group_element`; certifies on read."""
-    own = isinstance(f, str)
-    fh = open(f) if own else f
-    try:
+def read_group_element(path: str, tol: float = DEFAULT_TOL) -> GroupElement:
+    """Read the file at ``path`` that :func:`write_group_element` wrote; certifies on read."""
+    with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != "lorentz" or not header[1].startswith("n="):
             raise LorentzError(f"bad group element header: {header}")
         n = int(header[1][2:])
         rows = [[float(x) for x in fh.readline().split()] for _ in range(n + 2)]
-    finally:
-        if own:
-            fh.close()
     return GroupElement.certify(np.array(rows), tol)
-
-
-def group_element_from_text(text: str, tol: float = DEFAULT_TOL) -> GroupElement:
-    return read_group_element(io.StringIO(text), tol)

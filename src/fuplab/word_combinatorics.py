@@ -12,17 +12,14 @@ enters when forming the log-ratio diagnostics of the counting bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
-    "LadderParams",
     "t_ladder",
     "ones_fraction",
     "count_uncontrolled",
-    "count_X",
     "bound_check",
     "split_XY",
     "word_to_code",
@@ -39,25 +36,6 @@ def _snap_ceil(x: float, eps: float = 1e-9) -> int:
     if abs(x - r) <= eps:
         return int(r)
     return int(math.ceil(x))
-
-
-@dataclass(frozen=True)
-class LadderParams:
-    """Word lengths tied to the frequency scale: T0 = ceil((rho/4) log(1/h))."""
-
-    h: float
-    rho: float
-    alpha: Fraction
-    t0: int
-    t1: int
-
-    @classmethod
-    def create(cls, h: float, rho: float, alpha) -> "LadderParams":
-        t0, t1 = t_ladder(h, rho)
-        alpha = Fraction(alpha)
-        if not 0 < alpha < Fraction(1, 2):
-            raise ValueError("alpha must lie in (0, 1/2)")
-        return cls(h, rho, alpha, t0, t1)
 
 
 def t_ladder(h: float, rho: float) -> tuple[int, int]:
@@ -105,21 +83,16 @@ def count_uncontrolled(t0: int, alpha) -> int:
     return sum(math.comb(t0, k) for k in range(kmax + 1))
 
 
-def count_X(params: LadderParams) -> int:
-    """Exact size of the uncontrolled long-word set: the 8th power of the
-    single-block count (blocks are independent)."""
-    return count_uncontrolled(params.t0, params.alpha) ** BLOCKS
-
-
 def bound_check(rho: float, alpha, h_ladder, slack: float = 0.1):
     """Exponent-ratio table for the counting bound along an h-ladder.
 
-    For each h the row carries the exact count, the ratio
-    log(count)/log(1/h), the bound 4 sqrt(alpha) + slack it is compared
-    against, and the implied-constant diagnostic
-    log C = log(count) - 4 sqrt(alpha) log(1/h).  A ladder with an h so small
-    that 1/h overflows a float (h = 2^-j for j >= 1024) is refused before any
-    row is computed.
+    For each h the row carries the exact count of uncontrolled long words
+    (the eighth power of the single-block count, since blocks are
+    independent), the ratio log(count)/log(1/h), the bound
+    4 sqrt(alpha) + slack it is compared against, and the implied-constant
+    diagnostic log C = log(count) - 4 sqrt(alpha) log(1/h).  A ladder with an
+    h so small that 1/h overflows a float (h = 2^-j for j >= 1024) is refused
+    before any row is computed.
     """
     h_ladder = list(h_ladder)
     for h in h_ladder:
@@ -129,12 +102,12 @@ def bound_check(rho: float, alpha, h_ladder, slack: float = 0.1):
     rows = []
     target = 4.0 * math.sqrt(float(alpha))
     for h in h_ladder:
-        params = LadderParams.create(h, rho, alpha)
-        cnt = count_X(params)
+        t0, _ = t_ladder(h, rho)
+        cnt = count_uncontrolled(t0, alpha) ** BLOCKS
         log_count = math.log(cnt) if cnt > 1 else 0.0
         log_inv_h = math.log(1.0 / h)
         ratio = log_count / log_inv_h
-        rows.append(dict(alpha=float(alpha), rho=rho, h=h, T0=params.t0,
+        rows.append(dict(alpha=float(alpha), rho=rho, h=h, T0=t0,
                          count=cnt, ratio=ratio,
                          logC=log_count - target * log_inv_h,
                          within=ratio <= target + slack))

@@ -805,3 +805,22 @@ class TestConfigValidation:
         box = BoxSet.from_boxes([((0.0,), (1.0,))], 8, 1)
         FupConfig(ladder=(2, 4, 10), set_minus=box, set_plus=box).validate()
         FupConfig(core="log_phase", ladder=(2, 100)).validate()
+
+    def test_explicit_set_of_another_dimension(self):
+        s = BoxSet.from_boxes([((0.1,), (0.4,))], 27, 1)
+        with pytest.raises(ValueError, match="set_minus has n = 1, but the config has n = 2"):
+            fup_experiment(FupConfig(core="fourier", n=2, ladder=(27,), set_minus=s, set_plus=s))
+
+    @pytest.mark.parametrize("core, field, value", [
+        ("log_phase", "set_minus", BoxSet.from_boxes([((0.1,), (0.4,))], 27, 1)),
+        ("log_phase", "set_plus", BoxSet.from_boxes([((0.1,), (0.4,))], 27, 1)),
+        ("log_phase", "lower_bound_mode", True),
+        ("fourier", "w_list", (0.5, 2.0)),
+        ("fourier", "chi_gap", 0.2),
+        ("fourier", "chi_width", 0.1),
+        ("fourier", "arc_minus", (0.25, 0.5)),
+        ("fourier", "arc_plus", (0.25, 0.5)),
+    ])
+    def test_field_that_the_core_never_reads(self, core, field, value):
+        with pytest.raises(ValueError, match=f"the {core} core does not read {field}"):
+            fup_experiment(FupConfig(core=core, n=1, ladder=(27,), **{field: value}))

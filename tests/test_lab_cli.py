@@ -414,6 +414,21 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
                                          prefix="config error:")
 
+    @pytest.mark.parametrize("payload", [
+        {"core": "fourier", "n": 2, "ladder": [27],
+         "set_minus": {"boxes": [[[0.1], [0.4]]], "resolution": 27, "dims": 1},
+         "set_plus": {"boxes": [[[0.1], [0.4]]], "resolution": 27, "dims": 1}},
+        {"core": "log_phase", "ladder": [108], "lower_bound_mode": True,
+         "set_minus": {"boxes": [[[0.1], [0.4]]], "resolution": 27, "dims": 1}},
+        {"core": "fourier", "ladder": [27], "w_list": [0.5, 2.0]},
+        {"core": "fourier", "ladder": [27], "chi_gap": 0.2},
+    ], ids=["sets-of-another-dimension", "log-phase-with-sets", "fourier-with-energies",
+            "fourier-with-cutoff"])
+    def test_fup_config_that_the_run_would_ignore(self, tmp_path, capsys, payload):
+        cfg = self.input_json(tmp_path, payload)
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix="config error:")
+
     @pytest.mark.parametrize("ladder", [[0, 3, 9, 27], [2, 4]])
     def test_fup_ladder_that_the_cantor_family_cannot_take(self, tmp_path, capsys, ladder):
         cfg = self.input_json(tmp_path, {"core": "fourier", "n": 1, "ladder": ladder})
@@ -493,7 +508,8 @@ def cli_argv(draw):
 
 
 class TestArgvContract:
-    """Any edge value of any numeric flag ends in a defined exit code, never a raise."""
+    """Any edge value of any numeric flag ends in a defined exit code, never a raise,
+    and an exit 0 leaves at least one data row in every CSV it wrote."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -512,3 +528,8 @@ class TestArgvContract:
         assert code in (0, 1, 2, 3)
         if code == 1:
             assert len([ln for ln in buf.getvalue().splitlines() if ln.strip()]) == 1
+        if code == 0:
+            for name in (f for f in os.listdir(out) if f.endswith(".csv")):
+                with open(os.path.join(out, name)) as fh:
+                    data = [ln for ln in fh.read().splitlines()[1:] if not ln.startswith("#")]
+                assert data, f"exit 0 wrote no data row to {name}"

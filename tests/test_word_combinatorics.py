@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from fuplab.word_combinatorics import (
     BLOCKS,
-    LadderParams,
     bound_check,
     code_to_word,
-    count_X,
     count_uncontrolled,
     is_controlled,
     ones_fraction,
@@ -107,14 +105,14 @@ class TestCountUncontrolled:
 
 class TestCountX:
     def test_forced_all_two_word(self):
-        params = LadderParams.create(math.exp(-10), 0.8, Fraction(1, 10))
-        assert params.t0 == 2
-        assert count_X(params) == 1
+        (row,) = bound_check(0.8, Fraction(1, 10), [math.exp(-10)])
+        assert row["T0"] == 2
+        assert row["count"] == 1
 
     def test_eighth_power_structure(self):
-        params = LadderParams.create(math.exp(-20.0), 0.8, Fraction(3, 10))
-        single = count_uncontrolled(params.t0, params.alpha)
-        assert count_X(params) == single ** 8
+        (row,) = bound_check(0.8, Fraction(3, 10), [math.exp(-20.0)])
+        single = count_uncontrolled(row["T0"], Fraction(3, 10))
+        assert row["count"] == single ** 8
 
     def test_block_product_against_enumeration(self):
         for t0 in (1, 2, 3):
