@@ -526,6 +526,18 @@ def cmd_hessian_check(args) -> tuple[int, RunRecord | None]:
 # parser
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every float flag: inf and nan are refused at parse
+    time, since no command can run on them or check anything with them."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors print one ``error:`` line, not a
     usage block; its subcommand parsers are of the same class."""
@@ -552,10 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--generator", default="X")
     p.add_argument("--frame", default=None, help="file with a stored group element")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
+    p.add_argument("--t0", type=_finite_float, default=0.0)
+    p.add_argument("--t1", type=_finite_float, default=1.0)
     p.add_argument("--steps", type=int, default=11)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL,
                    help="certification tolerance of --frame")
     p.set_defaults(func=cmd_flow_trace)
 
@@ -563,23 +575,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["kan+", "kan-", "normalizer"], default="kan+")
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="certification tolerance")
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL, help="certification tolerance")
     p.set_defaults(func=cmd_group_decompose)
 
     p = sub.add_parser("porosity-check", help="ball/line porosity decision for a set file")
     p.add_argument("--set", required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--alpha0", type=float, required=True)
-    p.add_argument("--alpha1", type=float, required=True)
+    p.add_argument("--nu", type=_finite_float, required=True)
+    p.add_argument("--alpha0", type=_finite_float, required=True)
+    p.add_argument("--alpha1", type=_finite_float, required=True)
     p.add_argument("--mode", choices=["ball", "line"], default="ball")
     p.add_argument("--directions", type=int, default=8)
     p.set_defaults(func=cmd_porosity_check)
 
     p = sub.add_parser("sphere-porosity", help="chart-level porosity on the circle")
     p.add_argument("--set", required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--alpha0", type=float, required=True)
-    p.add_argument("--alpha1", type=float, required=True)
+    p.add_argument("--nu", type=_finite_float, required=True)
+    p.add_argument("--alpha0", type=_finite_float, required=True)
+    p.add_argument("--alpha1", type=_finite_float, required=True)
     p.add_argument("--mode", choices=["ball", "line"], default="ball")
     p.add_argument("--charts", type=int, default=8)
     p.add_argument("--resolution", type=int, default=128)
@@ -591,27 +603,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fup_scan)
 
     p = sub.add_parser("fio-sphere", help="log-phase kernel decay sweep over energies")
-    p.add_argument("--w", type=float, nargs="+", default=[0.125, 1.0, 8.0])
+    p.add_argument("--w", type=_finite_float, nargs="+", default=[0.125, 1.0, 8.0])
     p.add_argument("--ladder", type=int, nargs="+", default=[108, 324, 972, 2916])
-    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--rho", type=_finite_float, default=None)
     p.set_defaults(func=cmd_fio_sphere)
 
     p = sub.add_parser("words-count", help="exact uncontrolled-word counting table")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--rho", type=_finite_float, required=True)
     p.add_argument("--j-min", type=int, required=True)
     p.add_argument("--j-max", type=int, required=True)
-    p.add_argument("--base", type=float, default=2.0)
-    p.add_argument("--slack", type=float, default=0.1)
+    p.add_argument("--base", type=_finite_float, default=2.0)
+    p.add_argument("--slack", type=_finite_float, default=0.1)
     p.set_defaults(func=cmd_words_count)
 
     p = sub.add_parser("hessian-check", help="finite-difference vs symbolic phase Hessian")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--w-min", type=float, default=0.25)
-    p.add_argument("--w-max", type=float, default=4.0)
-    p.add_argument("--fd-step", type=float, default=1e-5)
-    p.add_argument("--rel-tol", type=float, default=1e-4)
+    p.add_argument("--w-min", type=_finite_float, default=0.25)
+    p.add_argument("--w-max", type=_finite_float, default=4.0)
+    p.add_argument("--fd-step", type=_finite_float, default=1e-5)
+    p.add_argument("--rel-tol", type=_finite_float, default=1e-4)
     p.set_defaults(func=cmd_hessian_check)
 
     return parser

@@ -4,7 +4,7 @@ Everything downstream rides on this module: the bilinear form of signature
 (1, n+1), the hyperboloid model of hyperbolic (n+1)-space and its boundary,
 the standard frame of the Lie algebra with its commutator table, one-parameter
 flows by matrix exponential (closed forms where the generator structure allows
-them), and the group decompositions used by the flow-box and chart machinery:
+them), and the group decompositions:
 
 * KAN (Iwasawa) factorization ``g = k a b`` with ``k`` in the maximal compact
   ``K``, ``a`` in the geodesic torus ``A``, and ``b`` in a horospherical group
@@ -29,7 +29,6 @@ from scipy.linalg import expm
 
 __all__ = [
     "DEFAULT_TOL",
-    "PointClass",
     "LorentzError",
     "DecompositionError",
     "GroupElement",
@@ -38,7 +37,6 @@ __all__ = [
     "NormalizerKind",
     "minkowski_matrix",
     "minkowski_inner",
-    "classify_point",
     "is_group_element",
     "generator",
     "frame_basis",
@@ -73,12 +71,6 @@ class DecompositionError(LorentzError):
     """Raised when a factorization cannot be certified at tolerance."""
 
 
-class PointClass(enum.Enum):
-    HYPERBOLOID = "hyperboloid"
-    BOUNDARY = "boundary"
-    NEITHER = "neither"
-
-
 class NormalizerKind(enum.Enum):
     CENTRALIZING = "centralizing"
     FLIPPED = "flipped"
@@ -100,20 +92,6 @@ def minkowski_inner(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape or u.ndim != 1:
         raise LorentzError(f"dimension mismatch: {u.shape} vs {v.shape}")
     return float(u @ v) - 2.0 * float(u[0] * v[0])
-
-
-def classify_point(v: np.ndarray, tol: float = DEFAULT_TOL) -> PointClass:
-    """Classify a vector as a hyperboloid point, boundary point, or neither.
-
-    Hyperboloid: <v,v> = -1 and v0 > 0.  Boundary: <v,v> = 0 and v0 = 1.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    q = minkowski_inner(v, v)
-    if abs(q + 1.0) <= tol and v[0] > 0:
-        return PointClass.HYPERBOLOID
-    if abs(q) <= tol and abs(v[0] - 1.0) <= tol:
-        return PointClass.BOUNDARY
-    return PointClass.NEITHER
 
 
 def _group_residuals(m: np.ndarray) -> tuple[float, float, float]:

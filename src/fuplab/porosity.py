@@ -9,8 +9,11 @@ ladder of scales:
 * on lines: every segment of length R contains such a point.
 
 Decisions about a rasterized set are only meaningful up to resolution, so
-verdicts are three-valued.  ``COUNTEREXAMPLE`` is always sound (the shipped
-witness re-verifies against the definition by direct distance computation).
+verdicts are three-valued.  ``COUNTEREXAMPLE`` is always sound: before
+``ball_porosity_check`` or ``line_porosity_check`` returns one, it re-checks
+the witness against the definition by direct distance computation, and raises
+``ArithmeticError`` if the witness fails.  ``max_certified_nu`` reads only
+verdicts and prints no witness, so its bisection steps skip the re-check.
 ``CERTIFIED`` is sound for balls up to the explicit slack folded into the
 thresholds, and for lines additionally up to the sampled direction set, whose
 size is recorded in the report.
@@ -18,25 +21,16 @@ size is recorded in the report.
 The transformation lemmas (affine images, neighborhoods, bi-Lipschitz images)
 are implemented as raster constructors plus paired verifiers, so each lemma
 becomes a falsifiable property of the checker itself.
-
-A separate section samples the hyperbolic porosity definitions on the unit
-cotangent bundle over the universal cover: flow-box searches for horocyclic
-shifts clearing a target set, and membership in propagated supports along
-words of symbols.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy import ndimage
-
-from .lorentz_core import GroupElement, generator
-from .stable_unstable import PhasePoint
 
 __all__ = [
     "Verdict",
@@ -49,8 +43,6 @@ __all__ = [
     "cantor_generate",
     "ball_porosity_check",
     "line_porosity_check",
-    "verify_ball_witness",
-    "verify_line_witness",
     "max_certified_nu",
     "scale_ladder",
     "direction_set",
@@ -62,10 +54,6 @@ __all__ = [
     "verify_affine_lemma",
     "verify_neighborhood_lemma",
     "verify_bilipschitz_lemma",
-    "MetricBallUnion",
-    "FlowBoxWitness",
-    "flowbox_porosity_sample",
-    "propagated_support_member",
 ]
 
 
@@ -303,6 +291,10 @@ class PorosityReport:
             c = " ".join(f"{v:.17g}" for v in self.witness.midpoint)
             d = " ".join(f"{v:.17g}" for v in self.witness.direction)
             lines.append(f"witness line scale={self.witness.scale:.17g} midpoint={c} direction={d}")
+        if self.witness is not None:
+            # ball_porosity_check and line_porosity_check raise on a witness
+            # that fails its re-check, so a witness they return has passed it
+            lines.append("witness verified")
         return "\n".join(lines) + "\n"
 
 
@@ -495,6 +487,17 @@ class _Decider:
         return verdict_r, (worst - self.cert_slack) / (nu * r), witness
 
 
+def _decision(x: BoxSet, nu: float, alpha0: float, alpha1: float, kind: str,
+              directions: int) -> PorosityReport:
+    """One decision, whose counterexample witness is re-checked against the
+    definition before it is returned.  A witness that fails is a decider bug."""
+    rep = _Decider(x, alpha0, alpha1, kind, directions, nu).decide(nu)
+    if rep.verdict is Verdict.COUNTEREXAMPLE and not _witness_holds(x, nu, rep.witness):
+        raise ArithmeticError(f"{kind} witness at scale {rep.witness.scale:.17g} does not "
+                              f"re-verify at nu={nu:.17g}")
+    return rep
+
+
 def ball_porosity_check(x: BoxSet, nu: float, alpha0: float, alpha1: float) -> PorosityReport:
     """Decide nu-porosity on balls from scales alpha0 to alpha1.
 
@@ -503,7 +506,7 @@ def ball_porosity_check(x: BoxSet, nu: float, alpha0: float, alpha1: float) -> P
     when every inscribed window holds a cell of clearance >= nu*R + slack, and
     refuted when some circumscribed window has all clearances < nu*R - slack.
     """
-    return _Decider(x, alpha0, alpha1, "ball", 0, nu).decide(nu)
+    return _decision(x, nu, alpha0, alpha1, "ball", 0)
 
 
 def line_porosity_check(x: BoxSet, nu: float, alpha0: float, alpha1: float,
@@ -515,7 +518,7 @@ def line_porosity_check(x: BoxSet, nu: float, alpha0: float, alpha1: float,
     hold for the sampled direction set.  Segment anchors run over every grid
     cell, which is finer than the nu*R/4 lattice the slack budget assumes.
     """
-    return _Decider(x, alpha0, alpha1, "line", directions, nu).decide(nu)
+    return _decision(x, nu, alpha0, alpha1, "line", directions)
 
 
 def _combine(per_scale: list[Verdict]) -> Verdict:
@@ -531,38 +534,42 @@ def _combine(per_scale: list[Verdict]) -> Verdict:
 
 
 def _true_distance(points: np.ndarray, x: BoxSet) -> np.ndarray:
-    """Exact Euclidean distance from each point to the union of occupied cells."""
+    """Exact Euclidean distance from each point to the union of the occupied
+    cells of a non-empty set, in chunks whose temporaries hold about 2^20
+    elements each."""
     lo, hi = x.occupied_boxes()
-    if lo.shape[0] == 0:
-        return np.full(points.shape[0], np.inf)
     out = np.empty(points.shape[0])
-    chunk = max(1, 10**7 // max(1, lo.shape[0]))
+    chunk = max(1, (1 << 20) // lo.size)
     for s in range(0, points.shape[0], chunk):
-        p = points[s:s + chunk]
-        gap = np.maximum(lo[None, :, :] - p[:, None, :], p[:, None, :] - hi[None, :, :])
+        p = points[s:s + chunk, None, :]
+        gap = np.maximum(lo - p, p - hi)
         np.maximum(gap, 0.0, out=gap)
-        out[s:s + chunk] = np.sqrt((gap**2).sum(axis=2)).min(axis=1)
+        gap *= gap
+        out[s:s + chunk] = np.sqrt(gap.sum(axis=2).min(axis=1))
     return out
 
 
-def verify_ball_witness(x: BoxSet, nu: float, w: BallWitness, probe_pitch: float | None = None) -> bool:
-    """Re-check a ball counterexample: every probe in the ball is nu*R-close to the set."""
-    r = w.scale
-    pitch = probe_pitch if probe_pitch is not None else x.delta / 2.0
-    axes = [np.arange(c - r / 2.0, c + r / 2.0 + pitch / 2.0, pitch) for c in w.center]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, x.n)
-    inside = np.linalg.norm(grid - w.center, axis=1) <= r / 2.0
-    pts = grid[inside]
-    return bool(np.all(_true_distance(pts, x) < nu * r))
+def _witness_holds(x: BoxSet, nu: float, w: BallWitness | LineWitness) -> bool:
+    """Every probe of the witness ball (pitch delta/2) or segment (pitch
+    delta/4) lies closer than nu*R to the set, by direct distance computation."""
+    from scipy.spatial import cKDTree       # only counterexamples load it
 
-
-def verify_line_witness(x: BoxSet, nu: float, w: LineWitness, probe_pitch: float | None = None) -> bool:
-    """Re-check a line counterexample along the witness segment."""
     r = w.scale
-    pitch = probe_pitch if probe_pitch is not None else x.delta / 4.0
-    ts = np.arange(-r / 2.0, r / 2.0 + pitch / 2.0, pitch)
-    pts = w.midpoint[None, :] + ts[:, None] * w.direction[None, :]
-    return bool(np.all(_true_distance(pts, x) < nu * r))
+    if isinstance(w, BallWitness):
+        pitch = x.delta / 2.0
+        axes = [np.arange(c - r / 2.0, c + r / 2.0 + pitch / 2.0, pitch) for c in w.center]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, x.n)
+        pts = grid[np.linalg.norm(grid - w.center, axis=1) <= r / 2.0]
+    else:
+        pitch = x.delta / 4.0
+        ts = np.arange(-r / 2.0, r / 2.0 + pitch / 2.0, pitch)
+        pts = w.midpoint[None, :] + ts[:, None] * w.direction[None, :]
+    # a cell is no farther than its center, so a probe near a center holds
+    # without the exact box distance
+    lo, _ = x.occupied_boxes()
+    near, _ = cKDTree(lo + x.delta / 2.0).query(pts, distance_upper_bound=nu * r)
+    rest = pts[~(near < nu * r)]
+    return bool(np.all(_true_distance(rest, x) < nu * r))
 
 
 def _require_kind(kind: str) -> None:
@@ -765,139 +772,3 @@ def verify_bilipschitz_lemma(x: BoxSet, fwd, c1: float, alpha0: float, alpha1: f
         raise ResolutionError("slack exceeds the asserted porosity; refine the grid")
     rep = _checked(x, nu_back, c1 * alpha0, c1 * alpha1, kind, directions)
     return LemmaOutcome(rep.verdict is Verdict.CERTIFIED, nu, nu_back, rep)
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic flow-box samplers
-
-
-@dataclass
-class MetricBallUnion:
-    """Finite union of metric balls on the unit cotangent bundle.
-
-    Distance surrogate: chordal distance of the (x, xi) pairs in the ambient
-    embedding, monotone-equivalent to the intrinsic distance at small scales.
-    """
-
-    centers: list[PhasePoint] = field(default_factory=list)
-    radii: list[float] = field(default_factory=list)
-
-    def add(self, p: PhasePoint, radius: float) -> None:
-        self.centers.append(p.unit())
-        self.radii.append(radius)
-
-    def contains(self, p: PhasePoint) -> bool:
-        q = p.unit()
-        for c, r in zip(self.centers, self.radii):
-            d2 = float(np.sum((q.x - c.x) ** 2)) + float(np.sum((q.xi - c.xi) ** 2))
-            if d2 <= r * r:
-                return True
-        return False
-
-
-@dataclass(frozen=True)
-class FlowBoxWitness:
-    shift: np.ndarray      # u0 (ball mode) or [t0] (line mode)
-    mode: str
-
-
-def _u_matrix(u: np.ndarray, sign: int, n: int) -> np.ndarray:
-    kind = "U+" if sign > 0 else "U-"
-    m = np.zeros((n + 2, n + 2))
-    for i, c in enumerate(u):
-        if c != 0.0:
-            m += c * generator(kind, i + 1, n=n).matrix
-    return m
-
-
-def _v_matrix(v: np.ndarray, sign: int, n: int) -> np.ndarray:
-    m = _u_matrix(v[:-1], sign, n)
-    if v[-1] != 0.0:
-        m += v[-1] * generator("X", n=n).matrix
-    return m
-
-
-def _cube_grid(dim: int, radius: float, per_axis: int) -> np.ndarray:
-    if radius == 0.0 or per_axis == 1:
-        return np.zeros((1, dim))
-    axis = np.linspace(-radius, radius, per_axis)
-    pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    return pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]
-
-
-def _box_clear(omega, q: GroupElement, shift_mat: np.ndarray, sign: int,
-               nu_alpha: float, eps: float, per_axis: int) -> bool:
-    n = q.n
-    u_grid = _cube_grid(n, nu_alpha, per_axis)
-    v_grid = _cube_grid(n + 1, eps, per_axis)
-    base = q.matrix @ shift_mat
-    for u in u_grid:
-        left = base @ expm(_u_matrix(u, sign, n))
-        for v in v_grid:
-            g = left @ expm(_v_matrix(v, -sign, n))
-            if omega.contains(PhasePoint(g[:, 0], g[:, 1])):
-                return False
-    return True
-
-
-def flowbox_porosity_sample(omega, q: GroupElement, alpha: float, nu: float,
-                            eps: float, mode: str, sign: int,
-                            samples: int = 3) -> FlowBoxWitness | None:
-    """Search for a horocyclic shift whose flow box misses omega.
-
-    Ball mode scans u0 over a lattice in {|u0| <= alpha} in the chosen
-    horocyclic directions; line mode scans t0 in [-alpha, alpha] along the
-    first direction only.  A hit is certified by re-checking on a grid twice
-    as dense; returns None when no sampled shift clears the set.
-    """
-    if mode not in ("ball", "line"):
-        raise ValueError("mode must be 'ball' or 'line'")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    n = q.n
-    if mode == "ball":
-        shifts = _cube_grid(n, alpha, 2 * samples + 1)
-    else:
-        ts = np.linspace(-alpha, alpha, 4 * samples + 1)
-        shifts = np.zeros((len(ts), n))
-        shifts[:, 0] = ts
-    order = np.argsort(np.linalg.norm(shifts, axis=1))
-    for idx in order:
-        u0 = shifts[idx]
-        # shift enters through the same horocyclic exponential as the box
-        shift_mat = expm(_u_matrix(u0, sign, n))
-        if _box_clear(omega, q, shift_mat, sign, nu * alpha, eps, samples) and \
-           _box_clear(omega, q, shift_mat, sign, nu * alpha, eps, 2 * samples):
-            if mode == "ball":
-                return FlowBoxWitness(u0.copy(), "ball")
-            return FlowBoxWitness(np.array([u0[0]]), "line")
-    return None
-
-
-def propagated_support_member(p: PhasePoint, word: str, supports: dict, side: int) -> bool:
-    """Membership of p in the intersection of flowed symbol supports.
-
-    ``supports`` maps letters '1'/'2' to oracles on phase points.  For
-    side=-1 and word w_0..w_{T-1}, p must satisfy flow_k(p) in supp(w_k) for
-    k = 0..T-1.  For side=+1 the word is read with reversed indexing
-    w_T..w_1, and p must satisfy flow_{-k}(p) in supp(w_k) for k = 1..T.
-    Flows act homogeneously, so cone-invariant oracles give scale-invariant
-    membership.
-    """
-    from .stable_unstable import phase_flow
-
-    if side not in (1, -1):
-        raise ValueError("side must be +1 or -1")
-    letters = list(word)
-    if any(c not in ("1", "2") for c in letters):
-        raise ValueError("word letters must be '1' or '2'")
-    t1 = len(letters)
-    if side == -1:
-        for k in range(t1):
-            if not supports[letters[k]](phase_flow(p, float(k))):
-                return False
-        return True
-    for k in range(1, t1 + 1):
-        if not supports[letters[k - 1]](phase_flow(p, -float(k))):
-            return False
-    return True

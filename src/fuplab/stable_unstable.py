@@ -39,8 +39,6 @@ __all__ = [
     "poisson_kernel",
     "half_stereographic",
     "kappa",
-    "kappa_serialize",
-    "kappa_parse",
     "phase_flow",
     "phase_to_ball_chart",
     "ball_chart_to_phase",
@@ -288,22 +286,6 @@ def kappa(p: PhasePoint, sign: int) -> KappaPoint:
     theta = sign * math.log(poisson_kernel(xb, y))
     eta = sign * w * half_stereographic(y, y_other)
     return KappaPoint(w, y, theta, eta)
-
-
-def kappa_serialize(kp: KappaPoint) -> str:
-    """Plain-text form ``w theta y[0..n] eta[0..n]``."""
-    parts = [f"{kp.w:.17g}", f"{kp.theta:.17g}"]
-    parts += [f"{v:.17g}" for v in kp.y]
-    parts += [f"{v:.17g}" for v in kp.eta]
-    return " ".join(parts)
-
-
-def kappa_parse(text: str) -> KappaPoint:
-    vals = [float(t) for t in text.split()]
-    if len(vals) < 4 or (len(vals) - 2) % 2 != 0:
-        raise LorentzError("malformed chart point")
-    m = (len(vals) - 2) // 2
-    return KappaPoint(vals[0], np.array(vals[2:2 + m]), vals[1], np.array(vals[2 + m:]))
 
 
 def phase_flow(p: PhasePoint, t: float) -> PhasePoint:

@@ -18,13 +18,9 @@ import numpy as np
 
 __all__ = [
     "t_ladder",
-    "ones_fraction",
     "count_uncontrolled",
     "bound_check",
     "split_XY",
-    "word_to_code",
-    "code_to_word",
-    "is_controlled",
 ]
 
 BLOCKS = 8      # a long word is eight blocks of length T0 (2*T1 = 8*T0)
@@ -47,25 +43,6 @@ def t_ladder(h: float, rho: float) -> tuple[int, int]:
     t0 = _snap_ceil((rho / 4.0) * math.log(1.0 / h))
     t0 = max(t0, 1)
     return t0, 4 * t0
-
-
-def _validate_word(word: str) -> str:
-    if len(word) == 0:
-        raise ValueError("empty word")
-    if any(c not in "12" for c in word):
-        raise ValueError("word letters must be '1' or '2'")
-    return word
-
-
-def ones_fraction(word: str) -> Fraction:
-    """Exact fraction of 1-digits."""
-    _validate_word(word)
-    return Fraction(word.count("1"), len(word))
-
-
-def is_controlled(word: str, alpha) -> bool:
-    """Controlled means the 1-fraction strictly exceeds alpha."""
-    return ones_fraction(word) > Fraction(alpha)
 
 
 def count_uncontrolled(t0: int, alpha) -> int:
@@ -114,24 +91,11 @@ def bound_check(rho: float, alpha, h_ladder, slack: float = 0.1):
     return rows
 
 
-def word_to_code(word: str) -> int:
-    """Bit encoding: letter '1' contributes a set bit (low bit = last letter)."""
-    _validate_word(word)
-    code = 0
-    for c in word:
-        code = (code << 1) | (1 if c == "1" else 0)
-    return code
-
-
-def code_to_word(code: int, length: int) -> str:
-    return "".join("1" if (code >> (length - 1 - k)) & 1 else "2"
-                   for k in range(length))
-
-
 def split_XY(t0: int, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Partition all words of length 8*T0 into uncontrolled/controlled sets.
 
-    Words come back as integer codes (vectorized bit arithmetic); feasible for
+    Words come back as integer codes (vectorized bit arithmetic): a set bit
+    is the letter 1, and the lowest bit is the last letter.  Feasible for
     t0 <= 3, where the full population is at most 2^24.
     """
     if t0 > 3:

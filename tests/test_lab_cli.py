@@ -436,6 +436,33 @@ class TestUsageContract:
                                          prefix="config error:")
 
     @pytest.mark.parametrize("argv", [
+        ["porosity-check", "--set", "{cantor}", "--nu", "0.08", "--alpha0", "0.111",
+         "--alpha1", "inf"],
+        ["sphere-porosity", "--set", "{band}", "--nu", "0.1", "--alpha0", "0.45",
+         "--alpha1", "inf"],
+        ["hessian-check", "--w-max", "inf"],
+    ], ids=["porosity-scale", "sphere-scale", "hessian-energy"])
+    def test_infinite_float_that_overflowed(self, tmp_path, capsys, argv):
+        (tmp_path / "in").mkdir()
+        files = {"cantor": write_json(tmp_path / "in" / "cantor.json", CANTOR),
+                 "band": write_json(tmp_path / "in" / "band.json", BAND)}
+        self.assert_one_line_usage_error(tmp_path, capsys, *(a.format(**files) for a in argv),
+                                         prefix="error: argument --")
+
+    @pytest.mark.parametrize("argv", [
+        ["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "40", "--j-max", "60",
+         "--slack", "inf"],
+        ["hessian-check", "--fd-step", "inf"],
+        ["hessian-check", "--rel-tol", "inf"],
+        ["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "40", "--j-max", "60",
+         "--slack", "nan"],
+        ["hessian-check", "--rel-tol", "nan"],
+    ], ids=["words-slack-inf", "hessian-step-inf", "hessian-tol-inf", "words-slack-nan",
+            "hessian-tol-nan"])
+    def test_non_finite_float_that_decided_nothing(self, tmp_path, capsys, argv):
+        self.assert_one_line_usage_error(tmp_path, capsys, *argv, prefix="error: argument --")
+
+    @pytest.mark.parametrize("argv", [
         ["sphere-porosity", "--set", "{band}", "--nu", "0.1", "--alpha0", "0.45",
          "--alpha1", "0.9", "--charts", "0"],
         ["hessian-check", "--n", "-1"],          # used to loop forever
@@ -490,7 +517,7 @@ FILE_ARGS = {
     "fup-scan": ["--config", "{fup}"],
 }
 # Half the draws keep the default, so that most runs get past the usage checks.
-EDGE = st.one_of(st.none(), st.sampled_from(("-1", "0", "1", "2")))
+EDGE = st.one_of(st.none(), st.sampled_from(("-1", "0", "1", "2", "inf", "nan")))
 
 
 @st.composite

@@ -9,9 +9,7 @@ from fuplab.lorentz_core import (
     GroupElement,
     LorentzError,
     NormalizerKind,
-    PointClass,
     bracket,
-    classify_point,
     conjugation_normalizer_member,
     embed_standard_subgroup,
     exp_flow,
@@ -54,19 +52,6 @@ class TestMinkowskiInner:
     def test_dimension_mismatch(self):
         with pytest.raises(LorentzError):
             minkowski_inner(np.zeros(4), np.zeros(5))
-
-
-class TestClassifyPoint:
-    def test_basepoint(self):
-        assert classify_point(e(0, 3)) is PointClass.HYPERBOLOID
-
-    def test_null_direction(self):
-        v = np.zeros(5)
-        v[0] = v[1] = 1.0
-        assert classify_point(v) is PointClass.BOUNDARY
-
-    def test_spacelike(self):
-        assert classify_point(e(1, 3)) is PointClass.NEITHER
 
 
 class TestGroupPredicate:

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuplab.lorentz_core import random_group_element
 from fuplab.porosity import (
     BallWitness,
     BoxSet,
     CantorSpec,
-    FlowBoxWitness,
     LineWitness,
-    MetricBallUnion,
     PorosityReport,
     ResolutionError,
     Verdict,
@@ -23,20 +20,16 @@ from fuplab.porosity import (
     direction_set,
     estimate_bilipschitz_constant,
     estimate_second_derivative_bound,
-    flowbox_porosity_sample,
     line_porosity_check,
     max_certified_nu,
     neighborhood,
-    propagated_support_member,
     scale_ladder,
     verify_affine_lemma,
-    verify_ball_witness,
     verify_bilipschitz_lemma,
-    verify_line_witness,
     verify_neighborhood_lemma,
 )
-from fuplab.porosity import _distance_field, _segment_max_at, _segment_offsets
-from fuplab.stable_unstable import PhasePoint, phase_point_from_frame
+from fuplab import porosity
+from fuplab.porosity import _distance_field, _segment_max_at, _segment_offsets, _witness_holds
 
 
 def cantor1(depth=6):
@@ -123,7 +116,7 @@ class TestBallPorosityCheck:
         rep = ball_porosity_check(BoxSet.full(1, 243), 0.2, 0.1, 0.9)
         assert rep.verdict is Verdict.COUNTEREXAMPLE
         assert all(v is Verdict.COUNTEREXAMPLE for v in rep.per_scale)
-        assert verify_ball_witness(BoxSet.full(1, 243), 0.2, rep.witness)
+        assert _witness_holds(BoxSet.full(1, 243), 0.2, rep.witness)
 
     def test_cantor_certified_at_positive_nu(self):
         x = cantor1(6)
@@ -186,7 +179,7 @@ class TestLinePorosityCheck:
         slab = BoxSet(2, m, mask)
         line_rep = line_porosity_check(slab, 0.1, 0.2, 0.5, directions=8)
         assert line_rep.verdict is Verdict.COUNTEREXAMPLE
-        assert verify_line_witness(slab, 0.1, line_rep.witness)
+        assert _witness_holds(slab, 0.1, line_rep.witness)
         # the witness runs along the slab
         assert abs(line_rep.witness.direction[1]) > 0.99
         ball_rep = ball_porosity_check(slab, 0.22, 0.2, 0.5)
@@ -454,80 +447,66 @@ class TestReports:
         text = rep.to_text()
         assert text.count("scale=") == len(rep.scales)
         assert "overall=" in text
+        assert rep.verdict is Verdict.CERTIFIED and "verified" not in text
 
     def test_witness_line_in_text(self):
         rep = ball_porosity_check(BoxSet.full(1, 81), 0.3, 0.2, 0.8)
         assert "witness ball" in rep.to_text()
+        assert rep.to_text().endswith("\nwitness verified\n")
 
 
-class TestFlowBoxSampler:
-    def test_empty_target_yields_zero_shift(self):
-        rng = np.random.default_rng(47)
-        q = random_group_element(rng, 2)
-        w = flowbox_porosity_sample(MetricBallUnion(), q, 0.5, 0.2, 0.1, "ball", 1, samples=2)
-        assert w is not None
-        assert np.allclose(w.shift, 0.0)
+class TestWitnessRecheck:
+    """ball_porosity_check and line_porosity_check re-check every witness they
+    return; max_certified_nu reads verdicts only and skips the re-check."""
 
-    def test_full_target_yields_no_witness(self):
-        rng = np.random.default_rng(48)
-        q = random_group_element(rng, 2)
-        omega = MetricBallUnion()
-        omega.add(phase_point_from_frame(q), 100.0)
-        assert flowbox_porosity_sample(omega, q, 0.3, 0.2, 0.05, "ball", 1, samples=2) is None
+    @pytest.mark.parametrize("kind", ["ball", "line"])
+    def test_shifted_witness_is_caught(self, kind, monkeypatch):
+        # 4 cells toward 0 is the smallest shift that fails here; shifts of up
+        # to 3 cells either way still re-verify.  No 1-cell shift can fail:
+        # the refuting slack is at least one cell and distance is 1-Lipschitz.
+        x = cantor1(6)
+        decide = ball_porosity_check if kind == "ball" else line_porosity_check
+        rep = decide(x, 0.18, 1 / 3, 1.0)
+        assert rep.verdict is Verdict.COUNTEREXAMPLE and "witness verified" in rep.to_text()
+        shift = -4 * x.delta
+        if kind == "ball":
+            class Shifted(BallWitness):
+                def __init__(self, center, scale):
+                    super().__init__(center + shift, scale)
+            monkeypatch.setattr(porosity, "BallWitness", Shifted)
+        else:
+            class Shifted(LineWitness):
+                def __init__(self, midpoint, direction, scale):
+                    super().__init__(midpoint + shift, direction, scale)
+            monkeypatch.setattr(porosity, "LineWitness", Shifted)
+        with pytest.raises(ArithmeticError, match="does not re-verify"):
+            decide(x, 0.18, 1 / 3, 1.0)
 
-    @pytest.mark.parametrize("mode,sign", [("ball", 1), ("ball", -1), ("line", 1), ("line", -1)])
-    def test_small_obstacle_is_avoidable(self, mode, sign):
-        rng = np.random.default_rng(49)
-        q = random_group_element(rng, 2)
-        omega = MetricBallUnion()
-        omega.add(phase_point_from_frame(q), 0.01)
-        w = flowbox_porosity_sample(omega, q, 0.5, 0.2, 0.05, mode, sign, samples=2)
-        assert w is not None
-        if mode == "line":
-            assert w.shift.shape == (1,)
+    def test_recheck_matches_the_bruteforce_distance(self):
+        # probes near a cell center pass without the exact box distance; that
+        # shortcut must not change the answer
+        x, nu = cantor1(6), 0.18
+        w = ball_porosity_check(x, nu, 1 / 3, 1.0).witness
+        r = w.scale
+        answers = []
+        for k in range(-6, 7):
+            c = w.center + k * x.delta
+            pts = np.arange(c[0] - r / 2, c[0] + r / 2 + x.delta / 4, x.delta / 2)[:, None]
+            want = bool(np.all(true_distance(pts[np.abs(pts[:, 0] - c[0]) <= r / 2], x) < nu * r))
+            assert _witness_holds(x, nu, BallWitness(c, r)) is want, k
+            answers.append(want)
+        assert True in answers and False in answers
 
-    def test_witness_persists_at_double_density(self):
-        rng = np.random.default_rng(50)
-        q = random_group_element(rng, 1)
-        omega = MetricBallUnion()
-        omega.add(phase_point_from_frame(q), 0.02)
-        w2 = flowbox_porosity_sample(omega, q, 0.4, 0.25, 0.05, "ball", 1, samples=2)
-        w4 = flowbox_porosity_sample(omega, q, 0.4, 0.25, 0.05, "ball", 1, samples=4)
-        assert w2 is not None and w4 is not None
+    def test_bisection_skips_the_recheck(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a bisection step ran the witness re-check")
 
-
-class TestPropagatedSupport:
-    def test_trivial_word(self):
-        rng = np.random.default_rng(51)
-        p = phase_point_from_frame(random_group_element(rng, 2))
-        always = lambda q: True
-        assert propagated_support_member(p, "1", {"1": always, "2": always}, -1)
-        assert propagated_support_member(p, "1", {"1": always, "2": always}, +1)
-
-    def test_exiting_orbit_fails(self):
-        from fuplab.stable_unstable import phase_flow
-
-        rng = np.random.default_rng(52)
-        p = phase_point_from_frame(random_group_element(rng, 2))
-        # the letter-2 support is a half-space the time-1 image has left
-        cut = phase_flow(p, 1.0).x[1]
-        sup1 = lambda q: True
-        sup2 = lambda q: q.x[1] <= cut - 0.1
-        assert not propagated_support_member(p, "12", {"1": sup1, "2": sup2}, -1)
-        assert propagated_support_member(p, "11", {"1": sup1, "2": sup2}, -1)
-
-    def test_scaling_invariance_with_cone_oracles(self):
-        rng = np.random.default_rng(53)
-        p = phase_point_from_frame(random_group_element(rng, 2))
-        # cone-invariant oracle: depends on the direction of xi only
-        def oracle(q):
-            u = q.xi / q.energy
-            return u[1] > -0.9
-        sups = {"1": oracle, "2": oracle}
-        base = propagated_support_member(p, "121", sups, -1)
-        for lam in (0.25, 0.5, 2.0, 4.0):
-            q = PhasePoint(p.x, lam * p.xi)
-            assert propagated_support_member(q, "121", sups, -1) == base
+        monkeypatch.setattr(porosity, "_witness_holds", fail)
+        with pytest.raises(AssertionError, match="re-check"):
+            ball_porosity_check(cantor1(6), 0.9, 1 / 3, 1.0)
+        # the golden value of tests/porosity_golden.json (case x1-ball)
+        assert max_certified_nu(cantor1(6), 1 / 3, 1.0, "ball") == float.fromhex(
+            "0x1.24038e38e38e4p-3")
 
 
 class TestResolutionAndRangeGuards:

@@ -20,8 +20,6 @@ from fuplab.stable_unstable import (
     half_stereographic,
     hyperboloid_to_ball,
     kappa,
-    kappa_parse,
-    kappa_serialize,
     phase_flow,
     phase_to_ball_chart,
     poisson_kernel,
@@ -292,15 +290,6 @@ class TestKappa:
                                                          pts[i].xi - pts[j].xi]))
                     if sep >= 1e-3:
                         assert np.linalg.norm(images[i] - images[j]) >= 1e-6
-
-    def test_serialization_round_trip(self):
-        rng = np.random.default_rng(36)
-        kp = kappa(random_phase_point(rng, 2), -1)
-        back = kappa_parse(kappa_serialize(kp))
-        assert abs(back.w - kp.w) < 1e-15
-        assert abs(back.theta - kp.theta) < 1e-15
-        assert np.max(np.abs(back.y - kp.y)) < 1e-15
-        assert np.max(np.abs(back.eta - kp.eta)) < 1e-15
 
 
 class TestSymplecticCheck:

@@ -4,19 +4,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fuplab.word_combinatorics import (
     BLOCKS,
     bound_check,
-    code_to_word,
     count_uncontrolled,
-    is_controlled,
-    ones_fraction,
     split_XY,
     t_ladder,
-    word_to_code,
 )
 
 
@@ -25,6 +19,17 @@ def brute_force_uncontrolled(t0, alpha):
     alpha = Fraction(alpha)
     return sum(1 for w in product("12", repeat=t0)
                if Fraction("".join(w).count("1"), t0) <= alpha)
+
+
+def is_controlled(word, alpha):
+    """The definition, word by word: the 1-fraction strictly exceeds alpha."""
+    return Fraction(word.count("1"), len(word)) > Fraction(alpha)
+
+
+def code_to_word(code, length):
+    """The word of a ``split_XY`` code: a set bit is the letter 1, and the
+    lowest bit is the last letter."""
+    return "".join("1" if (code >> (length - 1 - k)) & 1 else "2" for k in range(length))
 
 
 class TestTLadder:
@@ -49,32 +54,6 @@ class TestTLadder:
             t_ladder(1.5, 0.8)
         with pytest.raises(ValueError):
             t_ladder(0.1, 0.5)
-
-
-class TestOnesFraction:
-    def test_all_ones(self):
-        assert ones_fraction("111") == 1
-
-    def test_all_twos(self):
-        assert ones_fraction("222") == 0
-
-    def test_alternating(self):
-        assert ones_fraction("1212") == Fraction(1, 2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ones_fraction("")
-
-    def test_bad_alphabet_rejected(self):
-        with pytest.raises(ValueError):
-            ones_fraction("102")
-
-    @given(st.text(alphabet="12", min_size=1, max_size=40))
-    @settings(max_examples=200, deadline=None)
-    def test_exact_rational_value(self, word):
-        f = ones_fraction(word)
-        assert f == Fraction(word.count("1"), len(word))
-        assert 0 <= f <= 1
 
 
 class TestCountUncontrolled:
@@ -146,10 +125,6 @@ class TestSplitXY:
     def test_large_t0_rejected(self):
         with pytest.raises(ValueError):
             split_XY(4, Fraction(1, 4))
-
-    def test_code_round_trip(self):
-        for word in ("1", "2", "12", "2121", "112212"):
-            assert code_to_word(word_to_code(word), len(word)) == word
 
 
 class TestBoundCheck:
