@@ -629,6 +629,8 @@ def mixed_hessian_det(phi, y: np.ndarray, yprime: np.ndarray, fd_step: float = 1
     yprime = np.asarray(yprime, dtype=np.float64)
     if np.array_equal(y, yprime):
         raise ValueError("mixed Hessian probe needs distinct points")
+    if not 4.0 * fd_step * fd_step > 0.0:
+        raise ValueError(f"fd_step {fd_step!r} squared underflows to zero")
     m = y.shape[0]
     hess = np.zeros((m, m))
     for i in range(m):
@@ -850,11 +852,29 @@ class FupConfig:
                                  f"of cantor_base {self.cantor_base}")
         if self.core == "log_phase" and self.n != 1:
             raise ValueError("the log-phase ladder runs on circle grids (n = 1)")
+        if self.core == "log_phase":
+            J = max(self.ladder)
+            for w in self.w_list:
+                err = _phase_rounding_error(w, J, self.chi_gap)
+                if not err <= _PHASE_ROUNDING_LIMIT:
+                    raise ValueError(f"w={w:.17g} rounds the log phase by {err:.3g} rad at "
+                                     f"J={J}, above {_PHASE_ROUNDING_LIMIT:g} rad")
         if self.rho is not None and not 0.0 < self.rho <= 1.0:
             raise ValueError("thickening exponent must lie in (0, 1]")
         if (self.lower_bound_mode and self.set_plus is not None
                 and self.set_plus.occupied_count == 0):
             raise ValueError("lower_bound_mode needs a nonempty set_plus to probe")
+
+
+_PHASE_ROUNDING_LIMIT = 1e-6       # rad
+
+
+def _phase_rounding_error(w: float, J: int, chi_gap: float) -> float:
+    """Float64 rounding error (2w/h) max|log(d/2)| 2^-52 of the log phase at
+    h = 1/J, the max over the chords d of the unit circle that the cutoff
+    keeps: above chi_gap and no shorter than the grid's neighbour chord."""
+    d_min = max(chi_gap, 2.0 * math.sin(math.pi / J))
+    return 2.0 * abs(w) * J * max(0.0, math.log(2.0 / d_min)) * 2.0 ** -52
 
 
 def _cantor_depth(base: int, N: int) -> int:

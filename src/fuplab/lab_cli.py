@@ -507,9 +507,13 @@ def cmd_hessian_check(args) -> tuple[int, RunRecord | None]:
             continue
         w = float(rng.uniform(args.w_min, args.w_max))
         phi = lambda u, v: 2 * w * math.log(float(np.linalg.norm(u - v))) - w * math.log(4.0)
-        fd = mixed_hessian_det(phi, a, b, args.fd_step)
+        with np.errstate(all="ignore"):     # a step that overflows is reported below
+            fd = mixed_hessian_det(phi, a, b, args.fd_step)
         _, _, sym = log_phase_hessian_factors(w, a, b)
         rel = abs(fd - sym) / abs(sym)
+        if not math.isfinite(rel):
+            raise ValueError(f"--fd-step {args.fd_step!r} gives the finite-difference "
+                             f"determinant {fd!r}, relative error {rel!r}")
         worst = max(worst, rel)
         rows.append([args.n, w, float(np.linalg.norm(a - b)), fd, sym, rel])
         checked += 1

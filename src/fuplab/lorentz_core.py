@@ -276,9 +276,14 @@ def bracket(y: LieAlgebraElement, z: LieAlgebraElement) -> LieAlgebraElement:
 
 
 def _exp_boost(n: int, k: int, t: float) -> np.ndarray:
+    try:
+        c, s = math.cosh(t), math.sinh(t)
+    except OverflowError:
+        raise LorentzError(f"boost time t={t!r} overflows: cosh(t) exceeds the "
+                           "largest float") from None
     m = np.eye(n + 2)
-    m[0, 0] = m[k, k] = math.cosh(t)
-    m[0, k] = m[k, 0] = math.sinh(t)
+    m[0, 0] = m[k, k] = c
+    m[0, k] = m[k, 0] = s
     return m
 
 

@@ -806,6 +806,18 @@ class TestConfigValidation:
         FupConfig(ladder=(2, 4, 10), set_minus=box, set_plus=box).validate()
         FupConfig(core="log_phase", ladder=(2, 100)).validate()
 
+    @pytest.mark.parametrize("ladder", [(108, 324, 972, 2916),
+                                        tuple(4 * 3 ** k for k in range(3, 9))])
+    def test_energies_of_the_log_phase_ladders_are_resolved(self, ladder):
+        FupConfig(core="log_phase", ladder=ladder, w_list=(1 / 8, 1.0, 8.0)).validate()
+
+    def test_energy_whose_phase_rounding_exceeds_a_microradian(self):
+        # (2w/h) log(2/chi_gap) 2^-52 crosses 1e-6 rad between these two energies at J = 2916
+        limit = 1e-6 / (2 * 2916 * math.log(2 / 0.4) * 2.0 ** -52)
+        FupConfig(core="log_phase", ladder=(108, 2916), w_list=(0.99 * limit,)).validate()
+        with pytest.raises(ValueError, match="rounds the log phase"):
+            FupConfig(core="log_phase", ladder=(108, 2916), w_list=(1.01 * limit,)).validate()
+
     def test_explicit_set_of_another_dimension(self):
         s = BoxSet.from_boxes([((0.1,), (0.4,))], 27, 1)
         with pytest.raises(ValueError, match="set_minus has n = 1, but the config has n = 2"):

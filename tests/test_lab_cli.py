@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -461,6 +462,32 @@ class TestUsageContract:
             "hessian-tol-nan"])
     def test_non_finite_float_that_decided_nothing(self, tmp_path, capsys, argv):
         self.assert_one_line_usage_error(tmp_path, capsys, *argv, prefix="error: argument --")
+
+    def test_flow_time_whose_boost_overflows(self, tmp_path, capsys):
+        # cosh(t) leaves the float range just past t = 710.47
+        self.assert_one_line_usage_error(tmp_path, capsys, "flow-trace", "--t1", "720",
+                                         "--steps", "2", prefix="error: boost time t=720.0")
+        assert main(["--out", str(tmp_path), "flow-trace", "--t1", "710", "--steps", "2"]) == 0
+        assert (tmp_path / "flow_trace.csv").exists()
+
+    @pytest.mark.parametrize("step", ["1e300", "1e-300"])
+    def test_hessian_step_whose_determinant_is_not_finite(self, tmp_path, capsys, step):
+        # 1e300 overflows every probe to nan; 1e-300 squared underflows to zero
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check", "--fd-step",
+                                             step, "--pairs", "3")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_energy_whose_phase_float64_cannot_resolve(self, tmp_path, capsys):
+        # at w = 1e300 the phase (2w/h) log(d/2) is of order 1e303 rad
+        self.assert_one_line_usage_error(tmp_path, capsys, "fio-sphere", "--w", "1e300",
+                                         "--ladder", "108", "324", "972", "2916",
+                                         prefix="config error: w=")
+        cfg = self.input_json(tmp_path, {"core": "log_phase", "ladder": [108, 324],
+                                         "w_list": [1.0, 1e300]})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix="config error: w=")
 
     @pytest.mark.parametrize("argv", [
         ["sphere-porosity", "--set", "{band}", "--nu", "0.1", "--alpha0", "0.45",

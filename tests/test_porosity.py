@@ -29,7 +29,7 @@ from fuplab.porosity import (
     verify_neighborhood_lemma,
 )
 from fuplab import porosity
-from fuplab.porosity import _distance_field, _segment_max_at, _segment_offsets, _witness_holds
+from fuplab.porosity import _distance_field, _segment_min, _segment_offsets, _witness_holds
 
 
 def cantor1(depth=6):
@@ -233,6 +233,17 @@ class TestDistanceField:
 
 class TestSegmentMaxGather:
     @staticmethod
+    def full_gather(dist, anchors, offsets):
+        # every anchor's full segment max, through flat indices
+        strides = np.cumprod((1,) + dist.shape[:0:-1])[::-1]
+        flat = dist.ravel()
+        base = anchors @ strides
+        out = np.full(anchors.shape[0], -np.inf)
+        for off in offsets @ strides:
+            np.maximum(out, flat[base + off], out=out)
+        return out
+
+    @staticmethod
     def reference(dist, anchors, offsets):
         # one plain lookup per anchor and offset
         out = np.full(anchors.shape[0], -np.inf)
@@ -242,9 +253,11 @@ class TestSegmentMaxGather:
         return out
 
     @staticmethod
-    def case(rng, n):
+    def case(rng, n, levels=None):
         side = int(rng.integers(20, 40))
         dist = rng.random((side,) * n)
+        if levels is not None:
+            dist = np.floor(dist * levels)
         u = rng.normal(size=n)
         offsets = _segment_offsets(u / np.linalg.norm(u), float(rng.uniform(0.1, 0.4)), 1 / 32)
         lo = -offsets.min(axis=0)
@@ -258,8 +271,41 @@ class TestSegmentMaxGather:
         for _ in range(10):
             dist, anchors, offsets = self.case(rng, n)
             assert len(offsets) > 1
-            assert np.array_equal(_segment_max_at(dist, anchors, offsets),
-                                  self.reference(dist, anchors, offsets))
+            segmax = self.full_gather(dist, anchors, offsets)
+            assert np.array_equal(segmax, self.reference(dist, anchors, offsets))
+            assert _segment_min(dist, anchors, offsets) == (segmax.min(), np.argmin(segmax))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_offsets_run_coarse_to_fine(self, n):
+        # the gather order is a permutation of the distinct cells on the
+        # segment: both ends, then every 2^k-th place along it for decreasing k
+        rng = np.random.default_rng(30 + n)
+        for _ in range(10):
+            u = rng.normal(size=n)
+            u /= np.linalg.norm(u)
+            r = float(rng.uniform(0.1, 0.4))
+            offsets = _segment_offsets(u, r, 1 / 32)
+            ts = np.arange(-r / 2, r / 2 + 1 / 64, 1 / 32)
+            cells = np.unique(np.round(np.outer(ts, u) * 32).astype(np.int64), axis=0)
+            assert len(offsets) == len(cells)
+            assert np.array_equal(np.unique(offsets, axis=0), cells)
+            place = np.argsort(np.argsort(offsets @ u))
+            assert set(place[:2]) == {0, len(offsets) - 1}
+            assert np.all(np.diff(place[2:] & -place[2:]) <= 0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tied_minima_keep_the_first_argmin(self, n):
+        # a field of three levels ties many segment maxima; pruning on a strict
+        # inequality keeps every tie, so the first argmin is the full gather's
+        rng = np.random.default_rng(20 + n)
+        seen_late_tie = 0
+        for _ in range(40):
+            dist, anchors, offsets = self.case(rng, n, levels=3)
+            segmax = self.full_gather(dist, anchors, offsets)
+            ties = np.flatnonzero(segmax == segmax.min())
+            seen_late_tie += ties.size > 1
+            assert _segment_min(dist, anchors, offsets) == (segmax.min(), ties[0])
+        assert seen_late_tie >= 10
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_anchor_outside_the_padded_field_raises(self, n):
@@ -272,7 +318,7 @@ class TestSegmentMaxGather:
                 pushed = anchors.copy()
                 pushed[0, axis] = past
                 with pytest.raises(ResolutionError):
-                    _segment_max_at(dist, pushed, offsets)
+                    _segment_min(dist, pushed, offsets)
 
 
 class TestFromBoxes:
