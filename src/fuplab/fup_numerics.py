@@ -332,12 +332,10 @@ class SubmatrixKernelCore(_BlockCore):
         return out
 
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Entries off the stored supports are zero."""
-        rok, cok = np.isin(rows, self.rows), np.isin(cols, self.cols)
-        out = np.zeros((rows.size, cols.size), dtype=complex)
-        out[np.ix_(rok, cok)] = self.block[np.ix_(np.searchsorted(self.rows, rows[rok]),
-                                                  np.searchsorted(self.cols, cols[cok]))]
-        return out
+        """The stored block itself; no entry off the stored supports was computed."""
+        if not (np.array_equal(rows, self.rows) and np.array_equal(cols, self.cols)):
+            raise ValueError("a submatrix kernel answers only for its own supports")
+        return self.block
 
 
 def semiclassical_dft(N: int, n: int) -> FourierCore:
@@ -583,13 +581,13 @@ def chordal_cutoff(gap: float, width: float):
 
 
 def _log_phase_block(w: float, h: float, chi, grid: SphereGrid, rows: np.ndarray,
-                     cols: np.ndarray, diag_margin: float) -> np.ndarray:
+                     cols: np.ndarray) -> np.ndarray:
     """Entries (2 pi h)^{-n/2} |(y-y')/2|^{2iw/h} chi(y,y') dy' for y in rows, y' in cols."""
     ya = grid.points[rows]
     yb = grid.points[cols]
     d = np.linalg.norm(ya[:, None, :] - yb[None, :, :], axis=-1)
     chi_mat = np.asarray(chi(ya[:, None, :], yb[None, :, :]), dtype=np.float64)
-    if np.any(chi_mat[d < diag_margin] != 0.0):
+    if np.any(chi_mat[d < 1e-6] != 0.0):
         raise ValueError("cutoff does not vanish near the diagonal")
     amp = (2.0 * np.pi * h) ** (-grid.n / 2) * chi_mat * grid.weights[cols][None, :]
     with np.errstate(divide="ignore"):
@@ -599,23 +597,21 @@ def _log_phase_block(w: float, h: float, chi, grid: SphereGrid, rows: np.ndarray
     return block
 
 
-def log_phase_kernel(w: float, h: float, chi, grid: SphereGrid,
-                     diag_margin: float = 1e-6) -> KernelCore:
+def log_phase_kernel(w: float, h: float, chi, grid: SphereGrid) -> KernelCore:
     """Oscillatory kernel (2 pi h)^{-n/2} |(y-y')/2|^{2iw/h} chi(y,y') dy'.
 
-    The cutoff must vanish at chordal distances below ``diag_margin``; the
+    The cutoff must vanish at chordal distances below 1e-6; the
     modulus of the kernel is chi times the quadrature factor, independent of
     w, since the phase exponent is purely imaginary.
     """
     nodes = np.arange(grid.size)
-    return KernelCore(_log_phase_block(w, h, chi, grid, nodes, nodes, diag_margin))
+    return KernelCore(_log_phase_block(w, h, chi, grid, nodes, nodes))
 
 
 def log_phase_masked_operator(w: float, h: float, chi, grid: SphereGrid,
-                              rows: np.ndarray, cols: np.ndarray,
-                              diag_margin: float = 1e-6) -> MaskedOperator:
+                              rows: np.ndarray, cols: np.ndarray) -> MaskedOperator:
     """Log-phase kernel between two node supports, built only on them."""
-    block = _log_phase_block(w, h, chi, grid, rows, cols, diag_margin)
+    block = _log_phase_block(w, h, chi, grid, rows, cols)
     return MaskedOperator(SubmatrixKernelCore(grid.size, rows, cols, block), rows, cols)
 
 
@@ -685,16 +681,16 @@ class SphereAtlas:
         return self.centers.shape[1] - 1
 
     @classmethod
-    def for_circle(cls, count: int = 8, radius: float = 0.5) -> "SphereAtlas":
+    def for_circle(cls, count: int = 8) -> "SphereAtlas":
         grid = circle_grid(count)
         frames = np.stack([np.stack([-grid.points[k, 1:2],
                                      grid.points[k, 0:1]], axis=1).reshape(1, 2)
                            for k in range(count)])
-        return cls(grid.points, frames, radius)
+        return cls(grid.points, frames)
 
     @classmethod
-    def for_sphere2(cls, count: int = 48, radius: float = 0.5) -> "SphereAtlas":
-        grid = sphere2_grid(count)
+    def for_sphere2(cls) -> "SphereAtlas":
+        grid = sphere2_grid(48)
         frames = []
         for c in grid.points:
             a = np.zeros(3)
@@ -703,41 +699,31 @@ class SphereAtlas:
             u /= np.linalg.norm(u)
             v = np.cross(c, u)
             frames.append(np.stack([u, v]))
-        return cls(grid.points, np.stack(frames), radius)
+        return cls(grid.points, np.stack(frames))
 
     def covers(self, points: np.ndarray) -> bool:
         cos_r = math.cos(self.radius)
         return bool(np.all(np.max(points @ self.centers.T, axis=1) >= cos_r))
 
-    def contains(self, k: int, y: np.ndarray) -> bool:
-        return float(y @ self.centers[k]) >= math.cos(self.radius)
-
     def project(self, k: int, y: np.ndarray) -> np.ndarray:
-        """Gnomonic chart coordinates of y in chart k (rays through the origin
-        meet the tangent hyperplane at the center)."""
+        """Gnomonic chart coordinates in chart k of the points on y's last axis
+        (rays through the origin meet the tangent hyperplane at the center)."""
         y = np.asarray(y, dtype=np.float64)
-        c = float(y @ self.centers[k]) if y.ndim == 1 else y @ self.centers[k]
-        if np.any(np.asarray(c) < math.cos(self.radius) - 1e-12):
+        c = np.asarray(y @ self.centers[k])
+        if np.any(c < math.cos(self.radius) - 1e-12):
             raise ValueError("point outside the chart")
-        if y.ndim == 1:
-            return self.frames[k] @ (y / c)
-        return (y / np.asarray(c)[..., None]) @ self.frames[k].T
+        return (y / c[..., None]) @ self.frames[k].T
 
     def unproject(self, k: int, s: np.ndarray) -> np.ndarray:
-        s = np.asarray(s, dtype=np.float64)
-        if s.ndim == 1:
-            u = self.centers[k] + self.frames[k].T @ s
-            return u / np.linalg.norm(u)
-        u = self.centers[k][None, :] + s @ self.frames[k]
+        u = self.centers[k] + np.asarray(s, dtype=np.float64) @ self.frames[k]
         return u / np.linalg.norm(u, axis=-1, keepdims=True)
 
-    def measured_bilipschitz(self, k: int, rng: np.random.Generator,
-                             pairs: int = 1000) -> float:
-        """Worst observed ratio of intrinsic distances chart-plane vs sphere."""
+    def measured_bilipschitz(self, k: int, rng: np.random.Generator) -> float:
+        """Worst ratio of chart-plane to sphere distances over 1000 sampled pairs."""
         s_max = math.tan(self.radius)
         worst = 1.0
-        a = rng.uniform(-s_max, s_max, size=(pairs, self.n))
-        b = rng.uniform(-s_max, s_max, size=(pairs, self.n))
+        a = rng.uniform(-s_max, s_max, size=(1000, self.n))
+        b = rng.uniform(-s_max, s_max, size=(1000, self.n))
         keep = (np.linalg.norm(a, axis=1) <= s_max) & (np.linalg.norm(b, axis=1) <= s_max)
         a, b = a[keep], b[keep]
         ya = self.unproject(k, a)
@@ -750,13 +736,13 @@ class SphereAtlas:
         return float(ratios.max())
 
 
-def _chart_raster(atlas: SphereAtlas, k: int, oracle, m: int, sub: int = 2) -> BoxSet:
-    """Rasterize the chart image of a sphere set into [0,1]^n."""
+def _chart_raster(atlas: SphereAtlas, k: int, oracle, m: int) -> BoxSet:
+    """Rasterize the chart image of a sphere set into [0,1]^n (3^n probes per cell)."""
     n = atlas.n
     s_max = math.tan(atlas.radius)
     axes = [np.arange(m) / m for _ in range(n)]
     centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    offs = np.stack(np.meshgrid(*([np.linspace(0.0, 1.0 / m, sub + 1)] * n),
+    offs = np.stack(np.meshgrid(*([np.linspace(0.0, 1.0 / m, 3)] * n),
                                 indexing="ij"), axis=-1).reshape(-1, n)
     mask = np.zeros(m ** n, dtype=bool)
     for off in offs:

@@ -188,10 +188,18 @@ def _write_ladder(path: str, columns: list[str], rows: list[dict], fits: dict,
                   f"residual={_fmt(fit.residual)}")
 
 
+def _json_int(value, name: str) -> int:
+    """An integer field of a JSON file; a float, boolean or string is refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _cantor_set(decl: dict, n: int) -> BoxSet:
     """The n-dimensional Cantor set of a declaration's base, kept_digits and depth."""
-    spec = CantorSpec.uniform(int(decl["base"]), tuple(int(d) for d in decl["kept_digits"]),
-                              int(decl["depth"]), n)
+    spec = CantorSpec.uniform(_json_int(decl["base"], "base"),
+                              tuple(_json_int(d, "kept_digits") for d in decl["kept_digits"]),
+                              _json_int(decl["depth"], "depth"), n)
     return cantor_generate(spec, n)
 
 
@@ -199,15 +207,15 @@ def set_from_spec(spec: dict) -> BoxSet:
     """Structured-text set declaration: a Cantor family or explicit boxes."""
     if "cantor" in spec:
         c = spec["cantor"]
-        return _cantor_set(c, int(c.get("dims", 1)))
+        return _cantor_set(c, _json_int(c.get("dims", 1), "dims"))
     if "boxes" in spec:
         if "dims" in spec:
-            n = int(spec["dims"])
+            n = _json_int(spec["dims"], "dims")
         elif spec["boxes"]:
             n = len(spec["boxes"][0][0])
         else:
             raise ValueError("empty box list needs an explicit 'dims' field")
-        m = int(spec["resolution"])
+        m = _json_int(spec["resolution"], "resolution")
         return BoxSet.from_boxes([(b[0], b[1]) for b in spec["boxes"]], m, n)
     raise ValueError("set spec must declare 'cantor' or 'boxes'")
 
@@ -245,6 +253,7 @@ def _commutator_table_exact(n: int, flip_sign: bool = False) -> list[str]:
                 continue
             zero = np.zeros((n + 2, n + 2), dtype=object)
             expect(u[(i, "+")], u[(j, "+")], zero, f"[U{i}+,U{j}+]=0")
+            expect(u[(i, "-")], u[(j, "-")], zero, f"[U{i}-,U{j}-]=0")
             rij = generator("R", min(i, j) + 1, max(i, j) + 1, n=n, dtype=object).matrix * 1
             sign = 1 if i < j else -1
             expect(u[(i, "+")], u[(j, "-")], 2 * sign * rij, f"[U{i}+,U{j}-]=2R")
@@ -263,10 +272,10 @@ def _commutator_table_exact(n: int, flip_sign: bool = False) -> list[str]:
     return failures
 
 
-def _flow_compat_suite(n: int, rng: np.random.Generator, trials: int = 100) -> float:
+def _flow_compat_suite(n: int, rng: np.random.Generator) -> float:
     x_gen = generator("X", n=n)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         g = random_group_element(rng, n)
         t = float(rng.uniform(-5.0, 5.0))
         gt = g @ exp_flow(x_gen, t)
@@ -276,10 +285,10 @@ def _flow_compat_suite(n: int, rng: np.random.Generator, trials: int = 100) -> f
     return worst
 
 
-def _horocyclic_suite(n: int, rng: np.random.Generator, trials: int = 100) -> float:
+def _horocyclic_suite(n: int, rng: np.random.Generator) -> float:
     x_gen = generator("X", n=n)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(100):
         i = int(rng.integers(1, n + 1))
         s = float(rng.uniform(-1.0, 1.0))
         t = float(rng.uniform(-3.0, 3.0))
@@ -429,12 +438,14 @@ def _config_from_json(path: str) -> tuple[FupConfig, dict]:
     if bad:
         raise ValueError(f"unknown config fields: {sorted(bad)}")
     parsed = dict(raw)
-    if "ladder" in parsed:
-        parsed["ladder"] = tuple(int(v) for v in parsed["ladder"])
+    for key in ("ladder", "cantor_kept"):
+        if key in parsed:
+            parsed[key] = tuple(_json_int(v, key) for v in parsed[key])
+    for key in ("n", "cantor_base", "seed"):
+        if key in parsed:
+            _json_int(parsed[key], key)
     if "w_list" in parsed:
         parsed["w_list"] = tuple(float(v) for v in parsed["w_list"])
-    if "cantor_kept" in parsed:
-        parsed["cantor_kept"] = tuple(int(v) for v in parsed["cantor_kept"])
     for arc in ("arc_minus", "arc_plus"):
         if arc in parsed:
             parsed[arc] = tuple(float(v) for v in parsed[arc])

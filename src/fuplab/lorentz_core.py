@@ -230,24 +230,24 @@ def _r_label(i: int, j: int) -> str:
     return f"R{i},{j}"
 
 
-def parse_label(label: str, n: int, dtype=np.float64) -> LieAlgebraElement:
+def parse_label(label: str, n: int) -> LieAlgebraElement:
     """Parse a generator label like ``"X"``, ``"A2"``, ``"R23"``, ``"U1+"``."""
     if label == "X":
-        return generator("X", n=n, dtype=dtype)
+        return generator("X", n=n)
     if label.startswith("A"):
-        return generator("A", int(label[1:]), n=n, dtype=dtype)
+        return generator("A", int(label[1:]), n=n)
     if label.startswith("R"):
         body = label[1:]
         if "," in body:
             a, b = body.split(",")
         else:
             a, b = body[0], body[1:]
-        return generator("R", int(a), int(b), n=n, dtype=dtype)
+        return generator("R", int(a), int(b), n=n)
     if label.startswith("U"):
         sign = label[-1]
         if sign not in "+-":
             raise LorentzError(f"bad generator label {label!r}")
-        return generator("U" + sign, int(label[1:-1]), n=n, dtype=dtype)
+        return generator("U" + sign, int(label[1:-1]), n=n)
     raise LorentzError(f"bad generator label {label!r}")
 
 
@@ -305,7 +305,11 @@ def horospherical_element(v: np.ndarray, sign: int, n: int) -> GroupElement:
     if v.shape != (n,):
         raise LorentzError(f"horospherical parameter must have shape ({n},)")
     s = 1.0 if sign > 0 else -1.0
-    q = float(v @ v) / 2.0
+    with np.errstate(over="ignore"):
+        q = float(v @ v) / 2.0
+    if not math.isfinite(q):
+        raise LorentzError(f"horospherical parameter v={v.tolist()} overflows: |v|^2/2 "
+                           "exceeds the largest float")
     m = np.eye(n + 2)
     m[0, 0] += q
     m[1, 1] -= q
@@ -341,23 +345,22 @@ def exp_flow(y: LieAlgebraElement, t: float) -> GroupElement:
         i = int(lbl[1:-1])
         v = np.zeros(n)
         v[i - 1] = t
-        return GroupElement(horospherical_element(v, +1 if lbl[-1] == "+" else -1, n).matrix, n)
+        return horospherical_element(v, +1 if lbl[-1] == "+" else -1, n)
     m = expm(t * np.asarray(y.matrix, dtype=np.float64))
     return GroupElement(m, n)
 
 
-def geodesic_flow(x: np.ndarray, xi: np.ndarray, t: float,
-                  tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def geodesic_flow(x: np.ndarray, xi: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Unit-speed geodesic flow (x, xi) -> (x cosh t + xi sinh t, x sinh t + xi cosh t).
 
-    Requires <x,x> = -1, <xi,xi> = 1, <x,xi> = 0 within ``tol``.
+    Requires <x,x> = -1, <xi,xi> = 1, <x,xi> = 0 within 1e-8.
     """
     x = np.asarray(x, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
     bad = max(abs(minkowski_inner(x, x) + 1.0),
               abs(minkowski_inner(xi, xi) - 1.0),
               abs(minkowski_inner(x, xi)))
-    if bad > tol:
+    if bad > 1e-8:
         raise LorentzError(f"not a unit phase point (residual {bad:.3e})")
     c, s = math.cosh(t), math.sinh(t)
     return x * c + xi * s, x * s + xi * c
@@ -466,22 +469,21 @@ def _normalizer_blocks(g: GroupElement, l: int, tol: float):
     return top, bot, dt, db
 
 
-def normalizer_member(g: GroupElement, l: int, tol: float = DEFAULT_TOL) -> bool:
+def normalizer_member(g: GroupElement, l: int) -> bool:
     """True iff g lies in N_G(W_l) = S(O0(1,l) x O(n-l+1)), by block form."""
     n = g.n
     if not 2 <= l <= n:
         raise LorentzError(f"normalizer test needs 2 <= l <= n, got l={l}")
-    return _normalizer_blocks(g, l, tol) is not None
+    return _normalizer_blocks(g, l, DEFAULT_TOL) is not None
 
 
-def conjugation_normalizer_member(g: GroupElement, l: int, rng: np.random.Generator,
-                                  samples: int = 20, tol: float = 1e-8) -> bool:
-    """Membership in N_G(W_l) tested by conjugating random W_l elements."""
+def conjugation_normalizer_member(g: GroupElement, l: int, rng: np.random.Generator) -> bool:
+    """Membership in N_G(W_l) tested by conjugating 20 random W_l elements."""
     gi = g.inverse()
-    for _ in range(samples):
+    for _ in range(20):
         w = _random_w_element(rng, l, g.n)
         c = g @ w @ gi
-        if not standard_subgroup_member(c, l, tol):
+        if not standard_subgroup_member(c, l, 1e-8):
             return False
     return True
 
@@ -525,7 +527,7 @@ def normalizer_decompose(g: GroupElement, l: int,
     return w, k, kind
 
 
-def ku_member(k: GroupElement, tol: float = DEFAULT_TOL) -> bool:
+def ku_member(k: GroupElement) -> bool:
     """True iff k is in K_U = the S(O(1) x O(n-1)) block subgroup of K0.
 
     K0 is the stabilizer of e0 and e1; inside its SO(n) block, K_U consists of
@@ -534,29 +536,29 @@ def ku_member(k: GroupElement, tol: float = DEFAULT_TOL) -> bool:
     n = k.n
     m = k.matrix
     e = np.eye(n + 2)
-    if float(np.max(np.abs(m[:, 0] - e[:, 0]))) > tol:
+    if float(np.max(np.abs(m[:, 0] - e[:, 0]))) > DEFAULT_TOL:
         return False
-    if float(np.max(np.abs(m[:, 1] - e[:, 1]))) > tol:
+    if float(np.max(np.abs(m[:, 1] - e[:, 1]))) > DEFAULT_TOL:
         return False
-    if float(np.max(np.abs(m[0, :] - e[0, :]))) > tol:
+    if float(np.max(np.abs(m[0, :] - e[0, :]))) > DEFAULT_TOL:
         return False
-    if float(np.max(np.abs(m[1, :] - e[1, :]))) > tol:
+    if float(np.max(np.abs(m[1, :] - e[1, :]))) > DEFAULT_TOL:
         return False
     b = m[2:, 2:]
-    if float(np.max(np.abs(b.T @ b - np.eye(n)))) > tol:
+    if float(np.max(np.abs(b.T @ b - np.eye(n)))) > DEFAULT_TOL:
         return False
     if n == 1:
-        return abs(b[0, 0] - 1.0) <= tol
-    if abs(abs(b[0, 0]) - 1.0) > tol:
+        return abs(b[0, 0] - 1.0) <= DEFAULT_TOL
+    if abs(abs(b[0, 0]) - 1.0) > DEFAULT_TOL:
         return False
-    if float(np.max(np.abs(b[0, 1:]))) > tol or float(np.max(np.abs(b[1:, 0]))) > tol:
+    if np.max(np.abs(b[0, 1:])) > DEFAULT_TOL or np.max(np.abs(b[1:, 0])) > DEFAULT_TOL:
         return False
     eps = 1.0 if b[0, 0] > 0 else -1.0
     q_det = float(np.linalg.det(b[1:, 1:]))
-    return abs(eps * q_det - 1.0) <= max(tol, 1e-8)
+    return abs(eps * q_det - 1.0) <= 1e-8
 
 
-def ku_member_by_conjugation(k: GroupElement, tol: float = 1e-8) -> bool:
+def ku_member_by_conjugation(k: GroupElement) -> bool:
     """K_U membership via Ad(k) U_1^{+-} staying in the span of U_1^{+-}."""
     n = k.n
     ki = k.inverse()
@@ -565,7 +567,7 @@ def ku_member_by_conjugation(k: GroupElement, tol: float = 1e-8) -> bool:
         c = k.matrix @ u1 @ ki.matrix
         # best multiple of u1 approximating c
         coef = float(np.sum(c * u1) / np.sum(u1 * u1))
-        if float(np.max(np.abs(c - coef * u1))) > tol:
+        if float(np.max(np.abs(c - coef * u1))) > 1e-8:
             return False
     return True
 
@@ -586,10 +588,9 @@ def random_frame_word(rng: np.random.Generator, n: int, factors: int = 5,
     return g
 
 
-def random_group_element(rng: np.random.Generator, n: int, factors: int = 5,
-                         scale: float = 0.8, tol: float = DEFAULT_TOL) -> GroupElement:
+def random_group_element(rng: np.random.Generator, n: int) -> GroupElement:
     """Random certified group element (re-certifies the frame word)."""
-    return GroupElement.certify(random_frame_word(rng, n, factors, scale).matrix, tol)
+    return GroupElement.certify(random_frame_word(rng, n).matrix)
 
 
 # ---------------------------------------------------------------------------

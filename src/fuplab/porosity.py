@@ -669,17 +669,16 @@ def neighborhood(x: BoxSet, alpha2: float) -> BoxSet:
     return BoxSet(x.n, x.m, ndimage.binary_dilation(x.mask, structure=se))
 
 
-def bilipschitz_image(x: BoxSet, fwd, c1: float, samples_per_axis: int | None = None) -> BoxSet:
+def bilipschitz_image(x: BoxSet, fwd, c1: float) -> BoxSet:
     """Raster of fwd(X) for a bi-Lipschitz map with constant c1.
 
     Each occupied cell is sampled on a sub-grid fine enough that a one-cell
     box dilation of the marked image cells covers the image of the whole
-    cell; coarser sampling requests simply dilate further.
+    cell.
     """
     if x.occupied_count == 0:
         return BoxSet.empty(x.n, x.m)
-    if samples_per_axis is None:
-        samples_per_axis = max(3, int(math.ceil(c1 * math.sqrt(x.n))) + 1)
+    samples_per_axis = max(3, int(math.ceil(c1 * math.sqrt(x.n))) + 1)
     d = x.delta
     sub = np.linspace(0.0, 1.0, samples_per_axis)
     offs = np.stack(np.meshgrid(*([sub] * x.n), indexing="ij"), axis=-1).reshape(-1, x.n)
@@ -710,8 +709,9 @@ def estimate_bilipschitz_constant(fwd, n: int, rng: np.random.Generator,
 
 
 def estimate_second_derivative_bound(inv, n: int, rng: np.random.Generator,
-                                     samples: int = 400, h: float = 1e-4) -> float:
-    """Componentwise bound on second derivatives of the inverse map."""
+                                     samples: int = 400) -> float:
+    """Componentwise bound on second derivatives of the inverse map (step 1e-4)."""
+    h = 1e-4
     pts = rng.uniform(0.1, 0.9, size=(samples, n))
     worst = 0.0
     for i in range(n):
@@ -744,7 +744,7 @@ def _checked(x: BoxSet, nu: float, a0: float, a1: float, kind: str,
 
 def verify_affine_lemma(x: BoxSet, lam: float, y: np.ndarray, alpha0: float,
                         alpha1: float, kind: str = "ball", directions: int = 8,
-                        slack_cells: float = 4.0, nu: float | None = None) -> LemmaOutcome:
+                        nu: float | None = None) -> LemmaOutcome:
     """Certified nu for X must transfer to y + lam X at scales lam*alpha."""
     _require_kind(kind)
     if nu is None:
@@ -752,7 +752,7 @@ def verify_affine_lemma(x: BoxSet, lam: float, y: np.ndarray, alpha0: float,
     if nu <= 0:
         raise ValueError("source set could not be certified at any nu")
     img = affine_image(x, lam, y)
-    nu_img = nu - slack_cells * x.delta / (lam * alpha0)
+    nu_img = nu - 4.0 * x.delta / (lam * alpha0)
     if nu_img <= 0:
         raise ResolutionError("slack exceeds the certified porosity; refine the grid")
     rep = _checked(img, nu_img, lam * alpha0, lam * alpha1, kind, directions)

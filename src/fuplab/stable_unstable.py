@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz_core import GroupElement, LorentzError, minkowski_inner
+from .lorentz_core import GroupElement, LorentzError, minkowski_inner, random_group_element
 
 __all__ = [
     "PhasePoint",
@@ -72,14 +72,14 @@ class PhasePoint:
         return math.sqrt(minkowski_inner(self.xi, self.xi))
 
     @classmethod
-    def create(cls, x, xi, tol: float = 1e-8) -> "PhasePoint":
+    def create(cls, x, xi) -> "PhasePoint":
         x = np.asarray(x, dtype=np.float64)
         xi = np.asarray(xi, dtype=np.float64)
-        if abs(minkowski_inner(x, x) + 1.0) > tol or x[0] <= 0:
+        if abs(minkowski_inner(x, x) + 1.0) > 1e-8 or x[0] <= 0:
             raise LorentzError("x is not on the hyperboloid")
-        if abs(minkowski_inner(x, xi)) > tol:
+        if abs(minkowski_inner(x, xi)) > 1e-8:
             raise LorentzError("xi is not orthogonal to x")
-        if minkowski_inner(xi, xi) <= tol:
+        if minkowski_inner(xi, xi) <= 1e-8:
             raise LorentzError("xi must have positive energy")
         return cls(x, xi)
 
@@ -129,16 +129,14 @@ def phase_point_from_frame(g: GroupElement) -> PhasePoint:
     return PhasePoint(g.matrix[:, 0].copy(), g.matrix[:, 1].copy())
 
 
-def random_phase_point(rng: np.random.Generator, n: int, factors: int = 5) -> PhasePoint:
-    from .lorentz_core import random_group_element
-
-    return phase_point_from_frame(random_group_element(rng, n, factors))
+def random_phase_point(rng: np.random.Generator, n: int) -> PhasePoint:
+    return phase_point_from_frame(random_group_element(rng, n))
 
 
-def hyperboloid_to_ball(x: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def hyperboloid_to_ball(x: np.ndarray) -> np.ndarray:
     """Ball-model coordinates: spatial part divided by (1 + x0)."""
     x = np.asarray(x, dtype=np.float64)
-    if abs(minkowski_inner(x, x) + 1.0) > tol or x[0] <= 0:
+    if abs(minkowski_inner(x, x) + 1.0) > 1e-8 or x[0] <= 0:
         raise LorentzError("not a hyperboloid point")
     return x[1:] / (1.0 + x[0])
 
@@ -171,7 +169,7 @@ def boundary_map(p: PhasePoint, sign: int) -> np.ndarray:
     return spatial / np.linalg.norm(spatial)
 
 
-def stable_unstable_basis(p: PhasePoint, which: str, tol: float = 1e-8) -> list[TangentPair]:
+def stable_unstable_basis(p: PhasePoint, which: str) -> list[TangentPair]:
     """Orthonormal basis of E_s ('stable') or E_u ('unstable') at p.
 
     Returns n pairs (v, -v) or (v, v) with the v Minkowski-orthonormal and
@@ -195,7 +193,7 @@ def stable_unstable_basis(p: PhasePoint, which: str, tol: float = 1e-8) -> list[
         for b in basis:
             w = w - minkowski_inner(w, b) * b
         norm2 = minkowski_inner(w, w)
-        if norm2 > tol:
+        if norm2 > 1e-8:
             basis.append(w / math.sqrt(norm2))
         if len(basis) == n:
             break
@@ -225,10 +223,10 @@ def _metric_norm(v: TangentPair) -> float:
     return math.sqrt(q)
 
 
-def expansion_rate(p: PhasePoint, v: TangentPair, t: float, tol: float = 1e-6) -> float:
+def expansion_rate(p: PhasePoint, v: TangentPair, t: float) -> float:
     """|d(flow_t) v|_g / |v|_g for v in E_u or E_s.
 
-    Raises when v has a mixed component above tolerance relative to its size.
+    Raises when v has a mixed component above 1e-6 relative to its size.
     """
     p = p.unit()
     size = max(np.max(np.abs(v.v_x)), np.max(np.abs(v.v_xi)))
@@ -236,11 +234,12 @@ def expansion_rate(p: PhasePoint, v: TangentPair, t: float, tol: float = 1e-6) -
         raise LorentzError("zero tangent vector")
     sym = v.v_x - v.v_xi
     anti = v.v_x + v.v_xi
-    pure_unstable = np.max(np.abs(sym)) <= tol * size
-    pure_stable = np.max(np.abs(anti)) <= tol * size
+    tol = 1e-6 * size
+    pure_unstable = np.max(np.abs(sym)) <= tol
+    pure_stable = np.max(np.abs(anti)) <= tol
     if not (pure_unstable or pure_stable):
         raise LorentzError("tangent vector is neither stable nor unstable")
-    if max(abs(minkowski_inner(v.v_x, p.x)), abs(minkowski_inner(v.v_x, p.xi))) > tol * size:
+    if max(abs(minkowski_inner(v.v_x, p.x)), abs(minkowski_inner(v.v_x, p.xi))) > tol:
         raise LorentzError("tangent vector is not transverse to the flow plane")
     return _metric_norm(flow_tangent(v, t)) / _metric_norm(v)
 
@@ -256,12 +255,12 @@ def poisson_kernel(x_ball: np.ndarray, y: np.ndarray) -> float:
     return (1.0 - r2) / float(d @ d)
 
 
-def half_stereographic(y: np.ndarray, yprime: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def half_stereographic(y: np.ndarray, yprime: np.ndarray) -> np.ndarray:
     """(y' - (y.y') y) / (1 - y.y'), tangent to the sphere at y."""
     y = np.asarray(y, dtype=np.float64)
     yprime = np.asarray(yprime, dtype=np.float64)
     c = float(y @ yprime)
-    if abs(1.0 - c) <= tol:
+    if abs(1.0 - c) <= 1e-12:
         raise LorentzError("half-stereographic projection has a pole at y' = y")
     return (yprime - c * y) / (1.0 - c)
 
@@ -423,16 +422,16 @@ def _tangent_curve_value(p: PhasePoint, v: TangentPair, sign: int, eps: float) -
     return kappa(q, sign).as_array()
 
 
-def foliation_residual(sign: int, p: PhasePoint, v: TangentPair,
-                       fd_step: float = 1e-6) -> float:
-    """Relative size of the (dw, dy) components of the chart differential at v.
+def foliation_residual(sign: int, p: PhasePoint, v: TangentPair) -> float:
+    """Relative size of the (dw, dy) components of the chart differential at v,
+    by central differences of step 1e-6.
 
     Vanishes on the weak unstable foliation for sign=+1 and on the weak stable
     foliation for sign=-1; order-one on the opposite foliation.
     """
-    plus = _tangent_curve_value(p, v, sign, fd_step)
-    minus = _tangent_curve_value(p, v, sign, -fd_step)
-    d = (plus - minus) / (2.0 * fd_step)
+    plus = _tangent_curve_value(p, v, sign, 1e-6)
+    minus = _tangent_curve_value(p, v, sign, -1e-6)
+    d = (plus - minus) / 2e-6
     m = p.x.shape[0]
     dw = abs(d[0])
     dy = float(np.linalg.norm(d[1:m]))
@@ -442,9 +441,8 @@ def foliation_residual(sign: int, p: PhasePoint, v: TangentPair,
     return (dw + dy) / total
 
 
-def foliation_straightening_check(sign: int, p: PhasePoint,
-                                  fd_step: float = 1e-6) -> float:
+def foliation_straightening_check(sign: int, p: PhasePoint) -> float:
     """Max foliation residual over a basis of the matching weak foliation."""
     which = "unstable" if sign == 1 else "stable"
     vectors = stable_unstable_basis(p, which) + [geodesic_tangent(p)]
-    return max(foliation_residual(sign, p, v, fd_step) for v in vectors)
+    return max(foliation_residual(sign, p, v) for v in vectors)

@@ -26,10 +26,10 @@ __all__ = [
 BLOCKS = 8      # a long word is eight blocks of length T0 (2*T1 = 8*T0)
 
 
-def _snap_ceil(x: float, eps: float = 1e-9) -> int:
-    """Ceiling that forgives float noise at integer boundaries."""
+def _snap_ceil(x: float) -> int:
+    """Ceiling that forgives float noise of up to 1e-9 at integer boundaries."""
     r = round(x)
-    if abs(x - r) <= eps:
+    if abs(x - r) <= 1e-9:
         return int(r)
     return int(math.ceil(x))
 

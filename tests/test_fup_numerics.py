@@ -541,6 +541,18 @@ class TestLogPhaseKernel:
         op_sub = log_phase_masked_operator(2.0, 0.05, chi, grid, rows, cols)
         assert abs(dense_norm(op_full) - dense_norm(op_sub)) < 1e-12
 
+    def test_submatrix_core_answers_only_its_own_supports(self):
+        grid = circle_grid(96)
+        rows, cols = np.arange(0, 96, 3), np.arange(1, 96, 4)
+        core = log_phase_masked_operator(2.0, 0.05, chordal_cutoff(0.4, 0.3), grid,
+                                         rows, cols).core
+        assert core.submatrix(rows.copy(), cols.copy()) is core.block
+        others = [(rows[1:], cols), (rows, cols[:-1]), (cols, rows), (rows, rows),
+                  (np.arange(96), np.arange(96))]
+        for r, c in others:
+            with pytest.raises(ValueError, match="own supports"):
+                core.submatrix(r, c)
+
     def test_kernel_vanishing_on_the_arcs_gives_norm_zero(self):
         cfg = FupConfig(core="log_phase", n=1, ladder=(108,), chi_gap=2.0)
         rows, fits, ok = fup_experiment(cfg)
@@ -633,7 +645,7 @@ class TestSphereAtlas:
         assert np.max(np.abs(atlas.unproject(0, s) - y)) < 1e-12
 
     def test_sphere2_roundtrip_and_coverage(self):
-        atlas = SphereAtlas.for_sphere2(48)
+        atlas = SphereAtlas.for_sphere2()
         rng = np.random.default_rng(71)
         pts = rng.standard_normal((2000, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
@@ -642,11 +654,11 @@ class TestSphereAtlas:
         assert np.max(np.abs(atlas.unproject(7, atlas.project(7, y)) - y)) < 1e-12
 
     def test_chart_center_maps_to_origin(self):
-        atlas = SphereAtlas.for_sphere2(48)
+        atlas = SphereAtlas.for_sphere2()
         assert np.max(np.abs(atlas.project(5, atlas.centers[5]))) < 1e-14
 
     def test_great_circles_map_to_lines(self):
-        atlas = SphereAtlas.for_sphere2(48)
+        atlas = SphereAtlas.for_sphere2()
         k = 11
         c = atlas.centers[k]
         u = atlas.frames[k][0] * 0.6 + atlas.frames[k][1] * 0.8
@@ -659,7 +671,7 @@ class TestSphereAtlas:
 
     def test_bilipschitz_bounds(self):
         rng = np.random.default_rng(72)
-        for atlas, k in ((SphereAtlas.for_circle(8), 0), (SphereAtlas.for_sphere2(48), 3)):
+        for atlas, k in ((SphereAtlas.for_circle(8), 0), (SphereAtlas.for_sphere2(), 3)):
             c2 = atlas.measured_bilipschitz(k, rng)
             assert c2 <= 2.0
             # plane distances dominate sphere distances on the chart
@@ -669,6 +681,17 @@ class TestSphereAtlas:
             ya, yb = atlas.unproject(k, a), atlas.unproject(k, b)
             ang = np.arccos(np.clip(np.sum(ya * yb, axis=1), -1, 1))
             assert np.all(ang <= np.linalg.norm(a - b, axis=1) + 1e-12)
+
+    def test_single_point_matches_a_batch_holding_it(self):
+        rng = np.random.default_rng(73)
+        for atlas, k in ((SphereAtlas.for_circle(8), 2), (SphereAtlas.for_sphere2(), 7)):
+            s = rng.uniform(-0.4, 0.4, size=(5, atlas.n))
+            y = atlas.unproject(k, s)
+            for i in range(5):
+                assert np.max(np.abs(atlas.unproject(k, s[i]) - y[i])) <= 1e-15
+                assert np.max(np.abs(atlas.project(k, y[i]) - atlas.project(k, y)[i])) <= 1e-15
+            assert atlas.project(k, y[0]).shape == (atlas.n,)
+            assert atlas.unproject(k, s[0]).shape == (atlas.n + 1,)
 
     def test_point_outside_chart_rejected(self):
         atlas = SphereAtlas.for_circle(8)
@@ -762,7 +785,7 @@ class TestFupExperiment:
 class TestSphere2Porosity:
     def test_great_circle_cantor_band_consistent_across_charts(self):
         # line verdicts agree across the (overlapping) charts that see the band
-        atlas = SphereAtlas.for_sphere2(48)
+        atlas = SphereAtlas.for_sphere2()
         base = cantor_generate(CantorSpec.uniform(3, (0, 2), 3, 1), 1)
 
         def oracle(y):
@@ -778,7 +801,7 @@ class TestSphere2Porosity:
         assert all(r.verdict is Verdict.CERTIFIED for r in reports)
 
     def test_full_sphere_refuted(self):
-        atlas = SphereAtlas.for_sphere2(48)
+        atlas = SphereAtlas.for_sphere2()
         full = lambda y: np.ones(y.shape[0], dtype=bool)
         verdict, _ = sphere_porosity_check(full, 0.2, 0.85, 1.0, atlas, m=128,
                                            kind="ball")

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuplab.lab_cli import load_set_spec, main, rerun_manifest
-from fuplab.lorentz_core import random_group_element, write_group_element
+from fuplab import lorentz_core
+from fuplab.lab_cli import _commutator_table_exact, load_set_spec, main, rerun_manifest
+from fuplab.lorentz_core import LieAlgebraElement, random_group_element, write_group_element
 
 
 def write_json(path, payload):
@@ -46,6 +47,24 @@ class TestAlgebraVerify:
         assert main(["--out", str(tmp_path), "algebra-verify", "--n-min", "2",
                      "--n-max", "2", "--inject-sign-flip"]) == 2
         assert "[X,U1+]" in capsys.readouterr().out
+
+    def test_minus_pairs_are_checked(self, tmp_path, capsys, monkeypatch):
+        # corrupt every [Ui-, Uj-] with i != j; each must be reported
+        exact = lorentz_core.bracket
+
+        def corrupted(y, z):
+            out = exact(y, z)
+            if y.label[0] == z.label[0] == "U" and y.label[-1] == z.label[-1] == "-" \
+                    and y.label != z.label:
+                return LieAlgebraElement(out.matrix + 1, out.n, out.label)
+            return out
+
+        monkeypatch.setattr(lorentz_core, "bracket", corrupted)
+        assert _commutator_table_exact(3) == [f"[U{i}-,U{j}-]=0" for i in (1, 2, 3)
+                                              for j in (1, 2, 3) if i != j]
+        assert main(["--out", str(tmp_path), "algebra-verify", "--n-min", "2",
+                     "--n-max", "2"]) == 2
+        assert "n=2 commutator-table FAIL: [U1-,U2-]=0" in capsys.readouterr().out
 
 
 class TestPorosityCheck:
@@ -469,6 +488,47 @@ class TestUsageContract:
                                          "--steps", "2", prefix="error: boost time t=720.0")
         assert main(["--out", str(tmp_path), "flow-trace", "--t1", "710", "--steps", "2"]) == 0
         assert (tmp_path / "flow_trace.csv").exists()
+
+    def test_flow_time_whose_horospherical_square_overflows(self, tmp_path, capsys):
+        # |v|^2 = t^2 leaves the float range just past t = 1.34e154
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.assert_one_line_usage_error(tmp_path, capsys, "flow-trace", "--generator",
+                                             "U1+", "--t1", "1e200", "--steps", "2",
+                                             prefix="error: horospherical parameter v=")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert main(["--out", str(tmp_path), "flow-trace", "--generator", "U1-",
+                     "--t1", "1.3e154", "--steps", "2"]) == 0
+        assert "nan" not in (tmp_path / "flow_trace.csv").read_text()
+
+    @pytest.mark.parametrize("value", [5.9, True, "6"], ids=["float", "bool", "string"])
+    @pytest.mark.parametrize("field", ["base", "kept_digits", "depth", "dims"])
+    def test_cantor_spec_field_that_is_not_an_integer(self, tmp_path, capsys, field, value):
+        decl = dict(CANTOR["cantor"], **{field: [0, value] if field == "kept_digits" else value})
+        spec = self.input_json(tmp_path, {"cantor": decl})
+        self.assert_one_line_usage_error(tmp_path, capsys, "porosity-check", "--set", spec,
+                                         "--nu", "0.08", "--alpha0", "0.111", "--alpha1", "1.0",
+                                         prefix=f"error: {field} must be an integer")
+
+    @pytest.mark.parametrize("field, value", [("dims", 1.5), ("dims", True),
+                                              ("resolution", 27.9), ("resolution", "27")])
+    def test_box_spec_field_that_is_not_an_integer(self, tmp_path, capsys, field, value):
+        spec = self.input_json(tmp_path, {"boxes": [[[0.1], [0.4]]], "resolution": 27,
+                                          "dims": 1, field: value})
+        self.assert_one_line_usage_error(tmp_path, capsys, "porosity-check", "--set", spec,
+                                         "--nu", "0.1", "--alpha0", "0.111", "--alpha1", "1",
+                                         prefix=f"error: {field} must be an integer")
+
+    @pytest.mark.parametrize("field, value", [
+        ("ladder", [27.9, 81, 243, 729]), ("ladder", ["27", 81, 243, 729]),
+        ("ladder", [True, 81]), ("cantor_kept", [0, 2.0]), ("cantor_base", 3.5),
+        ("n", True), ("seed", 1.5),
+    ])
+    def test_fup_config_field_that_is_not_an_integer(self, tmp_path, capsys, field, value):
+        cfg = self.input_json(tmp_path, {"core": "fourier", "n": 1, "ladder": [27, 81],
+                                         field: value})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix=f"config error: {field} must be an integer")
 
     @pytest.mark.parametrize("step", ["1e300", "1e-300"])
     def test_hessian_step_whose_determinant_is_not_finite(self, tmp_path, capsys, step):
