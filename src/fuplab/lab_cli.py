@@ -24,6 +24,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -39,6 +40,7 @@ from .lorentz_core import (
     DEFAULT_TOL,
     DecompositionError,
     GroupElement,
+    LorentzError,
     exp_flow,
     generator,
     geodesic_flow,
@@ -287,13 +289,15 @@ def _flow_compat_suite(n: int, rng: np.random.Generator) -> float:
 
 def _horocyclic_suite(n: int, rng: np.random.Generator) -> float:
     x_gen = generator("X", n=n)
+    u_gens = {(kind, i): generator(kind, i, n=n) for kind in ("U+", "U-")
+              for i in range(1, n + 1)}
     worst = 0.0
     for _ in range(100):
         i = int(rng.integers(1, n + 1))
         s = float(rng.uniform(-1.0, 1.0))
         t = float(rng.uniform(-3.0, 3.0))
         for sign, kind in ((1, "U+"), (-1, "U-")):
-            u_gen = generator(kind, i, n=n)
+            u_gen = u_gens[(kind, i)]
             lhs = exp_flow(u_gen, s) @ exp_flow(x_gen, -t)
             rhs = exp_flow(x_gen, -t) @ exp_flow(u_gen, s * math.exp(sign * t))
             worst = max(worst, float(np.max(np.abs(lhs.matrix - rhs.matrix))))
@@ -337,7 +341,12 @@ def cmd_flow_trace(args) -> tuple[int, RunRecord | None]:
     ts = np.linspace(args.t0, args.t1, args.steps)
     rows = []
     for t in ts:
-        g = q @ exp_flow(gen, float(t))
+        flow = exp_flow(gen, float(t))
+        with np.errstate(over="ignore", invalid="ignore"):   # reported below
+            g = q @ flow
+        if not np.isfinite(g.matrix).all():
+            raise LorentzError(f"flow time t={float(t)!r} overflows: the flowed frame "
+                               "leaves the float range")
         rows.append([t] + list(g.matrix[:, 0]) + list(g.matrix[:, 1]))
     header = ["t"] + [f"x{i}" for i in range(n + 2)] + [f"xi{i}" for i in range(n + 2)]
     out_csv = os.path.join(args.out, "flow_trace.csv")
@@ -644,6 +653,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process.  Parsing leaves it unchanged, and no command
+    mutates a default it hands out, so every call of ``main`` can share it."""
+    return build_parser()
+
+
 def _usage_problem(args) -> str | None:
     """Arguments that parse but would crash a command or let it check nothing."""
     cmd = args.subcommand
@@ -677,9 +693,8 @@ def _usage_problem(args) -> str | None:
 def main(argv=None) -> int:
     """Parse, refuse unusable input, run the command, then write its manifest."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     problem = _usage_problem(args)

@@ -21,6 +21,7 @@ are wrapped in :class:`GroupElement`.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -145,7 +146,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, n: int) -> "GroupElement":
-        return cls(np.eye(n + 2), n)
+        return cls(_identity(n + 2), n)
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.n != other.n:
@@ -252,7 +253,13 @@ def parse_label(label: str, n: int) -> LieAlgebraElement:
 
 
 def frame_basis(n: int, dtype=np.float64) -> list[LieAlgebraElement]:
-    """The frame X, R_{i+1,j+1} (1<=i<j<=n), U_i^+, U_i^- (1<=i<=n)."""
+    """The frame X, R_{i+1,j+1} (1<=i<j<=n), U_i^+, U_i^- (1<=i<=n), as a new list."""
+    return list(_frame_basis(n, dtype))
+
+
+@functools.cache
+def _frame_basis(n: int, dtype) -> tuple[LieAlgebraElement, ...]:
+    # built once per (n, dtype): the elements and their matrices are frozen
     out = [generator("X", n=n, dtype=dtype)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -261,7 +268,7 @@ def frame_basis(n: int, dtype=np.float64) -> list[LieAlgebraElement]:
         out.append(generator("U+", i, n=n, dtype=dtype))
     for i in range(1, n + 1):
         out.append(generator("U-", i, n=n, dtype=dtype))
-    return out
+    return tuple(out)
 
 
 def bracket(y: LieAlgebraElement, z: LieAlgebraElement) -> LieAlgebraElement:
@@ -275,23 +282,77 @@ def bracket(y: LieAlgebraElement, z: LieAlgebraElement) -> LieAlgebraElement:
     return LieAlgebraElement(m, y.n, lbl)
 
 
+@functools.cache
+def _identity(size: int) -> np.ndarray:
+    """A read-only identity matrix: GroupElement.identity holds it, the closed-form
+    flows copy it."""
+    m = np.eye(size)
+    m.setflags(write=False)
+    return m
+
+
 def _exp_boost(n: int, k: int, t: float) -> np.ndarray:
     try:
         c, s = math.cosh(t), math.sinh(t)
     except OverflowError:
         raise LorentzError(f"boost time t={t!r} overflows: cosh(t) exceeds the "
                            "largest float") from None
-    m = np.eye(n + 2)
+    m = _identity(n + 2).copy()
     m[0, 0] = m[k, k] = c
     m[0, k] = m[k, 0] = s
     return m
 
 
 def _exp_rotation(n: int, i: int, j: int, t: float) -> np.ndarray:
-    m = np.eye(n + 2)
+    m = _identity(n + 2).copy()
     m[i, i] = m[j, j] = math.cos(t)
     m[i, j] = math.sin(t)
     m[j, i] = -math.sin(t)
+    return m
+
+
+@functools.cache
+def _rotation_plane(label: str, n: int) -> tuple[int, int]:
+    """The indices (i, j), i < j, of the rotation R_ij that ``label`` names in dimension n."""
+    idx = np.nonzero(parse_label(label, n).matrix)
+    return int(idx[0][0]), int(idx[1][0])
+
+
+@functools.cache
+def _horocycle_zeros(n: int, s: float) -> np.ndarray:
+    """The identity with the signed zeros that -v, -s*v and s*v leave in the
+    rows and columns 0 and 1 of horospherical_element's matrix (read-only)."""
+    m = np.eye(n + 2)
+    m[0, 2:] = m[2:, 0] = -0.0
+    m[1, 2:] = -s * 0.0
+    m[2:, 1] = s * 0.0
+    m.setflags(write=False)
+    return m
+
+
+def _exp_horocycle(n: int, i: int, s: float, t: float) -> np.ndarray:
+    """The matrix of horospherical_element(t e_i, s, n), filled in entry by entry.
+
+    It is the same matrix bit for bit, the signs of its zeros included, and
+    it overflows with the same error.
+    """
+    if not 1 <= i <= n:
+        raise LorentzError(f"U_i needs 1 <= i <= n, got {i}")
+    q = t * t / 2.0
+    if not math.isfinite(q):
+        v = [0.0] * n
+        v[i - 1] = t
+        raise LorentzError(f"horospherical parameter v={v} overflows: |v|^2/2 "
+                           "exceeds the largest float")
+    m = _horocycle_zeros(n, s).copy()
+    m[0, 0] += q
+    m[1, 1] -= q
+    m[0, 1] = -s * q
+    m[1, 0] = s * q
+    k = i + 1
+    m[0, k] = m[k, 0] = -t
+    m[1, k] = -s * t
+    m[k, 1] = s * t
     return m
 
 
@@ -337,15 +398,11 @@ def exp_flow(y: LieAlgebraElement, t: float) -> GroupElement:
     if lbl.startswith("A") and lbl[1:].isdigit():
         return GroupElement(_exp_boost(n, int(lbl[1:]), t), n)
     if lbl.startswith("R"):
-        el = parse_label(lbl, n)
-        idx = np.nonzero(el.matrix)
-        i, j = int(idx[0][0]), int(idx[1][0])
-        return GroupElement(_exp_rotation(n, i, j, t * float(el.matrix[i, j])), n)
+        i, j = _rotation_plane(lbl, n)
+        return GroupElement(_exp_rotation(n, i, j, t), n)
     if lbl.startswith("U") and lbl[-1] in "+-":
-        i = int(lbl[1:-1])
-        v = np.zeros(n)
-        v[i - 1] = t
-        return horospherical_element(v, +1 if lbl[-1] == "+" else -1, n)
+        s = 1.0 if lbl[-1] == "+" else -1.0
+        return GroupElement(_exp_horocycle(n, int(lbl[1:-1]), s, t), n)
     m = expm(t * np.asarray(y.matrix, dtype=np.float64))
     return GroupElement(m, n)
 
@@ -579,7 +636,7 @@ def ku_member_by_conjugation(k: GroupElement) -> bool:
 def random_frame_word(rng: np.random.Generator, n: int, factors: int = 5,
                       scale: float = 0.8) -> GroupElement:
     """Product of ``factors`` random frame exponentials (a generic element)."""
-    basis = frame_basis(n)
+    basis = _frame_basis(n, np.float64)
     g = GroupElement.identity(n)
     for _ in range(factors):
         y = basis[int(rng.integers(len(basis)))]

@@ -12,6 +12,7 @@ enters when forming the log-ratio diagnostics of the counting bound
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -49,15 +50,23 @@ def count_uncontrolled(t0: int, alpha) -> int:
     """Number of length-t0 words with 1-fraction at most alpha (exact).
 
     The controlled set uses a strict inequality, so words sitting exactly on
-    the boundary count as uncontrolled.
+    the boundary count as uncontrolled.  The tail sum of C(t0, k) over
+    k <= floor(alpha t0) runs one exact term: C(t0, k+1) = C(t0, k)(t0-k)/(k+1),
+    and the division leaves no remainder.
     """
     if t0 < 1:
         raise ValueError("block length must be positive")
+    t0 = operator.index(t0)         # a Python int: a numpy integer would overflow below
     alpha = Fraction(alpha)
-    if not 0 < alpha < Fraction(1, 2):
+    p, q = alpha.numerator, alpha.denominator     # q > 0
+    if not 0 < 2 * p < q:
         raise ValueError("alpha must lie in (0, 1/2)")
-    kmax = int(alpha * t0)          # floor of an exact rational
-    return sum(math.comb(t0, k) for k in range(kmax + 1))
+    kmax = p * t0 // q              # floor(alpha t0), exactly
+    term = total = 1                # C(t0, 0)
+    for k in range(kmax):
+        term = term * (t0 - k) // (k + 1)
+        total += term
+    return total
 
 
 def bound_check(rho: float, alpha, h_ladder, slack: float = 0.1):

@@ -281,6 +281,33 @@ class TestDeterminism:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestParserReuse:
+    """main parses every call with one parser per process; no call may leave
+    anything in it that changes the next."""
+
+    def test_repeated_calls_after_a_usage_error_write_the_same_bytes(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path / "bad"), "porosity-check", "--set", "x.json",
+                     "--nu", "0.1"]) == 1
+        assert capsys.readouterr().out.startswith("error: the following arguments")
+        for argv, csv_name in ((["fio-sphere"], "fio_sphere.csv"),
+                               (["words-count", "--alpha", "0.04", "--rho", "0.9",
+                                 "--j-min", "200", "--j-max", "400"], "words_count.csv")):
+            runs = []
+            for k in range(2):
+                out = tmp_path / f"{argv[0]}-{k}"
+                assert main(["--out", str(out), *argv]) == 0
+                runs.append((capsys.readouterr().out.replace(str(out), "OUT"),
+                             read_bytes(out / csv_name)))
+            assert runs[0] == runs[1]
+            assert "wrote OUT" in runs[0][0]
+        # the defaults --w 0.125 1 8 and --ladder 108 324 972 2916 were used both times
+        for k in range(2):
+            with open(tmp_path / f"fio-sphere-{k}" / "fio_sphere.manifest.json") as fh:
+                config = json.load(fh)["config"]
+            assert config["w_list"] == [0.125, 1.0, 8.0]
+            assert config["ladder"] == [108, 324, 972, 2916]
+
+
 class TestSetSpecLoader:
     def test_cantor_spec(self, tmp_path):
         spec = write_json(tmp_path / "c.json",
@@ -500,6 +527,21 @@ class TestUsageContract:
         assert main(["--out", str(tmp_path), "flow-trace", "--generator", "U1-",
                      "--t1", "1.3e154", "--steps", "2"]) == 0
         assert "nan" not in (tmp_path / "flow_trace.csv").read_text()
+
+    def test_flow_frame_whose_product_overflows(self, tmp_path, capsys):
+        # the flow's own matrix is finite at t = 1.3e154; the frame times it is not
+        (tmp_path / "in").mkdir()
+        frame = str(tmp_path / "in" / "g.txt")
+        write_group_element(random_group_element(np.random.default_rng(5), 2), frame)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.assert_one_line_usage_error(tmp_path, capsys, "flow-trace", "--frame", frame,
+                                             "--generator", "U1+", "--t1", "1.3e154",
+                                             "--steps", "2", prefix="error: flow time t=1.3e+154")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert main(["--out", str(tmp_path), "flow-trace", "--frame", frame, "--generator",
+                     "U1+", "--t1", "1e150", "--steps", "2"]) == 0
+        assert "inf" not in (tmp_path / "flow_trace.csv").read_text()
 
     @pytest.mark.parametrize("value", [5.9, True, "6"], ids=["float", "bool", "string"])
     @pytest.mark.parametrize("field", ["base", "kept_digits", "depth", "dims"])

@@ -5,8 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from fuplab.lorentz_core import (
+    _exp_rotation,
     DecompositionError,
     GroupElement,
+    LieAlgebraElement,
     LorentzError,
     NormalizerKind,
     bracket,
@@ -112,6 +114,21 @@ class TestGenerators:
         for el in frame_basis(2):
             again = parse_label(el.label, 2)
             assert np.array_equal(el.matrix, again.matrix)
+
+    @pytest.mark.parametrize("dtype", [np.float64, object])
+    def test_frame_basis_is_a_fresh_list_of_frozen_elements(self, dtype):
+        first = frame_basis(3, dtype)
+        labels = [el.label for el in first]
+        matrices = [el.matrix.copy() for el in first]
+        assert all(not el.matrix.flags.writeable for el in first)
+        first.reverse()
+        first.append(generator("A", 2, n=3, dtype=dtype))
+        first[0] = None
+        second = frame_basis(3, dtype)
+        assert second is not first
+        assert [el.label for el in second] == labels == ["X", "R23", "R24", "R34", "U1+",
+                                                         "U2+", "U3+", "U1-", "U2-", "U3-"]
+        assert all(np.array_equal(el.matrix, m) for el, m in zip(second, matrices))
 
 
 def commutator_table_cases(n):
@@ -232,6 +249,46 @@ class TestExpFlow:
     def test_nonfinite_time_rejected(self):
         with pytest.raises(LorentzError):
             exp_flow(generator("X", n=2), float("nan"))
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 11])
+    def test_rotation_labels_flow_in_the_plane_that_parse_label_gives(self, n):
+        gens = [generator("R", i, j, n=n) for i in range(1, n + 2) for j in range(i + 1, n + 2)]
+        # from n = 9 on, a plane with an index of 10 or more is labelled R{i},{j}
+        assert ("R2,10" in [y.label for y in gens]) == (n >= 9)
+        for y in gens:
+            idx = np.nonzero(parse_label(y.label, n).matrix)
+            i, j = int(idx[0][0]), int(idx[1][0])
+            for t in (0.0, -0.0, 0.41, -2.7, 1e6):
+                assert np.array_equal(exp_flow(y, t).matrix, _exp_rotation(n, i, j, t)), \
+                    (y.label, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_horocycle_labels_match_the_one_hot_horospherical_element(self, n):
+        for i in range(1, n + 1):
+            for sign, kind in ((1, "U+"), (-1, "U-")):
+                y = generator(kind, i, n=n)
+                for t in (0.0, -0.0, 0.37, -2.5, 1e100, -1.3e154):
+                    v = np.zeros(n)
+                    v[i - 1] = t
+                    got = exp_flow(y, t).matrix
+                    want = horospherical_element(v, sign, n).matrix
+                    assert np.array_equal(got, want), (kind, i, t)
+                    # the signs of the zero entries agree as well
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (kind, i, t)
+                v = np.zeros(n)
+                v[i - 1] = -1e200
+                with pytest.raises(LorentzError) as want_exc:
+                    horospherical_element(v, sign, n)
+                with pytest.raises(LorentzError) as got_exc:
+                    exp_flow(y, -1e200)
+                assert str(got_exc.value) == str(want_exc.value)
+
+    @pytest.mark.parametrize("label", ["U0+", "U3-", "U-1+"])
+    def test_horocycle_label_outside_the_dimension_is_refused(self, label):
+        # generator() never makes such a label; a hand-made one must not wrap around
+        y = LieAlgebraElement(np.zeros((4, 4)), 2, label)
+        with pytest.raises(LorentzError, match="U_i needs 1 <= i <= n"):
+            exp_flow(y, 0.5)
 
 
 class TestGeodesicFlow:

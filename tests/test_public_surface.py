@@ -7,6 +7,7 @@ name there breaks traced benchmark runs without failing any other test.
 """
 
 import importlib
+import types
 
 import pytest
 
@@ -21,9 +22,27 @@ def test_every_exported_name_is_bound(layer):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+def _not_a_plain_function(mod, name):
+    obj = getattr(mod, name)
+    return not (isinstance(obj, types.FunctionType) and obj.__module__ == mod.__name__)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_exported_callables_are_plain_functions_of_their_layer(layer):
+    # The tracer wraps only plain functions: a public name that a cache or
+    # another decorator turns into some other callable drops out of the
+    # per-layer metrics without any error.
+    mod = importlib.import_module(f"fuplab.{layer}")
+    callables = [name for name in mod.__all__
+                 if callable(getattr(mod, name)) and not isinstance(getattr(mod, name), type)]
+    assert callables
+    assert [name for name in callables if _not_a_plain_function(mod, name)] == []
+
+
 def test_lab_cli_entry_points_are_bound():
     mod = importlib.import_module("fuplab.lab_cli")
     assert [name for name in LAB_CLI_PUBLIC if not callable(getattr(mod, name, None))] == []
+    assert [name for name in LAB_CLI_PUBLIC if _not_a_plain_function(mod, name)] == []
 
 
 @pytest.mark.parametrize("cls_name", ["FourierCore", "KernelCore", "SubmatrixKernelCore"])

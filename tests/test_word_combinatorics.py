@@ -76,6 +76,23 @@ class TestCountUncontrolled:
         assert not is_controlled("1222", alpha)
         assert is_controlled("1122", alpha)
 
+    @pytest.mark.parametrize("alpha", [Fraction(1, 10), Fraction(1, 4), Fraction(3, 10),
+                                       Fraction(2, 5), Fraction(49, 100)])
+    def test_running_term_equals_the_binomial_sum(self, alpha):
+        t0s = list(range(1, 401)) + [1999, 2000, 2009]
+        for t0 in t0s:
+            kmax = math.floor(alpha * t0)
+            assert count_uncontrolled(t0, alpha) == sum(math.comb(t0, k)
+                                                        for k in range(kmax + 1)), t0
+        # alpha*t0 lands on an integer, so the boundary term is the last one summed
+        assert sum((alpha * t0).denominator == 1 for t0 in t0s) >= 4
+
+    def test_float_alpha_is_floored_at_its_exact_binary_value(self):
+        # the double 0.3 lies just below 3/10, so 10 * 0.3 floors to 2
+        assert Fraction(0.3) < Fraction(3, 10)
+        assert count_uncontrolled(10, 0.3) == math.comb(10, 0) + math.comb(10, 1) + math.comb(10, 2)
+        assert count_uncontrolled(10, Fraction(3, 10)) == count_uncontrolled(10, 0.3) + math.comb(10, 3)
+
     def test_monotone_in_alpha(self):
         for t0 in (3, 7, 12):
             counts = [count_uncontrolled(t0, Fraction(k, 100)) for k in range(1, 50)]
