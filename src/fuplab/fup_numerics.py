@@ -619,26 +619,70 @@ def log_phase_masked_operator(w: float, h: float, chi, grid: SphereGrid,
 # mixed Hessian probes
 
 
-def mixed_hessian_det(phi, y: np.ndarray, yprime: np.ndarray, fd_step: float = 1e-5) -> float:
-    """Determinant of the finite-difference mixed Hessian in ambient coordinates."""
-    y = np.asarray(y, dtype=np.float64)
-    yprime = np.asarray(yprime, dtype=np.float64)
-    if np.array_equal(y, yprime):
+# The central mixed difference at (y, y') takes the phase at four displaced
+# pairs per Hessian entry (i, j): (y+e_i, y'+e_j), (y+e_i, y'-e_j),
+# (y-e_i, y'+e_j) and (y-e_i, y'-e_j), with e_k = fd_step times the k-th unit
+# vector.  Each pair is named by which of _mixed_stencil's (plus, minus)
+# arrays its y side and its y' side come from.
+_STENCIL_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _mixed_stencil(y: np.ndarray, yprime: np.ndarray, fd_step: float):
+    """The displaced points of the central mixed difference at (y, y'), for two
+    m-vectors or two stacks (P, m) of them: ((y+e, y-e), (y'+e, y'-e)), four
+    arrays of shape (..., m, m) whose row k is the point displaced along e_k."""
+    if (y == yprime).all(-1).any():
         raise ValueError("mixed Hessian probe needs distinct points")
     if not 4.0 * fd_step * fd_step > 0.0:
         raise ValueError(f"fd_step {fd_step!r} squared underflows to zero")
+    e = np.zeros((y.shape[-1],) * 2)
+    np.fill_diagonal(e, fd_step)
+    y, yprime = y[..., None, :], yprime[..., None, :]
+    return (y + e, y - e), (yprime + e, yprime - e)
+
+
+def _mixed_hessian(values: np.ndarray, fd_step: float) -> np.ndarray:
+    """The mixed Hessian (..., m, m) from the phase at the stencil pairs, given
+    as an array (..., m, m, 4) in the order of _STENCIL_PAIRS."""
+    return (values[..., 0] - values[..., 1] - values[..., 2] + values[..., 3]) \
+        / (4.0 * fd_step * fd_step)
+
+
+def mixed_hessian_det(phi, y: np.ndarray, yprime: np.ndarray, fd_step: float = 1e-5) -> float:
+    """Determinant of the finite-difference mixed Hessian in ambient coordinates.
+
+    ``phi(u, v)`` returns a float; it is called once per displaced pair.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    yprime = np.asarray(yprime, dtype=np.float64)
+    ys, vs = _mixed_stencil(y, yprime, fd_step)
     m = y.shape[0]
-    hess = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            ei = np.zeros(m)
-            ej = np.zeros(m)
-            ei[i] = fd_step
-            ej[j] = fd_step
-            hess[i, j] = (phi(y + ei, yprime + ej) - phi(y + ei, yprime - ej)
-                          - phi(y - ei, yprime + ej) + phi(y - ei, yprime - ej)) \
-                / (4.0 * fd_step * fd_step)
+    values = [phi(ys[a][i], vs[b][j])
+              for i in range(m) for j in range(m) for a, b in _STENCIL_PAIRS]
+    hess = _mixed_hessian(np.array(values, dtype=np.float64).reshape(m, m, 4), fd_step)
     return float(np.linalg.det(hess))
+
+
+def _log_phase_fd_dets(w: np.ndarray, y: np.ndarray, yprime: np.ndarray,
+                       fd_step: float) -> np.ndarray:
+    """mixed_hessian_det of the log phase 2 w log|u - v| - w log 4 at every pair
+    of the stacks y, y' (P, m), with energies w (P,): the P determinants.
+
+    Each equals mixed_hessian_det with that phase as a scalar lambda, bit for
+    bit: the norm is one ddot and a square root, as np.linalg.norm takes it,
+    and the logarithm comes from math (numpy's log differs in the last bit for
+    a few arguments in a thousand).
+    """
+    ys, vs = _mixed_stencil(y, yprime, fd_step)
+    w = np.asarray(w, dtype=np.float64)[:, None, None]
+    rows = []
+    for i in range(y.shape[-1]):     # one Hessian row at a time bounds the memory
+        # (P, j, pair, m): the difference u - v of each displaced pair of row i
+        d = np.stack([ys[a][:, i, None, :] - vs[b] for a, b in _STENCIL_PAIRS], axis=2)
+        norm = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+        log = np.array([math.log(r) for r in norm.ravel().tolist()]).reshape(norm.shape)
+        rows.append(2 * w * log - w * math.log(4.0))
+    return np.linalg.det(_mixed_hessian(np.stack(rows, axis=1), fd_step))
 
 
 def log_phase_hessian_factors(w: float, y: np.ndarray, yprime: np.ndarray):

@@ -41,13 +41,18 @@ from .lorentz_core import (
     DecompositionError,
     GroupElement,
     LorentzError,
+    _certify,
+    _exp_boost,
+    _frame_flows,
+    _frame_word_draws,
+    _frame_words,
     exp_flow,
+    frame_basis,
     generator,
     geodesic_flow,
     kan_decompose,
     normalizer_decompose,
     parse_label,
-    random_group_element,
     read_group_element,
     write_group_element,
 )
@@ -62,9 +67,9 @@ from .porosity import (
 from .fup_numerics import (
     FupConfig,
     SphereAtlas,
+    _log_phase_fd_dets,
     fup_experiment,
     log_phase_hessian_factors,
-    mixed_hessian_det,
     sphere_porosity_check,
 )
 from .word_combinatorics import bound_check
@@ -275,32 +280,37 @@ def _commutator_table_exact(n: int, flip_sign: bool = False) -> list[str]:
 
 
 def _flow_compat_suite(n: int, rng: np.random.Generator) -> float:
-    x_gen = generator("X", n=n)
-    worst = 0.0
+    """Worst gap over 100 random certified frames g and times t between the
+    columns 0 and 1 of g exp(tX) and the geodesic flow of g's phase point."""
+    picks, times, t = [], [], []
     for _ in range(100):
-        g = random_group_element(rng, n)
-        t = float(rng.uniform(-5.0, 5.0))
-        gt = g @ exp_flow(x_gen, t)
-        x, xi = geodesic_flow(g.matrix[:, 0], g.matrix[:, 1], t)
-        worst = max(worst, float(np.max(np.abs(x - gt.matrix[:, 0]))),
-                    float(np.max(np.abs(xi - gt.matrix[:, 1]))))
-    return worst
+        p, w = _frame_word_draws(rng, n)      # the draws of random_group_element
+        picks.append(p)
+        times.append(w)
+        t.append(float(rng.uniform(-5.0, 5.0)))
+    g = _certify(_frame_words(n, np.array(picks), np.array(times)))
+    gt = g @ _exp_boost(n, 1, t)
+    x, xi = geodesic_flow(g[:, :, 0], g[:, :, 1], t)
+    return float(max(np.max(np.abs(x - gt[:, :, 0])), np.max(np.abs(xi - gt[:, :, 1]))))
 
 
 def _horocyclic_suite(n: int, rng: np.random.Generator) -> float:
-    x_gen = generator("X", n=n)
-    u_gens = {(kind, i): generator(kind, i, n=n) for kind in ("U+", "U-")
-              for i in range(1, n + 1)}
-    worst = 0.0
+    """Worst entry of exp(sU) exp(-tX) - exp(-tX) exp(s e^{+-t} U) over 100 random
+    (i, s, t), for U = U_i^+ and U_i^-."""
+    i, s, t = [], [], []
     for _ in range(100):
-        i = int(rng.integers(1, n + 1))
-        s = float(rng.uniform(-1.0, 1.0))
-        t = float(rng.uniform(-3.0, 3.0))
-        for sign, kind in ((1, "U+"), (-1, "U-")):
-            u_gen = u_gens[(kind, i)]
-            lhs = exp_flow(u_gen, s) @ exp_flow(x_gen, -t)
-            rhs = exp_flow(x_gen, -t) @ exp_flow(u_gen, s * math.exp(sign * t))
-            worst = max(worst, float(np.max(np.abs(lhs.matrix - rhs.matrix))))
+        i.append(int(rng.integers(1, n + 1)))
+        s.append(float(rng.uniform(-1.0, 1.0)))
+        t.append(float(rng.uniform(-3.0, 3.0)))
+    index = {y.label: k for k, y in enumerate(frame_basis(n))}
+    back = _exp_boost(n, 1, [-tr for tr in t])
+    worst = 0.0
+    for sign, tag in ((1.0, "+"), (-1.0, "-")):
+        picks = np.array([index[f"U{k}{tag}"] for k in i])
+        lhs = _frame_flows(n, picks, np.array(s)) @ back
+        scaled = np.array([sr * math.exp(sign * tr) for sr, tr in zip(s, t)])
+        rhs = back @ _frame_flows(n, picks, scaled)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -515,20 +525,22 @@ def cmd_words_count(args) -> tuple[int, RunRecord | None]:
 
 def cmd_hessian_check(args) -> tuple[int, RunRecord | None]:
     rng = np.random.default_rng(_seed(args))
-    rows = []
-    worst = 0.0
-    checked = 0
-    while checked < args.pairs:
+    ys, yprimes, ws = [], [], []
+    while len(ws) < args.pairs:
         a = rng.standard_normal(args.n + 1)
         a /= np.linalg.norm(a)
         b = rng.standard_normal(args.n + 1)
         b /= np.linalg.norm(b)
         if np.linalg.norm(a - b) < 0.1:
             continue
-        w = float(rng.uniform(args.w_min, args.w_max))
-        phi = lambda u, v: 2 * w * math.log(float(np.linalg.norm(u - v))) - w * math.log(4.0)
-        with np.errstate(all="ignore"):     # a step that overflows is reported below
-            fd = mixed_hessian_det(phi, a, b, args.fd_step)
+        ys.append(a)
+        yprimes.append(b)
+        ws.append(float(rng.uniform(args.w_min, args.w_max)))
+    with np.errstate(all="ignore"):     # a step that overflows is reported below
+        fds = _log_phase_fd_dets(np.array(ws), np.array(ys), np.array(yprimes), args.fd_step)
+    rows = []
+    worst = 0.0
+    for w, a, b, fd in zip(ws, ys, yprimes, fds.tolist()):
         _, _, sym = log_phase_hessian_factors(w, a, b)
         rel = abs(fd - sym) / abs(sym)
         if not math.isfinite(rel):
@@ -536,7 +548,6 @@ def cmd_hessian_check(args) -> tuple[int, RunRecord | None]:
                              f"determinant {fd!r}, relative error {rel!r}")
         worst = max(worst, rel)
         rows.append([args.n, w, float(np.linalg.norm(a - b)), fd, sym, rel])
-        checked += 1
     out_csv = os.path.join(args.out, "hessian_check.csv")
     _write_csv(out_csv, ["n", "w", "separation", "fd_det", "symbolic_det", "rel_err"], rows)
     print(f"worst relative error {_fmt(worst)} over {args.pairs} pairs; wrote {out_csv}")

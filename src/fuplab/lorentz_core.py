@@ -86,21 +86,47 @@ def minkowski_matrix(n: int, dtype=np.float64) -> np.ndarray:
     return j
 
 
-def minkowski_inner(u: np.ndarray, v: np.ndarray) -> float:
-    """Minkowski pairing -u0*v0 + sum_{j>=1} uj*vj of two vectors."""
+def minkowski_inner(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Minkowski pairing -u0*v0 + sum_{j>=1} uj*vj of two vectors, as a float.
+
+    Two equal-shape stacks (..., m) of vectors are paired row by row, into an
+    array of shape (...).
+    """
     u = np.asarray(u)
     v = np.asarray(v)
-    if u.shape != v.shape or u.ndim != 1:
+    if u.shape != v.shape or u.ndim == 0:
         raise LorentzError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(u @ v) - 2.0 * float(u[0] * v[0])
+    if u.ndim == 1:
+        return float(u @ v) - 2.0 * float(u[0] * v[0])
+    # (..., 1, m) @ (..., m, 1) takes each row's dot product as the 1-D u @ v
+    # does (one ddot), so a row pairs to the same float as it does alone
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0] - 2.0 * (u[..., 0] * v[..., 0])
 
 
-def _group_residuals(m: np.ndarray) -> tuple[float, float, float]:
-    n = m.shape[0] - 2
-    j = minkowski_matrix(n)
-    form = float(np.max(np.abs(m.T @ j @ m - j)))
-    det = abs(float(np.linalg.det(m)) - 1.0)
-    return form, det, float(m[0, 0])
+def _group_residuals(m: np.ndarray):
+    """Form residual, det residual and (0,0) entry of a matrix, or of each matrix
+    of a stack (..., N, N)."""
+    j = minkowski_matrix(m.shape[-1] - 2)
+    # an entry past the float range leaves a non-finite residual, which fails
+    # certification; numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = np.abs(m.swapaxes(-1, -2) @ j @ m - j).max(axis=(-2, -1))
+        det = np.abs(np.linalg.det(m) - 1.0)
+    return form, det, m[..., 0, 0]
+
+
+def _certify(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Return the matrix m, or the stack m (..., N, N), once every matrix in it
+    is in SO0(1, n+1) at tolerance; raise LorentzError for the first that is not."""
+    form, det, corner = _group_residuals(m)
+    bad = ~((form <= tol) & (det <= tol) & (corner > 0))
+    if bad.any():
+        form, det, corner = (np.ravel(r)[np.argmax(bad)] for r in (form, det, corner))
+        raise LorentzError(
+            "matrix is not in SO0(1,n+1): "
+            f"form residual {form:.3e}, det residual {det:.3e}, M00 {corner:.3e}"
+        )
+    return m
 
 
 def is_group_element(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -109,7 +135,7 @@ def is_group_element(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 3:
         return False
     form, det, corner = _group_residuals(m)
-    return form <= tol and det <= tol and corner > 0
+    return bool(form <= tol and det <= tol and corner > 0)
 
 
 @dataclass(frozen=True)
@@ -131,13 +157,7 @@ class GroupElement:
         n = m.shape[0] - 2
         if n < 1:
             raise LorentzError("matrix too small for any dimension n >= 1")
-        form, det, corner = _group_residuals(m)
-        if form > tol or det > tol or corner <= 0:
-            raise LorentzError(
-                "matrix is not in SO0(1,n+1): "
-                f"form residual {form:.3e}, det residual {det:.3e}, M00 {corner:.3e}"
-            )
-        return cls(m, n)
+        return cls(_certify(m, tol), n)
 
     def __post_init__(self):
         # direct construction bypasses certification on purpose (internal use);
@@ -291,24 +311,53 @@ def _identity(size: int) -> np.ndarray:
     return m
 
 
-def _exp_boost(n: int, k: int, t: float) -> np.ndarray:
-    try:
-        c, s = math.cosh(t), math.sinh(t)
-    except OverflowError:
-        raise LorentzError(f"boost time t={t!r} overflows: cosh(t) exceeds the "
-                           "largest float") from None
-    m = _identity(n + 2).copy()
-    m[0, 0] = m[k, k] = c
-    m[0, k] = m[k, 0] = s
+# The closed-form flows below fill a stack of matrices, one per time of a
+# list.  They take cosh, sinh, cos and sin from math, one time at a time,
+# never from numpy: numpy's cosh and sinh differ from math's in the last bit
+# for about one argument in six, and a flow must be the same matrix whether it
+# is built alone (exp_flow) or in a stack (the algebra-verify trials).
+
+
+def _fill(template: np.ndarray, entries: tuple[tuple[int, int], ...],
+          values: list) -> np.ndarray:
+    """A stack of copies of the matrix ``template``, one per row of ``values``,
+    with values[r][e] written at entries[e] of copy r."""
+    size = template.shape[0]
+    m = template[None].repeat(len(values), 0)
+    m.reshape(len(values), size * size)[:, _flat_entries(size, entries)] = values
     return m
 
 
-def _exp_rotation(n: int, i: int, j: int, t: float) -> np.ndarray:
-    m = _identity(n + 2).copy()
-    m[i, i] = m[j, j] = math.cos(t)
-    m[i, j] = math.sin(t)
-    m[j, i] = -math.sin(t)
-    return m
+@functools.cache
+def _flat_entries(size: int, entries: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The flat indices of ``entries`` in a size x size matrix (read-only)."""
+    flat = np.array([i * size + j for i, j in entries])
+    flat.setflags(write=False)
+    return flat
+
+
+def _exp_boost(n: int, k: int, t: list) -> np.ndarray:
+    """exp(t_r A_k) (A_1 = X) for each time t_r of the list t, as a stack of
+    shape (len(t), n+2, n+2)."""
+    values = []
+    for x in t:
+        try:
+            c, s = math.cosh(x), math.sinh(x)
+        except OverflowError:
+            raise LorentzError(f"boost time t={x!r} overflows: cosh(t) exceeds the "
+                               "largest float") from None
+        values.append((c, c, s, s))
+    return _fill(_identity(n + 2), ((0, 0), (k, k), (0, k), (k, 0)), values)
+
+
+def _exp_rotation(n: int, i: int, j: int, t: list) -> np.ndarray:
+    """exp(t_r R_ij) for each time t_r of the list t, as a stack of shape
+    (len(t), n+2, n+2)."""
+    values = []
+    for x in t:
+        c, s = math.cos(x), math.sin(x)
+        values.append((c, c, s, -s))
+    return _fill(_identity(n + 2), ((i, i), (j, j), (i, j), (j, i)), values)
 
 
 @functools.cache
@@ -330,30 +379,44 @@ def _horocycle_zeros(n: int, s: float) -> np.ndarray:
     return m
 
 
-def _exp_horocycle(n: int, i: int, s: float, t: float) -> np.ndarray:
-    """The matrix of horospherical_element(t e_i, s, n), filled in entry by entry.
+def _exp_horocycle(n: int, i: int, s: float, t: list) -> np.ndarray:
+    """horospherical_element(t_r e_i, s, n) for each time t_r of the list t, as a
+    stack of shape (len(t), n+2, n+2).
 
-    It is the same matrix bit for bit, the signs of its zeros included, and
-    it overflows with the same error.
+    Each matrix is horospherical_element's bit for bit, the signs of its zeros
+    included, and an overflow raises the same error.
     """
     if not 1 <= i <= n:
         raise LorentzError(f"U_i needs 1 <= i <= n, got {i}")
-    q = t * t / 2.0
-    if not math.isfinite(q):
-        v = [0.0] * n
-        v[i - 1] = t
-        raise LorentzError(f"horospherical parameter v={v} overflows: |v|^2/2 "
-                           "exceeds the largest float")
-    m = _horocycle_zeros(n, s).copy()
-    m[0, 0] += q
-    m[1, 1] -= q
-    m[0, 1] = -s * q
-    m[1, 0] = s * q
+    values = []
+    for x in t:
+        q = x * x / 2.0
+        if not math.isfinite(q):
+            v = [0.0] * n
+            v[i - 1] = x
+            raise LorentzError(f"horospherical parameter v={v} overflows: |v|^2/2 "
+                               "exceeds the largest float")
+        values.append((1.0 + q, 1.0 - q, -s * q, s * q, -x, -x, -s * x, s * x))
     k = i + 1
-    m[0, k] = m[k, 0] = -t
-    m[1, k] = -s * t
-    m[k, 1] = s * t
-    return m
+    return _fill(_horocycle_zeros(n, s),
+                 ((0, 0), (1, 1), (0, 1), (1, 0), (0, k), (k, 0), (1, k), (k, 1)), values)
+
+
+def _exp_closed(label: str, n: int, t: list) -> np.ndarray | None:
+    """exp(t_r Y) for each time t_r of the list t, as a stack of shape
+    (len(t), n+2, n+2), when the generator Y that ``label`` names has a closed
+    form: a boost, a rotation or a single-sign horospherical generator.  None
+    for any other label."""
+    if label == "X":
+        return _exp_boost(n, 1, t)
+    if label.startswith("A") and label[1:].isdigit():
+        return _exp_boost(n, int(label[1:]), t)
+    if label.startswith("R"):
+        i, j = _rotation_plane(label, n)
+        return _exp_rotation(n, i, j, t)
+    if label.startswith("U") and label[-1] in "+-":
+        return _exp_horocycle(n, int(label[1:-1]), 1.0 if label[-1] == "+" else -1.0, t)
+    return None
 
 
 def horospherical_element(v: np.ndarray, sign: int, n: int) -> GroupElement:
@@ -391,36 +454,36 @@ def exp_flow(y: LieAlgebraElement, t: float) -> GroupElement:
     """
     if not math.isfinite(t):
         raise LorentzError(f"flow time must be finite, got {t}")
-    n = y.n
-    lbl = y.label or ""
-    if lbl == "X":
-        return GroupElement(_exp_boost(n, 1, t), n)
-    if lbl.startswith("A") and lbl[1:].isdigit():
-        return GroupElement(_exp_boost(n, int(lbl[1:]), t), n)
-    if lbl.startswith("R"):
-        i, j = _rotation_plane(lbl, n)
-        return GroupElement(_exp_rotation(n, i, j, t), n)
-    if lbl.startswith("U") and lbl[-1] in "+-":
-        s = 1.0 if lbl[-1] == "+" else -1.0
-        return GroupElement(_exp_horocycle(n, int(lbl[1:-1]), s, t), n)
-    m = expm(t * np.asarray(y.matrix, dtype=np.float64))
-    return GroupElement(m, n)
+    m = _exp_closed(y.label or "", y.n, [t])
+    if m is None:
+        return GroupElement(expm(t * np.asarray(y.matrix, dtype=np.float64)), y.n)
+    return GroupElement(m[0], y.n)
 
 
-def geodesic_flow(x: np.ndarray, xi: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+def geodesic_flow(x: np.ndarray, xi: np.ndarray,
+                  t: float | list[float]) -> tuple[np.ndarray, np.ndarray]:
     """Unit-speed geodesic flow (x, xi) -> (x cosh t + xi sinh t, x sinh t + xi cosh t).
 
-    Requires <x,x> = -1, <xi,xi> = 1, <x,xi> = 0 within 1e-8.
+    Requires <x,x> = -1, <xi,xi> = 1, <x,xi> = 0 within 1e-8.  x and xi may
+    also be stacks (T, n+2) of phase points, with t a list of T times.
     """
     x = np.asarray(x, dtype=np.float64)
     xi = np.asarray(xi, dtype=np.float64)
-    bad = max(abs(minkowski_inner(x, x) + 1.0),
-              abs(minkowski_inner(xi, xi) - 1.0),
-              abs(minkowski_inner(x, xi)))
-    if bad > 1e-8:
-        raise LorentzError(f"not a unit phase point (residual {bad:.3e})")
-    c, s = math.cosh(t), math.sinh(t)
-    return x * c + xi * s, x * s + xi * c
+    one = x.ndim == 1
+    if one:
+        x, xi, t = x[None], xi[None], [t]
+    residuals = (abs(minkowski_inner(x, x) + 1.0), abs(minkowski_inner(xi, xi) - 1.0),
+                 abs(minkowski_inner(x, xi)))
+    bad = residuals[0]
+    for r in residuals[1:]:
+        bad = np.where(r > bad, r, bad)     # the builtin max, NaNs included
+    over = np.flatnonzero(bad > 1e-8)
+    if over.size:
+        raise LorentzError(f"not a unit phase point (residual {bad[over[0]]:.3e})")
+    c = np.array([math.cosh(tau) for tau in t])[:, None]
+    s = np.array([math.sinh(tau) for tau in t])[:, None]
+    y, eta = x * c + xi * s, x * s + xi * c
+    return (y[0], eta[0]) if one else (y, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +523,7 @@ def kan_decompose(g: GroupElement, sign: int, tol: float = DEFAULT_TOL) -> KanFa
         raise DecompositionError("lightcone coordinate not positive; input not in the group?")
     t = sign * math.log(lam)
     v = math.exp(-sign * t) * z[2:]
-    a = GroupElement(_exp_boost(n, 1, t), n)
+    a = GroupElement(_exp_boost(n, 1, [t])[0], n)
     b = horospherical_element(v, sign, n)
     k = g @ b.inverse() @ a.inverse()
     ke0 = k.matrix[:, 0]
@@ -633,16 +696,49 @@ def ku_member_by_conjugation(k: GroupElement) -> bool:
 # sampling helpers
 
 
+def _frame_flows(n: int, picks: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(t_r Y) with Y the frame-basis element that picks[r] indexes, one
+    matrix per row r, as a stack of shape (len(picks), n+2, n+2)."""
+    basis = _frame_basis(n, np.float64)
+    groups = sorted(set(picks.tolist()))
+    if len(groups) == 1:
+        return _exp_closed(basis[groups[0]].label, n, t.tolist())
+    out = np.empty((len(picks), n + 2, n + 2))
+    for p in groups:
+        rows = np.flatnonzero(picks == p)
+        out[rows] = _exp_closed(basis[p].label, n, t[rows].tolist())
+    return out
+
+
+def _frame_words(n: int, picks: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The frame words exp(t_1 Y_1) ... exp(t_F Y_F), one per row of the (T, F)
+    arrays picks (frame-basis indices) and times, each multiplied out from the
+    identity: a stack of shape (T, n+2, n+2)."""
+    g = _identity(n + 2)[None].repeat(len(picks), 0)
+    for f in range(picks.shape[1]):
+        g = g @ _frame_flows(n, picks[:, f], times[:, f])
+    return g
+
+
+def _frame_word_draws(rng: np.random.Generator, n: int, factors: int = 5,
+                      scale: float = 0.8) -> tuple[list[int], list[float]]:
+    """The frame-basis indices and times of one random frame word, drawn a
+    basis index then a time per factor."""
+    size = len(_frame_basis(n, np.float64))
+    picks, times = [], []
+    for _ in range(factors):
+        picks.append(int(rng.integers(size)))
+        times.append(float(rng.uniform(-scale, scale)))
+    return picks, times
+
+
 def random_frame_word(rng: np.random.Generator, n: int, factors: int = 5,
                       scale: float = 0.8) -> GroupElement:
     """Product of ``factors`` random frame exponentials (a generic element)."""
-    basis = _frame_basis(n, np.float64)
-    g = GroupElement.identity(n)
-    for _ in range(factors):
-        y = basis[int(rng.integers(len(basis)))]
-        t = float(rng.uniform(-scale, scale))
-        g = g @ exp_flow(y, t)
-    return g
+    picks, times = _frame_word_draws(rng, n, factors, scale)
+    words = _frame_words(n, np.array([picks], dtype=np.intp),
+                         np.array([times], dtype=np.float64))
+    return GroupElement(words[0], n)
 
 
 def random_group_element(rng: np.random.Generator, n: int) -> GroupElement:

@@ -28,6 +28,7 @@ from fuplab.fup_numerics import (
     sphere_porosity_check,
     thicken_mask,
     _arc_cantor_mask,
+    _log_phase_fd_dets,
 )
 from fuplab import fup_numerics
 from fuplab.fup_numerics import _PrunedDft
@@ -631,6 +632,56 @@ class TestMixedHessian:
         phi = lambda y, yp: float(np.dot(y, yp))
         with pytest.raises(ValueError):
             mixed_hessian_det(phi, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+    @staticmethod
+    def per_entry_det(phi, y, yprime, fd_step):
+        """The former per-entry loop of mixed_hessian_det, kept as its reference."""
+        m = y.shape[0]
+        hess = np.zeros((m, m))
+        for i in range(m):
+            for j in range(m):
+                ei = np.zeros(m)
+                ej = np.zeros(m)
+                ei[i] = fd_step
+                ej[j] = fd_step
+                hess[i, j] = (phi(y + ei, yprime + ej) - phi(y + ei, yprime - ej)
+                              - phi(y - ei, yprime + ej) + phi(y - ei, yprime - ej)) \
+                    / (4.0 * fd_step * fd_step)
+        return float(np.linalg.det(hess))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_shared_stencil_equals_the_per_entry_loop(self, m):
+        rng = np.random.default_rng(m)
+        phases = [lambda u, v: math.sin(float(u @ v)) + float(u[0]) * float(v[-1]) ** 2,
+                  lambda u, v: 1.7 * math.log(float(np.linalg.norm(u - v))) - 0.2]
+        for _ in range(20):
+            y, yp = rng.standard_normal((2, m))
+            y[0] = -0.0                      # a signed zero the +-0.0 displacements keep
+            for phi in phases:
+                for step in (1e-5, 1e-3, 0.25):
+                    assert mixed_hessian_det(phi, y, yp, step) == \
+                        self.per_entry_det(phi, y, yp, step)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_stacked_log_phase_equals_the_scalar_lambda(self, m):
+        rng = np.random.default_rng(70 + m)
+        y, yp = rng.standard_normal((2, 25, m))
+        w = rng.uniform(0.01, 300.0, 25)
+        for step in (1e-5, 1e-3):
+            got = _log_phase_fd_dets(w, y, yp, step)
+            for p in range(25):
+                phi = lambda u, v, w=float(w[p]): \
+                    2 * w * math.log(float(np.linalg.norm(u - v))) - w * math.log(4.0)
+                assert got[p] == mixed_hessian_det(phi, y[p], yp[p], step)
+
+    def test_stencil_refusals_are_shared(self):
+        y = np.array([[1.0, 0.0], [0.6, 0.8]])
+        with pytest.raises(ValueError, match="distinct points"):
+            _log_phase_fd_dets(np.ones(2), y, np.array([[0.0, 1.0], [0.6, 0.8]]), 1e-5)
+        for fn in (lambda s: mixed_hessian_det(lambda u, v: 0.0, y[0], y[1], s),
+                   lambda s: _log_phase_fd_dets(np.ones(2), y, y[::-1], s)):
+            with pytest.raises(ValueError, match=r"fd_step 1e-300 squared underflows to zero"):
+                fn(1e-300)
 
 
 class TestSphereAtlas:

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 
 import numpy as np
@@ -12,9 +14,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuplab import lorentz_core
-from fuplab.lab_cli import _commutator_table_exact, load_set_spec, main, rerun_manifest
-from fuplab.lorentz_core import LieAlgebraElement, random_group_element, write_group_element
+from fuplab import lab_cli, lorentz_core
+from fuplab.fup_numerics import log_phase_hessian_factors, mixed_hessian_det
+from fuplab.lab_cli import (
+    _commutator_table_exact,
+    _flow_compat_suite,
+    _horocyclic_suite,
+    _write_csv,
+    load_set_spec,
+    main,
+    rerun_manifest,
+)
+from fuplab.lorentz_core import (
+    LieAlgebraElement,
+    exp_flow,
+    generator,
+    geodesic_flow,
+    random_group_element,
+    write_group_element,
+)
 
 
 def write_json(path, payload):
@@ -65,6 +83,101 @@ class TestAlgebraVerify:
         assert main(["--out", str(tmp_path), "algebra-verify", "--n-min", "2",
                      "--n-max", "2"]) == 2
         assert "n=2 commutator-table FAIL: [U1-,U2-]=0" in capsys.readouterr().out
+
+    def test_wrong_sign_on_the_geodesic_sinh_term_fails(self, tmp_path, capsys, monkeypatch):
+        # (x, xi) -> (x cosh t - xi sinh t, -x sinh t + xi cosh t)
+        monkeypatch.setattr(lab_cli, "geodesic_flow",
+                            lambda x, xi, t: geodesic_flow(x, xi, [-s for s in t]))
+        assert main(["--out", str(tmp_path), "algebra-verify", "--n-min", "2",
+                     "--n-max", "2"]) == 2
+        out = capsys.readouterr().out
+        assert "n=2 flow-compatibility FAIL" in out
+        assert "n=2 horocyclic-commutation pass" in out
+
+    def test_horocycle_rescaling_that_ignores_the_sign_fails(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # e^{|t|} in place of e^{+-t}: wrong for U+ at t < 0 and for U- at t > 0
+        monkeypatch.setattr(lab_cli, "math", types.SimpleNamespace(exp=lambda x: math.exp(abs(x))))
+        assert main(["--out", str(tmp_path), "algebra-verify", "--n-min", "2",
+                     "--n-max", "2"]) == 2
+        out = capsys.readouterr().out
+        assert "n=2 flow-compatibility pass" in out
+        assert "n=2 horocyclic-commutation FAIL" in out
+
+
+def _flow_compat_per_trial(n, rng):
+    """The per-trial loop that _flow_compat_suite replaced, kept as its reference."""
+    x_gen = generator("X", n=n)
+    worst = 0.0
+    for _ in range(100):
+        g = random_group_element(rng, n)
+        t = float(rng.uniform(-5.0, 5.0))
+        gt = g @ exp_flow(x_gen, t)
+        x, xi = geodesic_flow(g.matrix[:, 0], g.matrix[:, 1], t)
+        worst = max(worst, float(np.max(np.abs(x - gt.matrix[:, 0]))),
+                    float(np.max(np.abs(xi - gt.matrix[:, 1]))))
+    return worst
+
+
+def _horocyclic_per_trial(n, rng):
+    """The per-trial loop that _horocyclic_suite replaced, kept as its reference."""
+    x_gen = generator("X", n=n)
+    worst = 0.0
+    for _ in range(100):
+        i = int(rng.integers(1, n + 1))
+        s = float(rng.uniform(-1.0, 1.0))
+        t = float(rng.uniform(-3.0, 3.0))
+        for sign, kind in ((1, "U+"), (-1, "U-")):
+            u_gen = generator(kind, i, n=n)
+            lhs = exp_flow(u_gen, s) @ exp_flow(x_gen, -t)
+            rhs = exp_flow(x_gen, -t) @ exp_flow(u_gen, s * math.exp(sign * t))
+            worst = max(worst, float(np.max(np.abs(lhs.matrix - rhs.matrix))))
+    return worst
+
+
+def _hessian_check_per_pair(path, n, pairs, seed, fd_step, w_min=0.25, w_max=4.0):
+    """The rows of hessian-check from its former per-pair loop over
+    mixed_hessian_det with a scalar lambda, written as the command writes them."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    while len(rows) < pairs:
+        a = rng.standard_normal(n + 1)
+        a /= np.linalg.norm(a)
+        b = rng.standard_normal(n + 1)
+        b /= np.linalg.norm(b)
+        if np.linalg.norm(a - b) < 0.1:
+            continue
+        w = float(rng.uniform(w_min, w_max))
+        phi = lambda u, v: 2 * w * math.log(float(np.linalg.norm(u - v))) - w * math.log(4.0)
+        fd = mixed_hessian_det(phi, a, b, fd_step)
+        _, _, sym = log_phase_hessian_factors(w, a, b)
+        rows.append([n, w, float(np.linalg.norm(a - b)), fd, sym, abs(fd - sym) / abs(sym)])
+    _write_csv(path, ["n", "w", "separation", "fd_det", "symbolic_det", "rel_err"], rows)
+
+
+class TestStackedTrials:
+    """The suites draw every trial first and then run them as stacked arrays;
+    each result equals the per-trial loop's, float for float and byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
+    def test_flow_and_horocyclic_suites_equal_the_per_trial_loops(self, n):
+        for seed in range(10):
+            got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _flow_compat_suite(n, got) == _flow_compat_per_trial(n, want), seed
+            assert _horocyclic_suite(n, got) == _horocyclic_per_trial(n, want), seed
+            # both consumed the same draws
+            assert got.integers(1 << 62) == want.integers(1 << 62)
+
+    @pytest.mark.parametrize("n, fd_step", [(1, 1e-5), (2, 1e-5), (3, 1e-5), (2, 1e-3)])
+    def test_hessian_check_csv_equals_the_per_pair_loop(self, tmp_path, n, fd_step):
+        for seed in (0, 5):
+            assert main(["--out", str(tmp_path), "--seed", str(seed), "hessian-check",
+                         "--n", str(n), "--pairs", "40", "--fd-step", str(fd_step),
+                         "--rel-tol", "1"]) == 0
+            want = tmp_path / "want.csv"
+            _hessian_check_per_pair(str(want), n, 40, seed, fd_step)
+            assert read_bytes(tmp_path / "hessian_check.csv") == read_bytes(want)
+
 
 
 class TestPorosityCheck:
@@ -542,6 +655,21 @@ class TestUsageContract:
         assert main(["--out", str(tmp_path), "flow-trace", "--frame", frame, "--generator",
                      "U1+", "--t1", "1e150", "--steps", "2"]) == 0
         assert "inf" not in (tmp_path / "flow_trace.csv").read_text()
+
+    @pytest.mark.parametrize("argv", [["group-decompose", "--input", "{frame}"],
+                                      ["flow-trace", "--frame", "{frame}", "--steps", "2"]],
+                             ids=["group-decompose", "flow-trace"])
+    def test_stored_frame_whose_form_check_overflows(self, tmp_path, capsys, argv):
+        # entries near 5e303: m^T J m leaves the float range, so the frame is refused
+        (tmp_path / "in").mkdir()
+        frame = str(tmp_path / "in" / "big.txt")
+        write_group_element(exp_flow(generator("X", n=2), 700.0), frame)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.assert_one_line_usage_error(
+                tmp_path, capsys, *(a.format(frame=frame) for a in argv),
+                prefix="error: matrix is not in SO0(1,n+1): form residual inf")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("value", [5.9, True, "6"], ids=["float", "bool", "string"])
     @pytest.mark.parametrize("field", ["base", "kept_digits", "depth", "dims"])

@@ -1,11 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from fuplab.lorentz_core import (
+    _certify,
+    _exp_closed,
     _exp_rotation,
+    _frame_flows,
+    _frame_word_draws,
+    _frame_words,
     DecompositionError,
     GroupElement,
     LieAlgebraElement,
@@ -54,6 +60,151 @@ class TestMinkowskiInner:
     def test_dimension_mismatch(self):
         with pytest.raises(LorentzError):
             minkowski_inner(np.zeros(4), np.zeros(5))
+
+
+def same_bits(a, b):
+    """Equal arrays whose entries also agree in the sign of every zero."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestStackedFlows:
+    """The stacked fills, the frame words, geodesic_flow and minkowski_inner give
+    each row the float that the per-element call gives."""
+
+    TIMES = [0.0, -0.0, 0.37, -2.5, 4.9, -0.8, 1e-300, 3.0]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 9])
+    def test_each_closed_form_row_equals_exp_flow(self, n):
+        labels = [y.label for y in frame_basis(n)] + [f"A{k}" for k in range(2, n + 2)]
+        for label in labels:
+            y = parse_label(label, n)
+            stack = _exp_closed(label, n, self.TIMES)
+            assert stack.shape == (len(self.TIMES), n + 2, n + 2)
+            for row, t in zip(stack, self.TIMES):
+                assert same_bits(row, exp_flow(y, t).matrix), (label, t)
+
+    def test_boost_and_rotation_rows_take_math_transcendentals(self):
+        # numpy's cosh and sinh differ from math's in the last bit at some times
+        n = 3
+        t = [float(v) for v in np.random.default_rng(5).uniform(-6.0, 6.0, 400)]
+        boosts, rotations = _exp_closed("A3", n, t), _exp_closed("R24", n, t)
+        for r, tr in enumerate(t):
+            want = np.eye(n + 2)
+            want[0, 0] = want[3, 3] = math.cosh(tr)
+            want[0, 3] = want[3, 0] = math.sinh(tr)
+            assert same_bits(boosts[r], want), tr
+            want = np.eye(n + 2)
+            want[2, 2] = want[4, 4] = math.cos(tr)
+            want[2, 4], want[4, 2] = math.sin(tr), -math.sin(tr)
+            assert same_bits(rotations[r], want), tr
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_frame_flows_and_words_equal_the_per_factor_products(self, n):
+        rng = np.random.default_rng(n)
+        draws = [_frame_word_draws(rng, n) for _ in range(40)]
+        picks = np.array([p for p, _ in draws])
+        times = np.array([t for _, t in draws])
+        basis = frame_basis(n)
+        flows = _frame_flows(n, picks[:, 0], times[:, 0])
+        words = _frame_words(n, picks, times)
+        for r, (p, t) in enumerate(draws):
+            assert same_bits(flows[r], exp_flow(basis[p[0]], t[0]).matrix)
+            g = GroupElement.identity(n)          # the product as random_frame_word took it
+            for k, tk in zip(p, t):
+                g = g @ exp_flow(basis[k], tk)
+            assert same_bits(words[r], g.matrix)
+
+    def test_random_frame_word_takes_its_draws_in_order(self):
+        for n in (1, 3):
+            got, want = np.random.default_rng(n), np.random.default_rng(n)
+            g = random_group_element(got, n)
+            basis = frame_basis(n)
+            ref = GroupElement.identity(n)
+            for _ in range(5):
+                y = basis[int(want.integers(len(basis)))]
+                ref = ref @ exp_flow(y, float(want.uniform(-0.8, 0.8)))
+            assert same_bits(g.matrix, ref.matrix)
+            assert got.integers(1 << 62) == want.integers(1 << 62)
+
+    def test_geodesic_flow_and_minkowski_inner_rows_equal_single_calls(self):
+        rng = np.random.default_rng(12)
+        frames = np.array([random_group_element(rng, 3).matrix for _ in range(30)])
+        x, xi = frames[:, :, 0], frames[:, :, 1]
+        t = [float(v) for v in rng.uniform(-5.0, 5.0, 30)]
+        y, eta = geodesic_flow(x, xi, t)
+        for r in range(30):
+            y1, eta1 = geodesic_flow(x[r], xi[r], t[r])
+            assert same_bits(y[r], y1) and same_bits(eta[r], eta1)
+            c, s = math.cosh(t[r]), math.sinh(t[r])
+            assert same_bits(y1, x[r] * c + xi[r] * s) and same_bits(eta1, x[r] * s + xi[r] * c)
+        u, v = rng.standard_normal((2, 4, 5, 6))
+        pairs = minkowski_inner(u, v)
+        assert pairs.shape == (4, 5)
+        assert all(pairs[a, b] == minkowski_inner(u[a, b], v[a, b])
+                   for a in range(4) for b in range(5))
+
+    def test_stacked_geodesic_flow_refuses_the_first_bad_phase_point(self):
+        x = np.array([e(0, 2)] * 3)
+        xi = np.array([e(1, 2), 3.0 * e(1, 2), 2.0 * e(1, 2)])
+        with pytest.raises(LorentzError) as single:
+            geodesic_flow(x[1], xi[1], 0.5)
+        with pytest.raises(LorentzError) as stacked:
+            geodesic_flow(x, xi, [0.5, 0.5, 0.5])
+        assert str(stacked.value) == str(single.value) == \
+            "not a unit phase point (residual 8.000e+00)"
+
+    def test_stacked_time_overflow_raises_the_exp_flow_text(self):
+        n = 2
+        for label, bad in (("X", 800.0), ("A3", -720.5), ("U1+", 1e200), ("U2-", -2e160)):
+            y = parse_label(label, n)
+            with pytest.raises(LorentzError) as single:
+                exp_flow(y, bad)
+            with pytest.raises(LorentzError) as stacked:
+                _exp_closed(label, n, [0.3, bad, 2.0 * bad])
+            assert str(stacked.value) == str(single.value), label
+            assert "overflows" in str(single.value)
+        basis = [y.label for y in frame_basis(n)]
+        picks = np.array([basis.index("U1-"), basis.index("X"), basis.index("U1-")])
+        with pytest.raises(LorentzError) as stacked:
+            _frame_flows(n, picks, np.array([0.5, 1.0, -1e300]))
+        with pytest.raises(LorentzError) as single:
+            exp_flow(parse_label("U1-", n), -1e300)
+        assert str(stacked.value) == str(single.value)
+
+
+class TestStackedCertification:
+    def test_first_corrupted_frame_raises_its_own_certify_text(self):
+        rng = np.random.default_rng(21)
+        stack = np.array([random_group_element(rng, 3).matrix for _ in range(6)])
+        assert _certify(stack) is stack
+        stack[2, 1, 3] += 1e-6                # breaks the form
+        stack[4] = -stack[4]                  # flips the time orientation
+        with pytest.raises(LorentzError) as single:
+            GroupElement.certify(stack[2])
+        with pytest.raises(LorentzError) as stacked:
+            _certify(stack)
+        assert str(stacked.value) == str(single.value)
+        assert str(single.value).startswith("matrix is not in SO0(1,n+1): form residual")
+        with pytest.raises(LorentzError) as single:
+            GroupElement.certify(stack[4])
+        with pytest.raises(LorentzError) as stacked:
+            _certify(stack[3:])
+        assert str(stacked.value) == str(single.value)
+
+    def test_frame_with_a_nan_entry_is_refused(self):
+        m = np.eye(4)
+        m[2, 3] = np.nan
+        with pytest.raises(LorentzError, match="form residual nan"):
+            GroupElement.certify(m)
+        assert not is_group_element(m)
+
+    def test_frame_whose_form_check_overflows_is_refused_without_a_warning(self):
+        big = exp_flow(generator("X", n=2), 700.0).matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LorentzError, match="form residual inf"):
+                GroupElement.certify(big)
+            assert not is_group_element(big)
 
 
 class TestGroupPredicate:
@@ -259,7 +410,7 @@ class TestExpFlow:
             idx = np.nonzero(parse_label(y.label, n).matrix)
             i, j = int(idx[0][0]), int(idx[1][0])
             for t in (0.0, -0.0, 0.41, -2.7, 1e6):
-                assert np.array_equal(exp_flow(y, t).matrix, _exp_rotation(n, i, j, t)), \
+                assert np.array_equal(exp_flow(y, t).matrix, _exp_rotation(n, i, j, [t])[0]), \
                     (y.label, t)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
