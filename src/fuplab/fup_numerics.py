@@ -690,7 +690,8 @@ def log_phase_hessian_factors(w: float, y: np.ndarray, yprime: np.ndarray):
 
     The mixed Hessian of 2 w log|y-y'| equals (4 w |v|^{-4}) times
     v v^T - (|v|^2/2) I with v = y - y'; the determinant is the product of
-    the prefactor to the ambient power and the small determinant.
+    the prefactor to the ambient power and the small determinant.  A
+    determinant that overflows or underflows a float raises ``ValueError``.
     """
     v = np.asarray(y, dtype=np.float64) - np.asarray(yprime, dtype=np.float64)
     r2 = float(v @ v)
@@ -699,7 +700,13 @@ def log_phase_hessian_factors(w: float, y: np.ndarray, yprime: np.ndarray):
     m = v.shape[0]
     pref = 4.0 * w / (r2 * r2)
     struct = np.outer(v, v) - 0.5 * r2 * np.eye(m)
-    det = (pref ** m) * float(np.linalg.det(struct))
+    try:
+        det = (pref ** m) * float(np.linalg.det(struct))
+    except OverflowError:
+        det = math.inf
+    if not math.isfinite(det) or det == 0.0:
+        raise ValueError(f"the log-phase Hessian determinant at w={w!r}, |y - y'|="
+                         f"{math.sqrt(r2)!r} is outside the float range")
     return pref, struct, det
 
 

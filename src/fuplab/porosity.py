@@ -320,7 +320,11 @@ def _region(f: _Field, reach_phys: float, wlo: int, whi: int) -> tuple[int, int]
 @dataclass
 class _WindowMax:
     """Max of the distance field over a cubic window of width w, kept only at
-    the window positions that a query of reach up to the build reach reads."""
+    the window positions that a query of reach up to the build reach reads.
+
+    The window at position i covers i - wlo .. i + whi on every axis, with
+    wlo = w // 2 and whi = (w - 1) // 2 as in ``ndimage.maximum_filter``, so
+    for even w it reaches one cell further down than up."""
 
     crop: np.ndarray
     start: int          # padded-field index of the crop's first position, every axis
@@ -329,7 +333,7 @@ class _WindowMax:
 
     @classmethod
     def build(cls, f: _Field, w: int, reach_phys: float) -> "_WindowMax":
-        wlo, whi = (w - 1) // 2, w // 2
+        wlo, whi = w // 2, (w - 1) // 2
         lo_idx, hi_idx = _region(f, reach_phys, wlo, whi)
         filtered = ndimage.maximum_filter(f.dist, size=w, mode="constant", cval=-np.inf)
         return cls(filtered[(slice(lo_idx, hi_idx + 1),) * f.n].copy(), lo_idx, wlo, whi)
@@ -360,17 +364,19 @@ def _segment_offsets(u: np.ndarray, r: float, delta: float) -> np.ndarray:
     return along[np.argsort(-level, kind="stable")]
 
 
-def _segment_min(dist: np.ndarray, anchors: np.ndarray, offsets: np.ndarray) -> tuple[float, int]:
+def _segment_min(dist: np.ndarray, anchors: np.ndarray, offsets: np.ndarray,
+                 bound: float = np.inf) -> tuple[float, int]:
     """Minimum over anchors of the max of the distance field over the segment
     offsets, and the first anchor that attains it.  Every anchor + offset must
-    lie inside ``dist``.
+    lie inside ``dist``, and ``bound`` must not be below the minimum.
 
     Offsets are gathered in the given order (coarse to fine from
     ``_segment_offsets``), in chunks that double in size.  After each chunk the
-    live anchor of smallest partial max gets its full max U, a bound on the
-    minimum, and the anchors whose partial max is strictly above U drop out.
-    An anchor attaining the minimum never exceeds U, so ties survive and the
-    first argmin is that of every anchor's full max.
+    live anchor of smallest partial max gets its full max U, the bound drops
+    to U if that is lower, and the anchors whose partial max is strictly above
+    the bound drop out.  An anchor attaining the minimum never exceeds the
+    bound, so ties survive and the first argmin is that of every anchor's full
+    max.
     """
     if (np.any(anchors.min(axis=0) + offsets.min(axis=0) < 0)
             or np.any(anchors.max(axis=0) + offsets.max(axis=0) >= dist.shape)):
@@ -381,7 +387,6 @@ def _segment_min(dist: np.ndarray, anchors: np.ndarray, offsets: np.ndarray) -> 
     live = np.arange(anchors.shape[0])
     base = anchors @ strides
     part = np.full(live.size, -np.inf)
-    bound = np.inf
     done, size = 0, 1
     while True:
         for off in steps[done:done + size]:
@@ -402,10 +407,17 @@ class _Decider:
     """A porosity decider split into the part that does not depend on nu,
     built once, and a query per nu.
 
-    The build serves every nu up to ``nu_max``: the distance field is padded
-    for ``nu_max``, and each windowed max is cropped to the positions that a
-    query at ``nu_max`` reads, which contain those of any smaller nu.  A
-    single decision builds with ``nu_max = nu``; a bisection builds once.
+    The build serves every nu up to ``nu_max`` with the verdicts and margins
+    of a build for that nu alone: the distance field is padded for
+    ``nu_max``, and each windowed max is cropped to the positions that a query
+    at ``nu_max`` reads, which contain those of any smaller nu.  Only the last
+    bits of a witness's coordinates, taken from the padded grid's origin, can
+    depend on ``nu_max``.  A single decision builds with ``nu_max = nu``; a
+    bisection builds for its first midpoint (see ``max_certified_nu``).
+
+    Lines in n >= 2 keep, per scale and direction, the segment minimum and
+    first argmin of every query, which later queries reuse (see ``_recall``),
+    so decisions do not depend on the order of the queries.
     """
 
     def __init__(self, x: BoxSet, alpha0: float, alpha1: float, kind: str,
@@ -428,7 +440,8 @@ class _Decider:
             return
         self.f = f = _distance_field(x, alpha1 * (0.5 + nu_max) + alpha1 / 2.0 + 6 * d * sq)
         # per scale: (certifying window, refuting window), or for lines in
-        # n >= 2 the segment offsets of every direction
+        # n >= 2 the segment offsets of every direction and the segment minima
+        # found so far, as (nu, minimum, first argmin)
         self.per_scale = []
         for r in self.rs:
             reach = self._reach(r, nu_max)
@@ -439,7 +452,7 @@ class _Decider:
                 w_cert = max(1, int(math.floor(r / d)))
                 w_ce = int(math.ceil(r / d)) + 1
             else:
-                self.per_scale.append([_segment_offsets(u, r, d) for u in self.dirs])
+                self.per_scale.append([(_segment_offsets(u, r, d), []) for u in self.dirs])
                 continue
             cert = _WindowMax.build(f, w_cert, reach) if w_cert >= 1 else None
             self.per_scale.append((cert, _WindowMax.build(f, w_ce, reach)))
@@ -488,33 +501,61 @@ class _Decider:
             return Verdict.COUNTEREXAMPLE, margin, LineWitness(center, self.dirs[0].copy(), float(r))
         return Verdict.INCONCLUSIVE, margin, None
 
-    def _segments(self, nu: float, r: float, offsets: list[np.ndarray]):
+    def _segments(self, nu: float, r: float, per_dir: list[tuple[np.ndarray, list]]):
         """Lines in n >= 2: segment maxima along each sampled direction."""
         f = self.f
         lo_idx, hi_idx = _region(f, self._reach(r, nu), 0, 0)
         dist_region = f.dist[(slice(lo_idx, hi_idx + 1),) * f.n]
         # anchors whose own clearance certifies them work for every direction;
         # only the rest need per-direction segment maxima
-        low = np.argwhere(dist_region < nu * r + self.cert_slack)
+        low_cut = nu * r + self.cert_slack
+        low = np.argwhere(dist_region < low_cut)
         if low.shape[0] == 0:
             worst = float(dist_region.min(initial=np.inf))
             return Verdict.CERTIFIED, (worst - self.cert_slack) / (nu * r), None
         anchors = low + lo_idx
+
+        def is_anchor(a: tuple[int, ...]) -> bool:
+            return min(a) >= lo_idx and max(a) <= hi_idx and f.dist[a] < low_cut
+
         worst = np.inf
         verdict_r = Verdict.CERTIFIED
         witness = None
-        for u, offs in zip(self.dirs, offsets):
-            m_val, m_pos = _segment_min(f.dist, anchors, offs)
+        for u, (offs, seen) in zip(self.dirs, per_dir):
+            m_val, m_anchor = _recall(seen, nu, is_anchor)
+            if m_anchor is None:
+                m_val, m_pos = _segment_min(f.dist, anchors, offs, m_val)
+                m_anchor = tuple(anchors[m_pos].tolist())
+                seen.append((nu, m_val, m_anchor))
             worst = min(worst, m_val)
-            if m_val < nu * r + self.cert_slack:
+            if m_val < low_cut:
                 if m_val < nu * r - self.ce_slack:
                     verdict_r = Verdict.COUNTEREXAMPLE
                     if witness is None:
-                        center = f.lo + (anchors[m_pos] + 0.5) * f.delta
+                        center = f.lo + (np.array(m_anchor) + 0.5) * f.delta
                         witness = LineWitness(center, u.copy(), float(r))
                 elif verdict_r is Verdict.CERTIFIED:
                     verdict_r = Verdict.INCONCLUSIVE
         return verdict_r, (worst - self.cert_slack) / (nu * r), witness
+
+
+def _recall(seen: list, nu: float, is_anchor) -> tuple[float, tuple[int, ...] | None]:
+    """The segment minimum at nu as far as the earlier queries ``seen`` fix
+    it: (minimum, first argmin) when one carries over exactly, else (an upper
+    bound on the minimum, None).
+
+    The anchor set A(nu) grows with nu.  A minimum found at nu' >= nu is
+    therefore exact at nu when its first argmin a' lies in A(nu): no anchor of
+    A(nu) is lower, and none before a' ties.  A minimum found at nu' <= nu
+    bounds the minimum at nu from above, as ``_segment_min`` needs.
+    """
+    bound = np.inf
+    for q, m_val, m_anchor in seen:
+        if q >= nu and is_anchor(m_anchor):
+            return m_val, m_anchor
+        if q <= nu:
+            bound = min(bound, m_val)
+    return bound, None
 
 
 def _decision(x: BoxSet, nu: float, alpha0: float, alpha1: float, kind: str,
@@ -614,25 +655,26 @@ def max_certified_nu(x: BoxSet, alpha0: float, alpha1: float, kind: str = "ball"
                      directions: int = 8, iters: int = 20) -> float:
     """Largest nu the checker certifies, found by bisection (0 if none).
 
-    Every bisection step queries one decider built for nu up to 1, so the
-    distance field and the windowed maxima are computed once per call."""
+    The bisection starts at the resolution floor 4*delta/alpha0 and splits
+    [floor, 1].  Its queries run on a decider built for the first midpoint,
+    above which no later query goes unless that midpoint is certified; only
+    then is a second decider built, for nu up to 1.  A decider gives every nu
+    up to the one it is built for the verdict of a build for 1, so the result
+    is that of a decider built for 1, at the cost of the nu the bisection
+    reaches."""
     _require_kind(kind)
     _require_scales(alpha0, alpha1)
-    lo_nu, hi_nu = 0.0, 1.0
-    floor_nu = 4.0 * x.delta / alpha0
-    if floor_nu > 1.0:
+    lo_nu, hi_nu = 4.0 * x.delta / alpha0, 1.0
+    if lo_nu > 1.0:
         return 0.0
-    decider = _Decider(x, alpha0, alpha1, kind, directions, 1.0)
-
-    def check(nu: float) -> Verdict:
-        return decider.decide(nu).verdict
-
-    if check(floor_nu) is not Verdict.CERTIFIED:
+    decider = _Decider(x, alpha0, alpha1, kind, directions, 0.5 * (lo_nu + hi_nu))
+    if decider.decide(lo_nu).verdict is not Verdict.CERTIFIED:
         return 0.0
-    lo_nu = floor_nu
     for _ in range(iters):
         mid = 0.5 * (lo_nu + hi_nu)
-        if check(mid) is Verdict.CERTIFIED:
+        if mid > decider.nu_max:
+            decider = _Decider(x, alpha0, alpha1, kind, directions, 1.0)
+        if decider.decide(mid).verdict is Verdict.CERTIFIED:
             lo_nu = mid
         else:
             hi_nu = mid
@@ -652,21 +694,22 @@ def affine_image(x: BoxSet, lam: float, y: np.ndarray) -> BoxSet:
     return BoxSet.from_boxes(np.stack([lam * lo + y, lam * hi + y], axis=1), x.m, x.n)
 
 
-def _ball_structuring_element(radius_phys: float, delta: float, n: int) -> np.ndarray:
-    """Offsets d with closed-cell distance strictly below the radius."""
-    k = int(math.ceil(radius_phys / delta)) + 1
-    rng = np.arange(-k, k + 1)
-    grids = np.meshgrid(*([rng] * n), indexing="ij")
-    gap = sum((np.maximum(np.abs(g) - 1, 0).astype(np.float64) * delta) ** 2 for g in grids)
-    return np.sqrt(gap) < radius_phys - 1e-12 * delta
-
-
 def neighborhood(x: BoxSet, alpha2: float) -> BoxSet:
-    """Raster of the Minkowski sum X + B_{alpha2}(0), same grid."""
+    """Raster of the Minkowski sum X + B_{alpha2}(0), same grid: the cells
+    whose gap to an occupied cell is below alpha2 (less 1e-12 of a cell).
+
+    The gap from cell c to an occupied cell o, (max(|c_i - o_i| - 1, 0))_i
+    cells, is the distance from c to the nearest cell of the 3^n box around
+    o, so the gaps to the whole set are the distance transform of the set
+    grown by one cell in every direction, summed in the same axis order.
+    """
     if alpha2 < x.delta:
         raise ResolutionError("neighborhood radius below grid pitch")
-    se = _ball_structuring_element(alpha2, x.delta, x.n)
-    return BoxSet(x.n, x.m, ndimage.binary_dilation(x.mask, structure=se))
+    if x.occupied_count == 0:
+        return BoxSet.empty(x.n, x.m)
+    grown = ndimage.binary_dilation(x.mask, structure=np.ones((3,) * x.n, dtype=bool))
+    gap = ndimage.distance_transform_edt(~grown, sampling=x.delta)
+    return BoxSet(x.n, x.m, gap < alpha2 - 1e-12 * x.delta)
 
 
 def bilipschitz_image(x: BoxSet, fwd, c1: float) -> BoxSet:

@@ -598,6 +598,11 @@ class TestMixedHessian:
         assert abs(sym - (-0.25)) < 1e-14
         assert abs(fd - sym) <= 1e-4 * abs(sym)
 
+    @pytest.mark.parametrize("w", [1e300, 1e-300, math.inf])
+    def test_determinant_outside_the_float_range_raises(self, w):
+        with pytest.raises(ValueError, match="outside the float range"):
+            log_phase_hessian_factors(w, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_fd_matches_symbolic_on_random_pairs(self, n):
         rng = np.random.default_rng(68)

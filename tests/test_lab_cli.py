@@ -492,6 +492,14 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check",
                                          "--w-min", w_range[0], "--w-max", w_range[1])
 
+    @pytest.mark.parametrize("w", ["1e300", "1e-300"])
+    def test_hessian_determinant_outside_the_float_range(self, tmp_path, capsys, w):
+        # (4w/|v|^4)^m overflows at the top and underflows to 0 at the bottom
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check", "--w-min", w,
+                                             "--w-max", w, "--pairs", "2")
+
     @pytest.mark.parametrize("argv", [("flow-trace", "--n", "-1"), ("flow-trace", "--n", "0"),
                                       ("hessian-check", "--n", "0")])
     def test_dimension_below_one(self, tmp_path, capsys, argv):

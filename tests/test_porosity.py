@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import math
 
 import numpy as np
@@ -29,7 +31,16 @@ from fuplab.porosity import (
     verify_neighborhood_lemma,
 )
 from fuplab import porosity
-from fuplab.porosity import _distance_field, _segment_min, _segment_offsets, _witness_holds
+from fuplab.porosity import (
+    _Decider,
+    _distance_field,
+    _Field,
+    _region,
+    _segment_min,
+    _segment_offsets,
+    _WindowMax,
+    _witness_holds,
+)
 
 
 def cantor1(depth=6):
@@ -231,6 +242,26 @@ class TestDistanceField:
             assert np.array_equal(f.dist, ndimage.distance_transform_edt(~occ, sampling=1.0 / m))
 
 
+class TestWindowMax:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
+    def test_windows_equal_a_bruteforce_max_inside_the_field(self, n, w):
+        # the window at i covers i - w//2 .. i + (w-1)//2, as in
+        # ndimage.maximum_filter; a reach past the field clips the region at
+        # both edges, where every window must still lie inside the field
+        rng = np.random.default_rng(10 * n + w)
+        side = 15
+        f = _Field(rng.random((side,) * n), -0.25, 0.1, n)
+        wm = _WindowMax.build(f, w, 0.6)
+        lo, hi = _region(f, 0.6, wm.wlo, wm.whi)
+        assert (lo, hi) == (w // 2, side - 1 - (w - 1) // 2)
+        assert wm.start == lo and wm.crop.shape == (hi - lo + 1,) * n
+        for pos in itertools.product(range(lo, hi + 1), repeat=n):
+            window = f.dist[tuple(slice(p - w // 2, p + (w - 1) // 2 + 1) for p in pos)]
+            assert window.size == w**n
+            assert wm.crop[tuple(p - lo for p in pos)] == window.max()
+
+
 class TestSegmentMaxGather:
     @staticmethod
     def full_gather(dist, anchors, offsets):
@@ -308,6 +339,18 @@ class TestSegmentMaxGather:
         assert seen_late_tie >= 10
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_a_bound_at_or_above_the_minimum_changes_nothing(self, n):
+        # a bound equal to the minimum prunes every anchor above it at the
+        # first chunk, and keeps the tied ones
+        rng = np.random.default_rng(40 + n)
+        for levels in (None, 3):
+            for _ in range(10):
+                dist, anchors, offsets = self.case(rng, n, levels)
+                want = _segment_min(dist, anchors, offsets)
+                for bound in (want[0], want[0] + 0.5, np.inf):
+                    assert _segment_min(dist, anchors, offsets, bound) == want
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_anchor_outside_the_padded_field_raises(self, n):
         rng = np.random.default_rng(10 + n)
         dist, anchors, offsets = self.case(rng, n)
@@ -319,6 +362,142 @@ class TestSegmentMaxGather:
                 pushed[0, axis] = past
                 with pytest.raises(ResolutionError):
                     _segment_min(dist, pushed, offsets)
+
+
+def reference_bisection(x, a0, a1, kind, directions, iters=20):
+    """The bisection of ``max_certified_nu`` with every query on a fresh
+    decider built for nu_max = 1: no sizing, no reused segment minima."""
+    def certified(nu):
+        rep = _Decider(x, a0, a1, kind, directions, 1.0).decide(nu)
+        return rep.verdict is Verdict.CERTIFIED
+
+    lo, hi = 4.0 * x.delta / a0, 1.0
+    if lo > 1.0 or not certified(lo):
+        return 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def mutant(monkeypatch, name, old, new):
+    """Replace porosity.<name> by a copy whose source has ``old`` put as ``new``."""
+    src = inspect.getsource(getattr(porosity, name))
+    assert src.count(old) == 1
+    scope = dict(vars(porosity))
+    exec(compile(src.replace(old, new), f"<mutant {name}>", "exec"), scope)
+    monkeypatch.setattr(porosity, name, scope[name])
+
+
+def scattered2(m=48, seed=11):
+    return BoxSet(2, m, np.random.default_rng(seed).random((m, m)) < 0.02)
+
+
+def two_dots(m=64):
+    """Two cells about 0.3 apart along the first axis.  A segment of length
+    0.6 along that axis, from an anchor at distance d <= 0.15 toward the other
+    cell, has max clearance about 0.3 - d, so the segment minimum falls as nu
+    admits anchors farther from the set."""
+    mask = np.zeros((m, m), dtype=bool)
+    mask[[int(0.35 * m), int(0.65 * m)], m // 2] = True
+    return BoxSet(2, m, mask)
+
+
+def dust3(depth=2):
+    return cantor_generate(CantorSpec.uniform(4, (0, 3), depth, 3), 3)
+
+
+class TestBisectionWork:
+    """A bisection builds its decider for the first midpoint and reuses
+    segment minima across queries; its result must not move."""
+
+    CASES = [
+        (cantor1, 1 / 3, 1.0, "ball", 8),
+        (cantor1, 0.6, 1.0, "line", 8),
+        (dust2, 0.8, 1.0, "ball", 6),
+        (dust2, 0.8, 1.0, "line", 6),
+        (dust2, 0.5, 1.0, "line", 6),
+        (dust2, 0.8, 1.0, "line", 12),
+        (two_dots, 0.6, 0.6, "line", 6),
+        (two_dots, 0.6, 0.6, "ball", 6),
+        (dust3, 0.5, 1.0, "line", 8),      # not certified at the floor: 0
+    ]
+    # line sets in n >= 2 for decisions in random order, with the top of the
+    # nu range drawn from
+    ORDERED = [(dust2, 0.8, 1.0, 6, 1.0), (two_dots, 0.6, 0.6, 6, 0.3),
+               (scattered2, 0.5, 1.0, 6, 1.0), (dust3, 0.5, 0.6, 8, 1.0)]
+
+    @pytest.mark.parametrize("make, a0, a1, kind, dirs", CASES)
+    def test_bisection_equals_the_reference(self, make, a0, a1, kind, dirs):
+        x = make()
+        got = max_certified_nu(x, a0, a1, kind, dirs)
+        assert got.hex() == reference_bisection(x, a0, a1, kind, dirs).hex()
+        assert (got > 0) is (make is not dust3)
+
+    @staticmethod
+    def builds(monkeypatch):
+        built = []
+        init = _Decider.__init__
+
+        def spy(self, x, alpha0, alpha1, kind, directions, nu_max):
+            built.append(nu_max)
+            init(self, x, alpha0, alpha1, kind, directions, nu_max)
+
+        monkeypatch.setattr(_Decider, "__init__", spy)
+        return built
+
+    def test_one_build_for_the_first_midpoint(self, monkeypatch):
+        built = self.builds(monkeypatch)
+        x = dust2()
+        assert max_certified_nu(x, 0.8, 1.0, "line", 6) < 0.5
+        assert built == [0.5 * (4.0 * x.delta / 0.8 + 1.0)]
+
+    @pytest.mark.parametrize("n, kind", [(1, "ball"), (2, "line")])
+    def test_a_certified_first_midpoint_builds_again_for_one(self, monkeypatch, n, kind):
+        built = self.builds(monkeypatch)
+        x = BoxSet.empty(n, 32)
+        got = max_certified_nu(x, 0.5, 1.0, kind, 6)
+        assert built == [0.5 * (4.0 * x.delta / 0.5 + 1.0), 1.0]
+        assert got.hex() == reference_bisection(x, 0.5, 1.0, kind, 6).hex()
+        assert got == 1.0 - (1.0 - 0.25) / 2**20
+
+    @staticmethod
+    def order_disagreements(seed=5, count=12):
+        """Decisions on one decider, in random order, that differ from those
+        of fresh deciders: in text from one built for 1, in verdict and
+        margins from one built for that nu alone."""
+        rng = np.random.default_rng(seed)
+        bad = 0
+        for make, a0, a1, dirs, nu_hi in TestBisectionWork.ORDERED:
+            x = make()
+            shared = _Decider(x, a0, a1, "line", dirs, 1.0)
+            for nu in rng.uniform(4.0 * x.delta / a0, nu_hi, count).tolist():
+                got = shared.decide(nu)
+                fresh = _Decider(x, a0, a1, "line", dirs, 1.0).decide(nu)
+                alone = _Decider(x, a0, a1, "line", dirs, nu).decide(nu)
+                bad += (got.to_text() != fresh.to_text() or got.verdict is not alone.verdict
+                        or not np.array_equal(got.margins, alone.margins))
+        return bad
+
+    def test_decisions_in_random_order_equal_fresh_ones(self):
+        assert self.order_disagreements() == 0
+
+    def test_reusing_a_minimum_found_at_a_smaller_nu_is_caught(self, monkeypatch):
+        # a smaller nu has fewer anchors, so its minimum only bounds a larger nu's
+        mutant(monkeypatch, "_recall", "if q >= nu and is_anchor", "if q <= nu and is_anchor")
+        assert self.order_disagreements() > 0
+
+    def test_pruning_ties_is_caught(self, monkeypatch):
+        # a reused bound often equals the minimum; dropping the anchors that
+        # tie it loses the minimum, or every anchor
+        mutant(monkeypatch, "_segment_min", "keep = part <= bound", "keep = part < bound")
+        try:
+            assert self.order_disagreements() > 0
+        except ValueError:      # np.argmin over no live anchor
+            pass
 
 
 class TestFromBoxes:
@@ -382,7 +561,35 @@ class TestAffineImage:
             assert out.holds
 
 
+def structuring_element_dilation(x: BoxSet, radius: float) -> np.ndarray:
+    """The neighborhood by its definition: dilation by every offset d whose
+    closed-cell gap, (max(|d_i| - 1, 0) delta)_i, is below the radius."""
+    from scipy import ndimage
+
+    k = int(math.ceil(radius / x.delta)) + 1
+    grids = np.meshgrid(*([np.arange(-k, k + 1)] * x.n), indexing="ij")
+    gap = sum((np.maximum(np.abs(g) - 1, 0).astype(np.float64) * x.delta) ** 2 for g in grids)
+    se = np.sqrt(gap) < radius - 1e-12 * x.delta
+    return ndimage.binary_dilation(x.mask, structure=se)
+
+
 class TestNeighborhood:
+    @pytest.mark.parametrize("n, depth", [(1, 4), (2, 3), (3, 2)])
+    def test_equals_the_structuring_element_dilation(self, n, depth):
+        rng = np.random.default_rng(50 + n)
+        cantor = cantor_generate(CantorSpec.uniform(3, (0, 2), depth, n), n)
+        m = cantor.m
+        scattered = BoxSet(n, m, rng.random((m,) * n) < 0.04)
+        for x in (cantor, scattered):
+            d = x.delta
+            # exact multiples of the pitch and exact gaps sqrt(j) cells sit on
+            # the strict threshold
+            radii = ([k * d for k in range(1, 7)] + [math.sqrt(j) * d for j in (2, 3, 5, 8, 13)]
+                     + list(rng.uniform(d, 6 * d, 4)))
+            for a2 in radii:
+                assert np.array_equal(neighborhood(x, a2).mask,
+                                      structuring_element_dilation(x, a2)), (n, a2)
+
     def test_single_cell_dilation(self):
         m = 27
         mask = np.zeros(m, dtype=bool)
