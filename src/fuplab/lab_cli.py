@@ -178,13 +178,16 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_ladder(path: str, columns: list[str], rows: list[dict], fits: dict,
-                  label: str) -> None:
+def _write_ladder(path: str, core: str, rows: list[dict], fits: dict, label: str) -> None:
     """Write ladder rows, then a ``# fit`` footer line per fit, printing each fit.
 
-    A fit's key is its energy w, or None on grid cores; its stdout line is
-    ``label`` followed by the key, e.g. ``fit w=1: ...`` or ``w=1: ...``.
+    The energy column ``w`` is written exactly when the core is ``log_phase``,
+    whose rows carry one.  A fit's key is its energy w, or None on grid cores;
+    its stdout line is ``label`` followed by the key, e.g. ``fit w=1: ...`` or
+    ``w=1: ...``.
     """
+    columns = ["core", "n", "N", "h", "rho", *(["w"] if core == "log_phase" else []),
+               "norm", "iters", "converged"]
     _write_csv(path, columns, [[r[c] for c in columns] for r in rows])
     with open(path, "a", newline="") as fh:
         for key, fit in fits.items():
@@ -364,7 +367,7 @@ def cmd_flow_trace(args) -> tuple[int, RunRecord | None]:
     print(f"wrote {out_csv}")
     return 0, RunRecord("flow_trace.manifest.json",
                         dict(n=n, generator=args.generator, t0=args.t0, t1=args.t1,
-                             steps=args.steps), inputs, [out_csv])
+                             steps=args.steps, tol=args.tol), inputs, [out_csv])
 
 
 def cmd_group_decompose(args) -> tuple[int, RunRecord | None]:
@@ -441,7 +444,8 @@ def cmd_sphere_porosity(args) -> tuple[int, RunRecord | None]:
     return VERDICT_EXIT[verdict], RunRecord(
         "sphere_porosity.manifest.json",
         dict(set=args.set, nu=args.nu, alpha0=args.alpha0, alpha1=args.alpha1,
-             mode=args.mode, charts=args.charts, resolution=args.resolution),
+             mode=args.mode, directions=args.directions, charts=args.charts,
+             resolution=args.resolution),
         [args.set], [out_path])
 
 
@@ -474,17 +478,13 @@ def _config_from_json(path: str) -> tuple[FupConfig, dict]:
     return FupConfig(**parsed), raw
 
 
-FUP_HEADER = ["core", "n", "N", "h", "rho", "norm", "iters", "converged"]
-FIO_HEADER = ["core", "n", "N", "h", "rho", "w", "norm", "iters", "converged"]
-
-
 def cmd_fup_scan(args) -> tuple[int, RunRecord | None]:
     cfg, raw_cfg = _config_from_json(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     rows, fits, ok = fup_experiment(cfg)
     out_csv = os.path.join(args.out, "fup_scan.csv")
-    _write_ladder(out_csv, FUP_HEADER, rows, fits, "fit")
+    _write_ladder(out_csv, cfg.core, rows, fits, "fit")
     print(f"sanity {'pass' if ok else 'FAIL'}; wrote {out_csv}")
     return (0 if ok else 2), RunRecord("fup_scan.manifest.json", raw_cfg, [args.config],
                                        [out_csv], cfg.seed)
@@ -496,7 +496,7 @@ def cmd_fio_sphere(args) -> tuple[int, RunRecord | None]:
                     rho=args.rho, seed=_seed(args))
     rows, fits, ok = fup_experiment(cfg)
     out_csv = os.path.join(args.out, "fio_sphere.csv")
-    _write_ladder(out_csv, FIO_HEADER, rows, fits, "")
+    _write_ladder(out_csv, cfg.core, rows, fits, "")
     passed = ok and bool(fits) and all(fit.beta > 0 for fit in fits.values())
     print(f"{'pass' if passed else 'FAIL'}; wrote {out_csv}")
     return (0 if passed else 2), RunRecord("fio_sphere.manifest.json", dataclasses.asdict(cfg),

@@ -207,6 +207,16 @@ def _basis_matrix(entries: list[tuple[int, int, int]], size: int, dtype) -> np.n
     return m
 
 
+def _check_index(kind: str, i: int | None, j: int | None, n: int) -> None:
+    """Refuse the indices of a frame generator outside the ranges of :func:`generator`."""
+    if kind == "A" and (i is None or not 2 <= i <= n + 1):
+        raise LorentzError(f"A_k needs 2 <= k <= n+1, got {i}")
+    if kind == "R" and (i is None or j is None or not 1 <= i < j <= n + 1):
+        raise LorentzError(f"R_ij needs 1 <= i < j <= n+1, got ({i},{j})")
+    if kind in ("U+", "U-") and (i is None or not 1 <= i <= n):
+        raise LorentzError(f"U_i needs 1 <= i <= n, got {i}")
+
+
 def generator(kind: str, i: int | None = None, j: int | None = None, *, n: int,
               dtype=np.float64) -> LieAlgebraElement:
     """Return a frame generator of the Lie algebra of SO0(1, n+1).
@@ -222,21 +232,15 @@ def generator(kind: str, i: int | None = None, j: int | None = None, *, n: int,
     makes commutator-table checks exact.
     """
     size = n + 2
+    _check_index(kind, i, j, n)
     if kind == "X":
         return LieAlgebraElement(_basis_matrix([(0, 1, 1), (1, 0, 1)], size, dtype), n, "X")
     if kind == "A":
-        k = i
-        if k is None or not (2 <= k <= n + 1):
-            raise LorentzError(f"A_k needs 2 <= k <= n+1, got {k}")
-        return LieAlgebraElement(_basis_matrix([(0, k, 1), (k, 0, 1)], size, dtype), n, f"A{k}")
+        return LieAlgebraElement(_basis_matrix([(0, i, 1), (i, 0, 1)], size, dtype), n, f"A{i}")
     if kind == "R":
-        if i is None or j is None or not (1 <= i < j <= n + 1):
-            raise LorentzError(f"R_ij needs 1 <= i < j <= n+1, got ({i},{j})")
         return LieAlgebraElement(
             _basis_matrix([(i, j, 1), (j, i, -1)], size, dtype), n, _r_label(i, j))
     if kind in ("U+", "U-"):
-        if i is None or not (1 <= i <= n):
-            raise LorentzError(f"U_i needs 1 <= i <= n, got {i}")
         s = 1 if kind == "U+" else -1
         # U_i^{+-} = -A_{i+1} -+ R_{1,i+1}
         entries = [(0, i + 1, -1), (i + 1, 0, -1), (1, i + 1, -s), (i + 1, 1, s)]
@@ -367,39 +371,25 @@ def _rotation_plane(label: str, n: int) -> tuple[int, int]:
     return int(idx[0][0]), int(idx[1][0])
 
 
-@functools.cache
-def _horocycle_zeros(n: int, s: float) -> np.ndarray:
-    """The identity with the signed zeros that -v, -s*v and s*v leave in the
-    rows and columns 0 and 1 of horospherical_element's matrix (read-only)."""
-    m = np.eye(n + 2)
-    m[0, 2:] = m[2:, 0] = -0.0
-    m[1, 2:] = -s * 0.0
-    m[2:, 1] = s * 0.0
-    m.setflags(write=False)
+def _horospherical_fill(v: np.ndarray, s: float) -> np.ndarray:
+    """I + N + N^2/2 with N = sum_i v_ri U_i^{s}, one matrix per row v_r of the
+    (T, n) array v, as a stack (T, n+2, n+2); a row whose |v_r|^2/2 overflows is
+    refused.  A zero of v_r leaves the signed zeros of -v, -s*v and s*v."""
+    # (T, 1, n) @ (T, n, 1) takes each row's dot product as the 1-D v @ v does
+    with np.errstate(over="ignore"):
+        q = (v[:, None, :] @ v[:, :, None])[:, 0, 0] / 2.0
+    finite = np.isfinite(q)
+    if not finite.all():
+        raise LorentzError(f"horospherical parameter v={v[np.argmin(finite)].tolist()} "
+                           "overflows: |v|^2/2 exceeds the largest float")
+    m = _identity(v.shape[1] + 2)[None].repeat(len(v), 0)
+    sq, sv = s * q, s * v       # -(s*x) is (-s)*x bit for bit
+    m[:, 0, 0] += q
+    m[:, 1, 1] -= q
+    m[:, 0, 1], m[:, 1, 0] = -sq, sq
+    m[:, 0, 2:] = m[:, 2:, 0] = -v
+    m[:, 1, 2:], m[:, 2:, 1] = -sv, sv
     return m
-
-
-def _exp_horocycle(n: int, i: int, s: float, t: list) -> np.ndarray:
-    """horospherical_element(t_r e_i, s, n) for each time t_r of the list t, as a
-    stack of shape (len(t), n+2, n+2).
-
-    Each matrix is horospherical_element's bit for bit, the signs of its zeros
-    included, and an overflow raises the same error.
-    """
-    if not 1 <= i <= n:
-        raise LorentzError(f"U_i needs 1 <= i <= n, got {i}")
-    values = []
-    for x in t:
-        q = x * x / 2.0
-        if not math.isfinite(q):
-            v = [0.0] * n
-            v[i - 1] = x
-            raise LorentzError(f"horospherical parameter v={v} overflows: |v|^2/2 "
-                               "exceeds the largest float")
-        values.append((1.0 + q, 1.0 - q, -s * q, s * q, -x, -x, -s * x, s * x))
-    k = i + 1
-    return _fill(_horocycle_zeros(n, s),
-                 ((0, 0), (1, 1), (0, 1), (1, 0), (0, k), (k, 0), (1, k), (k, 1)), values)
 
 
 def _exp_closed(label: str, n: int, t: list) -> np.ndarray | None:
@@ -410,12 +400,18 @@ def _exp_closed(label: str, n: int, t: list) -> np.ndarray | None:
     if label == "X":
         return _exp_boost(n, 1, t)
     if label.startswith("A") and label[1:].isdigit():
-        return _exp_boost(n, int(label[1:]), t)
+        k = int(label[1:])
+        _check_index("A", k, None, n)
+        return _exp_boost(n, k, t)
     if label.startswith("R"):
         i, j = _rotation_plane(label, n)
         return _exp_rotation(n, i, j, t)
     if label.startswith("U") and label[-1] in "+-":
-        return _exp_horocycle(n, int(label[1:-1]), 1.0 if label[-1] == "+" else -1.0, t)
+        i = int(label[1:-1])
+        _check_index("U" + label[-1], i, None, n)
+        v = np.zeros((len(t), n))
+        v[:, i - 1] = t
+        return _horospherical_fill(v, 1.0 if label[-1] == "+" else -1.0)
     return None
 
 
@@ -428,22 +424,7 @@ def horospherical_element(v: np.ndarray, sign: int, n: int) -> GroupElement:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (n,):
         raise LorentzError(f"horospherical parameter must have shape ({n},)")
-    s = 1.0 if sign > 0 else -1.0
-    with np.errstate(over="ignore"):
-        q = float(v @ v) / 2.0
-    if not math.isfinite(q):
-        raise LorentzError(f"horospherical parameter v={v.tolist()} overflows: |v|^2/2 "
-                           "exceeds the largest float")
-    m = np.eye(n + 2)
-    m[0, 0] += q
-    m[1, 1] -= q
-    m[0, 1] = -s * q
-    m[1, 0] = s * q
-    m[0, 2:] = -v
-    m[1, 2:] = -s * v
-    m[2:, 0] = -v
-    m[2:, 1] = s * v
-    return GroupElement(m, n)
+    return GroupElement(_horospherical_fill(v[None], 1.0 if sign > 0 else -1.0)[0], n)
 
 
 def exp_flow(y: LieAlgebraElement, t: float) -> GroupElement:
@@ -714,9 +695,10 @@ def _frame_words(n: int, picks: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The frame words exp(t_1 Y_1) ... exp(t_F Y_F), one per row of the (T, F)
     arrays picks (frame-basis indices) and times, each multiplied out from the
     identity: a stack of shape (T, n+2, n+2)."""
+    flows = _frame_flows(n, picks.ravel(), times.ravel()).reshape(*picks.shape, n + 2, n + 2)
     g = _identity(n + 2)[None].repeat(len(picks), 0)
     for f in range(picks.shape[1]):
-        g = g @ _frame_flows(n, picks[:, f], times[:, f])
+        g = g @ flows[:, f]
     return g
 
 

@@ -179,9 +179,17 @@ class _Field:
     """Euclidean distance to the set, sampled at padded cell centers."""
 
     dist: np.ndarray
-    lo: float          # physical coordinate of the padded grid origin
+    pad: int           # cells of padding before the unit cube, on every axis
     delta: float
     n: int
+
+    @property
+    def lo(self) -> float:      # physical coordinate of the padded grid origin
+        return -self.pad * self.delta
+
+    def center(self, idx) -> np.ndarray:
+        """Center of cell ``idx``, counted from the unit cube so the padding cannot move it."""
+        return (np.array(idx) - self.pad + 0.5) * self.delta
 
 
 def _distance_field(x: BoxSet, pad_phys: float) -> _Field:
@@ -206,7 +214,7 @@ def _distance_field(x: BoxSet, pad_phys: float) -> _Field:
             gap *= x.delta
             sq += gap * gap
         np.sqrt(sq, out=dist[s:s + step])
-    return _Field(dist, -pad * x.delta, x.delta, x.n)
+    return _Field(dist, pad, x.delta, x.n)
 
 
 def _require_scales(alpha0: float, alpha1: float) -> None:
@@ -344,8 +352,7 @@ class _WindowMax:
         lo_idx, hi_idx = _region(f, reach_phys, self.wlo, self.whi)
         region = self.crop[(slice(lo_idx - self.start, hi_idx - self.start + 1),) * f.n]
         pos = np.unravel_index(np.argmin(region), region.shape)
-        center = f.lo + (np.array(pos) + lo_idx + 0.5) * f.delta
-        return float(region[pos]), center
+        return float(region[pos]), f.center(np.array(pos) + lo_idx)
 
 
 def _segment_offsets(u: np.ndarray, r: float, delta: float) -> np.ndarray:
@@ -410,10 +417,11 @@ class _Decider:
     The build serves every nu up to ``nu_max`` with the verdicts and margins
     of a build for that nu alone: the distance field is padded for
     ``nu_max``, and each windowed max is cropped to the positions that a query
-    at ``nu_max`` reads, which contain those of any smaller nu.  Only the last
-    bits of a witness's coordinates, taken from the padded grid's origin, can
-    depend on ``nu_max``.  A single decision builds with ``nu_max = nu``; a
-    bisection builds for its first midpoint (see ``max_certified_nu``).
+    at ``nu_max`` reads, which contain those of any smaller nu.  A witness
+    sits at a cell center counted from the unit cube, not from the padded
+    grid's origin, so it does not depend on ``nu_max`` either.  A single
+    decision builds with ``nu_max = nu``; a bisection builds for its first
+    midpoint (see ``max_certified_nu``).
 
     Lines in n >= 2 keep, per scale and direction, the segment minimum and
     first argmin of every query, which later queries reuse (see ``_recall``),
@@ -532,8 +540,7 @@ class _Decider:
                 if m_val < nu * r - self.ce_slack:
                     verdict_r = Verdict.COUNTEREXAMPLE
                     if witness is None:
-                        center = f.lo + (np.array(m_anchor) + 0.5) * f.delta
-                        witness = LineWitness(center, u.copy(), float(r))
+                        witness = LineWitness(f.center(m_anchor), u.copy(), float(r))
                 elif verdict_r is Verdict.CERTIFIED:
                     verdict_r = Verdict.INCONCLUSIVE
         return verdict_r, (worst - self.cert_slack) / (nu * r), witness
@@ -785,21 +792,35 @@ def _checked(x: BoxSet, nu: float, a0: float, a1: float, kind: str,
     return line_porosity_check(x, nu, a0, a1, directions)
 
 
+def _source_nu(x: BoxSet, alpha0: float, alpha1: float, kind: str, directions: int,
+               nu: float | None, name: str) -> float:
+    """The nu a lemma starts from, bisected on x when None; refused unless positive."""
+    if nu is None:
+        nu = max_certified_nu(x, alpha0, alpha1, kind, directions)
+    if nu <= 0:
+        raise ValueError(f"{name} set could not be certified at any nu")
+    return nu
+
+
+def _transferred(target: BoxSet, nu: float, nu_target: float, alpha0: float, alpha1: float,
+                 kind: str, directions: int, porosity: str) -> LemmaOutcome:
+    """Decide a lemma's conclusion, ``target`` nu_target-porous from alpha0 to alpha1,
+    once the grid slack has left nu_target positive."""
+    if nu_target <= 0:
+        raise ResolutionError(f"slack exceeds the {porosity} porosity; refine the grid")
+    rep = _checked(target, nu_target, alpha0, alpha1, kind, directions)
+    return LemmaOutcome(rep.verdict is Verdict.CERTIFIED, nu, nu_target, rep)
+
+
 def verify_affine_lemma(x: BoxSet, lam: float, y: np.ndarray, alpha0: float,
                         alpha1: float, kind: str = "ball", directions: int = 8,
                         nu: float | None = None) -> LemmaOutcome:
     """Certified nu for X must transfer to y + lam X at scales lam*alpha."""
     _require_kind(kind)
-    if nu is None:
-        nu = max_certified_nu(x, alpha0, alpha1, kind, directions)
-    if nu <= 0:
-        raise ValueError("source set could not be certified at any nu")
+    nu = _source_nu(x, alpha0, alpha1, kind, directions, nu, "source")
     img = affine_image(x, lam, y)
-    nu_img = nu - 4.0 * x.delta / (lam * alpha0)
-    if nu_img <= 0:
-        raise ResolutionError("slack exceeds the certified porosity; refine the grid")
-    rep = _checked(img, nu_img, lam * alpha0, lam * alpha1, kind, directions)
-    return LemmaOutcome(rep.verdict is Verdict.CERTIFIED, nu, nu_img, rep)
+    return _transferred(img, nu, nu - 4.0 * x.delta / (lam * alpha0), lam * alpha0,
+                        lam * alpha1, kind, directions, "certified")
 
 
 def verify_neighborhood_lemma(x: BoxSet, alpha2: float, alpha0: float, alpha1: float,
@@ -808,19 +829,13 @@ def verify_neighborhood_lemma(x: BoxSet, alpha2: float, alpha0: float, alpha1: f
     """nu-porous from alpha0..alpha1 with alpha2 <= nu*alpha1/2 implies the
     alpha2-neighborhood is nu/2-porous from max(alpha0, 2*alpha2/nu)."""
     _require_kind(kind)
-    if nu is None:
-        nu = max_certified_nu(x, alpha0, alpha1, kind, directions)
-    if nu <= 0:
-        raise ValueError("source set could not be certified at any nu")
+    nu = _source_nu(x, alpha0, alpha1, kind, directions, nu, "source")
     if alpha2 > nu * alpha1 / 2.0:
         raise ValueError("alpha2 exceeds nu*alpha1/2; lemma hypotheses violated")
     img = neighborhood(x, alpha2)
     a0 = max(alpha0, 2.0 * alpha2 / nu)
-    nu_img = nu / 2.0 - slack_cells * x.delta / a0
-    if nu_img <= 0:
-        raise ResolutionError("slack exceeds the asserted porosity; refine the grid")
-    rep = _checked(img, nu_img, a0, alpha1, kind, directions)
-    return LemmaOutcome(rep.verdict is Verdict.CERTIFIED, nu, nu_img, rep)
+    return _transferred(img, nu, nu / 2.0 - slack_cells * x.delta / a0, a0, alpha1, kind,
+                        directions, "asserted")
 
 
 def verify_bilipschitz_lemma(x: BoxSet, fwd, c1: float, alpha0: float, alpha1: float,
@@ -831,10 +846,7 @@ def verify_bilipschitz_lemma(x: BoxSet, fwd, c1: float, alpha0: float, alpha1: f
     (balls) or nu/(2 C1^2) (lines, with the second-derivative scale cap)."""
     _require_kind(kind)
     img = bilipschitz_image(x, fwd, c1)
-    if nu is None:
-        nu = max_certified_nu(img, alpha0, alpha1, kind, directions)
-    if nu <= 0:
-        raise ValueError("image set could not be certified at any nu")
+    nu = _source_nu(img, alpha0, alpha1, kind, directions, nu, "image")
     if kind == "ball":
         nu_back = nu / c1**2
     else:
@@ -844,7 +856,4 @@ def verify_bilipschitz_lemma(x: BoxSet, fwd, c1: float, alpha0: float, alpha1: f
             if alpha1 > cap:
                 raise ValueError(f"alpha1={alpha1:.3g} exceeds the lemma cap {cap:.3g}")
     nu_back -= slack_cells * x.delta / (c1 * alpha0)
-    if nu_back <= 0:
-        raise ResolutionError("slack exceeds the asserted porosity; refine the grid")
-    rep = _checked(x, nu_back, c1 * alpha0, c1 * alpha1, kind, directions)
-    return LemmaOutcome(rep.verdict is Verdict.CERTIFIED, nu, nu_back, rep)
+    return _transferred(x, nu, nu_back, c1 * alpha0, c1 * alpha1, kind, directions, "asserted")

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz_core import GroupElement, LorentzError, minkowski_inner, random_group_element
+from .lorentz_core import (GroupElement, LorentzError, minkowski_inner, minkowski_matrix,
+                           random_group_element)
 
 __all__ = [
     "PhasePoint",
@@ -314,7 +315,7 @@ def phase_to_ball_chart(p: PhasePoint) -> np.ndarray:
     """Canonical cotangent coordinates (v, eta) induced by the ball chart."""
     v = hyperboloid_to_ball(p.x)
     jac = _ball_chart_jacobian(v)
-    jmink = np.diag([-1.0] + [1.0] * (p.x.shape[0] - 1))
+    jmink = minkowski_matrix(p.x.shape[0] - 2)
     eta = jac.T @ (jmink @ p.xi)
     return np.concatenate([v, eta])
 
@@ -325,7 +326,7 @@ def ball_chart_to_phase(z: np.ndarray) -> PhasePoint:
     v, eta = z[:m], z[m:]
     x = ball_to_hyperboloid(v)
     jac = _ball_chart_jacobian(v)
-    jmink = np.diag([-1.0] + [1.0] * m)
+    jmink = minkowski_matrix(m - 1)
     rows = np.vstack([jac.T @ jmink, (jmink @ x)[None, :]])
     rhs = np.concatenate([eta, [0.0]])
     xi = np.linalg.solve(rows, rhs)

@@ -281,6 +281,30 @@ class TestFupScan:
         beta = float(footer[0].split("beta=")[1].split()[0])
         assert beta > 0
 
+    def test_log_phase_scan_writes_what_fio_sphere_writes(self, tmp_path, capsys):
+        # fio-sphere's manifest config, run as a fup-scan config, gives its CSV
+        # byte for byte: both carry the energy column w, so rows of the two
+        # energies can be told apart
+        fio = tmp_path / "fio"
+        main(["--out", str(fio), "--seed", "0", "fio-sphere", "--w", "0.125", "1.0",
+              "--ladder", "12", "18", "27", "40"])
+        config = json.loads((fio / "fio_sphere.manifest.json").read_text())["config"]
+        scan = tmp_path / "scan"
+        cfg = write_json(tmp_path / "cfg.json", config)
+        assert main(["--out", str(scan), "fup-scan", "--config", cfg]) == 0
+        csv_bytes = read_bytes(scan / "fup_scan.csv")
+        assert csv_bytes == read_bytes(fio / "fio_sphere.csv")
+        lines = csv_bytes.decode().splitlines()
+        assert lines[0] == "core,n,N,h,rho,w,norm,iters,converged"
+        assert [l.split(",")[5] for l in lines[1:9]] == ["0.125"] * 4 + ["1"] * 4
+
+    def test_grid_core_scan_has_no_energy_column(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"core": "fourier", "n": 1, "ladder": [27, 81, 243, 729]})
+        assert main(["--out", str(tmp_path), "fup-scan", "--config", cfg]) == 0
+        header = (tmp_path / "fup_scan.csv").read_text().splitlines()[0]
+        assert header == "core,n,N,h,rho,norm,iters,converged"
+
     def test_malformed_config_exits_one(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", {"core": "fourier", "banana": 3})
         assert main(["--out", str(tmp_path), "fup-scan", "--config", cfg]) == 1
@@ -349,6 +373,25 @@ class TestFlowTrace:
         rows = (tmp_path / "flow_trace.csv").read_text().splitlines()
         assert len(rows) == 6
         assert rows[0].startswith("t,x0")
+
+
+class TestManifestConfig:
+    """A manifest's config records every option that changes the run."""
+
+    def test_line_directions_and_frame_tolerance_are_recorded(self, tmp_path):
+        band = write_json(tmp_path / "band.json", BAND)
+        out = tmp_path / "sphere"
+        main(["--out", str(out), "sphere-porosity", "--set", band, "--nu", "0.1",
+              "--alpha0", "0.45", "--alpha1", "0.9", "--mode", "line", "--directions", "6"])
+        config = json.loads((out / "sphere_porosity.manifest.json").read_text())["config"]
+        assert (config["mode"], config["directions"]) == ("line", 6)
+        frame = tmp_path / "g.txt"
+        write_group_element(random_group_element(np.random.default_rng(5), 2), str(frame))
+        out = tmp_path / "flow"
+        assert main(["--out", str(out), "flow-trace", "--frame", str(frame),
+                     "--generator", "U1+", "--steps", "3", "--tol", "1e-9"]) == 0
+        config = json.loads((out / "flow_trace.manifest.json").read_text())["config"]
+        assert config["tol"] == 1e-9
 
 
 class TestSpherePorosity:

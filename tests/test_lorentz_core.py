@@ -441,6 +441,17 @@ class TestExpFlow:
         with pytest.raises(LorentzError, match="U_i needs 1 <= i <= n"):
             exp_flow(y, 0.5)
 
+    @pytest.mark.parametrize("label, n", [("A0", 2), ("A1", 2), ("A4", 2), ("A3", 1)])
+    def test_boost_label_outside_the_dimension_is_refused_as_generator_does(self, label, n):
+        # a hand-made A0 used to flow to a non-group matrix, A1 to the X boost,
+        # and A4 at n = 2 to an IndexError
+        y = LieAlgebraElement(np.zeros((n + 2, n + 2)), n, label)
+        with pytest.raises(LorentzError) as want:
+            generator("A", int(label[1:]), n=n)
+        with pytest.raises(LorentzError) as got:
+            exp_flow(y, 0.5)
+        assert str(got.value) == str(want.value)
+
 
 class TestGeodesicFlow:
     def test_identity_at_zero(self):

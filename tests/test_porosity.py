@@ -51,6 +51,11 @@ def dust2(depth=3):
     return cantor_generate(CantorSpec.uniform(4, (0, 3), depth, 2), 2)
 
 
+def thirds2(depth=3):
+    # m = 27: cell centers are not dyadic, so their rounding shows
+    return cantor_generate(CantorSpec.uniform(3, (0, 2), depth, 2), 2)
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracle: direct distance computation, no transform machinery
 
@@ -251,7 +256,7 @@ class TestWindowMax:
         # both edges, where every window must still lie inside the field
         rng = np.random.default_rng(10 * n + w)
         side = 15
-        f = _Field(rng.random((side,) * n), -0.25, 0.1, n)
+        f = _Field(rng.random((side,) * n), 3, 0.1, n)
         wm = _WindowMax.build(f, w, 0.6)
         lo, hi = _region(f, 0.6, wm.wlo, wm.whi)
         assert (lo, hi) == (w // 2, side - 1 - (w - 1) // 2)
@@ -484,6 +489,27 @@ class TestBisectionWork:
 
     def test_decisions_in_random_order_equal_fresh_ones(self):
         assert self.order_disagreements() == 0
+
+    @pytest.mark.parametrize("make, a0, kind, dirs, count", [
+        (cantor1, 1 / 3, "ball", 8, 30), (cantor1, 1 / 3, "line", 8, 30),
+        (thirds2, 0.5, "ball", 6, 30), (thirds2, 0.5, "line", 6, 30)])
+    def test_a_build_for_one_reports_what_a_build_for_nu_does(self, make, a0, kind, dirs,
+                                                              count):
+        # witnesses sit at cell centers counted from the unit cube, so the
+        # padding of the field, which grows with nu_max, cannot move them
+        x = make()
+        rng = np.random.default_rng(11)
+        witnessed = 0
+        for nu in rng.uniform(4.0 * x.delta / a0, 1.0, count).tolist():
+            wide = _Decider(x, a0, 1.0, kind, dirs, 1.0).decide(nu)
+            alone = _Decider(x, a0, 1.0, kind, dirs, nu).decide(nu)
+            assert wide.to_text() == alone.to_text(), nu
+            if wide.witness is not None:
+                witnessed += 1
+                c = wide.witness.center if kind == "ball" else wide.witness.midpoint
+                cell = np.round(c / x.delta - 0.5)
+                assert np.array_equal(c, (cell + 0.5) * x.delta), nu
+        assert witnessed >= count // 3
 
     def test_reusing_a_minimum_found_at_a_smaller_nu_is_caught(self, monkeypatch):
         # a smaller nu has fewer anchors, so its minimum only bounds a larger nu's

@@ -6,7 +6,9 @@ of the three operator cores (taken from the class ``__dict__``).  A stale
 name there breaks traced benchmark runs without failing any other test.
 """
 
+import ast
 import importlib
+import pathlib
 import types
 
 import pytest
@@ -50,3 +52,29 @@ def test_cores_define_apply_and_adjoint_in_their_own_body(cls_name):
     cls = getattr(importlib.import_module("fuplab.fup_numerics"), cls_name)
     for meth in ("apply", "adjoint"):
         assert callable(cls.__dict__.get(meth)), (cls_name, meth)
+
+
+def _private_defs_without_a_reference():
+    """Module-level private functions and classes of src/fuplab that no code
+    in src/fuplab names outside their own definition."""
+    src = pathlib.Path(importlib.import_module("fuplab").__file__).parent
+    defined, named_outside = {}, set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = None
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and top.name.startswith("_") and not top.name.startswith("__")):
+                own = top.name
+                defined[own] = path.name
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    named_outside.add(name)
+    return sorted(f"{defined[name]}:{name}" for name in defined if name not in named_outside)
+
+
+def test_every_private_helper_has_a_caller():
+    # a helper whose last caller went away is dead code; an import alone is
+    # not a use, nor is a call from the helper's own body
+    assert _private_defs_without_a_reference() == []
