@@ -487,8 +487,8 @@ class DecayFit:
 def beta_fit(samples) -> DecayFit:
     """Least squares of log(norm) against log(h); beta is the slope."""
     samples = [(float(h), float(v)) for h, v in samples]
-    if len(samples) < 4:
-        raise ValueError("need at least 4 ladder samples for a fit")
+    if len({h for h, _ in samples}) < 4:
+        raise ValueError("need samples at 4 distinct h for a fit")
     if any(v <= 0 for _, v in samples):
         raise ValueError("norms must be positive for a log-log fit")
     lh = np.log([h for h, _ in samples])
@@ -873,12 +873,18 @@ class FupConfig:
         if unread:
             raise ValueError(f"the {self.core} core does not read {', '.join(unread)}; "
                              "leave them at their defaults")
+        if self.core == "log_phase":
+            for key in ("arc_minus", "arc_plus"):
+                _check_arc(getattr(self, key), key)
         for key in ("set_minus", "set_plus"):
             explicit = getattr(self, key)
             if explicit is not None and explicit.n != self.n:
                 raise ValueError(f"{key} has n = {explicit.n}, but the config has n = {self.n}")
         if self.n < 1 or len(self.ladder) == 0:
             raise ValueError("bad dimensions or empty ladder")
+        if len(set(self.ladder)) < len(self.ladder):
+            raise ValueError(f"ladder values {list(self.ladder)} repeat; a decay fit needs "
+                             "distinct scales")
         if min(self.ladder) < 2 or self.cantor_base < 2:
             raise ValueError("ladder values and cantor_base must be at least 2")
         if self.core != "log_phase" and None in (self.set_minus, self.set_plus):
@@ -904,6 +910,15 @@ class FupConfig:
 
 
 _PHASE_ROUNDING_LIMIT = 1e-6       # rad
+
+
+def _check_arc(arc, name: str) -> tuple[float, float]:
+    """The arc (lo, hi) of angle fractions as two floats; ValueError unless it is
+    two finite numbers with 0 <= lo < hi <= 1."""
+    lo, hi = (float(v) for v in arc) if len(arc) == 2 else (math.nan, math.nan)
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError(f"{name} must be two numbers 0 <= lo < hi <= 1, got {arc!r}")
+    return lo, hi
 
 
 def _phase_rounding_error(w: float, J: int, chi_gap: float) -> float:

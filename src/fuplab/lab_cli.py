@@ -67,6 +67,7 @@ from .porosity import (
 from .fup_numerics import (
     FupConfig,
     SphereAtlas,
+    _check_arc,
     _log_phase_fd_dets,
     fup_experiment,
     log_phase_hessian_factors,
@@ -421,7 +422,7 @@ def cmd_sphere_porosity(args) -> tuple[int, RunRecord | None]:
     with open(args.set) as fh:
         band = json.load(fh)["band"]
     base = _cantor_set(band, 1)
-    lo, hi = (float(v) for v in band["arc"])
+    lo, hi = _check_arc(band["arc"], "arc")
 
     def oracle(y):
         ang = (np.arctan2(y[:, 1], y[:, 0]) / (2 * np.pi)) % 1.0

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,8 +239,8 @@ def generator(kind: str, i: int | None = None, j: int | None = None, *, n: int,
     if kind == "A":
         return LieAlgebraElement(_basis_matrix([(0, i, 1), (i, 0, 1)], size, dtype), n, f"A{i}")
     if kind == "R":
-        return LieAlgebraElement(
-            _basis_matrix([(i, j, 1), (j, i, -1)], size, dtype), n, _r_label(i, j))
+        return LieAlgebraElement(_basis_matrix([(i, j, 1), (j, i, -1)], size, dtype), n,
+                                 f"R{i}{j}" if i < 10 and j < 10 else f"R{i},{j}")
     if kind in ("U+", "U-"):
         s = 1 if kind == "U+" else -1
         # U_i^{+-} = -A_{i+1} -+ R_{1,i+1}
@@ -249,31 +250,29 @@ def generator(kind: str, i: int | None = None, j: int | None = None, *, n: int,
     raise LorentzError(f"unknown generator kind {kind!r}")
 
 
-def _r_label(i: int, j: int) -> str:
-    if i < 10 and j < 10:
-        return f"R{i}{j}"
-    return f"R{i},{j}"
+#: A generator label: ``X``, ``A<k>``, ``R<i><j>`` (a one-digit i) or ``R<i>,<j>``,
+#: ``U<i>+`` or ``U<i>-``.  An index may carry a minus sign, so that a label
+#: outside the dimension is refused by the index check, as generator() refuses it.
+_LABEL = re.compile(r"X|A(-?[0-9]+)|R([0-9])([0-9]+)|R(-?[0-9]+),(-?[0-9]+)|U(-?[0-9]+)[+-]")
+
+
+@functools.cache
+def _label_parts(label: str, n: int) -> tuple[str, int | None, int | None]:
+    """The arguments (kind, i, j) of :func:`generator` for the frame generator
+    that ``label`` names in dimension n; LorentzError if it names none."""
+    match = _LABEL.fullmatch(label)
+    if match is None:
+        raise LorentzError(f"bad generator label {label!r}")
+    i, j = ([int(g) for g in match.groups() if g is not None] + [None, None])[:2]
+    kind = label[0] + label[-1] if label[0] == "U" else label[0]
+    _check_index(kind, i, j, n)
+    return kind, i, j
 
 
 def parse_label(label: str, n: int) -> LieAlgebraElement:
-    """Parse a generator label like ``"X"``, ``"A2"``, ``"R23"``, ``"U1+"``."""
-    if label == "X":
-        return generator("X", n=n)
-    if label.startswith("A"):
-        return generator("A", int(label[1:]), n=n)
-    if label.startswith("R"):
-        body = label[1:]
-        if "," in body:
-            a, b = body.split(",")
-        else:
-            a, b = body[0], body[1:]
-        return generator("R", int(a), int(b), n=n)
-    if label.startswith("U"):
-        sign = label[-1]
-        if sign not in "+-":
-            raise LorentzError(f"bad generator label {label!r}")
-        return generator("U" + sign, int(label[1:-1]), n=n)
-    raise LorentzError(f"bad generator label {label!r}")
+    """The generator that a label like ``"X"``, ``"A2"``, ``"R23"``, ``"R2,10"`` or
+    ``"U1+"`` names in dimension n."""
+    return generator(*_label_parts(label, n), n=n)
 
 
 def frame_basis(n: int, dtype=np.float64) -> list[LieAlgebraElement]:
@@ -296,14 +295,10 @@ def _frame_basis(n: int, dtype) -> tuple[LieAlgebraElement, ...]:
 
 
 def bracket(y: LieAlgebraElement, z: LieAlgebraElement) -> LieAlgebraElement:
-    """Commutator [Y, Z] = YZ - ZY."""
+    """Commutator [Y, Z] = YZ - ZY, unlabelled."""
     if y.n != z.n:
         raise LorentzError("dimension mismatch in bracket")
-    m = y.matrix @ z.matrix - z.matrix @ y.matrix
-    lbl = None
-    if y.label and z.label:
-        lbl = f"[{y.label},{z.label}]"
-    return LieAlgebraElement(m, y.n, lbl)
+    return LieAlgebraElement(y.matrix @ z.matrix - z.matrix @ y.matrix, y.n)
 
 
 @functools.cache
@@ -364,13 +359,6 @@ def _exp_rotation(n: int, i: int, j: int, t: list) -> np.ndarray:
     return _fill(_identity(n + 2), ((i, i), (j, j), (i, j), (j, i)), values)
 
 
-@functools.cache
-def _rotation_plane(label: str, n: int) -> tuple[int, int]:
-    """The indices (i, j), i < j, of the rotation R_ij that ``label`` names in dimension n."""
-    idx = np.nonzero(parse_label(label, n).matrix)
-    return int(idx[0][0]), int(idx[1][0])
-
-
 def _horospherical_fill(v: np.ndarray, s: float) -> np.ndarray:
     """I + N + N^2/2 with N = sum_i v_ri U_i^{s}, one matrix per row v_r of the
     (T, n) array v, as a stack (T, n+2, n+2); a row whose |v_r|^2/2 overflows is
@@ -392,27 +380,20 @@ def _horospherical_fill(v: np.ndarray, s: float) -> np.ndarray:
     return m
 
 
-def _exp_closed(label: str, n: int, t: list) -> np.ndarray | None:
+def _exp_closed(label: str, n: int, t: list) -> np.ndarray:
     """exp(t_r Y) for each time t_r of the list t, as a stack of shape
-    (len(t), n+2, n+2), when the generator Y that ``label`` names has a closed
-    form: a boost, a rotation or a single-sign horospherical generator.  None
-    for any other label."""
-    if label == "X":
+    (len(t), n+2, n+2), in the closed form of the frame generator Y that
+    ``label`` names: a boost, a rotation or a single-sign horospherical generator."""
+    kind, i, j = _label_parts(label, n)
+    if kind == "X":
         return _exp_boost(n, 1, t)
-    if label.startswith("A") and label[1:].isdigit():
-        k = int(label[1:])
-        _check_index("A", k, None, n)
-        return _exp_boost(n, k, t)
-    if label.startswith("R"):
-        i, j = _rotation_plane(label, n)
+    if kind == "A":
+        return _exp_boost(n, i, t)
+    if kind == "R":
         return _exp_rotation(n, i, j, t)
-    if label.startswith("U") and label[-1] in "+-":
-        i = int(label[1:-1])
-        _check_index("U" + label[-1], i, None, n)
-        v = np.zeros((len(t), n))
-        v[:, i - 1] = t
-        return _horospherical_fill(v, 1.0 if label[-1] == "+" else -1.0)
-    return None
+    v = np.zeros((len(t), n))
+    v[:, i - 1] = t
+    return _horospherical_fill(v, 1.0 if kind == "U+" else -1.0)
 
 
 def horospherical_element(v: np.ndarray, sign: int, n: int) -> GroupElement:
@@ -430,15 +411,18 @@ def horospherical_element(v: np.ndarray, sign: int, n: int) -> GroupElement:
 def exp_flow(y: LieAlgebraElement, t: float) -> GroupElement:
     """Matrix exponential exp(t Y) as a certified group element.
 
-    Uses closed forms for boosts, rotations, and single-sign horospherical
-    generators; falls back to scaling-and-squaring (scipy) otherwise.
+    An unlabelled Y takes scaling-and-squaring (scipy).  A labelled Y takes the
+    closed form of the frame generator that its label names, and its matrix
+    must be that generator's: a label that names no generator, or another
+    matrix, raises LorentzError.
     """
     if not math.isfinite(t):
         raise LorentzError(f"flow time must be finite, got {t}")
-    m = _exp_closed(y.label or "", y.n, [t])
-    if m is None:
+    if y.label is None:
         return GroupElement(expm(t * np.asarray(y.matrix, dtype=np.float64)), y.n)
-    return GroupElement(m[0], y.n)
+    if not np.array_equal(y.matrix, parse_label(y.label, y.n).matrix):
+        raise LorentzError(f"generator label {y.label!r} names another matrix")
+    return GroupElement(_exp_closed(y.label, y.n, [t])[0], y.n)
 
 
 def geodesic_flow(x: np.ndarray, xi: np.ndarray,
@@ -524,47 +508,43 @@ def embed_standard_subgroup(block: np.ndarray, l: int, n: int) -> GroupElement:
     return GroupElement(m, n)
 
 
+def _diagonal_blocks(m: np.ndarray, k: int, tol: float):
+    """The diagonal blocks (m[:k, :k], m[k:, k:]) of the matrix m, or None when an
+    entry off them exceeds tol in absolute value."""
+    off = np.concatenate((m[k:, :k], m[:k, k:].T))
+    if float(np.abs(off).max(initial=0.0)) > tol:
+        return None
+    return m[:k, :k], m[k:, k:]
+
+
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest entry of |a - b|, 0 for empty arrays and NaN if an entry is NaN."""
+    return float(np.abs(a - b).max(initial=0.0))
+
+
 def standard_subgroup_member(g: GroupElement, l: int, tol: float = DEFAULT_TOL) -> bool:
     """True iff g lies in W_l: SO0(1,l) block upper-left, identity elsewhere."""
-    n = g.n
-    if not 2 <= l <= n + 1:
+    if not 2 <= l <= g.n + 1:
         raise LorentzError(f"standard subgroup needs 2 <= l <= n+1, got l={l}")
-    m = g.matrix
-    k = l + 1
-    if k < n + 2:
-        if float(np.max(np.abs(m[k:, k:] - np.eye(n + 2 - k)))) > tol:
-            return False
-        if float(np.max(np.abs(m[k:, :k]))) > tol:
-            return False
-        if float(np.max(np.abs(m[:k, k:]))) > tol:
-            return False
-    block = m[:k, :k]
-    jl = minkowski_matrix(l - 1)
-    form = float(np.max(np.abs(block.T @ jl @ block - jl)))
-    det = abs(float(np.linalg.det(block)) - 1.0)
-    return form <= tol and det <= tol and block[0, 0] > 0
+    blocks = _diagonal_blocks(g.matrix, l + 1, tol)
+    if blocks is None or _max_gap(blocks[1], np.eye(len(blocks[1]))) > tol:
+        return False
+    return is_group_element(blocks[0], tol)
 
 
 def _normalizer_blocks(g: GroupElement, l: int, tol: float):
     """Split g into the O0(1,l) x O(n-l+1) blocks, or None if not block-diagonal."""
-    n = g.n
-    m = g.matrix
-    k = l + 1
-    if m[k:, :k].size and float(np.max(np.abs(m[k:, :k]))) > tol:
+    blocks = _diagonal_blocks(g.matrix, l + 1, tol)
+    if blocks is None:
         return None
-    if m[:k, k:].size and float(np.max(np.abs(m[:k, k:]))) > tol:
+    top, bot = blocks
+    form, _, corner = _group_residuals(top)
+    if form > tol or corner <= 0:          # the top block must preserve the upper sheet
         return None
-    top = m[:k, :k]
-    bot = m[k:, k:]
-    jl = minkowski_matrix(l - 1)
-    if float(np.max(np.abs(top.T @ jl @ top - jl))) > tol:
-        return None
-    if top[0, 0] <= 0:
-        return None            # must preserve the upper sheet
-    if bot.size and float(np.max(np.abs(bot.T @ bot - np.eye(bot.shape[0])))) > tol:
+    if _max_gap(bot.T @ bot, np.eye(len(bot))) > tol:
         return None
     dt = float(np.linalg.det(top))
-    db = float(np.linalg.det(bot)) if bot.size else 1.0
+    db = float(np.linalg.det(bot))         # 1.0 for the empty block of l = n+1
     if abs(dt * db - 1.0) > max(tol, 1e-8):
         return None
     return top, bot, dt, db
@@ -634,29 +614,18 @@ def ku_member(k: GroupElement) -> bool:
     K0 is the stabilizer of e0 and e1; inside its SO(n) block, K_U consists of
     matrices diag(eps, Q) with eps = +-1, Q in O(n-1), eps det Q = 1.
     """
-    n = k.n
-    m = k.matrix
-    e = np.eye(n + 2)
-    if float(np.max(np.abs(m[:, 0] - e[:, 0]))) > DEFAULT_TOL:
+    blocks = _diagonal_blocks(k.matrix, 2, DEFAULT_TOL)       # k fixes e0 and e1
+    if blocks is None or _max_gap(blocks[0], np.eye(2)) > DEFAULT_TOL:
         return False
-    if float(np.max(np.abs(m[:, 1] - e[:, 1]))) > DEFAULT_TOL:
+    b = blocks[1]
+    if _max_gap(b.T @ b, np.eye(k.n)) > DEFAULT_TOL:
         return False
-    if float(np.max(np.abs(m[0, :] - e[0, :]))) > DEFAULT_TOL:
-        return False
-    if float(np.max(np.abs(m[1, :] - e[1, :]))) > DEFAULT_TOL:
-        return False
-    b = m[2:, 2:]
-    if float(np.max(np.abs(b.T @ b - np.eye(n)))) > DEFAULT_TOL:
-        return False
-    if n == 1:
-        return abs(b[0, 0] - 1.0) <= DEFAULT_TOL
-    if abs(abs(b[0, 0]) - 1.0) > DEFAULT_TOL:
-        return False
-    if np.max(np.abs(b[0, 1:])) > DEFAULT_TOL or np.max(np.abs(b[1:, 0])) > DEFAULT_TOL:
+    split = _diagonal_blocks(b, 1, DEFAULT_TOL)
+    if split is None or abs(abs(b[0, 0]) - 1.0) > DEFAULT_TOL:
         return False
     eps = 1.0 if b[0, 0] > 0 else -1.0
-    q_det = float(np.linalg.det(b[1:, 1:]))
-    return abs(eps * q_det - 1.0) <= 1e-8
+    # at n = 1, Q is 0 x 0 with det 1, so eps must be +1
+    return abs(eps * float(np.linalg.det(split[1])) - 1.0) <= 1e-8
 
 
 def ku_member_by_conjugation(k: GroupElement) -> bool:

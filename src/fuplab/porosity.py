@@ -76,6 +76,8 @@ class CantorSpec:
     depth: int
 
     def __post_init__(self):
+        if not self.digits:
+            raise ValueError("a Cantor set needs at least one axis")
         if self.base < 3:
             raise ValueError("base must be >= 3")
         if self.depth < 1:

@@ -474,6 +474,11 @@ class TestBetaFit:
         with pytest.raises(ValueError):
             beta_fit([(0.1, 0.5), (0.05, 0.4), (0.025, 0.3)])
 
+    @pytest.mark.parametrize("hs", [[1 / 27] * 4, [1 / 27, 1 / 27, 1 / 81, 1 / 243, 1 / 243]])
+    def test_fewer_than_four_distinct_scales_rejected(self, hs):
+        with pytest.raises(ValueError, match="4 distinct h"):
+            beta_fit([(h, 0.5 + k) for k, h in enumerate(hs)])
+
     def test_nonpositive_norms_rejected(self):
         with pytest.raises(ValueError):
             beta_fit([(0.1, 0.5), (0.05, 0.0), (0.025, 0.3), (0.0125, 0.2)])
@@ -875,10 +880,22 @@ class TestConfigValidation:
         FupConfig(ladder=(2, 4)),
         FupConfig(cantor_base=5, ladder=(25, 27)),
         FupConfig(cantor_base=1, ladder=(1, 1)),
+        FupConfig(ladder=(27, 27, 27, 27)),             # a decay fit needs distinct scales
+        FupConfig(core="log_phase", ladder=(27, 81, 243, 81)),
     ])
     def test_ladder_values_that_no_family_can_take(self, cfg):
         with pytest.raises(ValueError, match="ladder values"):
             cfg.validate()
+
+    @pytest.mark.parametrize("arc", [(0.5, 0.5), (0.9, 0.2), (-0.1, 0.5), (0.5, 1.5),
+                                     (0.1, math.nan), (0.1, math.inf), (0.1,)])
+    @pytest.mark.parametrize("field", ["arc_minus", "arc_plus"])
+    def test_log_phase_arc_that_is_not_an_arc(self, field, arc):
+        with pytest.raises(ValueError, match=f"{field} must be two numbers 0 <= lo < hi <= 1"):
+            FupConfig(core="log_phase", ladder=(108, 324), **{field: arc}).validate()
+
+    def test_log_phase_arcs_may_span_the_circle(self):
+        FupConfig(core="log_phase", ladder=(108, 324), arc_minus=(0.0, 1.0)).validate()
 
     def test_explicit_sets_and_log_phase_take_any_ladder_from_2(self):
         box = BoxSet.from_boxes([((0.0,), (1.0,))], 8, 1)

@@ -562,6 +562,45 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "group-decompose", "--input",
                                          str(path), "--mode", "normalizer", "--l", "9")
 
+    @pytest.mark.parametrize("arc", [[0.3, 0.3], [0.5, 0.2]])
+    def test_sphere_band_arc_that_is_not_an_arc(self, tmp_path, capsys, arc):
+        # [0.3, 0.3] used to warn and certify, [0.5, 0.2] to certify the empty set
+        spec = self.input_json(tmp_path, {"band": {**BAND["band"], "arc": arc}})
+        self.assert_one_line_usage_error(tmp_path, capsys, "sphere-porosity", "--set", spec,
+                                         "--nu", "0.1", "--alpha0", "0.45", "--alpha1", "0.9",
+                                         prefix="error: arc must be two numbers")
+
+    @pytest.mark.parametrize("arc", [[0.5, 0.5], [0.9, 0.2]])
+    def test_log_phase_scan_arc_that_is_not_an_arc(self, tmp_path, capsys, arc):
+        # both used to print "sanity pass" over rows of norm 0
+        cfg = self.input_json(tmp_path, {"core": "log_phase", "n": 1,
+                                         "ladder": [108, 324, 972, 2916], "arc_minus": arc})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix="config error: arc_minus must be two numbers")
+
+    def test_cantor_declaration_without_axes(self, tmp_path, capsys):
+        spec = self.input_json(tmp_path, {"cantor": {**CANTOR["cantor"], "depth": 2, "dims": 0}})
+        self.assert_one_line_usage_error(tmp_path, capsys, "porosity-check", "--set", spec,
+                                         "--nu", "0.1", "--alpha0", "0.1", "--alpha1", "1",
+                                         prefix="error: a Cantor set needs at least one axis")
+
+    def test_scan_ladder_of_one_scale(self, tmp_path, capsys):
+        # used to fit a beta from a single h and print "sanity pass"
+        cfg = self.input_json(tmp_path, {"core": "fourier", "n": 1, "ladder": [27, 27, 27, 27]})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix="config error: ladder values [27, 27, 27, 27] "
+                                                "repeat")
+
+    def test_fio_ladder_of_one_scale(self, tmp_path, capsys):
+        self.assert_one_line_usage_error(tmp_path, capsys, "fio-sphere", "--ladder",
+                                         "108", "108", "108", "108",
+                                         prefix="config error: ladder values")
+
+    def test_flow_generator_label_of_no_generator(self, tmp_path, capsys):
+        # used to end in a bare ValueError from int()
+        self.assert_one_line_usage_error(tmp_path, capsys, "flow-trace", "--generator", "Rx",
+                                         prefix="error: bad generator label 'Rx'")
+
     def test_fio_ladder_values_below_two(self, tmp_path, capsys):
         self.assert_one_line_usage_error(tmp_path, capsys, "fio-sphere", "--ladder",
                                          "0", "1", "2", "3", prefix="config error:")
@@ -842,19 +881,45 @@ def cli_argv(draw):
     return argv
 
 
+# Edge values of the fields of the input files, each drawn or left as written
+# half the time.  dims stops at 1, since a 2-D set at depth 6 takes seconds to
+# decide; core is drawn so that arc_minus is read.
+FILE_EDGES = {
+    "cantor": {"dims": (-1, 0, 1), "depth": (-1, 0, 1, 2, 1.5), "base": (-1, 0, 2, 4)},
+    "band": {"arc": ([0.3, 0.3], [0.5, 0.2], [0.0, 1.0], [-0.1, 0.5], [0.1, math.nan],
+                     [0.1], "arc")},
+    "fup": {"core": ("log_phase",), "ladder": ([27, 27, 27, 27], [27, 81], [0, 1, 2, 3],
+                                               [3, 9, 27, 81]),
+            "arc_minus": ([0.5, 0.5], [0.9, 0.2], [0.0, 1.0], [1.0, 2.0])},
+}
+
+
+@st.composite
+def input_files(draw):
+    """The contents of cantor.json, band.json and fup.json, some fields at edge values."""
+    fields = {"cantor": dict(CANTOR["cantor"]), "band": dict(BAND["band"]),
+              "fup": {"core": "fourier", "n": 1, "ladder": [27, 81, 243, 729]}}
+    for name, edges in FILE_EDGES.items():
+        for key, values in edges.items():
+            value = draw(st.one_of(st.none(), st.sampled_from(values)))
+            if value is not None:
+                fields[name][key] = value
+    return {"cantor": {"cantor": fields["cantor"]}, "band": {"band": fields["band"]},
+            "fup": fields["fup"]}
+
+
 class TestArgvContract:
-    """Any edge value of any numeric flag ends in a defined exit code, never a raise,
-    and an exit 0 leaves at least one data row in every CSV it wrote."""
+    """Any edge value of any numeric flag or input-file field ends in a defined exit
+    code, never a raise, and an exit 0 leaves at least one data row in every CSV it
+    wrote."""
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(argv=cli_argv())
-    def test_exit_code_is_defined_and_usage_errors_take_one_line(self, tmp_path, argv):
-        files = {"cantor": write_json(tmp_path / "cantor.json", CANTOR),
-                 "band": write_json(tmp_path / "band.json", BAND),
-                 "fup": write_json(tmp_path / "fup.json",
-                                   {"core": "fourier", "n": 1, "ladder": [27, 81, 243, 729]}),
-                 "g": str(tmp_path / "g.txt")}
+    @given(argv=cli_argv(), inputs=input_files())
+    def test_exit_code_is_defined_and_usage_errors_take_one_line(self, tmp_path, argv, inputs):
+        files = {name: write_json(tmp_path / f"{name}.json", payload)
+                 for name, payload in inputs.items()}
+        files["g"] = str(tmp_path / "g.txt")
         write_group_element(random_group_element(np.random.default_rng(94), 3), files["g"])
         out = tempfile.mkdtemp(dir=tmp_path)
         buf = io.StringIO()

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from fuplab.lorentz_core import (
     _frame_flows,
     _frame_word_draws,
     _frame_words,
+    _normalizer_blocks,
     DecompositionError,
     GroupElement,
     LieAlgebraElement,
@@ -261,10 +263,32 @@ class TestGenerators:
         with pytest.raises(LorentzError):
             generator("R", 3, 2, n=3)
 
-    def test_label_round_trip(self):
-        for el in frame_basis(2):
-            again = parse_label(el.label, 2)
-            assert np.array_equal(el.matrix, again.matrix)
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 10])
+    def test_every_label_and_comma_form_names_its_generator(self, n):
+        planes = [(i, j) for i in range(1, n + 2) for j in range(i + 1, n + 2)]
+        gens = (frame_basis(n) + [generator("A", k, n=n) for k in range(2, n + 2)]
+                + [generator("R", i, j, n=n) for i, j in planes])
+        assert ("R2,10" in [y.label for y in gens]) == (n >= 9)
+        for y in gens:
+            again = parse_label(y.label, n)
+            assert np.array_equal(again.matrix, y.matrix) and again.label == y.label, y.label
+        for i, j in planes:
+            again = parse_label(f"R{i},{j}", n)
+            assert np.array_equal(again.matrix, generator("R", i, j, n=n).matrix), (i, j)
+
+    @pytest.mark.parametrize("label", ["Rx", "Ux+", "R2", "A", "U+", "X1", "R-12", ""])
+    def test_a_label_of_no_generator_is_refused(self, label):
+        text = re.escape(f"bad generator label {label!r}")
+        with pytest.raises(LorentzError, match=text):
+            parse_label(label, 2)
+        with pytest.raises(LorentzError, match=text):
+            exp_flow(LieAlgebraElement(np.zeros((4, 4)), 2, label), 0.5)
+
+    def test_bracket_is_unlabelled(self):
+        y, z = generator("X", n=2), generator("U+", 1, n=2)
+        assert bracket(y, z).label is None
+        assert np.array_equal(exp_flow(bracket(y, z), 0.3).matrix,
+                              expm(0.3 * (y.matrix @ z.matrix - z.matrix @ y.matrix)))
 
     @pytest.mark.parametrize("dtype", [np.float64, object])
     def test_frame_basis_is_a_fresh_list_of_frozen_elements(self, dtype):
@@ -440,6 +464,20 @@ class TestExpFlow:
         y = LieAlgebraElement(np.zeros((4, 4)), 2, label)
         with pytest.raises(LorentzError, match="U_i needs 1 <= i <= n"):
             exp_flow(y, 0.5)
+
+    @pytest.mark.parametrize("m", [generator("R", 2, 3, n=2).matrix,
+                                   2.0 * generator("X", n=2).matrix],
+                             ids=["R23", "2X"])
+    def test_a_label_that_names_another_matrix_is_refused(self, m):
+        # an X label on the R23 matrix used to flow to the X boost
+        with pytest.raises(LorentzError, match="generator label 'X' names another matrix"):
+            exp_flow(LieAlgebraElement(m, 2, "X"), 1.0)
+
+    def test_the_unlabelled_rotation_matrix_flows_to_the_rotation(self):
+        y = generator("R", 2, 3, n=2)
+        got = exp_flow(LieAlgebraElement(y.matrix, 2), 1.0).matrix
+        assert got[0, 0] == 1.0 and got[1, 1] == 1.0
+        assert np.max(np.abs(got - exp_flow(y, 1.0).matrix)) < 1e-15
 
     @pytest.mark.parametrize("label, n", [("A0", 2), ("A1", 2), ("A4", 2), ("A3", 1)])
     def test_boost_label_outside_the_dimension_is_refused_as_generator_does(self, label, n):
@@ -705,6 +743,142 @@ class TestKuMember:
             m[2:, 2:] = q
             g = GroupElement(m, n)
             assert ku_member(g) == ku_member_by_conjugation(g)
+
+
+def _parent_standard_subgroup_member(m, l, tol):
+    # the per-block formulas that the shared block split replaced
+    n = m.shape[0] - 2
+    k = l + 1
+    if k < n + 2:
+        if float(np.max(np.abs(m[k:, k:] - np.eye(n + 2 - k)))) > tol:
+            return False
+        if float(np.max(np.abs(m[k:, :k]))) > tol:
+            return False
+        if float(np.max(np.abs(m[:k, k:]))) > tol:
+            return False
+    block = m[:k, :k]
+    jl = minkowski_matrix(l - 1)
+    form = float(np.max(np.abs(block.T @ jl @ block - jl)))
+    det = abs(float(np.linalg.det(block)) - 1.0)
+    return bool(form <= tol and det <= tol and block[0, 0] > 0)
+
+
+def _parent_normalizer_blocks(m, l, tol):
+    k = l + 1
+    if m[k:, :k].size and float(np.max(np.abs(m[k:, :k]))) > tol:
+        return None
+    if m[:k, k:].size and float(np.max(np.abs(m[:k, k:]))) > tol:
+        return None
+    top = m[:k, :k]
+    bot = m[k:, k:]
+    jl = minkowski_matrix(l - 1)
+    if float(np.max(np.abs(top.T @ jl @ top - jl))) > tol:
+        return None
+    if top[0, 0] <= 0:
+        return None
+    if bot.size and float(np.max(np.abs(bot.T @ bot - np.eye(bot.shape[0])))) > tol:
+        return None
+    dt = float(np.linalg.det(top))
+    db = float(np.linalg.det(bot)) if bot.size else 1.0
+    if abs(dt * db - 1.0) > max(tol, 1e-8):
+        return None
+    return top, bot, dt, db
+
+
+def _parent_ku_member(m, tol=1e-10):
+    n = m.shape[0] - 2
+    e = np.eye(n + 2)
+    for row in (m[:, 0] - e[:, 0], m[:, 1] - e[:, 1], m[0, :] - e[0, :], m[1, :] - e[1, :]):
+        if float(np.max(np.abs(row))) > tol:
+            return False
+    b = m[2:, 2:]
+    if float(np.max(np.abs(b.T @ b - np.eye(n)))) > tol:
+        return False
+    if n == 1:
+        return abs(b[0, 0] - 1.0) <= tol
+    if abs(abs(b[0, 0]) - 1.0) > tol:
+        return False
+    if np.max(np.abs(b[0, 1:])) > tol or np.max(np.abs(b[1:, 0])) > tol:
+        return False
+    eps = 1.0 if b[0, 0] > 0 else -1.0
+    return abs(eps * float(np.linalg.det(b[1:, 1:])) - 1.0) <= 1e-8
+
+
+def _orthogonal(rng, size, det):
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    if np.linalg.det(q) * det < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _block_members(n, rng):
+    """W_l, normalizer and K_U elements of SO0(1, n+1), as matrices."""
+    out = []
+    for l in range(2, n + 2):
+        w = embed_standard_subgroup(random_group_element(rng, l - 1).matrix, l, n).matrix
+        out.append(w)
+        for det in (1.0, -1.0):
+            k = np.eye(n + 2)
+            k[l + 1:, l + 1:] = _orthogonal(rng, n - l + 1, det) if l <= n else np.eye(0)
+            if det < 0:
+                k[l, l] = -1.0
+            out.append(w @ k)
+    for eps in (1.0, -1.0):
+        k = np.eye(n + 2)
+        k[2, 2] = eps
+        k[3:, 3:] = _orthogonal(rng, n - 1, eps) if n > 1 else np.eye(0)
+        out.append(k)
+    return out
+
+
+class TestBlockPredicateParity:
+    """The block predicates decide as the per-block formulas they replaced did, on
+    members and on copies with one entry moved just inside or outside tol, or NaN;
+    copies scaled by 1 + 0.4 tol (form inside tol, det outside it, inside 1e-8);
+    copies with the time orientation reversed; and copies turned by 3e-6 rad in a
+    spatial plane (inside tol of the identity but for the two entries of the turn)."""
+
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_predicates_keep_every_boolean(self, n):
+        rng = np.random.default_rng(40 + n)
+        decided = set()
+        reverse = np.diag([-1.0, -1.0] + [1.0] * n)
+        turns = [expm(3e-6 * generator("R", i, j, n=n).matrix)
+                 for i in range(1, n + 2) for j in range(i + 1, n + 2)]
+        for m in _block_members(n, rng):
+            for c in [m, m * (1.0 + 0.4 * self.TOL), m @ reverse] + [m @ t for t in turns]:
+                self.check(c, n, decided)
+            for i, j in np.ndindex(m.shape):
+                for shift in (0.5 * self.TOL, 2.0 * self.TOL):
+                    c = m.copy()
+                    c[i, j] += shift
+                    self.check(c, n, decided)
+                c = m.copy()
+                c[i, j] = np.nan
+                with warnings.catch_warnings():     # det of a NaN block warns, as it did
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    self.check(c, n, decided)
+        # each predicate said both yes and no
+        assert decided == {(p, b) for p in "WNK" for b in (False, True)}
+
+    def check(self, m, n, decided):
+        g = GroupElement(m, n)
+        for l in range(2, n + 2):
+            got = standard_subgroup_member(g, l)
+            assert got == _parent_standard_subgroup_member(m, l, self.TOL)
+            want = _parent_normalizer_blocks(m, l, self.TOL)
+            blocks = _normalizer_blocks(g, l, self.TOL)
+            assert (blocks is None) == (want is None)
+            if want is not None:
+                assert np.array_equal(blocks[2:], want[2:], equal_nan=True)
+            if l <= n:
+                assert normalizer_member(g, l) == (want is not None)
+            decided.update({("W", got), ("N", want is not None)})
+        got = ku_member(g)
+        assert got == _parent_ku_member(m)
+        decided.add(("K", got))
 
 
 class TestClosure:

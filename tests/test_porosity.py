@@ -96,6 +96,11 @@ class TestCantorGenerate:
         with pytest.raises(ValueError):
             CantorSpec.uniform(3, (0, 1, 2), 1, 1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_spec_without_axes_rejected(self, n):
+        with pytest.raises(ValueError, match="at least one axis"):
+            CantorSpec.uniform(3, (0, 2), 2, n)
+
     def test_product_structure_in_2d(self):
         x = dust2(2)
         one = cantor_generate(CantorSpec.uniform(4, (0, 3), 2, 1), 1)
