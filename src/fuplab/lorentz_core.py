@@ -509,16 +509,17 @@ def embed_standard_subgroup(block: np.ndarray, l: int, n: int) -> GroupElement:
 
 
 def _diagonal_blocks(m: np.ndarray, k: int, tol: float):
-    """The diagonal blocks (m[:k, :k], m[k:, k:]) of the matrix m, or None when an
-    entry off them exceeds tol in absolute value."""
+    """The diagonal blocks (m[:k, :k], m[k:, k:]) of the matrix m, or None unless
+    every entry off them is at most tol in absolute value (so a NaN refuses)."""
     off = np.concatenate((m[k:, :k], m[:k, k:].T))
-    if float(np.abs(off).max(initial=0.0)) > tol:
+    if not float(np.abs(off).max(initial=0.0)) <= tol:
         return None
     return m[:k, :k], m[k:, k:]
 
 
 def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """The largest entry of |a - b|, 0 for empty arrays and NaN if an entry is NaN."""
+    """The largest entry of |a - b|, 0 for empty arrays and NaN if an entry is NaN.
+    Callers refuse unless the gap is at most their tolerance, which a NaN is not."""
     return float(np.abs(a - b).max(initial=0.0))
 
 
@@ -527,7 +528,7 @@ def standard_subgroup_member(g: GroupElement, l: int, tol: float = DEFAULT_TOL) 
     if not 2 <= l <= g.n + 1:
         raise LorentzError(f"standard subgroup needs 2 <= l <= n+1, got l={l}")
     blocks = _diagonal_blocks(g.matrix, l + 1, tol)
-    if blocks is None or _max_gap(blocks[1], np.eye(len(blocks[1]))) > tol:
+    if blocks is None or not _max_gap(blocks[1], np.eye(len(blocks[1]))) <= tol:
         return False
     return is_group_element(blocks[0], tol)
 
@@ -539,13 +540,13 @@ def _normalizer_blocks(g: GroupElement, l: int, tol: float):
         return None
     top, bot = blocks
     form, _, corner = _group_residuals(top)
-    if form > tol or corner <= 0:          # the top block must preserve the upper sheet
+    if not (form <= tol and corner > 0):   # the top block must preserve the upper sheet
         return None
-    if _max_gap(bot.T @ bot, np.eye(len(bot))) > tol:
+    if not _max_gap(bot.T @ bot, np.eye(len(bot))) <= tol:
         return None
     dt = float(np.linalg.det(top))
     db = float(np.linalg.det(bot))         # 1.0 for the empty block of l = n+1
-    if abs(dt * db - 1.0) > max(tol, 1e-8):
+    if not abs(dt * db - 1.0) <= max(tol, 1e-8):
         return None
     return top, bot, dt, db
 
@@ -603,7 +604,7 @@ def normalizer_decompose(g: GroupElement, l: int,
         kind = NormalizerKind.FLIPPED
     k = GroupElement(k_mat, n)
     err = float(np.max(np.abs((w @ k).matrix - g.matrix)))
-    if err > 100 * tol:
+    if not err <= 100 * tol:
         raise DecompositionError(f"reconstruction failed ({err:.3e})")
     return w, k, kind
 
@@ -615,13 +616,13 @@ def ku_member(k: GroupElement) -> bool:
     matrices diag(eps, Q) with eps = +-1, Q in O(n-1), eps det Q = 1.
     """
     blocks = _diagonal_blocks(k.matrix, 2, DEFAULT_TOL)       # k fixes e0 and e1
-    if blocks is None or _max_gap(blocks[0], np.eye(2)) > DEFAULT_TOL:
+    if blocks is None or not _max_gap(blocks[0], np.eye(2)) <= DEFAULT_TOL:
         return False
     b = blocks[1]
-    if _max_gap(b.T @ b, np.eye(k.n)) > DEFAULT_TOL:
+    if not _max_gap(b.T @ b, np.eye(k.n)) <= DEFAULT_TOL:
         return False
     split = _diagonal_blocks(b, 1, DEFAULT_TOL)
-    if split is None or abs(abs(b[0, 0]) - 1.0) > DEFAULT_TOL:
+    if split is None or not abs(abs(b[0, 0]) - 1.0) <= DEFAULT_TOL:
         return False
     eps = 1.0 if b[0, 0] > 0 else -1.0
     # at n = 1, Q is 0 x 0 with det 1, so eps must be +1

@@ -185,17 +185,16 @@ class _Field:
     delta: float
     n: int
 
-    @property
-    def lo(self) -> float:      # physical coordinate of the padded grid origin
-        return -self.pad * self.delta
-
     def center(self, idx) -> np.ndarray:
         """Center of cell ``idx``, counted from the unit cube so the padding cannot move it."""
         return (np.array(idx) - self.pad + 0.5) * self.delta
 
 
-def _distance_field(x: BoxSet, pad_phys: float) -> _Field:
-    pad = int(math.ceil(pad_phys / x.delta)) + 2
+def _distance_field(x: BoxSet, pad: int) -> _Field:
+    """Distances to the set at the cells of the unit cube padded by ``pad``
+    cells on every side.  A distance is that to the nearest occupied cell,
+    which lies in the cube whatever the padding, so the values at shared
+    cells do not depend on the padding, bit for bit."""
     shape = tuple(x.m + 2 * pad for _ in range(x.n))
     occ = np.zeros(shape, dtype=bool)
     occ[(slice(pad, pad + x.m),) * x.n] = x.mask
@@ -316,45 +315,64 @@ def _require_resolution(x: BoxSet, nu: float, alpha0: float) -> None:
             f"grid pitch {x.delta:.3g} exceeds nu*alpha0/4 = {nu * alpha0 / 4.0:.3g}")
 
 
-def _region(f: _Field, reach_phys: float, wlo: int, whi: int) -> tuple[int, int]:
-    """Index range, on every axis, of the window positions whose window stays
-    in bounds and whose center covers the cube fattened by ``reach_phys``."""
-    lo_idx = max(wlo, int(math.floor((-reach_phys - f.lo) / f.delta)) - 1)
-    hi_idx = min(f.dist.shape[0] - 1 - whi,
-                 int(math.ceil((1.0 + reach_phys - f.lo) / f.delta)) + 1)
-    if hi_idx < lo_idx:
-        raise ResolutionError("padding too small for requested scales")
-    return lo_idx, hi_idx
+def _set_box(x: BoxSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """First and last cell index, per axis and counted from the unit cube, of
+    the bounding box [L, H] of a non-empty set, grown by one cell above.
+
+    No window position outside this box holds the minimum over positions of
+    a windowed max of the distance field, nor the first position attaining
+    it in raster order.  Take a position p outside [L, H] on an axis, and p'
+    the same position moved onto the nearest face of the box.  Below the box
+    (p = L - s, s >= 1), every cell of the window at p' has a cell in the
+    window at p, on the same line along that axis, that is at least s cells
+    farther along it from every occupied cell, so the max at p is larger.
+    Above it (p = H + s), the same holds with s - 1 cells, so the max at p
+    is no smaller; p' comes first in raster order, so p is not the first
+    argmin.  The cell added above keeps the ties of s = 1 in the box, should
+    rounding break them; every other gap is a whole cell, which rounding
+    cannot close.
+    """
+    lo, hi = [], []
+    for a in range(x.n):
+        rows = np.flatnonzero(x.mask.any(axis=tuple(b for b in range(x.n) if b != a)))
+        lo.append(int(rows[0]))
+        hi.append(int(rows[-1]) + 1)
+    return tuple(lo), tuple(hi)
 
 
 @dataclass
 class _WindowMax:
-    """Max of the distance field over a cubic window of width w, kept only at
-    the window positions that a query of reach up to the build reach reads.
+    """Max of the distance field over a cubic window of width w, kept at the
+    window positions of a box.
 
     The window at position i covers i - wlo .. i + whi on every axis, with
     wlo = w // 2 and whi = (w - 1) // 2 as in ``ndimage.maximum_filter``, so
-    for even w it reaches one cell further down than up."""
+    for even w it reaches one cell further down than up.  The build reads
+    the field over the box and the windows' reach around it only: it filters
+    one axis at a time, cropped to the box on that axis after its pass, and
+    a max is exact, so every kept value is that of a filter over the whole
+    field."""
 
     crop: np.ndarray
-    start: int          # padded-field index of the crop's first position, every axis
-    wlo: int
-    whi: int
+    start: tuple[int, ...]   # padded-field index of the crop's first position, per axis
 
     @classmethod
-    def build(cls, f: _Field, w: int, reach_phys: float) -> "_WindowMax":
+    def build(cls, f: _Field, w: int, lo: tuple[int, ...], hi: tuple[int, ...]) -> "_WindowMax":
+        """Windows at the positions lo .. hi (padded-field indices, per axis)."""
         wlo, whi = w // 2, (w - 1) // 2
-        lo_idx, hi_idx = _region(f, reach_phys, wlo, whi)
-        filtered = ndimage.maximum_filter(f.dist, size=w, mode="constant", cval=-np.inf)
-        return cls(filtered[(slice(lo_idx, hi_idx + 1),) * f.n].copy(), lo_idx, wlo, whi)
+        if min(lo) < wlo or max(hi) + whi >= f.dist.shape[0]:
+            raise ResolutionError("window reaches outside the padded field")
+        out = f.dist[tuple(slice(a - wlo, b + whi + 1) for a, b in zip(lo, hi))]
+        for a in range(f.n):
+            out = ndimage.maximum_filter1d(out, w, axis=a)
+            out = out[(slice(None),) * a + (slice(wlo, wlo + hi[a] - lo[a] + 1),)]
+        return cls(out, lo)
 
-    def interior_min(self, f: _Field, reach_phys: float):
-        """Min over the positions of ``_region`` at ``reach_phys``, which must
-        not exceed the build reach, and the center of the minimizing window."""
-        lo_idx, hi_idx = _region(f, reach_phys, self.wlo, self.whi)
-        region = self.crop[(slice(lo_idx - self.start, hi_idx - self.start + 1),) * f.n]
-        pos = np.unravel_index(np.argmin(region), region.shape)
-        return float(region[pos]), f.center(np.array(pos) + lo_idx)
+    def argmin(self, f: _Field) -> tuple[float, np.ndarray]:
+        """The min over the kept positions and the center of the first, in
+        raster order, that attains it."""
+        pos = np.unravel_index(np.argmin(self.crop), self.crop.shape)
+        return float(self.crop[pos]), f.center(np.add(pos, self.start))
 
 
 def _segment_offsets(u: np.ndarray, r: float, delta: float) -> np.ndarray:
@@ -416,14 +434,24 @@ class _Decider:
     """A porosity decider split into the part that does not depend on nu,
     built once, and a query per nu.
 
-    The build serves every nu up to ``nu_max`` with the verdicts and margins
-    of a build for that nu alone: the distance field is padded for
-    ``nu_max``, and each windowed max is cropped to the positions that a query
-    at ``nu_max`` reads, which contain those of any smaller nu.  A witness
-    sits at a cell center counted from the unit cube, not from the padded
-    grid's origin, so it does not depend on ``nu_max`` either.  A single
-    decision builds with ``nu_max = nu``; a bisection builds for its first
-    midpoint (see ``max_certified_nu``).
+    The build serves every nu up to ``nu_max`` with the verdicts, margins and
+    witnesses of a build for that nu alone over the whole padded field, and
+    reads the distance field only where a query can find its minimum:
+
+    * balls, and lines in 1-D: a query's margin is the min of a windowed max
+      over window positions that cover the cube fattened by r/2 + nu*r, and
+      its witness the first position attaining it.  Both lie in the set's
+      bounding box (see ``_set_box``), whatever nu, so the build finds them
+      there once and a query only compares.  The field reaches the box and
+      half the widest window around it.
+    * lines in n >= 2: the anchors are the cells of clearance below
+      nu*r + slack, all of which lie in the cube fattened by r/2 + nu*r.
+      They lie within nu*r + slack of the set's bounding box, where a query
+      takes them from, and their segments reach r/2 further.  The field
+      reaches nu_max*alpha1 + slack + alpha1/2 around the box.
+
+    A witness sits at a cell center counted from the unit cube, not from the
+    padded grid's origin, so the padding cannot move it.
 
     Lines in n >= 2 keep, per scale and direction, the segment minimum and
     first argmin of every query, which later queries reuse (see ``_recall``),
@@ -445,30 +473,39 @@ class _Decider:
             self.dirs = direction_set(n, directions if n > 1 else 1)
             self.cert_slack = 2.0 * d * sq      # anchor + rasterization + lookup slack
             self.ce_slack = d * sq + d / 2.0    # lookup + rasterization + sample-pitch slack
+        self.windowed = self.dirs is None or n == 1
         self.rs = scale_ladder(alpha0, alpha1)
         if x.occupied_count == 0:
             return
-        self.f = f = _distance_field(x, alpha1 * (0.5 + nu_max) + alpha1 / 2.0 + 6 * d * sq)
-        # per scale: (certifying window, refuting window), or for lines in
-        # n >= 2 the segment offsets of every direction and the segment minima
-        # found so far, as (nu, minimum, first argmin)
-        self.per_scale = []
-        for r in self.rs:
-            reach = self._reach(r, nu_max)
+        lo, hi = _set_box(x)
+        if self.windowed:
+            # per scale, the certifying and the refuting window widths
             if kind == "ball":
-                w_cert = int(math.floor((r - d * sq) / (sq * d)))
-                w_ce = int(math.ceil((r + d * sq) / d))
-            elif n == 1:
-                w_cert = max(1, int(math.floor(r / d)))
-                w_ce = int(math.ceil(r / d)) + 1
+                widths = [(int(math.floor((r - d * sq) / (sq * d))),
+                           int(math.ceil((r + d * sq) / d))) for r in self.rs]
             else:
-                self.per_scale.append([(_segment_offsets(u, r, d), []) for u in self.dirs])
-                continue
-            cert = _WindowMax.build(f, w_cert, reach) if w_cert >= 1 else None
-            self.per_scale.append((cert, _WindowMax.build(f, w_ce, reach)))
-
-    def _reach(self, r: float, nu: float) -> float:
-        return r / 2.0 + nu * r + 2 * self.x.delta
+                widths = [(max(1, int(math.floor(r / d))), int(math.ceil(r / d)) + 1)
+                          for r in self.rs]
+            reach = max(w // 2 for pair in widths for w in pair)
+        else:
+            reach = (int(math.ceil((nu_max * alpha1 + self.cert_slack) / d))
+                     + int(math.ceil(alpha1 / (2.0 * d))) + 2)
+        # the field reaches ``reach`` cells beyond the set's box on every side
+        self.f = f = _distance_field(x, max(0, reach - min(lo), max(hi) + reach - (x.m - 1)))
+        lo, hi = tuple(a + f.pad for a in lo), tuple(b + f.pad for b in hi)
+        self.box = lo, hi        # the set's box in padded-field indices
+        if self.windowed:
+            # per scale: the certifying window's min (-inf without one), and the
+            # refuting window's min and the center of its first argmin
+            self.per_scale = [
+                (float(_WindowMax.build(f, w_cert, lo, hi).crop.min()) if w_cert >= 1 else -np.inf,
+                 *_WindowMax.build(f, w_ce, lo, hi).argmin(f))
+                for w_cert, w_ce in widths]
+        else:
+            # per scale, the segment offsets of every direction and the segment
+            # minima found so far, as (nu, minimum, first argmin)
+            self.per_scale = [[(_segment_offsets(u, r, d), []) for u in self.dirs]
+                              for r in self.rs]
 
     def decide(self, nu: float) -> PorosityReport:
         if nu > self.nu_max:
@@ -485,7 +522,7 @@ class _Decider:
             return PorosityReport(self.kind, nu, self.alpha0, self.alpha1, rs.copy(), margins,
                                   per_scale, Verdict.CERTIFIED, None, directions=directions)
         for k, (r, cached) in enumerate(zip(rs, self.per_scale)):
-            if self.dirs is None or self.x.n == 1:
+            if self.windowed:
                 verdict_r, margins[k], found = self._windowed(nu, r, *cached)
             else:
                 verdict_r, margins[k], found = self._segments(nu, r, cached)
@@ -494,39 +531,33 @@ class _Decider:
         return PorosityReport(self.kind, nu, self.alpha0, self.alpha1, rs.copy(), margins,
                               per_scale, _combine(per_scale), witness, directions=directions)
 
-    def _windowed(self, nu: float, r: float, cert: _WindowMax | None, ce: _WindowMax):
+    def _windowed(self, nu: float, r: float, m_cert: float, m_ce: float, center: np.ndarray):
         """Balls, and lines in 1-D: a scale is certified when every inscribed
         window holds a cell of clearance >= nu*R + slack, and refuted when some
         circumscribed window has all clearances < nu*R - slack."""
-        f = self.f
-        reach = self._reach(r, nu)
-        m_cert = cert.interior_min(f, reach)[0] if cert is not None else -np.inf
         margin = (m_cert - self.cert_slack) / (nu * r)
         if m_cert >= nu * r + self.cert_slack:
             return Verdict.CERTIFIED, margin, None
-        m_ce, center = ce.interior_min(f, reach)
         if m_ce < nu * r - self.ce_slack:
             if self.dirs is None:
-                return Verdict.COUNTEREXAMPLE, margin, BallWitness(center, float(r))
-            return Verdict.COUNTEREXAMPLE, margin, LineWitness(center, self.dirs[0].copy(), float(r))
+                return Verdict.COUNTEREXAMPLE, margin, BallWitness(center.copy(), float(r))
+            return Verdict.COUNTEREXAMPLE, margin, LineWitness(center.copy(), self.dirs[0].copy(),
+                                                               float(r))
         return Verdict.INCONCLUSIVE, margin, None
 
     def _segments(self, nu: float, r: float, per_dir: list[tuple[np.ndarray, list]]):
         """Lines in n >= 2: segment maxima along each sampled direction."""
         f = self.f
-        lo_idx, hi_idx = _region(f, self._reach(r, nu), 0, 0)
-        dist_region = f.dist[(slice(lo_idx, hi_idx + 1),) * f.n]
         # anchors whose own clearance certifies them work for every direction;
-        # only the rest need per-direction segment maxima
+        # only the rest need per-direction segment maxima.  An occupied cell
+        # is always one, and none lies more than low_cut from the set's box.
         low_cut = nu * r + self.cert_slack
-        low = np.argwhere(dist_region < low_cut)
-        if low.shape[0] == 0:
-            worst = float(dist_region.min(initial=np.inf))
-            return Verdict.CERTIFIED, (worst - self.cert_slack) / (nu * r), None
-        anchors = low + lo_idx
+        near = int(math.ceil(low_cut / f.delta)) + 1
+        lo, hi = [a - near for a in self.box[0]], [b + near for b in self.box[1]]
+        anchors = np.argwhere(f.dist[tuple(slice(a, b + 1) for a, b in zip(lo, hi))] < low_cut) + lo
 
         def is_anchor(a: tuple[int, ...]) -> bool:
-            return min(a) >= lo_idx and max(a) <= hi_idx and f.dist[a] < low_cut
+            return f.dist[a] < low_cut
 
         worst = np.inf
         verdict_r = Verdict.CERTIFIED
@@ -665,24 +696,17 @@ def max_certified_nu(x: BoxSet, alpha0: float, alpha1: float, kind: str = "ball"
     """Largest nu the checker certifies, found by bisection (0 if none).
 
     The bisection starts at the resolution floor 4*delta/alpha0 and splits
-    [floor, 1].  Its queries run on a decider built for the first midpoint,
-    above which no later query goes unless that midpoint is certified; only
-    then is a second decider built, for nu up to 1.  A decider gives every nu
-    up to the one it is built for the verdict of a build for 1, so the result
-    is that of a decider built for 1, at the cost of the nu the bisection
-    reaches."""
+    [floor, 1], every query on one decider built for nu up to 1."""
     _require_kind(kind)
     _require_scales(alpha0, alpha1)
     lo_nu, hi_nu = 4.0 * x.delta / alpha0, 1.0
     if lo_nu > 1.0:
         return 0.0
-    decider = _Decider(x, alpha0, alpha1, kind, directions, 0.5 * (lo_nu + hi_nu))
+    decider = _Decider(x, alpha0, alpha1, kind, directions, 1.0)
     if decider.decide(lo_nu).verdict is not Verdict.CERTIFIED:
         return 0.0
     for _ in range(iters):
         mid = 0.5 * (lo_nu + hi_nu)
-        if mid > decider.nu_max:
-            decider = _Decider(x, alpha0, alpha1, kind, directions, 1.0)
         if decider.decide(mid).verdict is Verdict.CERTIFIED:
             lo_nu = mid
         else:

@@ -833,10 +833,11 @@ def _block_members(n, rng):
 
 class TestBlockPredicateParity:
     """The block predicates decide as the per-block formulas they replaced did, on
-    members and on copies with one entry moved just inside or outside tol, or NaN;
-    copies scaled by 1 + 0.4 tol (form inside tol, det outside it, inside 1e-8);
-    copies with the time orientation reversed; and copies turned by 3e-6 rad in a
-    spatial plane (inside tol of the identity but for the two entries of the turn)."""
+    members and on copies with one entry moved just inside or outside tol; copies
+    scaled by 1 + 0.4 tol (form inside tol, det outside it, inside 1e-8); copies
+    with the time orientation reversed; and copies turned by 3e-6 rad in a spatial
+    plane (inside tol of the identity but for the two entries of the turn).  A copy
+    with one NaN entry, which the per-block formulas took as within tol, is refused."""
 
     TOL = 1e-10
 
@@ -857,11 +858,29 @@ class TestBlockPredicateParity:
                     self.check(c, n, decided)
                 c = m.copy()
                 c[i, j] = np.nan
-                with warnings.catch_warnings():     # det of a NaN block warns, as it did
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    self.check(c, n, decided)
+                self.refused(c, n)
         # each predicate said both yes and no
         assert decided == {(p, b) for p in "WNK" for b in (False, True)}
+
+    def test_a_nan_entry_is_refused(self):
+        m = np.eye(5)
+        m[4, 0] = np.nan
+        g = GroupElement(m, 3)
+        assert not standard_subgroup_member(g, 2)
+        assert not normalizer_member(g, 2)
+        m = np.eye(5)
+        m[3, 3] = np.nan
+        with pytest.raises(DecompositionError, match="not in the normalizer"):
+            normalizer_decompose(GroupElement(m, 3), 2)
+
+    def refused(self, m, n):
+        g = GroupElement(m, n)
+        for l in range(2, n + 2):
+            assert not standard_subgroup_member(g, l)
+            assert _normalizer_blocks(g, l, self.TOL) is None
+            if l <= n:
+                assert not normalizer_member(g, l)
+        assert not ku_member(g)
 
     def check(self, m, n, decided):
         g = GroupElement(m, n)

@@ -35,7 +35,6 @@ from fuplab.porosity import (
     _Decider,
     _distance_field,
     _Field,
-    _region,
     _segment_min,
     _segment_offsets,
     _WindowMax,
@@ -244,12 +243,32 @@ class TestDistanceField:
         for density in (0.002, 0.05, 0.5):
             mask = rng.random((m,) * n) < density
             mask.flat[0] = True
-            # a pad of 2 gives 324 and 49 cells a side in 2-D and 3-D: several slabs
-            f = _distance_field(BoxSet(n, m, mask), 2.0)
+            # a pad of 2m + 2 gives 324 and 49 cells a side in 2-D and 3-D: several slabs
             pad = 2 * m + 2
+            f = _distance_field(BoxSet(n, m, mask), pad)
             occ = np.zeros((m + 2 * pad,) * n, dtype=bool)
             occ[(slice(pad, pad + m),) * n] = mask
             assert np.array_equal(f.dist, ndimage.distance_transform_edt(~occ, sampling=1.0 / m))
+
+    @pytest.mark.parametrize("n,base,depth", [(1, 3, 5), (2, 4, 3), (3, 3, 2)])
+    def test_padding_leaves_distances_unchanged(self, n, base, depth):
+        # a decider pads its field only as far as its queries read, so the
+        # distances it reads must be those of any wider padding, bit for bit
+        rng = np.random.default_rng(60 + n)
+        cantor = cantor_generate(CantorSpec.uniform(base, (0, base - 1), depth, n), n)
+        m = cantor.m
+        corner = np.zeros((m,) * n, dtype=bool)
+        corner.flat[-1] = True
+        sets = [cantor, BoxSet(n, m, corner)] + [
+            BoxSet(n, m, rng.random((m,) * n) < density) for density in (0.01, 0.2, 0.6)]
+        for x in sets:
+            assert x.occupied_count > 0
+            wide = _distance_field(x, m)
+            for pad in (0, 1, 3, 7):
+                f = _distance_field(x, pad)
+                cut = wide.pad - pad
+                shared = wide.dist[(slice(cut, cut + f.dist.shape[0]),) * n]
+                assert np.array_equal(f.dist.view(np.uint64), shared.view(np.uint64)), pad
 
 
 class TestWindowMax:
@@ -257,19 +276,44 @@ class TestWindowMax:
     @pytest.mark.parametrize("w", [1, 2, 3, 4, 5])
     def test_windows_equal_a_bruteforce_max_inside_the_field(self, n, w):
         # the window at i covers i - w//2 .. i + (w-1)//2, as in
-        # ndimage.maximum_filter; a reach past the field clips the region at
-        # both edges, where every window must still lie inside the field
+        # ndimage.maximum_filter; a box of positions whose windows reach past
+        # the field is refused, at either edge
         rng = np.random.default_rng(10 * n + w)
         side = 15
         f = _Field(rng.random((side,) * n), 3, 0.1, n)
-        wm = _WindowMax.build(f, w, 0.6)
-        lo, hi = _region(f, 0.6, wm.wlo, wm.whi)
-        assert (lo, hi) == (w // 2, side - 1 - (w - 1) // 2)
-        assert wm.start == lo and wm.crop.shape == (hi - lo + 1,) * n
-        for pos in itertools.product(range(lo, hi + 1), repeat=n):
+        lo, hi = np.full(n, w // 2), np.full(n, side - 1 - (w - 1) // 2)
+        wm = _WindowMax.build(f, w, lo, hi)
+        assert np.array_equal(wm.start, lo) and wm.crop.shape == (hi[0] - lo[0] + 1,) * n
+        for pos in itertools.product(range(lo[0], hi[0] + 1), repeat=n):
             window = f.dist[tuple(slice(p - w // 2, p + (w - 1) // 2 + 1) for p in pos)]
             assert window.size == w**n
-            assert wm.crop[tuple(p - lo for p in pos)] == window.max()
+            assert wm.crop[tuple(p - lo[0] for p in pos)] == window.max()
+        step = np.eye(n, dtype=int)
+        for a in range(n):
+            for box in ((lo - step[a], hi), (lo, hi + step[a])):
+                with pytest.raises(ResolutionError):
+                    _WindowMax.build(f, w, *box)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_box_keeps_the_values_and_the_first_argmin_of_the_whole_field(self, n):
+        # every window over a cropped box has the value of a filter over the
+        # whole field; ties in a field of few levels pin the raster order
+        from scipy import ndimage
+
+        rng = np.random.default_rng(70 + n)
+        for _ in range(10):
+            side = int(rng.integers(12, 20))
+            f = _Field(np.floor(rng.random((side,) * n) * 4), 2, 0.1, n)
+            w = int(rng.integers(1, 6))
+            lo = rng.integers(w // 2, side // 2, n)
+            hi = lo + rng.integers(0, side // 2 - (w - 1) // 2, n)
+            full = ndimage.maximum_filter(f.dist, size=w, mode="constant", cval=-np.inf)
+            box = full[tuple(slice(a, b + 1) for a, b in zip(lo, hi))]
+            wm = _WindowMax.build(f, w, lo, hi)
+            assert np.array_equal(wm.crop, box)
+            pos = np.array(np.unravel_index(np.argmin(box), box.shape))
+            assert wm.argmin(f)[0] == box.min()
+            assert np.array_equal(wm.argmin(f)[1], f.center(pos + lo))
 
 
 class TestSegmentMaxGather:
@@ -393,6 +437,89 @@ def reference_bisection(x, a0, a1, kind, directions, iters=20):
     return lo
 
 
+def whole_field_report(x, nu, a0, a1, kind, directions):
+    """A decision by the whole-field build: the distance field padded by
+    a1*(1 + nu) + 6*delta*sqrt(n), every windowed max filtered over the
+    whole field, minima over the window positions that cover the cube
+    fattened by r/2 + nu*r + 2*delta, and every anchor's full segment max."""
+    from scipy import ndimage
+
+    n, d = x.n, x.delta
+    sq = math.sqrt(n)
+    if kind == "ball":
+        dirs, cert_slack, ce_slack = None, d * max(1.0, sq / 2.0), d * sq
+    else:
+        dirs = direction_set(n, directions if n > 1 else 1)
+        cert_slack, ce_slack = 2.0 * d * sq, d * sq + d / 2.0
+    pad = int(math.ceil((a1 * (1.0 + nu) + 6 * d * sq) / d)) + 2
+    occ = np.zeros((x.m + 2 * pad,) * n, dtype=bool)
+    occ[(slice(pad, pad + x.m),) * n] = x.mask
+    dist = ndimage.distance_transform_edt(~occ, sampling=d)
+
+    origin = -pad * d
+
+    def region(reach, wlo, whi):
+        lo = max(wlo, int(math.floor((-reach - origin) / d)) - 1)
+        hi = min(dist.shape[0] - 1 - whi, int(math.ceil((1.0 + reach - origin) / d)) + 1)
+        return lo, hi
+
+    def center(idx):
+        return (np.array(idx) - pad + 0.5) * d
+
+    rs = scale_ladder(a0, a1)
+    margins, verdicts, witness = np.zeros(len(rs)), [], None
+    for k, r in enumerate(rs):
+        reach = r / 2.0 + nu * r + 2 * d
+        found = None
+        if dirs is None or n == 1:
+            def window_min(w):
+                full = ndimage.maximum_filter(dist, size=w, mode="constant", cval=-np.inf)
+                lo, hi = region(reach, w // 2, (w - 1) // 2)
+                box = full[(slice(lo, hi + 1),) * n]
+                pos = np.unravel_index(np.argmin(box), box.shape)
+                return float(box[pos]), center(np.array(pos) + lo)
+
+            if kind == "ball":
+                w_cert = int(math.floor((r - d * sq) / (sq * d)))
+                w_ce = int(math.ceil((r + d * sq) / d))
+            else:
+                w_cert, w_ce = max(1, int(math.floor(r / d))), int(math.ceil(r / d)) + 1
+            m_cert = window_min(w_cert)[0] if w_cert >= 1 else -np.inf
+            margins[k] = (m_cert - cert_slack) / (nu * r)
+            verdict = Verdict.INCONCLUSIVE
+            if m_cert >= nu * r + cert_slack:
+                verdict = Verdict.CERTIFIED
+            else:
+                m_ce, c = window_min(w_ce)
+                if m_ce < nu * r - ce_slack:
+                    verdict = Verdict.COUNTEREXAMPLE
+                    found = (BallWitness(c, float(r)) if dirs is None
+                             else LineWitness(c, dirs[0].copy(), float(r)))
+        else:
+            lo, hi = region(reach, 0, 0)
+            low_cut = nu * r + cert_slack
+            anchors = np.argwhere(dist[(slice(lo, hi + 1),) * n] < low_cut) + lo
+            worst, verdict = np.inf, Verdict.CERTIFIED
+            for u in dirs:
+                segmax = np.full(len(anchors), -np.inf)
+                for off in _segment_offsets(u, r, d):
+                    np.maximum(segmax, dist[tuple((anchors + off).T)], out=segmax)
+                i = int(np.argmin(segmax))
+                worst = min(worst, segmax[i])
+                if segmax[i] < low_cut:
+                    if segmax[i] < nu * r - ce_slack:
+                        verdict = Verdict.COUNTEREXAMPLE
+                        found = found or LineWitness(center(anchors[i]), u.copy(), float(r))
+                    elif verdict is Verdict.CERTIFIED:
+                        verdict = Verdict.INCONCLUSIVE
+            margins[k] = (worst - cert_slack) / (nu * r)
+        verdicts.append(verdict)
+        witness = witness or found
+    return PorosityReport(kind, nu, a0, a1, rs.copy(), margins, verdicts,
+                          porosity._combine(verdicts), witness,
+                          directions=None if dirs is None else len(dirs))
+
+
 def mutant(monkeypatch, name, old, new):
     """Replace porosity.<name> by a copy whose source has ``old`` put as ``new``."""
     src = inspect.getsource(getattr(porosity, name))
@@ -421,8 +548,8 @@ def dust3(depth=2):
 
 
 class TestBisectionWork:
-    """A bisection builds its decider for the first midpoint and reuses
-    segment minima across queries; its result must not move."""
+    """A bisection builds one decider for nu up to 1 and reuses segment
+    minima across queries; its result must not move."""
 
     CASES = [
         (cantor1, 1 / 3, 1.0, "ball", 8),
@@ -459,18 +586,18 @@ class TestBisectionWork:
         monkeypatch.setattr(_Decider, "__init__", spy)
         return built
 
-    def test_one_build_for_the_first_midpoint(self, monkeypatch):
+    def test_one_build_for_one(self, monkeypatch):
         built = self.builds(monkeypatch)
         x = dust2()
         assert max_certified_nu(x, 0.8, 1.0, "line", 6) < 0.5
-        assert built == [0.5 * (4.0 * x.delta / 0.8 + 1.0)]
+        assert built == [1.0]
 
     @pytest.mark.parametrize("n, kind", [(1, "ball"), (2, "line")])
-    def test_a_certified_first_midpoint_builds_again_for_one(self, monkeypatch, n, kind):
+    def test_a_certified_first_midpoint_builds_no_second_decider(self, monkeypatch, n, kind):
         built = self.builds(monkeypatch)
         x = BoxSet.empty(n, 32)
         got = max_certified_nu(x, 0.5, 1.0, kind, 6)
-        assert built == [0.5 * (4.0 * x.delta / 0.5 + 1.0), 1.0]
+        assert built == [1.0]
         assert got.hex() == reference_bisection(x, 0.5, 1.0, kind, 6).hex()
         assert got == 1.0 - (1.0 - 0.25) / 2**20
 
@@ -529,6 +656,69 @@ class TestBisectionWork:
             assert self.order_disagreements() > 0
         except ValueError:      # np.argmin over no live anchor
             pass
+
+
+def lone(n, m, cell):
+    mask = np.zeros((m,) * n, dtype=bool)
+    mask[cell] = True
+    return BoxSet(n, m, mask)
+
+
+class TestTrimmedBuild:
+    """A decider reads the distance field only around the set's bounding box;
+    its reports must be those of the whole-field build, bit for bit."""
+
+    @staticmethod
+    def cases():
+        """(set, alpha0, alpha1) in 1-D to 3-D: random sets, lone cells far
+        from the cube's center, and in 1-D and 2-D alpha1 = 2.5 alpha0 next
+        to alpha1 = alpha0 (3-D keeps the whole-field build small)."""
+        rng = np.random.default_rng(90)
+        out = []
+        for n, m, stretches in ((1, 96, (1.0, 2.5)), (2, 24, (1.0, 2.5)), (3, 12, (1.0,))):
+            sets = []
+            for density in (0.03, 0.3):
+                mask = rng.random((m,) * n) < density
+                mask[tuple(rng.integers(0, m, n))] = True
+                sets.append(BoxSet(n, m, mask))
+            sets += [lone(n, m, (0,) * n), lone(n, m, (m - 1,) * n),
+                     lone(n, m, tuple(rng.integers(0, m, n)))]
+            for x in sets:
+                a0 = float(rng.uniform(5 * x.delta, 0.5))
+                out += [(x, a0, k * a0) for k in stretches]
+        return out
+
+    @classmethod
+    def disagreements(cls, per_case=3):
+        """Reports at random nu, from one decider built for 1 and from one
+        built for that nu, that differ from the whole-field build in text or
+        in a margin's bits; and the verdicts the whole-field build gave."""
+        rng = np.random.default_rng(91)
+        bad, verdicts = 0, set()
+        for x, a0, a1 in cls.cases():
+            for kind in ("ball", "line"):
+                shared = porosity._Decider(x, a0, a1, kind, 6, 1.0)
+                for nu in rng.uniform(4.0 * x.delta / a0, 1.0, per_case).tolist():
+                    want = whole_field_report(x, nu, a0, a1, kind, 6)
+                    verdicts.add(want.verdict)
+                    alone = porosity._Decider(x, a0, a1, kind, 6, nu)
+                    for got in (shared.decide(nu), alone.decide(nu)):
+                        bad += (got.to_text() != want.to_text()
+                                or list(map(float.hex, got.margins))
+                                != list(map(float.hex, want.margins)))
+        return bad, verdicts
+
+    def test_reports_equal_the_whole_field_build(self):
+        bad, verdicts = self.disagreements()
+        assert bad == 0
+        assert verdicts == set(Verdict)
+
+    def test_a_box_one_cell_short_of_the_set_is_caught(self, monkeypatch):
+        # the first cell of the set's box on an axis often holds the minimum,
+        # always for a lone cell
+        mutant(monkeypatch, "_set_box", "lo.append(int(rows[0]))",
+               "lo.append(int(rows[0]) + 1)")
+        assert self.disagreements()[0] > 0
 
 
 class TestFromBoxes:
