@@ -227,7 +227,15 @@ def set_from_spec(spec: dict) -> BoxSet:
         else:
             raise ValueError("empty box list needs an explicit 'dims' field")
         m = _json_int(spec["resolution"], "resolution")
-        return BoxSet.from_boxes([(b[0], b[1]) for b in spec["boxes"]], m, n)
+        boxes = [(b[0], b[1]) for b in spec["boxes"]]
+        x = BoxSet.from_boxes(boxes, m, n)      # refuses corners of the wrong shape first
+        # from_boxes clips to the cube and drops what clipping empties; a
+        # declaration must not lose a box that way
+        for k, (lo, hi) in enumerate(np.asarray(boxes, dtype=np.float64).reshape(-1, 2, n)):
+            if np.any(lo > hi) or np.any(lo < 0.0) or np.any(hi > 1.0):
+                raise ValueError(f"box {k} {[lo.tolist(), hi.tolist()]} needs lo <= hi on "
+                                 "every axis and corners in [0, 1]")
+        return x
     raise ValueError("set spec must declare 'cantor' or 'boxes'")
 
 
@@ -718,7 +726,9 @@ def main(argv=None) -> int:
     try:
         code, record = args.func(args)
     except INPUT_ERRORS as exc:
-        print(f"{'config error' if args.subcommand in CONFIG_COMMANDS else 'error'}: {exc}")
+        # a KeyError is a field that a set file or config lacks; its str is a bare repr
+        message = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        print(f"{'config error' if args.subcommand in CONFIG_COMMANDS else 'error'}: {message}")
         return 1
     if record is not None:
         seed = _seed(args) if record.seed is None else record.seed

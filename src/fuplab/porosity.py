@@ -151,12 +151,18 @@ class BoxSet:
         return idx * self.delta, (idx + 1) * self.delta
 
 
+# grid budgets: cells per axis of a generated Cantor set, and bytes of a
+# decider's padded distance field with its feature transform
+_GRID_CELLS_PER_AXIS = 10**7
+_FIELD_BYTES = 2 << 30
+
+
 def cantor_generate(spec: CantorSpec, n: int) -> BoxSet:
     """Depth-K iterate of the Cantor construction as a grid mask."""
     if len(spec.digits) != n:
         raise ValueError(f"spec carries {len(spec.digits)} axes, expected {n}")
     m = spec.base ** spec.depth
-    if m > 10**7:
+    if m > _GRID_CELLS_PER_AXIS:
         raise ResolutionError(f"resolution {m} per axis overflows the grid budget")
     axes = []
     for axis_digits in spec.digits:
@@ -313,6 +319,15 @@ def _require_resolution(x: BoxSet, nu: float, alpha0: float) -> None:
     if x.delta > nu * alpha0 / 4.0 + 1e-15:
         raise ResolutionError(
             f"grid pitch {x.delta:.3g} exceeds nu*alpha0/4 = {nu * alpha0 / 4.0:.3g}")
+
+
+def _require_field_budget(side, n: int) -> None:
+    """Refuse a padded distance field of ``side`` cells per axis that, with its
+    feature transform, would take more than the budget at 8 + 4n bytes a cell."""
+    if side > _FIELD_BYTES or side ** n * (8 + 4 * n) > _FIELD_BYTES:
+        raise ResolutionError(f"a distance field of {float(side):.4g} cells per axis in {n}-D "
+                              f"exceeds the {_FIELD_BYTES >> 30} GiB budget; narrow the scales "
+                              "or coarsen the grid")
 
 
 def _set_box(x: BoxSet) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -477,6 +492,9 @@ class _Decider:
         self.rs = scale_ladder(alpha0, alpha1)
         if x.occupied_count == 0:
             return
+        # the field spans at least alpha1/delta cells on every axis: wider
+        # scales are refused before their cell counts are formed
+        _require_field_budget(alpha1 / d, n)
         lo, hi = _set_box(x)
         if self.windowed:
             # per scale, the certifying and the refuting window widths
@@ -491,7 +509,9 @@ class _Decider:
             reach = (int(math.ceil((nu_max * alpha1 + self.cert_slack) / d))
                      + int(math.ceil(alpha1 / (2.0 * d))) + 2)
         # the field reaches ``reach`` cells beyond the set's box on every side
-        self.f = f = _distance_field(x, max(0, reach - min(lo), max(hi) + reach - (x.m - 1)))
+        pad = max(0, reach - min(lo), max(hi) + reach - (x.m - 1))
+        _require_field_budget(x.m + 2 * pad, n)
+        self.f = f = _distance_field(x, pad)
         lo, hi = tuple(a + f.pad for a in lo), tuple(b + f.pad for b in hi)
         self.box = lo, hi        # the set's box in padded-field indices
         if self.windowed:
@@ -663,27 +683,67 @@ def _true_distance(points: np.ndarray, x: BoxSet) -> np.ndarray:
     return out
 
 
+_RECHECK_BLOCK = 16     # probe values per axis in one block of the witness re-check
+
+
 def _witness_holds(x: BoxSet, nu: float, w: BallWitness | LineWitness) -> bool:
     """Every probe of the witness ball (pitch delta/2) or segment (pitch
-    delta/4) lies closer than nu*R to the set, by direct distance computation."""
+    delta/4) lies closer than nu*R to the set, by direct distance computation.
+
+    The probes of a ball are the points of a grid of per-axis values inside
+    the ball; those of a segment sit at values t along it.  Each axis's
+    values are cut into runs of ``_RECHECK_BLOCK``, and a block (one run per
+    axis) holds its probes in the box, or on the sub-segment, spanned by its
+    runs' ends.  With c that box's centre, rho half its diagonal and d the
+    distance from c to the nearest occupied cell centre, every probe of the
+    block lies within d + rho of that centre by the triangle inequality.  A
+    cell is no farther than its centre, so the block holds when d + rho is
+    below nu*R, less 1e-9 of it for the rounding of the three distances.
+    Only the probes of the other blocks are built: a probe near a cell
+    centre holds without the exact box distance, and the rest are measured
+    against every occupied cell.
+    """
     from scipy.spatial import cKDTree       # only counterexamples load it
 
-    r = w.scale
-    if isinstance(w, BallWitness):
+    r, bound = w.scale, nu * w.scale
+    ball = isinstance(w, BallWitness)
+    if ball:
         pitch = x.delta / 2.0
         axes = [np.arange(c - r / 2.0, c + r / 2.0 + pitch / 2.0, pitch) for c in w.center]
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, x.n)
-        pts = grid[np.linalg.norm(grid - w.center, axis=1) <= r / 2.0]
     else:
         pitch = x.delta / 4.0
-        ts = np.arange(-r / 2.0, r / 2.0 + pitch / 2.0, pitch)
-        pts = w.midpoint[None, :] + ts[:, None] * w.direction[None, :]
-    # a cell is no farther than its center, so a probe near a center holds
-    # without the exact box distance
+        axes = [np.arange(-r / 2.0, r / 2.0 + pitch / 2.0, pitch)]
+
+    def place(values: list[np.ndarray]) -> np.ndarray:
+        """Probe positions from per-axis values, one probe per index."""
+        grid = np.stack(values, axis=-1)
+        return grid if ball else w.midpoint[None, :] + grid * w.direction[None, :]
+
+    def corner(index: list[np.ndarray]) -> np.ndarray:
+        """The corner of every block that takes, on each axis, the value at
+        its run's entry of ``index``."""
+        return place([g.ravel() for g in np.meshgrid(*(a[i] for a, i in zip(axes, index)),
+                                                      indexing="ij")])
+
+    starts = [np.arange(0, a.size, _RECHECK_BLOCK) for a in axes]
+    ends = [np.minimum(s + _RECHECK_BLOCK, a.size) for a, s in zip(axes, starts)]
+    first, last = corner(starts), corner([e - 1 for e in ends])
     lo, _ = x.occupied_boxes()
-    near, _ = cKDTree(lo + x.delta / 2.0).query(pts, distance_upper_bound=nu * r)
-    rest = pts[~(near < nu * r)]
-    return bool(np.all(_true_distance(rest, x) < nu * r))
+    tree = cKDTree(lo + x.delta / 2.0)
+    d, _ = tree.query((first + last) / 2.0, distance_upper_bound=bound)
+    unsettled = ~(d + np.linalg.norm(last - first, axis=1) / 2.0 < bound * (1.0 - 1e-9))
+    if not unsettled.any():
+        return True
+    # the unsettled blocks' probes, by spreading each block's flag over its runs
+    keep = unsettled.reshape([s.size for s in starts])
+    for k, (s, e) in enumerate(zip(starts, ends)):
+        keep = np.repeat(keep, e - s, axis=k)
+    pts = place([a[i] for a, i in zip(axes, np.nonzero(keep))])
+    if ball:
+        pts = pts[np.linalg.norm(pts - w.center, axis=1) <= r / 2.0]
+    near, _ = tree.query(pts, distance_upper_bound=bound)
+    rest = pts[~(near < bound)]
+    return bool(np.all(_true_distance(rest, x) < bound))
 
 
 def _require_kind(kind: str) -> None:

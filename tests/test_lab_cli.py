@@ -664,6 +664,45 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
                                          prefix="config error:")
 
+    @pytest.mark.parametrize("box", [[[0.5], [0.2]], [[-0.1], [0.4]], [[0.2], [1.5]]],
+                             ids=["inverted", "below-the-cube", "above-the-cube"])
+    def test_box_that_clipping_would_change(self, tmp_path, capsys, box):
+        # the inverted box used to vanish: porosity-check certified the empty
+        # set and fup-scan printed "sanity pass" over a ladder of zero norms
+        spec = {"boxes": [[[0.1], [0.4]], box], "resolution": 27, "dims": 1}
+        path = self.input_json(tmp_path, spec)
+        self.assert_one_line_usage_error(tmp_path, capsys, "porosity-check", "--set", path,
+                                         "--nu", "0.5", "--alpha0", "0.3", "--alpha1", "1",
+                                         prefix="error: box 1 ")
+        cfg = write_json(tmp_path / "in" / "fup.json",
+                         {"core": "fourier", "n": 1, "ladder": [27, 81, 243, 729],
+                          "set_plus": spec})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix="config error: box 1 ")
+
+    @pytest.mark.parametrize("argv, payload, prefix", [
+        (["porosity-check", "--set", "{path}", "--nu", "0.5", "--alpha0", "0.3", "--alpha1", "1"],
+         {"boxes": [[[0.1], [0.4]]], "dims": 1}, "error: missing field 'resolution'"),
+        (["sphere-porosity", "--set", "{path}", "--nu", "0.1", "--alpha0", "0.45",
+          "--alpha1", "0.9"], CANTOR, "error: missing field 'band'"),
+        (["fup-scan", "--config", "{path}"],
+         {"core": "fourier", "n": 1, "ladder": [27, 81, 243, 729],
+          "set_plus": {"boxes": [[[0.1], [0.4]]], "dims": 1}},
+         "config error: missing field 'resolution'"),
+    ], ids=["porosity-check", "sphere-porosity", "fup-scan"])
+    def test_missing_field_is_named(self, tmp_path, capsys, argv, payload, prefix):
+        path = self.input_json(tmp_path, payload)
+        self.assert_one_line_usage_error(tmp_path, capsys, *(a.format(path=path) for a in argv),
+                                         prefix=prefix)
+
+    @pytest.mark.parametrize("mode", ["ball", "line"])
+    def test_porosity_field_over_budget(self, tmp_path, capsys, mode):
+        # used to print numpy's "Maximum allowed dimension exceeded"
+        spec = self.input_json(tmp_path, CANTOR)
+        self.assert_one_line_usage_error(tmp_path, capsys, "porosity-check", "--set", spec,
+                                         "--nu", "0.5", "--alpha0", "0.333", "--alpha1", "1e300",
+                                         "--mode", mode, prefix="error: a distance field of")
+
     @pytest.mark.parametrize("payload", [
         {"core": "fourier", "n": 2, "ladder": [27],
          "set_minus": {"boxes": [[[0.1], [0.4]]], "resolution": 27, "dims": 1},

@@ -69,13 +69,22 @@ def true_distance(points, x: BoxSet):
     return np.sqrt((gap**2).sum(axis=2)).min(axis=1)
 
 
+def witness_probes(x: BoxSet, w) -> np.ndarray:
+    """The probes of the definition: the witness ball's grid at pitch delta/2
+    inside the ball, or the segment at pitch delta/4."""
+    r = w.scale
+    if isinstance(w, BallWitness):
+        axes = [np.arange(c - r / 2, c + r / 2 + x.delta / 4, x.delta / 2) for c in w.center]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, x.n)
+        return pts[np.linalg.norm(pts - w.center, axis=1) <= r / 2]
+    ts = np.arange(-r / 2, r / 2 + x.delta / 8, x.delta / 4)
+    return w.midpoint + ts[:, None] * w.direction
+
+
 def ball_certificate_bruteforce(x: BoxSet, nu: float, r: float, centers: np.ndarray) -> bool:
     """Every ball of diameter r centered in ``centers`` holds a nu*r-clear point."""
     for c in centers:
-        axes = [np.arange(ci - r / 2, ci + r / 2 + x.delta / 4, x.delta / 2) for ci in c]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, x.n)
-        pts = pts[np.linalg.norm(pts - c, axis=1) <= r / 2]
-        if true_distance(pts, x).max() < nu * r:
+        if true_distance(witness_probes(x, BallWitness(c, r)), x).max() < nu * r:
             return False
     return True
 
@@ -983,6 +992,83 @@ class TestWitnessRecheck:
             "0x1.24038e38e38e4p-3")
 
 
+class TestBlockedRecheck:
+    """The re-check settles a block of probes by one nearest-cell query; its
+    answer must be that of every probe's exact distance, at every nu."""
+
+    # (set, kind, nu, alpha0, alpha1): decisions that return a witness
+    DECISIONS = [(cantor1, "ball", 0.18, 1 / 3, 1.0), (dust2, "ball", 0.5, 0.8, 1.0),
+                 (thirds2, "ball", 0.5, 0.5, 1.0), (dust2, "line", 0.5, 0.8, 1.0),
+                 (dust3, "ball", 0.6, 0.5, 1.0)]
+    SHIFTS = (0, 2, -3)      # cells, on every axis
+
+    @staticmethod
+    def flip(worst: float, r: float) -> tuple[float, float]:
+        """Adjacent nu_lo < nu_hi where the brute-force answer, worst < nu*r,
+        turns from false to true, found by bisecting on that answer."""
+        lo, hi = 0.0, 1.0
+        while not worst < hi * r:
+            lo, hi = hi, 2.0 * hi
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (lo, mid) if worst < mid * r else (mid, hi)
+        return lo, hi
+
+    @classmethod
+    def disagreements(cls):
+        """(case, nu) where the re-check differs from the brute-force answer,
+        over every decision's witness and shift, at the decision's nu and on
+        both sides of the flip."""
+        bad = []
+        for make, kind, nu, a0, a1 in cls.DECISIONS:
+            x = make()
+            rep = _Decider(x, a0, a1, kind, 6, nu).decide(nu)
+            assert rep.verdict is Verdict.COUNTEREXAMPLE
+            w = rep.witness
+            for shift in cls.SHIFTS:
+                if kind == "ball":
+                    ws = BallWitness(w.center + shift * x.delta, w.scale)
+                else:
+                    ws = LineWitness(w.midpoint + shift * x.delta, w.direction, w.scale)
+                pts = witness_probes(x, ws)
+                worst = max(true_distance(pts[s:s + 4096], x).max()
+                            for s in range(0, len(pts), 4096))
+                for q in (nu, *cls.flip(worst, ws.scale)):
+                    if porosity._witness_holds(x, q, ws) is not bool(worst < q * ws.scale):
+                        bad.append((make.__name__, kind, shift, q))
+        return bad
+
+    def test_equals_the_bruteforce_definition_check(self):
+        assert self.disagreements() == []
+
+    def test_a_halved_block_radius_is_caught(self, monkeypatch):
+        # a sweep of nu misses it; at the flip the worst probe's block settles
+        old = "np.linalg.norm(last - first, axis=1) / 2.0"
+        mutant(monkeypatch, "_witness_holds", old, old.replace("2.0", "4.0"))
+        assert self.disagreements() != []
+
+    @pytest.mark.parametrize("make, alpha0", [
+        (lambda: cantor_generate(CantorSpec.uniform(4, (0, 3), 4, 2), 2), 0.8),
+        (lambda: cantor_generate(CantorSpec.uniform(3, (0, 2), 4, 3), 3), 1.0)],
+        ids=["dust-256^2", "dust-81^3"])
+    def test_a_settled_witness_queries_one_point_per_block(self, monkeypatch, make, alpha0):
+        import scipy.spatial
+
+        queried = []
+
+        class Counting(scipy.spatial.cKDTree):
+            def query(self, pts, *args, **kwargs):
+                queried.append(len(pts))
+                return super().query(pts, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Counting)
+        x = make()
+        w = ball_porosity_check(x, 0.9, alpha0, 1.0).witness
+        blocks = math.prod(
+            math.ceil(len(np.arange(c - w.scale / 2, c + w.scale / 2 + x.delta / 4, x.delta / 2))
+                      / porosity._RECHECK_BLOCK) for c in w.center)
+        assert 0 < sum(queried) <= blocks
+
+
 class TestResolutionAndRangeGuards:
     def test_cantor_resolution_overflow(self):
         with pytest.raises(ResolutionError):
@@ -995,3 +1081,37 @@ class TestResolutionAndRangeGuards:
     def test_scale_range_validation(self):
         with pytest.raises(ValueError):
             scale_ladder(0.5, 0.2)
+
+    @staticmethod
+    def no_field(monkeypatch):
+        """Make building a distance field raise, so that a refusal that comes
+        too late cannot exhaust memory."""
+        class Built(Exception):
+            pass
+
+        def fail(*args):
+            raise Built
+
+        monkeypatch.setattr(porosity, "_distance_field", fail)
+        return Built
+
+    @pytest.mark.parametrize("make, kind, nu, alpha0, alpha1", [
+        (lambda: cantor_generate(CantorSpec.uniform(3, (0, 2), 4, 4), 4), "ball", 0.5, 1.0, 1.0),
+        (cantor1, "ball", 0.5, 1 / 3, 1e300),
+        (cantor1, "line", 0.5, 1 / 3, 1e308),      # alpha1/delta overflows to inf
+        (dust2, "line", 0.5, 0.8, 1e300),
+    ], ids=["4d-cantor", "1d-ball-huge-scale", "1d-line-scale-past-floats", "2d-line"])
+    def test_a_field_over_budget_is_refused_before_it_is_built(self, monkeypatch, make, kind,
+                                                                 nu, alpha0, alpha1):
+        self.no_field(monkeypatch)
+        decide = ball_porosity_check if kind == "ball" else line_porosity_check
+        with pytest.raises(ResolutionError, match="GiB budget"):
+            decide(make(), nu, alpha0, alpha1)
+
+    def test_the_largest_field_in_use_fits(self, monkeypatch):
+        # a line bisection over [1/3, 1] on the 81^3 dust pads to 339^3 cells,
+        # about 0.78 GB with the feature transform
+        built = self.no_field(monkeypatch)
+        with pytest.raises(built):
+            _Decider(cantor_generate(CantorSpec.uniform(3, (0, 2), 4, 3), 3), 1 / 3, 1.0,
+                     "line", 8, 1.0)
