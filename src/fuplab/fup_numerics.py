@@ -11,15 +11,19 @@ indices of the output cells (``rows``) and the input cells (``cols``).  Every
 core answers the same protocol: its ambient ``size``, the dense block
 ``submatrix(rows, cols)`` and the maps ``restricted(rows, cols)`` of that
 block.  Norms are computed matrix-free by ARPACK Lanczos (scipy's ``svds``)
-on the restricted maps; on small problems a dense singular-value computation
-of the block must agree to 1e-10 (relative) and runs automatically.  The DFT
-core runs a pruned Cooley-Tukey plan on the supports of N = p^k whose base-p
-digit tuples form a product over the k levels (every full-depth Cantor
-family of prime base, and joint-digit sets that are no per-axis product),
-whose products never touch the ambient grid, whenever that is estimated
-cheaper than an FFT of the whole grid; other supports scatter, FFT and
-gather.  The quadrature cores
-multiply by their block.  Power-law exponents are fitted by least squares in
+on the restricted maps; on small problems the dense norm of the block, the
+square root of the top eigenvalue of its smaller Gram matrix, must agree to
+1e-10 (relative) and runs automatically.  The DFT core runs a pruned
+Cooley-Tukey plan on the supports of N = p^k whose base-p digit tuples form a
+product over the k levels (every full-depth Cantor family of prime base, and
+joint-digit sets that are no per-axis product), whose products never touch
+the ambient grid, whenever that is estimated cheaper than an FFT of the whole
+grid; other supports scatter into a reused buffer, FFT and gather, the FFT
+being scipy's, one axis at a time, which equals numpy's ``fftn`` bit for bit.
+The quadrature cores multiply by their block.  The log-phase kernel depends
+on the chord |y - y'| alone, and on evenly spaced circle nodes the chord
+depends on the index difference alone, so there its block is gathered from
+one row of J entries.  Power-law exponents are fitted by least squares in
 log-log coordinates with the residual always reported.
 
 ``FupConfig`` runs two cores: ``fourier`` (the unitary DFT on the cube grid)
@@ -92,13 +96,28 @@ class FourierCore:
     def h(self) -> float:
         return 1.0 / self.N
 
+    def _by_axis(self, transform, u: np.ndarray, power: float) -> np.ndarray:
+        """``transform`` (scipy's 1-D fft or ifft) of u on the grid along each
+        axis, the last axis first, times N^power.
+
+        numpy's fftn and ifftn run these 1-D transforms in this order, so the
+        result is theirs bit for bit, and scipy's pocketfft takes less per
+        call.  scipy.fft.fftn orders its work otherwise and differs from
+        numpy in the last bits in 2-D.
+        """
+        u = u.reshape((self.N,) * self.n)
+        for axis in range(self.n - 1, -1, -1):
+            u = transform(u, axis=axis)
+        return (u * self.N ** power).reshape(-1)
+
     def apply(self, u: np.ndarray) -> np.ndarray:
-        shape = (self.N,) * self.n
-        return (np.fft.fftn(u.reshape(shape)) * self.N ** (-self.n / 2)).reshape(-1)
+        # imported on first use: nothing else loads scipy.fft, which takes about 13 ms
+        from scipy.fft import fft
+        return self._by_axis(fft, u, -self.n / 2)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
-        shape = (self.N,) * self.n
-        return (np.fft.ifftn(u.reshape(shape)) * self.N ** (self.n / 2)).reshape(-1)
+        from scipy.fft import ifft
+        return self._by_axis(ifft, u, self.n / 2)
 
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         a = np.stack(np.unravel_index(rows, (self.N,) * self.n), axis=1)
@@ -119,17 +138,17 @@ class FourierCore:
         if plan is not None:
             return plan.apply, plan.adjoint
 
-        def matvec(x):
+        def mapping(transform, src, dst):
+            """x -> transform(x scattered to src)[dst]; every product writes x
+            to the same cells of one zeroed buffer."""
             u = np.zeros(self.size, dtype=complex)
-            u[cols] = x
-            return self.apply(u)[rows]
 
-        def rmatvec(y):
-            u = np.zeros(self.size, dtype=complex)
-            u[rows] = y
-            return self.adjoint(u)[cols]
+            def product(x):
+                u[src] = x
+                return transform(u)[dst]
+            return product
 
-        return matvec, rmatvec
+        return mapping(self.apply, cols, rows), mapping(self.adjoint, rows, cols)
 
 
 # The cost rule of FourierCore.restricted counts work in complex multiply-adds
@@ -415,10 +434,19 @@ _DENSE_LIMIT = 4096
 
 
 def dense_norm(op: MaskedOperator) -> float:
-    """Largest singular value of the block on the supports (exact operator norm)."""
+    """Largest singular value of the block on the supports (exact operator norm).
+
+    It is the square root of the largest eigenvalue of the smaller Gram
+    matrix, B B* or B* B, which costs less than the singular values of B.
+    """
     if op.rows.size == 0 or op.cols.size == 0:
         return 0.0
-    return float(np.linalg.svd(op.core.submatrix(op.rows, op.cols), compute_uv=False)[0])
+    from scipy.linalg import eigh
+
+    block = op.core.submatrix(op.rows, op.cols)
+    gram = block @ block.conj().T if block.shape[0] <= block.shape[1] else block.conj().T @ block
+    top = eigh(gram, eigvals_only=True, subset_by_index=[gram.shape[0] - 1] * 2)[0]
+    return math.sqrt(max(float(top), 0.0))
 
 
 def masked_norm(op: MaskedOperator, seed: int = 0) -> NormInfo:
@@ -429,8 +457,9 @@ def masked_norm(op: MaskedOperator, seed: int = 0) -> NormInfo:
     than 3 rows or columns, which ARPACK cannot take, and operators that
     vanish on the supports go to :func:`dense_norm`.  When Lanczos does not
     converge the value is NaN and ``converged`` is False.  When the ambient
-    size is at most ``_DENSE_LIMIT`` the dense value is computed as well and a
-    relative disagreement beyond 1e-10 raises.
+    size is at most ``_DENSE_LIMIT`` the dense value (:func:`dense_norm`, from
+    the Gram matrix of the block) is computed as well and a relative
+    disagreement beyond 1e-10 raises.
     """
     rows, cols = op.rows, op.cols
     side = min(rows.size, cols.size)
@@ -534,11 +563,17 @@ def general_phase_fio(phi, b, N: int, n: int, h: float) -> KernelCore:
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Quadrature nodes and weights on the unit sphere S^n in R^{n+1}."""
+    """Quadrature nodes and weights on the unit sphere S^n in R^{n+1}.
+
+    ``chords`` is set on grids of evenly spaced circle nodes only:
+    ``chords[k]`` is the chordal distance from node j to node j + k (mod
+    size), the same for every j.
+    """
 
     points: np.ndarray
     weights: np.ndarray
     n: int
+    chords: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -546,10 +581,11 @@ class SphereGrid:
 
 
 def circle_grid(count: int) -> SphereGrid:
+    """``count`` evenly spaced nodes on S^1, node k at angle 2 pi k / count."""
     ang = 2.0 * np.pi * np.arange(count) / count
     pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
     w = np.full(count, 2.0 * np.pi / count)
-    return SphereGrid(pts, w, 1)
+    return SphereGrid(pts, w, 1, 2.0 * np.abs(np.sin(ang / 2.0)))
 
 
 def sphere2_grid(count: int) -> SphereGrid:
@@ -573,36 +609,52 @@ def smooth_step(t: np.ndarray) -> np.ndarray:
 
 
 def chordal_cutoff(gap: float, width: float):
-    """Smooth cutoff chi(y, y') of chordal distance: 0 below gap, 1 above gap+width."""
-    def chi(y, yp):
-        d = np.linalg.norm(y - yp, axis=-1)
+    """Smooth cutoff chi(d) of the chordal distance d = |y - y'|: 0 below gap,
+    1 above gap + width.  It maps an array of chords to an array of the same
+    shape, as every cutoff of the log-phase kernel must."""
+    def chi(d):
         return smooth_step((d - gap) / width)
     return chi
 
 
 def _log_phase_block(w: float, h: float, chi, grid: SphereGrid, rows: np.ndarray,
                      cols: np.ndarray) -> np.ndarray:
-    """Entries (2 pi h)^{-n/2} |(y-y')/2|^{2iw/h} chi(y,y') dy' for y in rows, y' in cols."""
-    ya = grid.points[rows]
-    yb = grid.points[cols]
-    d = np.linalg.norm(ya[:, None, :] - yb[None, :, :], axis=-1)
-    chi_mat = np.asarray(chi(ya[:, None, :], yb[None, :, :]), dtype=np.float64)
-    if np.any(chi_mat[d < 1e-6] != 0.0):
+    """Entries (2 pi h)^{-n/2} |(y-y')/2|^{2iw/h} chi(|y-y'|) dy' for y in rows, y' in cols.
+
+    The entry depends on the chord and on dy' alone.  On a grid that knows
+    its chords by node difference (``grid.chords``, evenly spaced circle
+    nodes) chi, amplitude and phase are evaluated once per difference, the
+    circulant row of the kernel, and the block gathers that row; other grids
+    take the chord of every pair.
+    """
+    if grid.chords is None:
+        d = np.linalg.norm(grid.points[rows][:, None, :] - grid.points[cols][None, :, :], axis=-1)
+        diff = None
+    else:
+        d = grid.chords
+        diff = cols[None, :] - rows[:, None]
+        diff %= grid.size
+    cut = np.asarray(chi(d), dtype=np.float64)
+    near = (d < 1e-6) & (cut != 0.0)
+    if near.any() and (diff is None or near[diff].any()):
         raise ValueError("cutoff does not vanish near the diagonal")
-    amp = (2.0 * np.pi * h) ** (-grid.n / 2) * chi_mat * grid.weights[cols][None, :]
     with np.errstate(divide="ignore"):
         logd = np.where(d > 0.0, np.log(np.maximum(d, 1e-300) / 2.0), 0.0)
-    block = amp * np.exp(1j * (2.0 * w / h) * logd)
-    block[chi_mat == 0.0] = 0.0
-    return block
+    kernel = (2.0 * np.pi * h) ** (-grid.n / 2) * cut * np.exp(1j * (2.0 * w / h) * logd)
+    kernel[cut == 0.0] = 0.0
+    if diff is not None:
+        kernel = kernel[diff]
+    kernel *= grid.weights[cols][None, :]
+    return kernel
 
 
 def log_phase_kernel(w: float, h: float, chi, grid: SphereGrid) -> KernelCore:
-    """Oscillatory kernel (2 pi h)^{-n/2} |(y-y')/2|^{2iw/h} chi(y,y') dy'.
+    """Oscillatory kernel (2 pi h)^{-n/2} |(y-y')/2|^{2iw/h} chi(|y-y'|) dy'.
 
-    The cutoff must vanish at chordal distances below 1e-6; the
-    modulus of the kernel is chi times the quadrature factor, independent of
-    w, since the phase exponent is purely imaginary.
+    ``chi`` maps an array of chordal distances to cutoff values of the same
+    shape (see :func:`chordal_cutoff`) and must vanish at chords below 1e-6;
+    the modulus of the kernel is chi times the quadrature factor, independent
+    of w, since the phase exponent is purely imaginary.
     """
     nodes = np.arange(grid.size)
     return KernelCore(_log_phase_block(w, h, chi, grid, nodes, nodes))
@@ -610,7 +662,9 @@ def log_phase_kernel(w: float, h: float, chi, grid: SphereGrid) -> KernelCore:
 
 def log_phase_masked_operator(w: float, h: float, chi, grid: SphereGrid,
                               rows: np.ndarray, cols: np.ndarray) -> MaskedOperator:
-    """Log-phase kernel between two node supports, built only on them."""
+    """Log-phase kernel between two node supports, built only on them; chi
+    is a cutoff of the chord as in :func:`log_phase_kernel`.  On circle grids
+    the block is gathered from the kernel's row of node differences."""
     block = _log_phase_block(w, h, chi, grid, rows, cols)
     return MaskedOperator(SubmatrixKernelCore(grid.size, rows, cols, block), rows, cols)
 

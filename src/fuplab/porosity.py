@@ -667,23 +667,51 @@ def _combine(per_scale: list[Verdict]) -> Verdict:
 # independent witness verification (definition-level, no distance transform)
 
 
-def _true_distance(points: np.ndarray, x: BoxSet) -> np.ndarray:
-    """Exact Euclidean distance from each point to the union of the occupied
-    cells of a non-empty set, in chunks whose temporaries hold about 2^20
-    elements each."""
-    lo, hi = x.occupied_boxes()
-    out = np.empty(points.shape[0])
-    chunk = max(1, (1 << 20) // lo.size)
-    for s in range(0, points.shape[0], chunk):
-        p = points[s:s + chunk, None, :]
-        gap = np.maximum(lo - p, p - hi)
+_RECHECK_PAIRS = 1 << 20     # point-cell pairs measured at once by the re-check's last stage
+
+
+def _all_near(points: np.ndarray, x: BoxSet, tree, boxes: tuple[np.ndarray, np.ndarray],
+              bound: float) -> bool:
+    """Whether every point lies closer than ``bound`` to the union of the
+    occupied cells, by exact Euclidean distance; ``boxes`` are the cells'
+    corners (``x.occupied_boxes()``) and ``tree`` the kd-tree of their centres.
+
+    A point whose nearest centre is closer than ``bound`` holds.  A cell's box
+    lies within delta sqrt(n)/2 of its centre, so a cell closer than
+    ``bound`` to a point has its centre within bound + delta sqrt(n)/2 (1e-9
+    more covers rounding): a point with no centre that near fails, and each
+    other point is measured against those cells only, found by a ball query.
+    The points go in chunks of about ``_RECHECK_PAIRS`` point-cell pairs.
+    """
+    reach = (bound + x.delta * math.sqrt(x.n) / 2.0) * (1.0 + 1e-9)
+    near, _ = tree.query(points, distance_upper_bound=reach)
+    if np.isinf(near).any():
+        return False
+    points = points[~(near < bound)]
+    counts = tree.query_ball_point(points, reach, return_length=True)
+    if np.any(counts == 0):
+        return False
+    lo, hi = boxes
+    ends = np.cumsum(counts)
+    start = 0
+    while start < points.shape[0]:
+        before = ends[start] - counts[start]        # pairs of the earlier chunks
+        stop = max(start + 1, int(np.searchsorted(ends, before + _RECHECK_PAIRS, side="right")))
+        cells = np.concatenate(tree.query_ball_point(points[start:stop], reach))
+        count = counts[start:stop]
+        p = np.repeat(points[start:stop], count, axis=0)
+        gap = np.maximum(lo[cells] - p, p - hi[cells])
         np.maximum(gap, 0.0, out=gap)
         gap *= gap
-        out[s:s + chunk] = np.sqrt(gap.sum(axis=2).min(axis=1))
-    return out
+        nearest = np.minimum.reduceat(gap.sum(axis=1), np.cumsum(count) - count)
+        if not np.all(np.sqrt(nearest) < bound):
+            return False
+        start = stop
+    return True
 
 
 _RECHECK_BLOCK = 16     # probe values per axis in one block of the witness re-check
+_RECHECK_SLAB = 1 << 18     # probes of the unsettled blocks built at once
 
 
 def _witness_holds(x: BoxSet, nu: float, w: BallWitness | LineWitness) -> bool:
@@ -699,9 +727,8 @@ def _witness_holds(x: BoxSet, nu: float, w: BallWitness | LineWitness) -> bool:
     block lies within d + rho of that centre by the triangle inequality.  A
     cell is no farther than its centre, so the block holds when d + rho is
     below nu*R, less 1e-9 of it for the rounding of the three distances.
-    Only the probes of the other blocks are built: a probe near a cell
-    centre holds without the exact box distance, and the rest are measured
-    against every occupied cell.
+    Only the probes of the other blocks are built, and :func:`_all_near`
+    measures them.
     """
     from scipy.spatial import cKDTree       # only counterexamples load it
 
@@ -728,22 +755,26 @@ def _witness_holds(x: BoxSet, nu: float, w: BallWitness | LineWitness) -> bool:
     starts = [np.arange(0, a.size, _RECHECK_BLOCK) for a in axes]
     ends = [np.minimum(s + _RECHECK_BLOCK, a.size) for a, s in zip(axes, starts)]
     first, last = corner(starts), corner([e - 1 for e in ends])
-    lo, _ = x.occupied_boxes()
-    tree = cKDTree(lo + x.delta / 2.0)
+    boxes = x.occupied_boxes()
+    tree = cKDTree(boxes[0] + x.delta / 2.0)
     d, _ = tree.query((first + last) / 2.0, distance_upper_bound=bound)
     unsettled = ~(d + np.linalg.norm(last - first, axis=1) / 2.0 < bound * (1.0 - 1e-9))
     if not unsettled.any():
         return True
-    # the unsettled blocks' probes, by spreading each block's flag over its runs
+    # the unsettled blocks' probes, by spreading each block's flag over its
+    # runs, built and measured a slab of about _RECHECK_SLAB probes at a time
     keep = unsettled.reshape([s.size for s in starts])
     for k, (s, e) in enumerate(zip(starts, ends)):
         keep = np.repeat(keep, e - s, axis=k)
-    pts = place([a[i] for a, i in zip(axes, np.nonzero(keep))])
-    if ball:
-        pts = pts[np.linalg.norm(pts - w.center, axis=1) <= r / 2.0]
-    near, _ = tree.query(pts, distance_upper_bound=bound)
-    rest = pts[~(near < bound)]
-    return bool(np.all(_true_distance(rest, x) < bound))
+    step = max(1, _RECHECK_SLAB // keep[0].size)
+    for i in range(0, keep.shape[0], step):
+        index = np.nonzero(keep[i:i + step])
+        pts = place([a[j] for a, j in zip(axes, (index[0] + i, *index[1:]))])
+        if ball:
+            pts = pts[np.linalg.norm(pts - w.center, axis=1) <= r / 2.0]
+        if not _all_near(pts, x, tree, boxes, bound):
+            return False
+    return True
 
 
 def _require_kind(kind: str) -> None:

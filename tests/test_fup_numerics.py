@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from fuplab.fup_numerics import (
     DecayFit,
     FourierCore,
     FupConfig,
+    KernelCore,
     MaskedOperator,
     SphereAtlas,
     beta_fit,
@@ -28,6 +30,7 @@ from fuplab.fup_numerics import (
     sphere_porosity_check,
     thicken_mask,
     _arc_cantor_mask,
+    _log_phase_operator,
     _log_phase_fd_dets,
 )
 from fuplab import fup_numerics
@@ -81,6 +84,49 @@ class TestSemiclassicalDft:
             e = np.zeros(27, dtype=complex)
             e[c] = 1.0
             assert np.max(np.abs(core.apply(e)[rows] - sub[:, jj])) < 1e-14
+
+
+class TestFourierCoreTransforms:
+    @pytest.mark.parametrize("n, sizes", [(1, (2, 3, 27, 60, 243, 1024, 3 ** 9)),
+                                          (2, (2, 9, 27, 60, 64, 81)), (3, (3, 9, 16))])
+    def test_apply_and_adjoint_are_numpy_fftn_bit_for_bit(self, n, sizes):
+        rng = np.random.default_rng(59)
+        for N in sizes:
+            core = FourierCore(N, n)
+            u = rng.standard_normal(N ** n) + 1j * rng.standard_normal(N ** n)
+            grid = u.reshape((N,) * n)
+            assert np.array_equal(core.apply(u), (np.fft.fftn(grid) * N ** (-n / 2)).reshape(-1))
+            assert np.array_equal(core.adjoint(u), (np.fft.ifftn(grid) * N ** (n / 2)).reshape(-1))
+
+    def test_scattering_maps_give_the_block_on_every_call(self):
+        # N = 60 is no prime power, so the maps scatter into one reused buffer
+        core = FourierCore(60, 1)
+        rng = np.random.default_rng(58)
+        rows, cols = np.flatnonzero(rng.random(60) < 0.4), np.flatnonzero(rng.random(60) < 0.4)
+        matvec, rmatvec = core.restricted(rows, cols)
+        block = core.submatrix(rows, cols)
+        for _ in range(3):
+            x = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
+            y = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
+            assert np.max(np.abs(matvec(x) - block @ x)) < 1e-13
+            assert np.max(np.abs(rmatvec(y) - block.conj().T @ y)) < 1e-13
+
+
+class TestDenseNorm:
+    @pytest.mark.parametrize("kind", ["random", "rank-one", "zero"])
+    def test_agrees_with_the_largest_singular_value(self, kind):
+        rng = np.random.default_rng(57)
+        a, b = (rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40)))
+        matrix = {"random": rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)),
+                  "rank-one": np.outer(a, b.conj()), "zero": np.zeros((40, 40), complex)}[kind]
+        core = KernelCore(matrix)
+        shapes = {"tall": (np.arange(40), np.arange(3, 40, 7)),
+                  "wide": (np.arange(0, 40, 9), np.arange(40)),
+                  "square": (np.arange(40), np.arange(40)), "single": (np.array([5]), np.arange(40))}
+        for name, (rows, cols) in shapes.items():
+            want = np.linalg.svd(matrix[np.ix_(rows, cols)], compute_uv=False)[0]
+            got = dense_norm(MaskedOperator(core, rows, cols))
+            assert abs(got - want) <= 1e-13 * want, (kind, name)
 
 
 class TestMaskedOperator:
@@ -514,8 +560,7 @@ class TestGeneralPhaseFio:
 class TestLogPhaseKernel:
     def test_zero_cutoff_zero_operator(self):
         grid = circle_grid(32)
-        chi = lambda y, yp: np.zeros(np.broadcast_shapes(y.shape[:-1], yp.shape[:-1]))
-        core = log_phase_kernel(1.0, 1 / 32, chi, grid)
+        core = log_phase_kernel(1.0, 1 / 32, np.zeros_like, grid)
         assert np.max(np.abs(core.matrix)) == 0.0
 
     def test_magnitude_independent_of_w(self):
@@ -525,15 +570,44 @@ class TestLogPhaseKernel:
         mags = [np.abs(log_phase_kernel(w, h, chi, grid).matrix) for w in (1 / 8, 1.0, 8.0)]
         assert np.max(np.abs(mags[0] - mags[1])) < 1e-14
         assert np.max(np.abs(mags[1] - mags[2])) < 1e-14
-        expected = (2 * np.pi * h) ** (-0.5) \
-            * chi(grid.points[:, None, :], grid.points[None, :, :]) * grid.weights[None, :]
+        d = np.linalg.norm(grid.points[:, None, :] - grid.points[None, :, :], axis=-1)
+        expected = (2 * np.pi * h) ** (-0.5) * chi(d) * grid.weights[None, :]
         assert np.max(np.abs(mags[1] - expected)) < 1e-14
 
     def test_cutoff_must_vanish_near_diagonal(self):
         grid = circle_grid(32)
-        chi = lambda y, yp: np.ones(np.broadcast_shapes(y.shape[:-1], yp.shape[:-1]))
         with pytest.raises(ValueError):
-            log_phase_kernel(1.0, 1 / 32, chi, grid)
+            log_phase_kernel(1.0, 1 / 32, np.ones_like, grid)
+
+    @pytest.mark.parametrize("k", range(3, 7))
+    @pytest.mark.parametrize("rho", [None, 0.7])
+    def test_circle_block_is_the_pairwise_chord_block(self, k, rho):
+        # The moduli agree to 1e-12.  The phase (2w/h) log(d/2) turns a chord
+        # that differs by a few ulps (the pairwise norm against the row's
+        # 2 |sin|) into a phase difference up to 2w/h times that: allow 8 ulps.
+        J = 4 * 3 ** k
+        pairwise = dataclasses.replace(circle_grid(J), chords=None)
+        for w in (1 / 8, 1.0, 8.0):
+            op = _log_phase_operator(FupConfig(core="log_phase", ladder=(J,), w_list=(w,),
+                                               rho=rho), w, J)
+            want = log_phase_masked_operator(w, 1 / J, chordal_cutoff(0.4, 0.3), pairwise,
+                                             op.rows, op.cols).core.block
+            got = op.core.block
+            assert np.array_equal(got == 0, want == 0)
+            assert np.all(np.abs(np.abs(got) - np.abs(want)) <= 1e-12 * np.abs(want)), (J, w)
+            phase_ulps = 8 * 2.0 ** -52 * 2 * w * J
+            assert np.all(np.abs(got - want) <= (1e-12 + phase_ulps) * np.abs(want)), (J, w)
+
+    def test_the_diagonal_check_reads_only_the_pairs_of_the_block(self):
+        # a cutoff that is 1 at chords below 0.3 (index gaps up to 4), the diagonal included
+        chi = lambda d: (d < 0.3).astype(float)
+        grid = circle_grid(96)
+        for g in (grid, dataclasses.replace(grid, chords=None)):
+            with pytest.raises(ValueError, match="near the diagonal"):
+                log_phase_masked_operator(1.0, 1 / 96, chi, g, np.arange(0, 10), np.arange(9, 20))
+            block = log_phase_masked_operator(1.0, 1 / 96, chi, g, np.arange(0, 10),
+                                              np.arange(10, 20)).core.block
+            assert np.count_nonzero(block) == 1 + 2 + 3 + 4
 
     def test_masked_operator_matches_full_kernel(self):
         grid = circle_grid(96)

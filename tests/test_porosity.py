@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -1040,6 +1041,11 @@ class TestBlockedRecheck:
     def test_equals_the_bruteforce_definition_check(self):
         assert self.disagreements() == []
 
+    def test_equals_the_bruteforce_one_probe_row_at_a_time(self, monkeypatch):
+        # a slab of 1 probe builds the unsettled probes one first-axis row at a time
+        monkeypatch.setattr(porosity, "_RECHECK_SLAB", 1)
+        assert self.disagreements() == []
+
     def test_a_halved_block_radius_is_caught(self, monkeypatch):
         # a sweep of nu misses it; at the flip the worst probe's block settles
         old = "np.linalg.norm(last - first, axis=1) / 2.0"
@@ -1067,6 +1073,74 @@ class TestBlockedRecheck:
             math.ceil(len(np.arange(c - w.scale / 2, c + w.scale / 2 + x.delta / 4, x.delta / 2))
                       / porosity._RECHECK_BLOCK) for c in w.center)
         assert 0 < sum(queried) <= blocks
+
+
+class TestRecheckExactStage:
+    """The re-check's last stage measures a probe only against the cells whose
+    centres lie within nu*R + delta sqrt(n)/2 of it; its answer must be that
+    of every probe's exact distance to every cell."""
+
+    @staticmethod
+    def all_near(points, x, bound):
+        from scipy.spatial import cKDTree
+
+        boxes = x.occupied_boxes()
+        return porosity._all_near(points, x, cKDTree(boxes[0] + x.delta / 2), boxes, bound)
+
+    @staticmethod
+    def box_distance(points, x):
+        """Distance to every cell's box as the re-check forms it (corners from
+        ``occupied_boxes``, whose upper corners round unlike ``true_distance``'s)."""
+        lo, hi = x.occupied_boxes()
+        gap = np.maximum(lo[None, :, :] - points[:, None, :], points[:, None, :] - hi[None, :, :])
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        return np.sqrt(gap.sum(axis=2)).min(axis=1)
+
+    def test_a_failing_recheck_on_the_81_cubed_dust_is_quick(self):
+        # measured against every occupied cell this took 50 s and 285 MB at nu = 0.1
+        x = cantor_generate(CantorSpec.uniform(3, (0, 2), 4, 3), 3)
+        w = ball_porosity_check(x, 0.9, 1.0, 1.0).witness
+        start = time.perf_counter()
+        assert [_witness_holds(x, nu, w) for nu in (0.1, 0.2, 0.3)] == [False, False, True]
+        assert time.perf_counter() - start < 2.0
+
+    def test_a_witness_with_one_far_probe_fails(self):
+        # cells [0, 40/64) occupied; of the probes 0.25, 0.25 + 1/128, ..., 0.75
+        # only 0.75 lies 1/8 from the set, the next 1/8 - 1/128
+        mask = np.zeros(64, dtype=bool)
+        mask[:40] = True
+        x = BoxSet(1, 64, mask)
+        w = BallWitness(np.array([0.5]), 0.5)
+        dist = true_distance(witness_probes(x, w), x)
+        assert np.count_nonzero(dist >= 0.12) == 1 and dist.max() == 0.125
+        assert not _witness_holds(x, 0.24, w)
+        assert _witness_holds(x, 0.26, w)
+
+    def test_a_probe_decided_by_its_box_distance(self):
+        # one cell [0, 1/16)^2; a probe right of it at mid-height lies a from the
+        # box and 1/32 + a from the centre, which the stage must not mistake for it
+        mask = np.zeros((16, 16), dtype=bool)
+        mask[0, 0] = True
+        x = BoxSet(2, 16, mask)
+        a, delta = 0.1, 1 / 16
+        p = np.array([[delta + a, delta / 2]])
+        assert self.box_distance(p, x)[0] == pytest.approx(a, rel=1e-15)
+        assert self.all_near(p, x, a + 0.01)                       # centre farther than bound
+        assert not self.all_near(p, x, a - 0.1 * delta)           # centre within reach
+        assert not self.all_near(p, x, a - delta)                  # no centre within reach
+
+    @pytest.mark.parametrize("pairs", [1 << 20, 7])
+    def test_equals_the_bruteforce_at_the_flip(self, monkeypatch, pairs):
+        # 7 pairs a chunk splits the points into chunks of one to a few points
+        monkeypatch.setattr(porosity, "_RECHECK_PAIRS", pairs)
+        rng = np.random.default_rng(93)
+        for n, m, fill in ((1, 200, 0.05), (2, 24, 0.1), (2, 64, 0.3), (3, 10, 0.1)):
+            x = BoxSet(n, m, rng.random((m,) * n) < fill)
+            pts = rng.random((500, n))
+            worst = self.box_distance(pts, x).max()
+            assert not self.all_near(pts, x, worst), (n, m)
+            assert self.all_near(pts, x, np.nextafter(worst, np.inf)), (n, m)
 
 
 class TestResolutionAndRangeGuards:
