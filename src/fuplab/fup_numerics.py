@@ -92,10 +92,6 @@ class FourierCore:
     def size(self) -> int:
         return self.N ** self.n
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.N
-
     def _by_axis(self, transform, u: np.ndarray, power: float) -> np.ndarray:
         """``transform`` (scipy's 1-D fft or ifft) of u on the grid along each
         axis, the last axis first, times N^power.
@@ -939,8 +935,11 @@ class FupConfig:
         if len(set(self.ladder)) < len(self.ladder):
             raise ValueError(f"ladder values {list(self.ladder)} repeat; a decay fit needs "
                              "distinct scales")
-        if min(self.ladder) < 2 or self.cantor_base < 2:
-            raise ValueError("ladder values and cantor_base must be at least 2")
+        if min(self.ladder) < 2:
+            raise ValueError("ladder values must be at least 2")
+        if self.core == "log_phase" or None in (self.set_minus, self.set_plus):
+            # a Cantor family is read: its base and digits pass CantorSpec's own checks
+            CantorSpec.uniform(self.cantor_base, self.cantor_kept, 1, self.n)
         if self.core != "log_phase" and None in (self.set_minus, self.set_plus):
             bad = [N for N in self.ladder
                    if self.cantor_base ** _cantor_depth(self.cantor_base, N) != N]

@@ -7,11 +7,16 @@ counting (words-count).
 
 Conventions shared by every command:
 
-* ``--out`` directory collects all produced files.  Every command that writes
-  files also writes a JSON manifest listing the command line, the resolved
-  configuration, the seed, digests of the inputs, the output files and the
-  environment (Python, numpy, scipy, BLAS, core count), so a run can be
-  reproduced byte-for-byte.  algebra-verify writes no files and no manifest.
+* ``--out`` directory collects all produced files.  A command returns its
+  inputs and outputs, and ``main`` writes ``<subcommand>.manifest.json``:
+  the command line, the parsed flags as the configuration (fup-scan and
+  fio-sphere record their experiment config), the seed, digests of the
+  inputs, the output files and the environment (Python, numpy, scipy, BLAS,
+  core count), so a run can be reproduced byte-for-byte: ``rerun_manifest``
+  parses the recorded command as ``main`` does and runs it into a fresh
+  directory.  algebra-verify writes no files and no manifest.
+* a flag's own range is its argparse type; only checks that compare flags
+  run after parsing;
 * numeric output is serialized with 17 significant digits;
 * exit codes: 0 pass, 1 usage/configuration error, 2 counterexample or
   failed check, 3 inconclusive.  Input that cannot be run ends in exit 1 and
@@ -91,10 +96,9 @@ class RunRecord:
     Every ``cmd_*`` returns ``(exit code, RunRecord or None)``.
     """
 
-    manifest: str                # file name inside --out
-    config: dict
     inputs: list[str]
     outputs: list[str]
+    config: dict | None = None   # None: the parsed flags
     seed: int | None = None      # None: the --seed value (0 when unset)
 
 
@@ -149,22 +153,15 @@ def write_manifest(out_dir: str, name: str, command: list[str], config: dict,
 
 
 def rerun_manifest(manifest_path: str, out_dir: str) -> int:
-    """Re-execute the command recorded in a manifest into a fresh directory."""
+    """Re-execute the command recorded in a manifest into a fresh directory.
+
+    The command is parsed as ``main`` parses it and only the parsed output
+    directory is replaced, so every spelling of ``--out`` re-runs into
+    ``out_dir``.  The new manifest records the same command.
+    """
     with open(manifest_path) as fh:
-        payload = json.load(fh)
-    argv = list(payload["command"])
-    cleaned = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        if tok == "--out":
-            skip = True
-            continue
-        cleaned.append(tok)
-    # global flags precede the subcommand
-    return main(["--out", out_dir] + cleaned)
+        command = json.load(fh)["command"]
+    return _run(list(command), out_dir)
 
 
 def _now() -> str:
@@ -374,9 +371,7 @@ def cmd_flow_trace(args) -> tuple[int, RunRecord | None]:
     out_csv = os.path.join(args.out, "flow_trace.csv")
     _write_csv(out_csv, header, rows)
     print(f"wrote {out_csv}")
-    return 0, RunRecord("flow_trace.manifest.json",
-                        dict(n=n, generator=args.generator, t0=args.t0, t1=args.t1,
-                             steps=args.steps, tol=args.tol), inputs, [out_csv])
+    return 0, RunRecord(inputs, [out_csv])
 
 
 def cmd_group_decompose(args) -> tuple[int, RunRecord | None]:
@@ -401,9 +396,7 @@ def cmd_group_decompose(args) -> tuple[int, RunRecord | None]:
     for el, path in zip(factors.values(), outputs):
         write_group_element(el, path)
     print(summary)
-    return (0 if err <= 100 * args.tol else 2), RunRecord(
-        "group_decompose.manifest.json", dict(input=args.input, mode=args.mode, l=args.l,
-                                              tol=args.tol), [args.input], outputs)
+    return (0 if err <= 100 * args.tol else 2), RunRecord([args.input], outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +413,7 @@ def cmd_porosity_check(args) -> tuple[int, RunRecord | None]:
     with open(out_path, "w") as fh:
         fh.write(rep.to_text())
     print(rep.to_text(), end="")
-    return VERDICT_EXIT[rep.verdict], RunRecord(
-        "porosity_report.manifest.json",
-        dict(set=args.set, nu=args.nu, alpha0=args.alpha0, alpha1=args.alpha1,
-             mode=args.mode, directions=args.directions), [args.set], [out_path])
+    return VERDICT_EXIT[rep.verdict], RunRecord([args.set], [out_path])
 
 
 def cmd_sphere_porosity(args) -> tuple[int, RunRecord | None]:
@@ -450,12 +440,7 @@ def cmd_sphere_porosity(args) -> tuple[int, RunRecord | None]:
             fh.write(f"# chart {k}\n")
             fh.write(rep.to_text())
     print(f"aggregate={verdict.value}")
-    return VERDICT_EXIT[verdict], RunRecord(
-        "sphere_porosity.manifest.json",
-        dict(set=args.set, nu=args.nu, alpha0=args.alpha0, alpha1=args.alpha1,
-             mode=args.mode, directions=args.directions, charts=args.charts,
-             resolution=args.resolution),
-        [args.set], [out_path])
+    return VERDICT_EXIT[verdict], RunRecord([args.set], [out_path])
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +480,7 @@ def cmd_fup_scan(args) -> tuple[int, RunRecord | None]:
     out_csv = os.path.join(args.out, "fup_scan.csv")
     _write_ladder(out_csv, cfg.core, rows, fits, "fit")
     print(f"sanity {'pass' if ok else 'FAIL'}; wrote {out_csv}")
-    return (0 if ok else 2), RunRecord("fup_scan.manifest.json", raw_cfg, [args.config],
-                                       [out_csv], cfg.seed)
+    return (0 if ok else 2), RunRecord([args.config], [out_csv], raw_cfg, cfg.seed)
 
 
 def cmd_fio_sphere(args) -> tuple[int, RunRecord | None]:
@@ -508,8 +492,8 @@ def cmd_fio_sphere(args) -> tuple[int, RunRecord | None]:
     _write_ladder(out_csv, cfg.core, rows, fits, "")
     passed = ok and bool(fits) and all(fit.beta > 0 for fit in fits.values())
     print(f"{'pass' if passed else 'FAIL'}; wrote {out_csv}")
-    return (0 if passed else 2), RunRecord("fio_sphere.manifest.json", dataclasses.asdict(cfg),
-                                           [], [out_csv])
+    # the config of a fup-scan that writes this CSV
+    return (0 if passed else 2), RunRecord([], [out_csv], dataclasses.asdict(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +510,7 @@ def cmd_words_count(args) -> tuple[int, RunRecord | None]:
     final = rows[-1]
     print(f"final ratio {_fmt(final['ratio'])} vs bound "
           f"{_fmt(4 * math.sqrt(args.alpha) + args.slack)}; wrote {out_csv}")
-    return (0 if final["within"] else 2), RunRecord(
-        "words_count.manifest.json",
-        dict(alpha=args.alpha, rho=args.rho, j_min=args.j_min, j_max=args.j_max,
-             base=args.base, slack=args.slack), [], [out_csv])
+    return (0 if final["within"] else 2), RunRecord([], [out_csv])
 
 
 def cmd_hessian_check(args) -> tuple[int, RunRecord | None]:
@@ -560,10 +541,7 @@ def cmd_hessian_check(args) -> tuple[int, RunRecord | None]:
     out_csv = os.path.join(args.out, "hessian_check.csv")
     _write_csv(out_csv, ["n", "w", "separation", "fd_det", "symbolic_det", "rel_err"], rows)
     print(f"worst relative error {_fmt(worst)} over {args.pairs} pairs; wrote {out_csv}")
-    return (0 if worst <= args.rel_tol else 2), RunRecord(
-        "hessian_check.manifest.json",
-        dict(n=args.n, pairs=args.pairs, w_min=args.w_min, w_max=args.w_max,
-             fd_step=args.fd_step, rel_tol=args.rel_tol), [], [out_csv])
+    return (0 if worst <= args.rel_tol else 2), RunRecord([], [out_csv])
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +560,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _bounded(cast, low, strict: bool = False):
+    """The argparse type of a flag with a range of its own: ``cast`` of the text,
+    refused below ``low``, or at ``low`` too when ``strict``."""
+    def parse(text: str):
+        value = cast(text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must {'exceed' if strict else 'be at least'} {low}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__      # named in "invalid int value: 'many'"
+    return parse
+
+
+_COUNT = _bounded(int, 1)
+_POSITIVE = _bounded(_finite_float, 0, strict=True)
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors print one ``error:`` line, not a
     usage block; its subcommand parsers are of the same class."""
@@ -593,25 +588,26 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="fuplab", description="hyperbolic-flow and masked-transform laboratory")
-    parser.add_argument("--seed", type=int, default=None, help="deterministic seed")
+    parser.add_argument("--seed", type=_bounded(int, 0), default=None,
+                        help="deterministic seed")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("algebra-verify", help="bracket table, flow and commutation suites")
-    p.add_argument("--n-min", type=int, default=2)
+    p.add_argument("--n-min", type=_COUNT, default=2)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--inject-sign-flip", action="store_true",
                    help="negative control: corrupt one relation and expect failure")
     p.set_defaults(func=cmd_algebra_verify)
 
     p = sub.add_parser("flow-trace", help="trace a one-parameter flow from a frame")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_COUNT, default=2)
     p.add_argument("--generator", default="X")
     p.add_argument("--frame", default=None, help="file with a stored group element")
     p.add_argument("--t0", type=_finite_float, default=0.0)
     p.add_argument("--t1", type=_finite_float, default=1.0)
-    p.add_argument("--steps", type=int, default=11)
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL,
+    p.add_argument("--steps", type=_COUNT, default=11)
+    p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL,
                    help="certification tolerance of --frame")
     p.set_defaults(func=cmd_flow_trace)
 
@@ -619,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=["kan+", "kan-", "normalizer"], default="kan+")
     p.add_argument("--l", type=int, default=2)
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL, help="certification tolerance")
+    p.add_argument("--tol", type=_POSITIVE, default=DEFAULT_TOL, help="certification tolerance")
     p.set_defaults(func=cmd_group_decompose)
 
     p = sub.add_parser("porosity-check", help="ball/line porosity decision for a set file")
@@ -637,8 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha0", type=_finite_float, required=True)
     p.add_argument("--alpha1", type=_finite_float, required=True)
     p.add_argument("--mode", choices=["ball", "line"], default="ball")
-    p.add_argument("--charts", type=int, default=8)
-    p.add_argument("--resolution", type=int, default=128)
+    p.add_argument("--charts", type=_COUNT, default=8)
+    p.add_argument("--resolution", type=_COUNT, default=128)
     p.add_argument("--directions", type=int, default=8)
     p.set_defaults(func=cmd_sphere_porosity)
 
@@ -657,16 +653,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_finite_float, required=True)
     p.add_argument("--j-min", type=int, required=True)
     p.add_argument("--j-max", type=int, required=True)
-    p.add_argument("--base", type=_finite_float, default=2.0)
+    p.add_argument("--base", type=_bounded(_finite_float, 1, strict=True), default=2.0)
     p.add_argument("--slack", type=_finite_float, default=0.1)
     p.set_defaults(func=cmd_words_count)
 
     p = sub.add_parser("hessian-check", help="finite-difference vs symbolic phase Hessian")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--w-min", type=_finite_float, default=0.25)
+    p.add_argument("--n", type=_COUNT, default=1)
+    p.add_argument("--pairs", type=_COUNT, default=100)
+    p.add_argument("--w-min", type=_POSITIVE, default=0.25)
     p.add_argument("--w-max", type=_finite_float, default=4.0)
-    p.add_argument("--fd-step", type=_finite_float, default=1e-5)
+    p.add_argument("--fd-step", type=_POSITIVE, default=1e-5)
     p.add_argument("--rel-tol", type=_finite_float, default=1e-4)
     p.set_defaults(func=cmd_hessian_check)
 
@@ -681,38 +677,27 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _usage_problem(args) -> str | None:
-    """Arguments that parse but would crash a command or let it check nothing."""
+    """Flags that are each in range but cannot be run together."""
     cmd = args.subcommand
-    if args.seed is not None and args.seed < 0:
-        return "--seed must be non-negative"
-    if cmd == "algebra-verify" and not 1 <= args.n_min <= args.n_max:
+    if cmd == "algebra-verify" and args.n_min > args.n_max:
         return "need 1 <= --n-min <= --n-max"
-    if cmd in ("flow-trace", "hessian-check") and args.n < 1:
-        return "--n must be at least 1"
-    if cmd in ("flow-trace", "group-decompose") and not args.tol > 0:
-        return "--tol must be positive"
-    if cmd == "flow-trace" and args.steps < 1:
-        return "--steps must be at least 1"
-    if cmd == "hessian-check" and args.pairs < 1:
-        return "--pairs must be at least 1"
-    if cmd == "hessian-check" and not args.fd_step > 0:
-        return "--fd-step must be positive"
-    if cmd == "hessian-check" and not 0 < args.w_min <= args.w_max:
+    if cmd == "hessian-check" and args.w_min > args.w_max:
         return "need 0 < --w-min <= --w-max"
-    if cmd == "sphere-porosity" and min(args.charts, args.resolution) < 1:
-        return "--charts and --resolution must be at least 1"
-    if cmd == "fio-sphere" and len(args.ladder) < 4:
-        return "a decay fit needs at least 4 --ladder values"
     if cmd == "words-count" and args.j_min > args.j_max:
         return "need --j-min <= --j-max"
-    if cmd == "words-count" and not args.base > 1:
-        return "--base must exceed 1"
+    if cmd == "fio-sphere" and len(args.ladder) < 4:
+        return "a decay fit needs at least 4 --ladder values"
     return None
 
 
 def main(argv=None) -> int:
     """Parse, refuse unusable input, run the command, then write its manifest."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    return _run(list(sys.argv[1:]) if argv is None else list(argv))
+
+
+def _run(argv: list[str], out: str | None = None) -> int:
+    """``main`` on argv, with the parsed output directory replaced by ``out``
+    when given; the manifest records argv as the command."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
@@ -721,6 +706,8 @@ def main(argv=None) -> int:
     if problem is not None:
         print(f"error: {problem}")
         return 1
+    if out is not None:
+        args.out = out
     os.makedirs(args.out, exist_ok=True)
     started = _now()
     try:
@@ -731,8 +718,11 @@ def main(argv=None) -> int:
         print(f"{'config error' if args.subcommand in CONFIG_COMMANDS else 'error'}: {message}")
         return 1
     if record is not None:
-        seed = _seed(args) if record.seed is None else record.seed
-        write_manifest(args.out, record.manifest, argv, record.config, seed,
+        flags = {k: v for k, v in vars(args).items()
+                 if k not in ("func", "out", "seed", "subcommand")}
+        write_manifest(args.out, f"{args.subcommand.replace('-', '_')}.manifest.json", argv,
+                       flags if record.config is None else record.config,
+                       _seed(args) if record.seed is None else record.seed,
                        record.inputs, record.outputs, started, _now())
     return code
 

@@ -179,9 +179,6 @@ class GroupElement:
         j = minkowski_matrix(self.n)
         return GroupElement(j @ self.matrix.T @ j, self.n)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class LieAlgebraElement:

@@ -961,6 +961,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="ladder values"):
             cfg.validate()
 
+    @pytest.mark.parametrize("cfg, message", [
+        (FupConfig(cantor_base=2, ladder=(2, 4, 8, 16)), "base must be >= 3"),
+        (FupConfig(cantor_kept=(0, 1, 2), ladder=(3, 9, 27, 81)),
+         "kept digits must be a proper nonempty subset"),
+        (FupConfig(core="log_phase", cantor_base=2, ladder=(108, 324)), "base must be >= 3"),
+        (FupConfig(ladder=(27, 81), cantor_base=2, set_minus=BoxSet.full(1, 27)),
+         "base must be >= 3"),                                   # set_plus still reads it
+    ])
+    def test_cantor_family_that_the_run_would_refuse(self, cfg, message):
+        # refused by validate itself, not at the first ladder point
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+
+    def test_cantor_family_is_not_checked_when_both_sets_are_explicit(self):
+        box = BoxSet.full(1, 8)
+        FupConfig(ladder=(2, 4), cantor_base=2, set_minus=box, set_plus=box).validate()
+
     @pytest.mark.parametrize("arc", [(0.5, 0.5), (0.9, 0.2), (-0.1, 0.5), (0.5, 1.5),
                                      (0.1, math.nan), (0.1, math.inf), (0.1,)])
     @pytest.mark.parametrize("field", ["arc_minus", "arc_plus"])

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fuplab import lab_cli, lorentz_core
-from fuplab.fup_numerics import log_phase_hessian_factors, mixed_hessian_det
+from fuplab.fup_numerics import FupConfig, log_phase_hessian_factors, mixed_hessian_det
 from fuplab.lab_cli import (
     _commutator_table_exact,
     _flow_compat_suite,
@@ -44,6 +45,13 @@ def write_json(path, payload):
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def tree_bytes(root, skip=None):
+    """Every file under root, by path relative to it, to its bytes; files under
+    the directory ``skip`` are left out."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file() and (skip is None or skip not in p.parents)}
 
 
 CANTOR = {"cantor": {"base": 3, "kept_digits": [0, 2], "depth": 6, "dims": 1}}
@@ -393,6 +401,91 @@ class TestManifestConfig:
         config = json.loads((out / "flow_trace.manifest.json").read_text())["config"]
         assert config["tol"] == 1e-9
 
+    @pytest.mark.parametrize("argv", [
+        ["flow-trace", "--frame", "{g}", "--n", "3", "--generator", "U1+", "--steps", "3"],
+        ["group-decompose", "--input", "{g}", "--mode", "kan-"],
+        ["porosity-check", "--set", "{cantor}", "--nu", "0.08", "--alpha0", "0.111",
+         "--alpha1", "1.0", "--mode", "line"],
+        ["sphere-porosity", "--set", "{band}", "--nu", "0.1", "--alpha0", "0.45",
+         "--alpha1", "0.9", "--charts", "4"],
+        ["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "40", "--j-max", "45"],
+        ["hessian-check", "--pairs", "5", "--w-max", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_manifest_is_named_after_the_subcommand_and_records_the_parsed_flags(
+            self, tmp_path, argv):
+        (tmp_path / "in").mkdir()
+        files = {"cantor": write_json(tmp_path / "in" / "cantor.json", CANTOR),
+                 "band": write_json(tmp_path / "in" / "band.json", BAND),
+                 "g": str(tmp_path / "in" / "g.txt")}
+        write_group_element(random_group_element(np.random.default_rng(5), 2), files["g"])
+        argv = ["--seed", "5", *(a.format(**files) for a in argv)]
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *argv]) == 0
+        assert [p.name for p in out.glob("*.manifest.json")] == [
+            f"{argv[2].replace('-', '_')}.manifest.json"]
+        manifest = json.loads(next(out.glob("*.manifest.json")).read_text())
+        parsed = vars(lab_cli.build_parser().parse_args(argv))
+        assert manifest["config"] == {k: v for k, v in parsed.items()
+                                      if k not in ("func", "out", "seed", "subcommand")}
+        assert manifest["seed"] == 5
+        if argv[2] == "flow-trace":
+            # --n as given, beside the frame whose dimension the run used
+            assert (manifest["config"]["n"], manifest["config"]["frame"]) == (3, files["g"])
+
+    def test_experiment_commands_record_their_own_config(self, tmp_path):
+        raw = {"core": "fourier", "n": 1, "ladder": [27, 81, 243], "seed": 3}
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        for seed_flag, seed in (([], 3), (["--seed", "4"], 4)):
+            out = tmp_path / f"scan{seed}"
+            assert main(["--out", str(out), *seed_flag, "fup-scan", "--config", cfg]) == 0
+            assert [p.name for p in out.glob("*.manifest.json")] == ["fup_scan.manifest.json"]
+            manifest = json.loads((out / "fup_scan.manifest.json").read_text())
+            # the config file as read, and the seed the run used
+            assert (manifest["config"], manifest["seed"]) == (raw, seed)
+        out = tmp_path / "fio"
+        assert main(["--out", str(out), "fio-sphere", "--w", "1.0",
+                     "--ladder", "12", "18", "27", "40"]) == 0
+        assert [p.name for p in out.glob("*.manifest.json")] == ["fio_sphere.manifest.json"]
+        config = json.loads((out / "fio_sphere.manifest.json").read_text())["config"]
+        ran = FupConfig(core="log_phase", n=1, ladder=(12, 18, 27, 40), w_list=(1.0,), seed=0)
+        assert config == json.loads(json.dumps(dataclasses.asdict(ran)))
+
+
+class TestRerun:
+    """rerun_manifest parses the recorded command as main does and replaces only the
+    output directory, whatever spelling of --out the command used."""
+
+    @pytest.mark.parametrize("out_flags", [["--out={d}"], ["--ou", "{d}"],
+                                           ["--out", "{unused}", "--out", "{d}"]],
+                             ids=["equals", "abbreviated", "repeated"])
+    def test_rerun_writes_only_into_the_fresh_directory(self, tmp_path, out_flags):
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"core": "fourier", "n": 1, "ladder": [27, 81, 243]})
+        first = tmp_path / "first"
+        flags = [a.format(d=first, unused=tmp_path / "unused") for a in out_flags]
+        assert main([*flags, "fup-scan", "--config", cfg]) == 0
+        before = tree_bytes(tmp_path)
+        second, third = tmp_path / "second", tmp_path / "third"
+        for src, fresh in ((first, second), (second, third)):
+            # a re-run of the re-run's own manifest lands in its own directory too
+            assert rerun_manifest(str(src / "fup_scan.manifest.json"), str(fresh)) == 0
+            assert tree_bytes(tmp_path, skip=fresh) == before
+            assert read_bytes(fresh / "fup_scan.csv") == read_bytes(first / "fup_scan.csv")
+            manifest = json.loads((fresh / "fup_scan.manifest.json").read_text())
+            assert manifest["outputs"] == [str(fresh / "fup_scan.csv")]
+            before = tree_bytes(tmp_path)
+        assert not (tmp_path / "unused").exists()
+
+    def test_manifest_whose_command_no_longer_parses(self, tmp_path, capsys):
+        manifest = write_json(tmp_path / "old.manifest.json",
+                              {"command": ["fup-scan", "--config", "cfg.json",
+                                           "--dense-limit", "81"]})
+        assert rerun_manifest(manifest, str(tmp_path / "fresh")) == 1
+        captured = capsys.readouterr()
+        lines = [ln for ln in (captured.out + captured.err).splitlines() if ln.strip()]
+        assert len(lines) == 1 and lines[0].startswith("error: unrecognized arguments"), lines
+        assert not (tmp_path / "fresh").exists()
+
 
 class TestSpherePorosity:
     def test_porous_band(self, tmp_path):
@@ -628,6 +721,52 @@ class TestUsageContract:
         write_group_element(random_group_element(np.random.default_rng(93), 3), str(path))
         self.assert_one_line_usage_error(tmp_path, capsys,
                                          *(a.format(g=path) for a in argv))
+
+    # A flag with a range of its own: argv with {v} for its value, the bound it
+    # takes, one step past the bound, and the refusal there.
+    @pytest.mark.parametrize("argv, bound, past, refusal", [
+        (["--seed", "{v}", "hessian-check"], "0", "-1", "must be at least 0"),
+        (["algebra-verify", "--n-min", "{v}", "--n-max", "1"], "1", "0", "must be at least 1"),
+        (["flow-trace", "--n", "{v}"], "1", "0", "must be at least 1"),
+        (["flow-trace", "--steps", "{v}"], "1", "0", "must be at least 1"),
+        (["flow-trace", "--tol", "{v}"], "5e-324", "0", "must exceed 0"),
+        (["group-decompose", "--input", "g.txt", "--tol", "{v}"], "5e-324", "-0.0",
+         "must exceed 0"),
+        (["sphere-porosity", "--set", "band.json", "--nu", "0.1", "--alpha0", "0.45",
+          "--alpha1", "0.9", "--charts", "{v}"], "1", "0", "must be at least 1"),
+        (["sphere-porosity", "--set", "band.json", "--nu", "0.1", "--alpha0", "0.45",
+          "--alpha1", "0.9", "--resolution", "{v}"], "1", "0", "must be at least 1"),
+        (["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "40", "--j-max", "41",
+          "--base", "{v}"], "1.0000000000000002", "1", "must exceed 1"),
+        (["hessian-check", "--n", "{v}"], "1", "0", "must be at least 1"),
+        (["hessian-check", "--pairs", "{v}"], "1", "0", "must be at least 1"),
+        (["hessian-check", "--w-min", "{v}"], "5e-324", "0", "must exceed 0"),
+        (["hessian-check", "--fd-step", "{v}"], "5e-324", "0", "must exceed 0"),
+    ], ids=["seed", "n-min", "flow-n", "steps", "flow-tol", "decompose-tol", "charts",
+            "resolution", "base", "hessian-n", "pairs", "w-min", "fd-step"])
+    def test_flag_range_is_refused_by_the_parser(self, tmp_path, capsys, argv, bound, past,
+                                                 refusal):
+        flag = argv[argv.index("{v}") - 1]
+        args = lab_cli.build_parser().parse_args([a.format(v=bound) for a in argv])
+        assert getattr(args, flag.lstrip("-").replace("-", "_")) == float(bound)
+        self.assert_one_line_usage_error(tmp_path, capsys, *(a.format(v=past) for a in argv),
+                                         prefix=f"error: argument {flag}: {refusal}, "
+                                                f"got '{past}'")
+
+    @pytest.mark.parametrize("argv, csv_name", [
+        (["flow-trace", "--steps", "1"], "flow_trace.csv"),
+        (["--seed", "0", "hessian-check", "--pairs", "1"], "hessian_check.csv"),
+        (["sphere-porosity", "--set", "{band}", "--nu", "0.1", "--alpha0", "0.45",
+          "--alpha1", "0.9", "--charts", "1"], None),
+        (["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "40", "--j-max", "41",
+          "--base", "1.0000000000000002"], "words_count.csv"),
+    ], ids=["steps", "seed", "charts", "base"])
+    def test_flag_at_its_bound_runs(self, tmp_path, argv, csv_name):
+        band = write_json(tmp_path / "band.json", BAND)
+        out = tmp_path / "out"
+        assert main(["--out", str(out), *(a.format(band=band) for a in argv)]) == 0
+        if csv_name is not None:
+            assert len((out / csv_name).read_text().splitlines()) >= 2
 
     def test_tolerance_is_not_a_global_flag(self, tmp_path):
         assert main(["--out", str(tmp_path), "--tol", "1e-10", "hessian-check"]) == 1
