@@ -9,13 +9,16 @@ unitarity and the single-column norm are exact and serve as hard anchors.
 A masked operator is a core and two supports: strictly increasing flat
 indices of the output cells (``rows``) and the input cells (``cols``).  Every
 core answers the same protocol: its ambient ``size``, the dense block
-``submatrix(rows, cols)`` and the maps ``restricted(rows, cols)`` of that
-block.  Norms are computed matrix-free by ARPACK Lanczos (scipy's ``svds``)
-on the restricted maps; on small problems the dense norm of the block, the
-square root of the top eigenvalue of its smaller Gram matrix, must agree to
-1e-10 (relative) and runs automatically.  The DFT core runs a pruned
-Cooley-Tukey plan on the supports of N = p^k whose base-p digit tuples form a
-product over the k levels (every full-depth Cantor family of prime base, and
+``submatrix(rows, cols)``, the maps ``restricted(rows, cols)`` of that block
+and the product ``gram(rows, cols)`` of its Gram matrix on the smaller side.
+A norm is the square root of the top eigenvalue of that Gram operator,
+computed matrix-free by ARPACK Lanczos (scipy's ``eigsh``): complex in
+general, real for the DFT when the larger support is its own mirror image
+about an integer point; on small problems the dense norm of the block,
+from the same Gram matrix formed densely, must agree to 1e-10 (relative) and
+runs automatically.  The DFT core runs a pruned Cooley-Tukey plan on the
+supports of N = p^k whose base-p digit tuples form a product over the k
+levels (every full-depth Cantor family of prime base, and
 joint-digit sets that are no per-axis product), whose products never touch
 the ambient grid, whenever that is estimated cheaper than an FFT of the whole
 grid; other supports scatter into a reused buffer, FFT and gather, the FFT
@@ -81,8 +84,21 @@ __all__ = [
 # operator cores
 
 
+class _Core:
+    """The Gram product that every core answers from its restricted maps."""
+
+    def gram(self, rows: np.ndarray, cols: np.ndarray):
+        """(product, dtype) of the Gram operator of the |rows| x |cols| block A
+        on its smaller side: A^H A on cols when |rows| >= |cols|, else A A^H
+        on rows; here adjoint after apply (or the reverse), complex."""
+        apply, adjoint = self.restricted(rows, cols)
+        if rows.size >= cols.size:
+            return (lambda x: adjoint(apply(x))), complex
+        return (lambda y: apply(adjoint(y))), complex
+
+
 @dataclass(frozen=True)
-class FourierCore:
+class FourierCore(_Core):
     """Unitary DFT on the grid {j/N}^n, the h = 1/N discretization."""
 
     N: int
@@ -130,7 +146,7 @@ class FourierCore:
         products never leave the supports; otherwise they scatter, FFT and
         gather.
         """
-        plan = _PrunedDft.build(self, rows, cols, budget=_fft_work(self.size))
+        plan = self._plan(rows, cols)
         if plan is not None:
             return plan.apply, plan.adjoint
 
@@ -146,6 +162,47 @@ class FourierCore:
 
         return mapping(self.apply, cols, rows), mapping(self.adjoint, rows, cols)
 
+    def _plan(self, rows: np.ndarray, cols: np.ndarray):
+        """The pruned plan where the cost rule (below) takes it, else None."""
+        return _PrunedDft.build(self, rows, cols, budget=_fft_work(self.size))
+
+    def gram(self, rows: np.ndarray, cols: np.ndarray):
+        """(product, dtype) of the Gram operator on the smaller side T; real
+        when the other, summed support S is mirror-symmetric.
+
+        Suppose S = 2c - S for an integer point c (per axis, c is the middle
+        of the extremes of S).  Then the Gram matrix is D K D*
+        with D = diag e(+-<c, x>/N) on T (+ when T = cols, - when T = rows)
+        and K(x, y) = N^-n sum_{a in S} cos(2 pi <a - c, x - y>/N), real
+        symmetric with the same top eigenvalue; this returns K.  On the
+        pruned plan K g = Re(D* G (D g)); otherwise K g is the real
+        convolution irfftn(rfftn(g on T) 1_{S - c}), gathered on T, one real
+        transform pair per product.  Other supports keep the complex Gram.
+        """
+        t, s, sign = (cols, rows, 1) if rows.size >= cols.size else (rows, cols, -1)
+        shape = (self.N,) * self.n
+        centre = _mirror_centre(s, shape)
+        if centre is None:
+            return super().gram(rows, cols)
+        plan = self._plan(rows, cols)
+        if plan is not None:
+            phase = (np.stack(np.unravel_index(t, shape), axis=1) @ centre) % self.N
+            d = np.exp(sign * 2j * np.pi * phase / self.N)
+            inner, outer = (plan.apply, plan.adjoint) if sign > 0 else (plan.adjoint, plan.apply)
+            return (lambda g: (d.conj() * outer(inner(d * g))).real), float
+        from scipy.fft import irfftn, rfftn
+        spectrum = np.zeros(shape, dtype=bool)
+        spectrum[tuple(((np.stack(np.unravel_index(s, shape)) - centre[:, None]) % self.N))] = True
+        half = spectrum[..., :self.N // 2 + 1].astype(np.float64)
+        u = np.zeros(self.size)
+
+        def product(g):
+            u[t] = g
+            spec = rfftn(u.reshape(shape))
+            spec *= half
+            return irfftn(spec, s=shape, overwrite_x=True).reshape(-1)[t]
+        return product, float
+
 
 # The cost rule of FourierCore.restricted counts work in complex multiply-adds
 # on contiguous arrays.  An FFT of size S with its scatter and gather costs
@@ -155,6 +212,20 @@ class FourierCore:
 # path is taken only where it wins clearly (on the Cantor masks of digits
 # {0, 2} in base 3: from 3^9 cells in one dimension and 81^2 in two).
 _CALL_WORK = 4000
+
+
+def _mirror_centre(support: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The integer point c with support = 2c - support, per axis the middle
+    of the extremes; None when the support is empty, is no mirror image of
+    itself, or is one only about a half-integer point."""
+    if support.size == 0:
+        return None
+    at = np.stack(np.unravel_index(support, shape), axis=1)
+    ends = at.min(axis=0) + at.max(axis=0)
+    if np.any(ends % 2):
+        return None
+    mirrored = np.sort(np.ravel_multi_index((ends - at).T, shape))
+    return ends // 2 if np.array_equal(mirrored, support) else None
 
 
 def _fft_work(size: int) -> float:
@@ -288,7 +359,7 @@ class _PrunedDft:
         return self._run(self.backward, self.row_position, self.col_position, y)
 
 
-class _BlockCore:
+class _BlockCore(_Core):
     """Restricted products of a quadrature core: multiply by its block."""
 
     def restricted(self, rows: np.ndarray, cols: np.ndarray):
@@ -370,8 +441,7 @@ def semiclassical_dft(N: int, n: int) -> FourierCore:
 class MaskedOperator:
     """Cut off to ``cols``, apply ``core``, cut off to ``rows``: the rows x cols
     block of the core.  Both supports are strictly increasing flat indices in
-    [0, core.size); products run through ``core.restricted`` (see
-    :func:`masked_norm`)."""
+    [0, core.size); norms run on ``core.gram`` (see :func:`masked_norm`)."""
 
     core: object
     rows: np.ndarray
@@ -415,8 +485,9 @@ def resample_mask(x: BoxSet, N: int) -> np.ndarray:
 class NormInfo:
     """A masked operator norm with its solver diagnostics.
 
-    ``iters`` counts operator products (applies plus adjoints); ``dense_value``
-    is the independent dense value when the cross-check ran.
+    ``iters`` counts operator products (applies plus adjoints), two for each
+    Gram product that Lanczos takes; ``dense_value`` is the independent dense
+    value when the cross-check ran.
     """
 
     value: float
@@ -446,50 +517,49 @@ def dense_norm(op: MaskedOperator) -> float:
 
 
 def masked_norm(op: MaskedOperator, seed: int = 0) -> NormInfo:
-    """Largest singular value by Lanczos on the supports, with a dense cross-check.
+    """Largest singular value by Lanczos on the Gram operator, with a dense
+    cross-check.
 
-    ARPACK Lanczos (``svds``, start vector drawn from ``seed``) runs on the
-    |rows| x |cols| maps given by ``op.core.restricted``.  Supports with fewer
-    than 3 rows or columns, which ARPACK cannot take, and operators that
-    vanish on the supports go to :func:`dense_norm`.  When Lanczos does not
-    converge the value is NaN and ``converged`` is False.  When the ambient
-    size is at most ``_DENSE_LIMIT`` the dense value (:func:`dense_norm`, from
-    the Gram matrix of the block) is computed as well and a relative
-    disagreement beyond 1e-10 raises.
+    ARPACK Lanczos (``eigsh``, start vector drawn from ``seed``) finds the top
+    eigenvalue of the Gram operator that ``op.core.gram`` gives on the smaller
+    support, complex in general and real on mirror-symmetric Fourier supports;
+    the norm is its square root.  Supports with fewer than 3 rows or columns,
+    which ARPACK cannot take, and operators that vanish on the supports go to
+    :func:`dense_norm`.  When Lanczos does not converge the value is NaN and
+    ``converged`` is False.  When the ambient size is at most ``_DENSE_LIMIT``
+    the dense value (:func:`dense_norm`, from the Gram matrix of the block) is
+    computed as well and a relative disagreement beyond 1e-10 raises.
     """
     rows, cols = op.rows, op.cols
     side = min(rows.size, cols.size)
     if side < 3:
         return NormInfo(dense_norm(op), 0, True)
     # imported here: at module level it adds about 30 ms to importing the CLI
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, svds
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-    apply, adjoint = op.core.restricted(rows, cols)
-    products = 0
+    product, dtype = op.core.gram(rows, cols)
+    steps = 0
 
     def matvec(x):
-        nonlocal products
-        products += 1
-        return apply(x.ravel())
+        nonlocal steps
+        steps += 1
+        return product(x.ravel())
 
-    def rmatvec(y):
-        nonlocal products
-        products += 1
-        return adjoint(y.ravel())
-
-    restricted = LinearOperator((rows.size, cols.size), matvec=matvec, rmatvec=rmatvec,
-                                dtype=complex)
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+    v0 = rng.standard_normal(side)
+    if dtype is complex:
+        v0 = v0 + 1j * rng.standard_normal(side)
+    gram = LinearOperator((side, side), matvec=matvec, dtype=dtype)
     converged = True
     try:
-        value = float(svds(restricted, k=1, tol=0, v0=v0, return_singular_vectors=False)[0])
+        top = eigsh(gram, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)[0]
+        value = math.sqrt(max(float(top), 0.0))
     except ArpackNoConvergence:
         value, converged = math.nan, False
     except ArpackError:
         # ARPACK finds no start vector when the operator vanishes on the supports
         value = dense_norm(op)
-    info = NormInfo(value, products, converged)
+    info = NormInfo(value, 2 * steps, converged)
     if converged and op.size <= _DENSE_LIMIT:
         info.dense_value = dense_norm(op)
         if abs(value - info.dense_value) > 1e-10 * info.dense_value:

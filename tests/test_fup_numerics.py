@@ -192,11 +192,12 @@ class TestMaskedNorm:
         def stalled(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty(0))
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", stalled)
-        mask = cantor_mask(3)
-        support = np.flatnonzero(mask)
-        info = masked_norm(MaskedOperator(semiclassical_dft(27, 1), support, support))
-        assert not info.converged and math.isnan(info.value) and info.dense_value is None
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        # a Cantor set takes the real Gram, base-5 digits {0, 1, 3} the complex one
+        for N, support in ((27, np.flatnonzero(cantor_mask(3))),
+                           (125, digit_support(5, [(0, 1, 3)] * 3))):
+            info = masked_norm(MaskedOperator(semiclassical_dft(N, 1), support, support))
+            assert not info.converged and math.isnan(info.value) and info.dense_value is None
         rows, fits, ok = fup_experiment(FupConfig(core="fourier", n=1, ladder=(27,)))
         assert not ok and rows[0]["converged"] is False
 
@@ -458,6 +459,111 @@ class TestPrunedDft:
             assert info.converged and info.iters > 0
             dense = dense_norm(op)
             assert abs(info.value - dense) <= 1e-12 * dense, (p, n, k)
+
+
+def gram_oracle(core, rows, cols, g):
+    """D* G (D g) from the restricted maps: G = A^H A on cols when |rows| >=
+    |cols|, else A A^H on rows, and D = e(+-<c, x>/N) on that side with c the
+    mirror centre of the other support, 2c = lo + hi per axis."""
+    N, shape = core.N, (core.N,) * core.n
+    side, other, sign = (cols, rows, 1) if rows.size >= cols.size else (rows, cols, -1)
+    at = np.stack(np.unravel_index(other, shape), axis=1)
+    centre = (at.min(axis=0) + at.max(axis=0)) // 2
+    d = np.exp(sign * 2j * np.pi * ((np.stack(np.unravel_index(side, shape), axis=1) @ centre)
+                                    % N) / N)
+    apply, adjoint = core.restricted(rows, cols)
+    gram = (lambda x: adjoint(apply(x))) if sign > 0 else (lambda y: apply(adjoint(y)))
+    return d.conj() * gram(d * g)
+
+
+def symmetric_pairs():
+    """(label, core, rows, cols) whose smaller side's partner is mirror-symmetric
+    about an integer point: Cantor sets, rho = 0.9 thickenings and products,
+    in 1-D and 2-D, in both orientations."""
+    pairs = []
+    for n, k in ((1, 5), (1, 9), (2, 3), (2, 4)):
+        N = 3 ** k
+        cantor = cantor_mask(k, n)
+        thick = thicken_mask(cantor, round(N ** 0.1), n)
+        c, t = np.flatnonzero(cantor), np.flatnonzero(thick)
+        pairs += [(f"cantor n={n} k={k}", FourierCore(N, n), c, c),
+                  (f"cantor/thick n={n} k={k}", FourierCore(N, n), c, t)]
+    N = 27
+    axes = [digit_support(3, [(0, 2), (1,), (0, 1, 2)]), digit_support(3, [(0, 2)] * 3)]
+    wide = product_support(N, axes)
+    pairs += [("product 2-D", FourierCore(N, 2), wide, product_support(N, axes[::-1])),
+              ("product/cantor 2-D", FourierCore(N, 2), np.flatnonzero(cantor_mask(3, 2)), wide)]
+    return pairs + [(label + " transposed", core, cols, rows)
+                    for label, core, rows, cols in pairs if rows.size != cols.size]
+
+
+class TestGram:
+    """The real Gram operator of mirror-symmetric Fourier supports."""
+
+    @pytest.mark.parametrize("path", ["pruned", "fft"])
+    def test_real_gram_is_the_phased_gram_of_the_restricted_maps(self, monkeypatch, path):
+        monkeypatch.setattr(fup_numerics, "_fft_work",
+                            lambda size: math.inf if path == "pruned" else 0.0)
+        rng = np.random.default_rng(80)
+        for label, core, rows, cols in symmetric_pairs():
+            product, dtype = core.gram(rows, cols)
+            assert dtype is float, label
+            g = rng.standard_normal(min(rows.size, cols.size))
+            got, want = product(g), gram_oracle(core, rows, cols, g)
+            assert got.dtype == np.float64 and got.shape == g.shape, label
+            assert np.max(np.abs(want.imag)) <= 1e-13 * np.max(np.abs(want)), label
+            assert rel_err(got, want.real) <= 1e-13, label
+
+    @pytest.mark.parametrize("p, k, digits", [(4, 2, (0, 3)), (4, 3, (0, 3)), (5, 3, (0, 1, 3)),
+                                              (5, 3, (0, 1, 4))])
+    def test_half_integer_centres_and_asymmetric_sets_stay_complex(self, p, k, digits):
+        # base 4 {0, 3}: the centre (N - 1)/2 is a half-integer; base 5 {0, 1, 3}
+        # and {0, 1, 4} (whose extremes have an even sum) are no mirror images
+        support = digit_support(p, [digits] * k)
+        op = MaskedOperator(FourierCore(p ** k, 1), support, support)
+        assert op.core.gram(support, support)[1] is complex
+        dense = dense_norm(op)
+        for seed in range(3):
+            info = masked_norm(op, seed=seed)
+            assert info.converged and abs(info.value - dense) <= 1e-12 * dense, seed
+
+    def test_symmetric_families_match_dense_over_forty_seeds(self):
+        families = []
+        for n, k in ((1, 6), (2, 3)):
+            N = 3 ** k
+            cantor = cantor_mask(k, n)
+            thick = thicken_mask(cantor, round(N ** 0.1), n)
+            families += [(FourierCore(N, n), np.flatnonzero(m), np.flatnonzero(m))
+                         for m in (cantor, thick)]
+        for core, rows, cols in families:
+            assert core.gram(rows, cols)[1] is float
+            dense = dense_norm(MaskedOperator(core, rows, cols))
+            for seed in range(40):
+                info = masked_norm(MaskedOperator(core, rows, cols), seed=seed)
+                assert info.converged, (core, seed)
+                assert abs(info.value - dense) <= 1e-12 * dense, (core, seed)
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_unequal_supports_above_the_dense_limit(self, monkeypatch, k):
+        # masked_norm cross-checks nothing at these sizes, so dense_norm is called
+        # here; both orientations, on the pruned plan and on the real FFT
+        N = 3 ** k
+        core = FourierCore(N, 1)
+        assert core.size > fup_numerics._DENSE_LIMIT
+        cantor = np.flatnonzero(cantor_mask(k))
+        pairs = {"digits": (cantor, digit_support(3, [(0, 1, 2)] * 2 + [(0, 2)] * (k - 2))),
+                 "thickened": (cantor, np.flatnonzero(thicken_mask(cantor_mask(k), 1, 1)))}
+        for name, (small, large) in pairs.items():
+            # the DFT matrix is symmetric, so both orientations have this norm
+            dense = dense_norm(MaskedOperator(core, small, large))
+            for path in ("pruned", "fft"):
+                monkeypatch.setattr(fup_numerics, "_fft_work",
+                                    lambda size: math.inf if path == "pruned" else 0.0)
+                for rows, cols in ((small, large), (large, small)):
+                    assert core.gram(rows, cols)[1] is float
+                    info = masked_norm(MaskedOperator(core, rows, cols), seed=k)
+                    assert info.converged and info.dense_value is None
+                    assert abs(info.value - dense) <= 1e-12 * dense, (name, path, rows.size)
 
 
 class TestArcCantorMask:
