@@ -9,16 +9,20 @@ unitarity and the single-column norm are exact and serve as hard anchors.
 A masked operator is a core and two supports: strictly increasing flat
 indices of the output cells (``rows``) and the input cells (``cols``).  Every
 core answers the same protocol: its ambient ``size``, the dense block
-``submatrix(rows, cols)``, the maps ``restricted(rows, cols)`` of that block
-and the product ``gram(rows, cols)`` of its Gram matrix on the smaller side.
-A norm is the square root of the top eigenvalue of that Gram operator,
-computed matrix-free by ARPACK Lanczos (scipy's ``eigsh``): complex in
-general, real for the DFT when the larger support is its own mirror image
-about an integer point; on small problems the dense norm of the block,
-from the same Gram matrix formed densely, must agree to 1e-10 (relative) and
-runs automatically.  The DFT core runs a pruned Cooley-Tukey plan on the
-supports of N = p^k whose base-p digit tuples form a product over the k
-levels (every full-depth Cantor family of prime base, and
+``submatrix(rows, cols)``, the maps ``restricted(rows, cols)`` of that block,
+the product ``gram(rows, cols)`` of its Gram matrix on the smaller side and
+that Gram matrix formed densely, ``gram_matrix(rows, cols)``.  A norm is the
+square root of the top eigenvalue of the Gram operator, computed matrix-free
+by ARPACK Lanczos (scipy's ``eigsh``): complex in general, real for the DFT
+when the larger support is its own mirror image about an integer point.  On
+small problems the dense norm, from the top eigenvalue of ``gram_matrix``,
+must agree to 1e-10 (relative) and runs automatically; for the DFT that
+matrix is real on the same mirror-symmetric supports (on a side of at least
+3 points) and is built from the DFT's entries at integer phases, never from
+an FFT or the pruned plan, so the two routes share nothing but the mirror
+test.  The DFT core runs a pruned
+Cooley-Tukey plan on the supports of N = p^k whose base-p digit tuples form a
+product over the k levels (every full-depth Cantor family of prime base, and
 joint-digit sets that are no per-axis product), whose products never touch
 the ambient grid, whenever that is estimated cheaper than an FFT of the whole
 grid; other supports scatter into a reused buffer, FFT and gather, the FFT
@@ -85,7 +89,8 @@ __all__ = [
 
 
 class _Core:
-    """The Gram product that every core answers from its restricted maps."""
+    """The Gram product and the dense Gram matrix that every core answers
+    from its restricted maps and its block."""
 
     def gram(self, rows: np.ndarray, cols: np.ndarray):
         """(product, dtype) of the Gram operator of the |rows| x |cols| block A
@@ -95,6 +100,13 @@ class _Core:
         if rows.size >= cols.size:
             return (lambda x: adjoint(apply(x))), complex
         return (lambda y: apply(adjoint(y))), complex
+
+    def gram_matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The Gram matrix of the block B = submatrix(rows, cols) on its smaller
+        side, formed densely: B B* on rows when |rows| <= |cols|, else B* B on
+        cols; here from the block, complex."""
+        block = self.submatrix(rows, cols)
+        return block @ block.conj().T if rows.size <= cols.size else block.conj().T @ block
 
 
 @dataclass(frozen=True)
@@ -131,11 +143,25 @@ class FourierCore(_Core):
         from scipy.fft import ifft
         return self._by_axis(ifft, u, self.n / 2)
 
+    def _roots(self, phase: np.ndarray) -> np.ndarray:
+        """The DFT entries e(-j/N) N^(-n/2) at the integer phases j in [0, N)
+        of ``phase``: gathered from a table of the N of them when the phases
+        outnumber them, else computed at each phase, bit for bit the same."""
+        if phase.size <= self.N:
+            return np.exp(-2j * np.pi * phase / self.N) * self.N ** (-self.n / 2)
+        return self._roots(np.arange(self.N))[phase]
+
+    def _phases(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The integer phases <a, b> mod N of the coordinate rows a of ``left``
+        and b of ``right``, a (|left|, |right|) array."""
+        phase = left @ right.T
+        return np.remainder(phase, self.N, out=phase)
+
+    def _coords(self, support: np.ndarray) -> np.ndarray:
+        return np.stack(np.unravel_index(support, (self.N,) * self.n), axis=1)
+
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        a = np.stack(np.unravel_index(rows, (self.N,) * self.n), axis=1)
-        b = np.stack(np.unravel_index(cols, (self.N,) * self.n), axis=1)
-        phase = (a @ b.T) % self.N
-        return np.exp(-2j * np.pi * phase / self.N) * self.N ** (-self.n / 2)
+        return self._roots(self._phases(self._coords(rows), self._coords(cols)))
 
     def restricted(self, rows: np.ndarray, cols: np.ndarray):
         """(matvec, rmatvec) of the |rows| x |cols| block of the DFT.
@@ -202,6 +228,29 @@ class FourierCore(_Core):
             spec *= half
             return irfftn(spec, s=shape, overwrite_x=True).reshape(-1)[t]
         return product, float
+
+    def gram_matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The Gram matrix on the smaller side T (rows when |rows| <= |cols|),
+        formed densely; real when T has at least 3 points and the other
+        support S is mirror-symmetric.
+
+        When S = 2c - S for an integer point c (see :meth:`gram`) this is the
+        real symmetric K(x, y) = N^-n sum_{a in S - c} cos(2 pi <a, x - y>/N)
+        on T, which has the eigenvalues of the Gram matrix, formed as M^T M:
+        M stacks the rows cos and sin of 2 pi <a, x>/N over a in S - c, the
+        real and imaginary parts of the DFT's entries at the integer phases
+        <a, x> mod N.  Other supports take the complex Gram of the block, and
+        so does a T of 1 or 2 points: there the top eigenvalue is no
+        cross-check but the norm that :func:`masked_norm` returns (ARPACK
+        cannot take such sides), and the block's Gram keeps its last bits.
+        """
+        t, s = (rows, cols) if rows.size <= cols.size else (cols, rows)
+        centre = _mirror_centre(s, (self.N,) * self.n) if t.size >= 3 else None
+        if centre is None:
+            return super().gram_matrix(rows, cols)
+        e = self._roots(self._phases(self._coords(s) - centre, self._coords(t)))
+        m = np.concatenate([e.real, e.imag])
+        return m.T @ m
 
 
 # The cost rule of FourierCore.restricted counts work in complex multiply-adds
@@ -503,16 +552,21 @@ _DENSE_LIMIT = 4096
 def dense_norm(op: MaskedOperator) -> float:
     """Largest singular value of the block on the supports (exact operator norm).
 
-    It is the square root of the largest eigenvalue of the smaller Gram
-    matrix, B B* or B* B, which costs less than the singular values of B.
+    It is the square root of the largest eigenvalue of the dense Gram matrix
+    on the smaller side, ``op.core.gram_matrix(op.rows, op.cols)``, which
+    costs less than the singular values of the block.  A complex Gram matrix
+    takes LAPACK's subset driver for its top eigenvalue alone; a real one
+    takes every eigenvalue (``eigvalsh``), since the subset drivers raise on
+    some real ones (near-identity matrices of full masks).
     """
     if op.rows.size == 0 or op.cols.size == 0:
         return 0.0
-    from scipy.linalg import eigh
-
-    block = op.core.submatrix(op.rows, op.cols)
-    gram = block @ block.conj().T if block.shape[0] <= block.shape[1] else block.conj().T @ block
-    top = eigh(gram, eigvals_only=True, subset_by_index=[gram.shape[0] - 1] * 2)[0]
+    gram = op.core.gram_matrix(op.rows, op.cols)
+    if np.iscomplexobj(gram):
+        from scipy.linalg import eigh
+        top = eigh(gram, eigvals_only=True, subset_by_index=[gram.shape[0] - 1] * 2)[0]
+    else:
+        top = np.linalg.eigvalsh(gram)[-1]
     return math.sqrt(max(float(top), 0.0))
 
 
@@ -527,8 +581,9 @@ def masked_norm(op: MaskedOperator, seed: int = 0) -> NormInfo:
     which ARPACK cannot take, and operators that vanish on the supports go to
     :func:`dense_norm`.  When Lanczos does not converge the value is NaN and
     ``converged`` is False.  When the ambient size is at most ``_DENSE_LIMIT``
-    the dense value (:func:`dense_norm`, from the Gram matrix of the block) is
-    computed as well and a relative disagreement beyond 1e-10 raises.
+    the dense value (:func:`dense_norm`, from ``op.core.gram_matrix``, formed
+    without ``op.core.gram``) is computed as well and a relative disagreement
+    beyond 1e-10 raises ``ArithmeticError``.
     """
     rows, cols = op.rows, op.cols
     side = min(rows.size, cols.size)

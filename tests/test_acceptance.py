@@ -64,10 +64,14 @@ from fuplab.word_combinatorics import bound_check, count_uncontrolled, split_XY
 from fuplab.lab_cli import main as cli_main, rerun_manifest
 
 
-def report(num, name, elapsed, budget=None):
+def report(num, name, elapsed, budget=None, own=None):
+    """Print the pass line: wall time, then the budget; ``own`` is the thread
+    time of a criterion whose budget is on that clock."""
     line = f"ACCEPTANCE {num} {name}: PASS ({elapsed:.2f}s"
+    if own is not None:
+        line += f", thread time {own:.2f}s"
     if budget is not None:
-        line += f" < {budget:.0f}s"
+        line += f" < {budget:g}s"
     print(line + ")")
 
 
@@ -120,7 +124,7 @@ def test_criterion_1_commutator_table():
 
 
 def test_criterion_2_flow_compatibility():
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.thread_time()
     rng = np.random.default_rng(1001)
     x_gen = generator("X", n=3)
     for _ in range(500):
@@ -140,9 +144,12 @@ def test_criterion_2_flow_compatibility():
             lhs = expm(s * u.matrix) @ expm(-t * x_gen.matrix)
             rhs = expm(-t * x_gen.matrix) @ expm(s * math.exp(sign * t) * u.matrix)
             assert np.max(np.abs(lhs - rhs)) <= 1e-8
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 5.0
-    report(2, "flow compatibility and horocyclic commutation", elapsed, 5)
+    # The budget is on this thread's CPU time, which waiting for a core does
+    # not advance: a loaded machine cannot fail it, and the work made 50
+    # times slower (4.5 to 10 s of it, by machine) does.
+    elapsed, own = time.perf_counter() - t0, time.thread_time() - c0
+    assert own < 1.5
+    report(2, "flow compatibility and horocyclic commutation", elapsed, 1.5, own)
 
 
 def test_criterion_3_expansion_rates():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from fuplab.fup_numerics import (
@@ -564,6 +565,149 @@ class TestGram:
                     info = masked_norm(MaskedOperator(core, rows, cols), seed=k)
                     assert info.converged and info.dense_value is None
                     assert abs(info.value - dense) <= 1e-12 * dense, (name, path, rows.size)
+
+
+def exp_block(core, rows, cols):
+    """The DFT block from np.exp of every phase, the reference for the table."""
+    shape = (core.N,) * core.n
+    a = np.stack(np.unravel_index(rows, shape), axis=1)
+    b = np.stack(np.unravel_index(cols, shape), axis=1)
+    return np.exp(-2j * np.pi * ((a @ b.T) % core.N) / core.N) * core.N ** (-core.n / 2)
+
+
+def exp_gram(core, rows, cols):
+    """The complex Gram matrix of exp_block on the smaller side: B B* on rows
+    when |rows| <= |cols|, else B* B on cols."""
+    block = exp_block(core, rows, cols)
+    return block @ block.conj().T if rows.size <= cols.size else block.conj().T @ block
+
+
+def exp_dense_norm(core, rows, cols):
+    """The dense norm of exp_gram by LAPACK's subset driver."""
+    gram = exp_gram(core, rows, cols)
+    top = scipy.linalg.eigh(gram, eigvals_only=True, subset_by_index=[gram.shape[0] - 1] * 2)[0]
+    return math.sqrt(max(float(top), 0.0))
+
+
+def dense_pairs():
+    """symmetric_pairs (both orientations) plus full masks, whose real Gram
+    matrix is the identity."""
+    pairs = symmetric_pairs()
+    for N, n in ((27, 1), (81, 1), (9, 2)):
+        full = np.arange(N ** n)
+        pairs.append((f"full {N}^{n}", FourierCore(N, n), full, full))
+    return pairs
+
+
+class TestGramMatrix:
+    """The dense Gram matrix of the cross-check, against the block of np.exp."""
+
+    @pytest.mark.parametrize("N, n", [(27, 1), (2187, 1), (3125, 1), (4096, 1), (27, 2),
+                                      (64, 2), (9, 3), (16, 3)])
+    def test_table_built_submatrix_is_the_exp_formula_bit_for_bit(self, N, n):
+        rng = np.random.default_rng(N + n)
+        core = FourierCore(N, n)
+        for count in (1, 7, min(core.size, 300)):
+            rows = np.sort(rng.choice(core.size, count, replace=False))
+            cols = np.sort(rng.choice(core.size, min(core.size, 250), replace=False))
+            assert np.array_equal(core.submatrix(rows, cols), exp_block(core, rows, cols))
+
+    def test_real_gram_matrix_is_the_phased_gram_of_the_block(self):
+        for label, core, rows, cols in dense_pairs():
+            t, s, sign = (rows, cols, -1) if rows.size <= cols.size else (cols, rows, 1)
+            shape = (core.N,) * core.n
+            centre = fup_numerics._mirror_centre(s, shape)
+            assert centre is not None, label
+            k = core.gram_matrix(rows, cols)
+            assert k.dtype == np.float64 and k.shape == (t.size, t.size), label
+            phase = (np.stack(np.unravel_index(t, shape), axis=1) @ centre) % core.N
+            d = np.exp(sign * 2j * np.pi * phase / core.N)
+            want = d.conj()[:, None] * exp_gram(core, rows, cols) * d[None, :]
+            assert np.max(np.abs(want.imag)) <= 1e-13, label
+            assert np.max(np.abs(k - want.real)) <= 1e-13, label
+            if label.startswith("full"):
+                assert np.max(np.abs(k - np.eye(t.size))) <= 1e-13, label
+                assert abs(dense_norm(MaskedOperator(core, rows, cols)) - 1.0) <= 1e-14, label
+
+    @pytest.mark.parametrize("p, k, digits", [(4, 2, (0, 3)), (4, 3, (0, 3)), (4, 5, (0, 3)),
+                                              (5, 3, (0, 1, 3)), (5, 4, (0, 1, 3))])
+    def test_half_integer_centres_and_asymmetric_sets_take_the_complex_gram(self, p, k, digits):
+        support = digit_support(p, [digits] * k)
+        wider = digit_support(p, [digits] * (k - 1) + [range(p)])
+        core = FourierCore(p ** k, 1)
+        for rows, cols in ((support, support), (support, wider), (wider, support)):
+            assert np.iscomplexobj(core.gram_matrix(rows, cols))
+            assert dense_norm(MaskedOperator(core, rows, cols)) == exp_dense_norm(core, rows, cols)
+
+
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    def test_sides_below_3_take_the_complex_gram(self, k):
+        # there dense_norm gives the norm that masked_norm returns, no cross-check
+        core = FourierCore(3 ** k, 1)
+        cantor = np.flatnonzero(cantor_mask(k))
+        for rows, cols in ((cantor, cantor[:1]), (cantor, cantor[-1:]), (cantor[-2:], cantor),
+                           (cantor[:2], cantor[:2])):
+            assert np.iscomplexobj(core.gram_matrix(rows, cols))
+            value = dense_norm(MaskedOperator(core, rows, cols))
+            assert value == exp_dense_norm(core, rows, cols)
+            assert masked_norm(MaskedOperator(core, rows, cols)).value == value
+
+
+def gram_with_a_shifted_spectrum(core, rows, cols):
+    """FourierCore.gram's real FFT product with its spectrum moved by one cell."""
+    from scipy.fft import irfftn, rfftn
+    t, s = (cols, rows) if rows.size >= cols.size else (rows, cols)
+    shape = (core.N,) * core.n
+    centre = fup_numerics._mirror_centre(s, shape)
+    spectrum = np.zeros(shape, dtype=bool)
+    spectrum[tuple((np.stack(np.unravel_index(s, shape)) - centre[:, None] + 1) % core.N)] = True
+    half = spectrum[..., :core.N // 2 + 1].astype(np.float64)
+
+    def product(g):
+        u = np.zeros(core.size)
+        u[t] = g
+        return irfftn(rfftn(u.reshape(shape)) * half, s=shape).reshape(-1)[t]
+    return product, float
+
+
+def gram_matrix_without_sin_rows(core, rows, cols):
+    """FourierCore.gram_matrix's real K from the cos rows of M alone."""
+    t, s = (rows, cols) if rows.size <= cols.size else (cols, rows)
+    shape = (core.N,) * core.n
+    centre = fup_numerics._mirror_centre(s, shape)
+    a = np.stack(np.unravel_index(s, shape), axis=1) - centre
+    x = np.stack(np.unravel_index(t, shape), axis=1)
+    m = np.cos(2 * np.pi * ((a @ x.T) % core.N) / core.N) * core.N ** (-core.n / 2)
+    return m.T @ m
+
+
+def gram_matrix_without_a_conjugate(core, rows, cols):
+    """The complex Gram matrix of the block with B^T in place of B*."""
+    block = core.submatrix(rows, cols)
+    return block @ block.T if rows.size <= cols.size else block.T @ block
+
+
+class TestCrossCheckFails:
+    """Each route's cross-check raises on a broken copy of the other's Gram."""
+
+    @pytest.mark.parametrize("base, kept, N, method, broken", [
+        (3, (0, 2), 729, "gram", gram_with_a_shifted_spectrum),
+        (3, (0, 2), 2187, "gram_matrix", gram_matrix_without_sin_rows),
+        (5, (0, 1, 3), 625, "gram_matrix", gram_matrix_without_a_conjugate),
+    ], ids=["shifted-spectrum", "no-sin-rows", "no-conjugate"])
+    def test_a_broken_gram_raises_at_a_thickened_point(self, monkeypatch, base, kept, N, method,
+                                                      broken):
+        cfg = FupConfig(core="fourier", n=1, ladder=(N,), cantor_base=base, cantor_kept=kept,
+                        rho=0.9)
+        op = fup_numerics._grid_operator(cfg, N)
+        assert op.size <= fup_numerics._DENSE_LIMIT
+        real = fup_numerics._mirror_centre(op.cols, (N,)) is not None
+        assert real == (base == 3)
+        info = masked_norm(op)
+        assert info.converged and info.dense_value is not None
+        monkeypatch.setattr(FourierCore, method, broken)
+        with pytest.raises(ArithmeticError, match="disagrees with dense norm"):
+            masked_norm(op)
 
 
 class TestArcCantorMask:
