@@ -9,29 +9,28 @@ unitarity and the single-column norm are exact and serve as hard anchors.
 A masked operator is a core and two supports: strictly increasing flat
 indices of the output cells (``rows``) and the input cells (``cols``).  Every
 core answers the same protocol: its ambient ``size``, the dense block
-``submatrix(rows, cols)``, the maps ``restricted(rows, cols)`` of that block,
-the product ``gram(rows, cols)`` of its Gram matrix on the smaller side and
-that Gram matrix formed densely, ``gram_matrix(rows, cols)``.  A norm is the
+``submatrix(rows, cols)``, the product ``gram(rows, cols)`` of the block's
+Gram matrix on the smaller side, the only product that norms take, and that
+Gram matrix formed densely, ``gram_matrix(rows, cols)``.  A norm is the
 square root of the top eigenvalue of the Gram operator, computed matrix-free
 by ARPACK Lanczos (scipy's ``eigsh``): complex in general, real for the DFT
 when the larger support is its own mirror image about an integer point.  On
 small problems the dense norm, from the top eigenvalue of ``gram_matrix``,
 must agree to 1e-10 (relative) and runs automatically; for the DFT that
-matrix is real on the same mirror-symmetric supports (on a side of at least
-3 points) and is built from the DFT's entries at integer phases, never from
-an FFT or the pruned plan, so the two routes share nothing but the mirror
-test.  The DFT core runs a pruned
-Cooley-Tukey plan on the supports of N = p^k whose base-p digit tuples form a
-product over the k levels (every full-depth Cantor family of prime base, and
-joint-digit sets that are no per-axis product), whose products never touch
-the ambient grid, whenever that is estimated cheaper than an FFT of the whole
-grid; other supports scatter into a reused buffer, FFT and gather, the FFT
-being scipy's, one axis at a time, which equals numpy's ``fftn`` bit for bit.
-The quadrature cores multiply by their block.  The log-phase kernel depends
-on the chord |y - y'| alone, and on evenly spaced circle nodes the chord
-depends on the index difference alone, so there its block is gathered from
-one row of J entries.  Power-law exponents are fitted by least squares in
-log-log coordinates with the residual always reported.
+matrix is real on the same mirror-symmetric supports (on a side of at least 3
+points) and is built from the DFT's entries at integer phases, never from an
+FFT or the pruned plan, so the two routes share nothing but the mirror test.
+The DFT core runs a pruned Cooley-Tukey plan on the supports of N = p^k whose
+base-p digit tuples form a product over the k levels (every full-depth Cantor
+family of prime base, and joint-digit sets that are no per-axis product),
+whose products never touch the ambient grid, whenever that is estimated
+cheaper than an FFT of the whole grid; on other supports a Gram product is
+one spectral convolution, an FFT of the ambient grid and its inverse.  The
+quadrature cores multiply by their block and its adjoint.  The log-phase
+kernel depends on the chord |y - y'| alone, and on evenly spaced circle nodes
+the chord depends on the index difference alone, so there its block is
+gathered from one row of J entries.  Power-law exponents are fitted by least
+squares in log-log coordinates with the residual always reported.
 
 ``FupConfig`` runs two cores: ``fourier`` (the unitary DFT on the cube grid)
 and ``log_phase`` (the logarithmic-phase kernel on circle grids).
@@ -90,16 +89,17 @@ __all__ = [
 
 class _Core:
     """The Gram product and the dense Gram matrix that every core answers
-    from its restricted maps and its block."""
+    from its block."""
 
     def gram(self, rows: np.ndarray, cols: np.ndarray):
         """(product, dtype) of the Gram operator of the |rows| x |cols| block A
         on its smaller side: A^H A on cols when |rows| >= |cols|, else A A^H
-        on rows; here adjoint after apply (or the reverse), complex."""
-        apply, adjoint = self.restricted(rows, cols)
+        on rows; here the block and its adjoint, formed once, complex."""
+        block = self.submatrix(rows, cols)
+        adjoint = block.conj().T
         if rows.size >= cols.size:
-            return (lambda x: adjoint(apply(x))), complex
-        return (lambda y: apply(adjoint(y))), complex
+            return (lambda x: adjoint @ (block @ x)), complex
+        return (lambda y: block @ (adjoint @ y)), complex
 
     def gram_matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The Gram matrix of the block B = submatrix(rows, cols) on its smaller
@@ -120,28 +120,14 @@ class FourierCore(_Core):
     def size(self) -> int:
         return self.N ** self.n
 
-    def _by_axis(self, transform, u: np.ndarray, power: float) -> np.ndarray:
-        """``transform`` (scipy's 1-D fft or ifft) of u on the grid along each
-        axis, the last axis first, times N^power.
-
-        numpy's fftn and ifftn run these 1-D transforms in this order, so the
-        result is theirs bit for bit, and scipy's pocketfft takes less per
-        call.  scipy.fft.fftn orders its work otherwise and differs from
-        numpy in the last bits in 2-D.
-        """
-        u = u.reshape((self.N,) * self.n)
-        for axis in range(self.n - 1, -1, -1):
-            u = transform(u, axis=axis)
-        return (u * self.N ** power).reshape(-1)
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         # imported on first use: nothing else loads scipy.fft, which takes about 13 ms
-        from scipy.fft import fft
-        return self._by_axis(fft, u, -self.n / 2)
+        from scipy.fft import fftn
+        return fftn(u.reshape((self.N,) * self.n), norm="ortho").reshape(-1)
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
-        from scipy.fft import ifft
-        return self._by_axis(ifft, u, self.n / 2)
+        from scipy.fft import ifftn
+        return ifftn(u.reshape((self.N,) * self.n), norm="ortho").reshape(-1)
 
     def _roots(self, phase: np.ndarray) -> np.ndarray:
         """The DFT entries e(-j/N) N^(-n/2) at the integer phases j in [0, N)
@@ -163,71 +149,53 @@ class FourierCore(_Core):
     def submatrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self._roots(self._phases(self._coords(rows), self._coords(cols)))
 
-    def restricted(self, rows: np.ndarray, cols: np.ndarray):
-        """(matvec, rmatvec) of the |rows| x |cols| block of the DFT.
-
-        When N = p^k for a prime p, each support is the product over the k
-        levels of its sets of base-p digit tuples (see :class:`_PrunedDft`),
-        and the pruned stages are estimated cheaper than the ambient FFT, the
-        products never leave the supports; otherwise they scatter, FFT and
-        gather.
-        """
-        plan = self._plan(rows, cols)
-        if plan is not None:
-            return plan.apply, plan.adjoint
-
-        def mapping(transform, src, dst):
-            """x -> transform(x scattered to src)[dst]; every product writes x
-            to the same cells of one zeroed buffer."""
-            u = np.zeros(self.size, dtype=complex)
-
-            def product(x):
-                u[src] = x
-                return transform(u)[dst]
-            return product
-
-        return mapping(self.apply, cols, rows), mapping(self.adjoint, rows, cols)
-
-    def _plan(self, rows: np.ndarray, cols: np.ndarray):
-        """The pruned plan where the cost rule (below) takes it, else None."""
-        return _PrunedDft.build(self, rows, cols, budget=_fft_work(self.size))
-
     def gram(self, rows: np.ndarray, cols: np.ndarray):
         """(product, dtype) of the Gram operator on the smaller side T; real
         when the other, summed support S is mirror-symmetric.
+
+        On the pruned plan (see :class:`_PrunedDft` and the cost rule below) a
+        product never leaves the supports: adjoint after apply, or the reverse.
+        Otherwise it is one spectral convolution: scatter onto T, FFT, multiply
+        by the indicator of S (of -S when T = rows: F 1_S F* = F* 1_(-S) F),
+        inverse FFT, gather on T.
 
         Suppose S = 2c - S for an integer point c (per axis, c is the middle
         of the extremes of S).  Then the Gram matrix is D K D*
         with D = diag e(+-<c, x>/N) on T (+ when T = cols, - when T = rows)
         and K(x, y) = N^-n sum_{a in S} cos(2 pi <a - c, x - y>/N), real
-        symmetric with the same top eigenvalue; this returns K.  On the
-        pruned plan K g = Re(D* G (D g)); otherwise K g is the real
-        convolution irfftn(rfftn(g on T) 1_{S - c}), gathered on T, one real
-        transform pair per product.  Other supports keep the complex Gram.
+        symmetric with the same top eigenvalue; this returns K: on the pruned
+        plan K g = Re(D* G (D g)), otherwise the real convolution of g with
+        1_{S - c}, one rfftn/irfftn pair.  Other supports keep the complex Gram.
         """
         t, s, sign = (cols, rows, 1) if rows.size >= cols.size else (rows, cols, -1)
         shape = (self.N,) * self.n
         centre = _mirror_centre(s, shape)
-        if centre is None:
-            return super().gram(rows, cols)
-        plan = self._plan(rows, cols)
+        plan = _PrunedDft.build(self, rows, cols, budget=_fft_work(self.size))
         if plan is not None:
-            phase = (np.stack(np.unravel_index(t, shape), axis=1) @ centre) % self.N
-            d = np.exp(sign * 2j * np.pi * phase / self.N)
             inner, outer = (plan.apply, plan.adjoint) if sign > 0 else (plan.adjoint, plan.apply)
+            if centre is None:
+                return (lambda g: outer(inner(g))), complex
+            d = np.exp(sign * 2j * np.pi * ((self._coords(t) @ centre) % self.N) / self.N)
             return (lambda g: (d.conj() * outer(inner(d * g))).real), float
-        from scipy.fft import irfftn, rfftn
+        from scipy.fft import fftn, ifftn, irfftn, rfftn
+        at = np.stack(np.unravel_index(s, shape))
         spectrum = np.zeros(shape, dtype=bool)
-        spectrum[tuple(((np.stack(np.unravel_index(s, shape)) - centre[:, None]) % self.N))] = True
-        half = spectrum[..., :self.N // 2 + 1].astype(np.float64)
-        u = np.zeros(self.size)
+        if centre is None:
+            spectrum[tuple(sign * at % self.N)] = True
+            forward, inverse, dtype = fftn, ifftn, complex
+        else:
+            spectrum[tuple((at - centre[:, None]) % self.N)] = True
+            spectrum = spectrum[..., :self.N // 2 + 1]
+            forward, inverse, dtype = rfftn, irfftn, float
+        spectrum = spectrum.astype(np.float64)
+        u = np.zeros(self.size, dtype=dtype)
 
         def product(g):
             u[t] = g
-            spec = rfftn(u.reshape(shape))
-            spec *= half
-            return irfftn(spec, s=shape, overwrite_x=True).reshape(-1)[t]
-        return product, float
+            spec = forward(u.reshape(shape))
+            spec *= spectrum
+            return inverse(spec, s=shape, overwrite_x=True).reshape(-1)[t]
+        return product, dtype
 
     def gram_matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The Gram matrix on the smaller side T (rows when |rows| <= |cols|),
@@ -253,13 +221,14 @@ class FourierCore(_Core):
         return m.T @ m
 
 
-# The cost rule of FourierCore.restricted counts work in complex multiply-adds
-# on contiguous arrays.  An FFT of size S with its scatter and gather costs
-# about S log2(S) of them; every numpy call of a pruned product (three per
-# stage, plus the scatter into level order and the gather out of it) is
-# charged _CALL_WORK, about twice its measured overhead, so that the pruned
-# path is taken only where it wins clearly (on the Cantor masks of digits
-# {0, 2} in base 3: from 3^9 cells in one dimension and 81^2 in two).
+# The cost rule by which FourierCore.gram takes the pruned plan counts work in
+# complex multiply-adds on contiguous arrays.  An FFT of size S with its
+# scatter and gather costs about S log2(S) of them; every numpy call of a
+# pruned product (three per stage, plus the scatter into level order and the
+# gather out of it) is charged _CALL_WORK, about twice its measured overhead,
+# so that the pruned path is taken only where it wins clearly (on the Cantor
+# masks of digits {0, 2} in base 3: from 3^9 cells in one dimension and 81^2
+# in two).
 _CALL_WORK = 4000
 
 
@@ -408,18 +377,8 @@ class _PrunedDft:
         return self._run(self.backward, self.row_position, self.col_position, y)
 
 
-class _BlockCore(_Core):
-    """Restricted products of a quadrature core: multiply by its block."""
-
-    def restricted(self, rows: np.ndarray, cols: np.ndarray):
-        """(matvec, rmatvec) of ``submatrix(rows, cols)``; the adjoint is formed once."""
-        block = self.submatrix(rows, cols)
-        adjoint = block.conj().T
-        return (lambda x: block @ x), (lambda y: adjoint @ y)
-
-
 @dataclass(frozen=True)
-class KernelCore(_BlockCore):
+class KernelCore(_Core):
     """Dense quadrature kernel; apply is a matrix product."""
 
     matrix: np.ndarray
@@ -439,7 +398,7 @@ class KernelCore(_BlockCore):
 
 
 @dataclass(frozen=True)
-class SubmatrixKernelCore(_BlockCore):
+class SubmatrixKernelCore(_Core):
     """Kernel stored only on its supports: rows x cols block of a large grid.
 
     Lets masked sphere kernels on fine grids stay small: porous supports keep a
@@ -1051,6 +1010,11 @@ class FupConfig:
         if self.core == "log_phase":
             for key in ("arc_minus", "arc_plus"):
                 _check_arc(getattr(self, key), key)
+            # chords are at most 2, so a cutoff past 2 vanishes on every pair
+            if not (math.isfinite(self.chi_width) and self.chi_width > 0.0):
+                raise ValueError(f"chi_width must be a finite number > 0, got {self.chi_width!r}")
+            if not 0.0 <= self.chi_gap < 2.0:
+                raise ValueError(f"chi_gap must lie in [0, 2), got {self.chi_gap!r}")
         for key in ("set_minus", "set_plus"):
             explicit = getattr(self, key)
             if explicit is not None and explicit.n != self.n:

@@ -203,6 +203,13 @@ def _json_int(value, name: str) -> int:
     return value
 
 
+def _json_number(value, name: str):
+    """A number field of a JSON file; a boolean, string or null is refused, not cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {json.dumps(value)}")
+    return value
+
+
 def _cantor_set(decl: dict, n: int) -> BoxSet:
     """The n-dimensional Cantor set of a declaration's base, kept_digits and depth."""
     spec = CantorSpec.uniform(_json_int(decl["base"], "base"),
@@ -461,11 +468,15 @@ def _config_from_json(path: str) -> tuple[FupConfig, dict]:
     for key in ("n", "cantor_base", "seed"):
         if key in parsed:
             _json_int(parsed[key], key)
-    if "w_list" in parsed:
-        parsed["w_list"] = tuple(float(v) for v in parsed["w_list"])
-    for arc in ("arc_minus", "arc_plus"):
-        if arc in parsed:
-            parsed[arc] = tuple(float(v) for v in parsed[arc])
+    for key in ("chi_gap", "chi_width", "rho"):
+        if key in parsed and not (key == "rho" and parsed[key] is None):   # null: no thickening
+            _json_number(parsed[key], key)
+    for key in ("w_list", "arc_minus", "arc_plus"):
+        if key in parsed:
+            parsed[key] = tuple(float(_json_number(v, key)) for v in parsed[key])
+    if not isinstance(parsed.get("lower_bound_mode", False), bool):
+        raise ValueError("lower_bound_mode must be true or false, got "
+                         f"{json.dumps(parsed['lower_bound_mode'])}")
     for key in ("set_minus", "set_plus"):
         if parsed.get(key) is not None:
             parsed[key] = set_from_spec(parsed[key])

@@ -90,27 +90,30 @@ class TestSemiclassicalDft:
 class TestFourierCoreTransforms:
     @pytest.mark.parametrize("n, sizes", [(1, (2, 3, 27, 60, 243, 1024, 3 ** 9)),
                                           (2, (2, 9, 27, 60, 64, 81)), (3, (3, 9, 16))])
-    def test_apply_and_adjoint_are_numpy_fftn_bit_for_bit(self, n, sizes):
+    def test_apply_and_adjoint_are_numpy_fftn(self, n, sizes):
         rng = np.random.default_rng(59)
         for N in sizes:
             core = FourierCore(N, n)
             u = rng.standard_normal(N ** n) + 1j * rng.standard_normal(N ** n)
             grid = u.reshape((N,) * n)
-            assert np.array_equal(core.apply(u), (np.fft.fftn(grid) * N ** (-n / 2)).reshape(-1))
-            assert np.array_equal(core.adjoint(u), (np.fft.ifftn(grid) * N ** (n / 2)).reshape(-1))
+            for got, want in ((core.apply(u), np.fft.fftn(grid) * N ** (-n / 2)),
+                              (core.adjoint(u), np.fft.ifftn(grid) * N ** (n / 2))):
+                want = want.reshape(-1)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (n, N)
 
-    def test_scattering_maps_give_the_block_on_every_call(self):
-        # N = 60 is no prime power, so the maps scatter into one reused buffer
+    def test_spectral_gram_gives_the_dense_gram_on_every_call(self):
+        # N = 60 is no prime power, so every product scatters into one reused buffer
         core = FourierCore(60, 1)
         rng = np.random.default_rng(58)
-        rows, cols = np.flatnonzero(rng.random(60) < 0.4), np.flatnonzero(rng.random(60) < 0.4)
-        matvec, rmatvec = core.restricted(rows, cols)
-        block = core.submatrix(rows, cols)
-        for _ in range(3):
-            x = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
-            y = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
-            assert np.max(np.abs(matvec(x) - block @ x)) < 1e-13
-            assert np.max(np.abs(rmatvec(y) - block.conj().T @ y)) < 1e-13
+        a, b = np.flatnonzero(rng.random(60) < 0.5), np.flatnonzero(rng.random(60) < 0.3)
+        side = min(a.size, b.size)
+        for rows, cols in ((a, b), (b, a)):
+            product, dtype = core.gram(rows, cols)
+            assert dtype is complex
+            gram = core.gram_matrix(rows, cols)
+            for _ in range(3):
+                g = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+                assert np.max(np.abs(product(g) - gram @ g)) < 1e-13
 
 
 class TestDenseNorm:
@@ -221,16 +224,18 @@ class TestMaskedNorm:
                                            np.flatnonzero(right))).value
             assert b >= a - 1e-10
 
-    def test_adjoint_consistency(self):
+    def test_gram_is_self_adjoint(self):
         core = semiclassical_dft(64, 1)
         rng = np.random.default_rng(65)
         left = rng.random(64) < 0.4
         right = rng.random(64) < 0.4
-        rows, cols = np.flatnonzero(left), np.flatnonzero(right)
-        matvec, rmatvec = core.restricted(rows, cols)
-        u = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
-        v = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
-        assert abs(np.vdot(v, matvec(u)) - np.vdot(rmatvec(v), u)) < 1e-10
+        a, b = np.flatnonzero(left), np.flatnonzero(right)
+        for rows, cols in ((a, b), (b, a)):
+            product, _ = core.gram(rows, cols)
+            side = min(rows.size, cols.size)
+            x = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+            y = rng.standard_normal(side) + 1j * rng.standard_normal(side)
+            assert abs(np.vdot(product(x), y) - np.vdot(x, product(y))) < 1e-10
 
 
 def digit_support(p, digit_sets):
@@ -249,6 +254,18 @@ def product_support(N, axes):
 
 def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def forbid_ambient_fft(monkeypatch):
+    """Make every scipy.fft transform that FourierCore reaches raise, so a product
+    that touches the ambient grid fails (FourierCore imports them at call time)."""
+    import scipy.fft
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("the pruned map must not call the ambient FFT")
+
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(scipy.fft, name, no_fft)
 
 
 def assert_plan_matches_submatrix(core, rows, cols, rng):
@@ -355,12 +372,7 @@ class TestPrunedDft:
     def test_lanczos_on_the_pruned_map_matches_dense(self, monkeypatch):
         # an unbounded FFT cost makes every digit-product support take the pruned map
         monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: math.inf)
-
-        def no_fft(self, u):
-            raise AssertionError("the pruned map must not call the ambient FFT")
-
-        monkeypatch.setattr(FourierCore, "apply", no_fft)
-        monkeypatch.setattr(FourierCore, "adjoint", no_fft)
+        forbid_ambient_fft(monkeypatch)
         for k in range(3, 8):
             rows = np.flatnonzero(cantor_mask(k))
             op = MaskedOperator(FourierCore(3 ** k, 1), rows, rows)
@@ -371,10 +383,12 @@ class TestPrunedDft:
 
     def test_pruned_and_fft_norms_agree(self, monkeypatch):
         pruned = {}
-        for n, k in ((1, 9), (1, 10), (2, 5)):
-            rows = np.flatnonzero(cantor_mask(k, n))
-            op = MaskedOperator(FourierCore(3 ** k, n), rows, rows)
-            pruned[n, k] = masked_norm(op, seed=3)
+        with monkeypatch.context() as patch:
+            forbid_ambient_fft(patch)
+            for n, k in ((1, 9), (1, 10), (2, 5)):
+                rows = np.flatnonzero(cantor_mask(k, n))
+                op = MaskedOperator(FourierCore(3 ** k, n), rows, rows)
+                pruned[n, k] = masked_norm(op, seed=3)
         monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: 0.0)
         for (n, k), fast in pruned.items():
             rows = np.flatnonzero(cantor_mask(k, n))
@@ -383,16 +397,12 @@ class TestPrunedDft:
             assert abs(fast.value - slow.value) <= 1e-12 * slow.value
             assert fast.iters == slow.iters
 
-    def test_cost_rule_keeps_small_points_on_the_fft(self, monkeypatch):
-        calls = []
-        fft = FourierCore.apply
-        monkeypatch.setattr(FourierCore, "apply", lambda self, u: calls.append(1) or fft(self, u))
+    def test_cost_rule_keeps_small_points_on_the_fft(self):
         for n, k, expect_fft in ((1, 8, True), (1, 9, False), (2, 3, True), (2, 4, False)):
             rows = np.flatnonzero(cantor_mask(k, n))
-            matvec, _ = FourierCore(3 ** k, n).restricted(rows, rows)
-            calls.clear()
-            matvec(np.ones(rows.size, dtype=complex))
-            assert bool(calls) is expect_fft, (n, k)
+            core = FourierCore(3 ** k, n)
+            plan = _PrunedDft.build(core, rows, rows, budget=fup_numerics._fft_work(core.size))
+            assert (plan is None) is expect_fft, (n, k)
 
     def test_non_product_supports_decline(self):
         k = 6
@@ -445,12 +455,7 @@ class TestPrunedDft:
 
     def test_lanczos_on_joint_digit_sets_matches_dense(self, monkeypatch):
         monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: math.inf)
-
-        def no_fft(self, u):
-            raise AssertionError("the pruned map must not call the ambient FFT")
-
-        monkeypatch.setattr(FourierCore, "apply", no_fft)
-        monkeypatch.setattr(FourierCore, "adjoint", no_fft)
+        forbid_ambient_fft(monkeypatch)
         rng = np.random.default_rng(78)
         for p, n, k in JOINT_CASES:
             rows = tuple_support(p, n, random_tuple_sets(rng, p, n, k, corner(p, n)))
@@ -463,18 +468,18 @@ class TestPrunedDft:
 
 
 def gram_oracle(core, rows, cols, g):
-    """D* G (D g) from the restricted maps: G = A^H A on cols when |rows| >=
-    |cols|, else A A^H on rows, and D = e(+-<c, x>/N) on that side with c the
-    mirror centre of the other support, 2c = lo + hi per axis."""
+    """D* G (D g) from the block A = submatrix(rows, cols): G = A^H A on cols
+    when |rows| >= |cols|, else A A^H on rows, and D = e(+-<c, x>/N) on that
+    side with c the mirror centre of the other support, 2c = lo + hi per axis."""
     N, shape = core.N, (core.N,) * core.n
     side, other, sign = (cols, rows, 1) if rows.size >= cols.size else (rows, cols, -1)
     at = np.stack(np.unravel_index(other, shape), axis=1)
     centre = (at.min(axis=0) + at.max(axis=0)) // 2
     d = np.exp(sign * 2j * np.pi * ((np.stack(np.unravel_index(side, shape), axis=1) @ centre)
                                     % N) / N)
-    apply, adjoint = core.restricted(rows, cols)
-    gram = (lambda x: adjoint(apply(x))) if sign > 0 else (lambda y: apply(adjoint(y)))
-    return d.conj() * gram(d * g)
+    block = core.submatrix(rows, cols)
+    gram = block.conj().T @ block if sign > 0 else block @ block.conj().T
+    return d.conj() * (gram @ (d * g))
 
 
 def symmetric_pairs():
@@ -502,15 +507,19 @@ class TestGram:
     """The real Gram operator of mirror-symmetric Fourier supports."""
 
     @pytest.mark.parametrize("path", ["pruned", "fft"])
-    def test_real_gram_is_the_phased_gram_of_the_restricted_maps(self, monkeypatch, path):
+    def test_real_gram_is_the_phased_gram_of_the_block(self, monkeypatch, path):
         monkeypatch.setattr(fup_numerics, "_fft_work",
                             lambda size: math.inf if path == "pruned" else 0.0)
         rng = np.random.default_rng(80)
         for label, core, rows, cols in symmetric_pairs():
-            product, dtype = core.gram(rows, cols)
+            with monkeypatch.context() as patch:
+                if path == "pruned" and "thick" not in label:     # thickenings have no plan
+                    forbid_ambient_fft(patch)
+                product, dtype = core.gram(rows, cols)
+                g = rng.standard_normal(min(rows.size, cols.size))
+                got = product(g)
             assert dtype is float, label
-            g = rng.standard_normal(min(rows.size, cols.size))
-            got, want = product(g), gram_oracle(core, rows, cols, g)
+            want = gram_oracle(core, rows, cols, g)
             assert got.dtype == np.float64 and got.shape == g.shape, label
             assert np.max(np.abs(want.imag)) <= 1e-13 * np.max(np.abs(want)), label
             assert rel_err(got, want.real) <= 1e-13, label
@@ -547,7 +556,8 @@ class TestGram:
     @pytest.mark.parametrize("k", [9, 10])
     def test_unequal_supports_above_the_dense_limit(self, monkeypatch, k):
         # masked_norm cross-checks nothing at these sizes, so dense_norm is called
-        # here; both orientations, on the pruned plan and on the real FFT
+        # here; both orientations, on the pruned plan (digit products only) and
+        # on the real FFT
         N = 3 ** k
         core = FourierCore(N, 1)
         assert core.size > fup_numerics._DENSE_LIMIT
@@ -558,13 +568,16 @@ class TestGram:
             # the DFT matrix is symmetric, so both orientations have this norm
             dense = dense_norm(MaskedOperator(core, small, large))
             for path in ("pruned", "fft"):
-                monkeypatch.setattr(fup_numerics, "_fft_work",
-                                    lambda size: math.inf if path == "pruned" else 0.0)
-                for rows, cols in ((small, large), (large, small)):
-                    assert core.gram(rows, cols)[1] is float
-                    info = masked_norm(MaskedOperator(core, rows, cols), seed=k)
-                    assert info.converged and info.dense_value is None
-                    assert abs(info.value - dense) <= 1e-12 * dense, (name, path, rows.size)
+                with monkeypatch.context() as patch:
+                    patch.setattr(fup_numerics, "_fft_work",
+                                  lambda size: math.inf if path == "pruned" else 0.0)
+                    if path == "pruned" and name == "digits":
+                        forbid_ambient_fft(patch)
+                    for rows, cols in ((small, large), (large, small)):
+                        assert core.gram(rows, cols)[1] is float
+                        info = masked_norm(MaskedOperator(core, rows, cols), seed=k)
+                        assert info.converged and info.dense_value is None
+                        assert abs(info.value - dense) <= 1e-12 * dense, (name, path, rows.size)
 
 
 def exp_block(core, rows, cols):
@@ -884,9 +897,11 @@ class TestLogPhaseKernel:
                 core.submatrix(r, c)
 
     def test_kernel_vanishing_on_the_arcs_gives_norm_zero(self):
+        # chords are at most 2, so this cutoff vanishes on every pair; validate
+        # refuses it in a config, and the operator built from it has norm 0
         cfg = FupConfig(core="log_phase", n=1, ladder=(108,), chi_gap=2.0)
-        rows, fits, ok = fup_experiment(cfg)
-        assert ok and rows[0]["converged"] and rows[0]["norm"] == 0.0
+        info = masked_norm(_log_phase_operator(cfg, 1.0, 108))
+        assert info.converged and info.value == 0.0
 
     def test_decay_for_every_energy(self):
         cfg = FupConfig(core="log_phase", n=1, ladder=(108, 324, 972, 2916),
@@ -1234,6 +1249,22 @@ class TestConfigValidation:
     def test_log_phase_arc_that_is_not_an_arc(self, field, arc):
         with pytest.raises(ValueError, match=f"{field} must be two numbers 0 <= lo < hi <= 1"):
             FupConfig(core="log_phase", ladder=(108, 324), **{field: arc}).validate()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("chi_width", -0.3, "chi_width must be a finite number > 0"),
+        ("chi_width", 0.0, "chi_width must be a finite number > 0"),
+        ("chi_width", math.inf, "chi_width must be a finite number > 0"),
+        ("chi_width", math.nan, "chi_width must be a finite number > 0"),
+        ("chi_gap", 2.5, r"chi_gap must lie in \[0, 2\)"),
+        ("chi_gap", 2.0, r"chi_gap must lie in \[0, 2\)"),
+        ("chi_gap", -0.1, r"chi_gap must lie in \[0, 2\)"),
+        ("chi_gap", math.nan, r"chi_gap must lie in \[0, 2\)"),
+    ])
+    def test_log_phase_cutoff_that_vanishes_everywhere_or_divides_by_zero(self, field, value,
+                                                                          message):
+        # chords are at most 2; such cutoffs used to give zero norms and "sanity pass"
+        with pytest.raises(ValueError, match=message):
+            FupConfig(core="log_phase", ladder=(108, 324), **{field: value}).validate()
 
     def test_log_phase_arcs_may_span_the_circle(self):
         FupConfig(core="log_phase", ladder=(108, 324), arc_minus=(0.0, 1.0)).validate()

@@ -968,6 +968,31 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
                                          prefix=f"config error: {field} must be an integer")
 
+    @pytest.mark.parametrize("field, value, prefix", [
+        ("lower_bound_mode", "no", "lower_bound_mode must be true or false"),
+        ("lower_bound_mode", 1, "lower_bound_mode must be true or false"),
+        ("rho", True, "rho must be a number"), ("rho", "0.9", "rho must be a number"),
+        ("w_list", [True], "w_list must be a number"), ("chi_gap", False, "chi_gap must be a number"),
+        ("chi_width", None, "chi_width must be a number"),
+        ("arc_minus", [0.5, True], "arc_minus must be a number"),
+    ])
+    def test_fup_config_field_of_the_wrong_type(self, tmp_path, capsys, field, value, prefix):
+        # "no" used to turn the probe on, true to run rho = 1 and [true] to run w = 1
+        core = "fourier" if field in ("lower_bound_mode", "rho") else "log_phase"
+        cfg = self.input_json(tmp_path, {"core": core, "n": 1, field: value,
+                                         "ladder": [27, 81] if core == "fourier" else [108, 324]})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix=f"config error: {prefix}")
+
+    @pytest.mark.parametrize("field, value", [("chi_width", -0.3), ("chi_width", 0),
+                                              ("chi_gap", 2.5)])
+    def test_log_phase_cutoff_that_cannot_run(self, tmp_path, capsys, field, value):
+        # -0.3 and 2.5 used to write zero norms and print "sanity pass"; 0 divided by zero
+        cfg = self.input_json(tmp_path, {"core": "log_phase", "n": 1, field: value,
+                                         "ladder": [108, 324, 972, 2916]})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix=f"config error: {field} must")
+
     @pytest.mark.parametrize("step", ["1e300", "1e-300"])
     def test_hessian_step_whose_determinant_is_not_finite(self, tmp_path, capsys, step):
         # 1e300 overflows every probe to nan; 1e-300 squared underflows to zero
