@@ -13,13 +13,17 @@ core answers the same protocol: its ambient ``size``, the dense block
 Gram matrix on the smaller side, the only product that norms take, and that
 Gram matrix formed densely, ``gram_matrix(rows, cols)``.  A norm is the
 square root of the top eigenvalue of the Gram operator, computed matrix-free
-by ARPACK Lanczos (scipy's ``eigsh``): complex in general, real for the DFT
-when the larger support is its own mirror image about an integer point.  On
-small problems the dense norm, from the top eigenvalue of ``gram_matrix``,
-must agree to 1e-10 (relative) and runs automatically; for the DFT that
-matrix is real on the same mirror-symmetric supports (on a side of at least 3
-points) and is built from the DFT's entries at integer phases, never from an
-FFT or the pruned plan, so the two routes share nothing but the mirror test.
+by Lanczos: complex in general, real for the DFT when the larger support is
+its own mirror image about an integer point.  Lanczos stops when its top Ritz
+value stops moving (theta_m - theta_(m-4) <= 1e-15 theta_m) or its Krylov
+space is invariant; a run that reaches the cap of ``_M_MAX`` steps reports
+the Ritz value, a lower bound, with ``converged`` False.  On small problems
+the dense norm, from the top eigenvalue of ``gram_matrix``, runs
+automatically: a converged value must agree with it to 1e-10 (relative), an
+unconverged one must not exceed it; for the DFT that matrix is real on the
+same mirror-symmetric supports (on a side of at least 3 points) and is built
+from the DFT's entries at integer phases, never from an FFT or the pruned
+plan, so the two routes share nothing but the mirror test.
 The DFT core runs a pruned Cooley-Tukey plan on the supports of N = p^k whose
 base-p digit tuples form a product over the k levels (every full-depth Cantor
 family of prime base, and joint-digit sets that are no per-axis product),
@@ -209,8 +213,8 @@ class FourierCore(_Core):
         real and imaginary parts of the DFT's entries at the integer phases
         <a, x> mod N.  Other supports take the complex Gram of the block, and
         so does a T of 1 or 2 points: there the top eigenvalue is no
-        cross-check but the norm that :func:`masked_norm` returns (ARPACK
-        cannot take such sides), and the block's Gram keeps its last bits.
+        cross-check but the norm that :func:`masked_norm` returns (such sides
+        skip Lanczos), and the block's Gram keeps its last bits.
         """
         t, s = (rows, cols) if rows.size <= cols.size else (cols, rows)
         centre = _mirror_centre(s, (self.N,) * self.n) if t.size >= 3 else None
@@ -494,8 +498,10 @@ class NormInfo:
     """A masked operator norm with its solver diagnostics.
 
     ``iters`` counts operator products (applies plus adjoints), two for each
-    Gram product that Lanczos takes; ``dense_value`` is the independent dense
-    value when the cross-check ran.
+    Gram product that Lanczos takes.  ``converged`` False means that Lanczos
+    reached its cap of ``_M_MAX`` steps before its stop rule held; ``value``
+    is then the square root of the top Ritz value, a lower bound on the norm.
+    ``dense_value`` is the independent dense value when the cross-check ran.
     """
 
     value: float
@@ -506,6 +512,8 @@ class NormInfo:
 
 # masked_norm cross-checks every operator of at most this ambient size densely
 _DENSE_LIMIT = 4096
+# and keeps at most this many Lanczos vectors
+_M_MAX = 400
 
 
 def dense_norm(op: MaskedOperator) -> float:
@@ -533,53 +541,69 @@ def masked_norm(op: MaskedOperator, seed: int = 0) -> NormInfo:
     """Largest singular value by Lanczos on the Gram operator, with a dense
     cross-check.
 
-    ARPACK Lanczos (``eigsh``, start vector drawn from ``seed``) finds the top
-    eigenvalue of the Gram operator that ``op.core.gram`` gives on the smaller
-    support, complex in general and real on mirror-symmetric Fourier supports;
-    the norm is its square root.  Supports with fewer than 3 rows or columns,
-    which ARPACK cannot take, and operators that vanish on the supports go to
-    :func:`dense_norm`.  When Lanczos does not converge the value is NaN and
-    ``converged`` is False.  When the ambient size is at most ``_DENSE_LIMIT``
-    the dense value (:func:`dense_norm`, from ``op.core.gram_matrix``, formed
-    without ``op.core.gram``) is computed as well and a relative disagreement
-    beyond 1e-10 raises ``ArithmeticError``.
+    Lanczos runs on the Gram operator that ``op.core.gram`` gives on the
+    smaller support, complex in general and real on mirror-symmetric Fourier
+    supports, from a start vector drawn from ``seed``; the norm is the square
+    root of the top Ritz value theta.  It keeps every Krylov vector, at most
+    ``_M_MAX`` of them, and orthogonalises each new one against all of them
+    twice.  Every 4th step it takes theta of the tridiagonal matrix, and it
+    stops when theta_m - theta_(m-4) <= 1e-15 theta_m, or when the Krylov
+    space is invariant (beta_m vanishes, as it does at once on an operator
+    that vanishes on the supports).  A run that reaches the cap returns the
+    square root of theta with ``converged`` False: a Ritz value never exceeds
+    the top eigenvalue, so the value is then a lower bound.  Supports with
+    fewer than 3 rows or columns go to :func:`dense_norm`.  When the ambient
+    size is at most ``_DENSE_LIMIT`` the dense value (:func:`dense_norm`,
+    from ``op.core.gram_matrix``, formed without ``op.core.gram``) is
+    computed as well; a converged value that disagrees with it beyond 1e-10
+    (relative), or an unconverged one above it by more than 1e-12, raises
+    ``ArithmeticError``.
     """
     rows, cols = op.rows, op.cols
     side = min(rows.size, cols.size)
     if side < 3:
         return NormInfo(dense_norm(op), 0, True)
-    # imported here: at module level it adds about 30 ms to importing the CLI
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.linalg.lapack import dstebz
 
     product, dtype = op.core.gram(rows, cols)
-    steps = 0
-
-    def matvec(x):
-        nonlocal steps
-        steps += 1
-        return product(x.ravel())
-
     rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(side)
+    v = rng.standard_normal(side)
     if dtype is complex:
-        v0 = v0 + 1j * rng.standard_normal(side)
-    gram = LinearOperator((side, side), matvec=matvec, dtype=dtype)
-    converged = True
-    try:
-        top = eigsh(gram, k=1, which="LM", tol=0, v0=v0, return_eigenvectors=False)[0]
-        value = math.sqrt(max(float(top), 0.0))
-    except ArpackNoConvergence:
-        value, converged = math.nan, False
-    except ArpackError:
-        # ARPACK finds no start vector when the operator vanishes on the supports
-        value = dense_norm(op)
-    info = NormInfo(value, 2 * steps, converged)
-    if converged and op.size <= _DENSE_LIMIT:
-        info.dense_value = dense_norm(op)
-        if abs(value - info.dense_value) > 1e-10 * info.dense_value:
+        v = v + 1j * rng.standard_normal(side)
+    basis = np.empty((min(_M_MAX, side), side), dtype=dtype)   # untouched rows cost no memory
+    basis[0] = v / np.linalg.norm(v)
+    alpha, beta = np.zeros(len(basis)), np.zeros(len(basis))
+    thetas, converged = [], False
+    for m in range(len(basis)):
+        w = product(basis[m])
+        alpha[m] = np.vdot(basis[m], w).real
+        q = basis[:m + 1]
+        for _ in range(2):
+            w -= (q @ w.conj()).conj() @ q
+        beta[m] = np.linalg.norm(w)
+        # the basis spans an invariant subspace: the whole side, or beta_m is
+        # round-off beside the Rayleigh quotients alpha
+        invariant = m + 1 == side or beta[m] <= 1e-14 * alpha[:m + 1].max()
+        last = invariant or m + 1 == len(basis)
+        if last or (m + 1) % 4 == 0:
+            # the top eigenvalue alone, by bisection; the wrapper wants one
+            # off-diagonal entry even for a 1 x 1 matrix
+            thetas.append(float(dstebz(alpha[:m + 1], beta[:max(m, 1)], 2, 0.0, 0.0, m + 1,
+                                       m + 1, 0.0, "E")[1][0]))
+            converged = invariant or (
+                len(thetas) > 1 and thetas[-1] - thetas[-2] <= 1e-15 * thetas[-1])
+            if converged or last:
+                break
+        basis[m + 1] = w / beta[m]
+    value = math.sqrt(max(thetas[-1], 0.0))
+    info = NormInfo(value, 2 * (m + 1), converged)
+    if op.size <= _DENSE_LIMIT:
+        dense = info.dense_value = dense_norm(op)
+        # a converged value matches the dense one, a Ritz lower bound stays below it
+        if (abs(value - dense) > 1e-10 * dense) if converged else (value - dense > 1e-12 * dense):
             raise ArithmeticError(
-                f"Lanczos norm ({value:.17g}) disagrees with dense norm "
-                f"({info.dense_value:.17g})")
+                f"Lanczos norm ({value:.17g}, converged={converged}) disagrees "
+                f"with dense norm ({dense:.17g})")
     return info
 
 

@@ -110,7 +110,7 @@ def frame_table_cases(n):
 
 
 def test_criterion_1_commutator_table():
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.thread_time()
     for n in (2, 3, 4):
         for y, z, expected in frame_table_cases(n):
             got = bracket(y, z).matrix
@@ -118,9 +118,11 @@ def test_criterion_1_commutator_table():
             yf, zf = parse_label(y.label, n), parse_label(z.label, n)
             fl = bracket(yf, zf).matrix
             assert np.max(np.abs(fl - expected.astype(np.float64))) <= 1e-12
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0
-    report(1, "commutator table", elapsed, 1)
+    # thread time, as in criterion 2: about 5 ms on a 2-core VM, where 50
+    # times the work takes 0.23 s
+    elapsed, own = time.perf_counter() - t0, time.thread_time() - c0
+    assert own < 0.1
+    report(1, "commutator table", elapsed, 0.1, own)
 
 
 def test_criterion_2_flow_compatibility():
@@ -376,7 +378,7 @@ def _rotation_about_center(theta):
 
 
 def test_criterion_9_lemma_verifiers():
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.thread_time()
     rng = np.random.default_rng(1007)
     trials_per_variant = 200
     n2_trials = {"affine": 20, "neighborhood-ball": 20, "neighborhood-line": 12,
@@ -468,14 +470,16 @@ def test_criterion_9_lemma_verifiers():
         violations[f"bilipschitz-{kind}"] = bad
 
     assert all(v == 0 for v in violations.values()), violations
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 120.0
+    # thread time, as in criterion 2: about 2.8 s on a 2-core VM, where 50
+    # times the work takes 183 s
+    elapsed, own = time.perf_counter() - t0, time.thread_time() - c0
+    assert own < 30.0
     report(9, f"porosity lemma verifiers, zero violations {violations}",
-           elapsed, 120)
+           elapsed, 30, own)
 
 
 def test_criterion_10_word_counting():
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.thread_time()
     # single block: formula against exhaustive enumeration up to T0 = 16
     for t0_len in range(1, 17):
         for alpha in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
@@ -500,9 +504,11 @@ def test_criterion_10_word_counting():
     assert any(r["count"] > 1 and r["ratio"] > 0 for r in rows)
     assert all(r["within"] for r in rows)
     assert rows[-1]["ratio"] <= target
-    elapsed = time.perf_counter() - t0
-    assert elapsed < 10.0
-    report(10, "word counting, formula vs enumeration", elapsed, 10)
+    # thread time, as in criterion 2: about 1.4 s on a 2-core VM, where 50
+    # times the work takes 87 s
+    elapsed, own = time.perf_counter() - t0, time.thread_time() - c0
+    assert own < 10.0
+    report(10, "word counting, formula vs enumeration", elapsed, 10, own)
 
 
 def test_criterion_11_determinism(tmp_path):

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from fuplab.fup_numerics import (
     DecayFit,
@@ -192,18 +191,70 @@ class TestMaskedNorm:
                 assert info.converged
                 assert abs(info.value - dense) <= 1e-12 * dense, (k, int(m.sum()))
 
-    def test_no_convergence_is_reported_not_raised(self, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("stalled", np.empty(0), np.empty(0))
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
-        # a Cantor set takes the real Gram, base-5 digits {0, 1, 3} the complex one
-        for N, support in ((27, np.flatnonzero(cantor_mask(3))),
-                           (125, digit_support(5, [(0, 1, 3)] * 3))):
-            info = masked_norm(MaskedOperator(semiclassical_dft(N, 1), support, support))
-            assert not info.converged and math.isnan(info.value) and info.dense_value is None
-        rows, fits, ok = fup_experiment(FupConfig(core="fourier", n=1, ladder=(27,)))
+    def test_no_convergence_is_reported_not_raised(self):
+        # at rho = 0.7 and N = 2187 the top of the Gram spectrum is a near-continuum
+        # just under 1, and Lanczos reaches its cap: the value is a Ritz lower bound
+        op = fup_numerics._grid_operator(FupConfig(rho=0.7), 2187)
+        info = masked_norm(op)
+        assert not info.converged and math.isfinite(info.value)
+        assert info.iters == 2 * fup_numerics._M_MAX
+        assert info.value <= dense_norm(op) * (1 + 1e-12)
+        assert info.dense_value == dense_norm(op)
+        rows, fits, ok = fup_experiment(FupConfig(rho=0.7, ladder=(2187,)))
         assert not ok and rows[0]["converged"] is False
+
+    @pytest.mark.parametrize("N", [243, 729])
+    def test_a_clustered_top_of_the_spectrum_converges(self, N):
+        # 43 and 15 eigenvalues of these Grams lie within 1e-12 of the top
+        op = fup_numerics._grid_operator(FupConfig(rho=0.7), N)
+        info = masked_norm(op)
+        assert info.converged
+        assert abs(info.value - dense_norm(op)) <= 1e-13 * dense_norm(op)
+
+    def test_an_unconverged_value_is_checked_against_the_dense_value(self, monkeypatch):
+        op = fup_numerics._grid_operator(FupConfig(), 729)
+        monkeypatch.setattr(fup_numerics, "_M_MAX", 8)
+        info = masked_norm(op)
+        assert not info.converged and info.value <= info.dense_value
+        exact = FourierCore.gram
+
+        def doubled(core, rows, cols):
+            product, dtype = exact(core, rows, cols)
+            return (lambda g: 2.0 * product(g)), dtype
+        monkeypatch.setattr(FourierCore, "gram", doubled)
+        with pytest.raises(ArithmeticError, match="converged=False"):
+            masked_norm(op)
+
+    def test_a_vanishing_operator_stops_at_the_first_step(self):
+        info = masked_norm(MaskedOperator(KernelCore(np.zeros((40, 40), complex)),
+                                          np.arange(40), np.arange(40)))
+        assert info.value == 0.0 and info.converged and info.iters == 2
+
+    def test_the_cantor_norm_at_3_12_is_pinned(self):
+        # the value before the Ritz-value stop rule replaced ARPACK; a run cut
+        # after 8 steps misses it by more than 1e-14
+        op = fup_numerics._grid_operator(FupConfig(), 3 ** 12)
+        want = float.fromhex("0x1.6033dbf796aeap-2")
+        assert abs(masked_norm(op).value - want) <= 1e-14 * want
+
+    def test_the_top_ritz_value_meets_the_dense_check_at_rho_09(self):
+        # the second Ritz value lies far below the top of this spectrum
+        op = fup_numerics._grid_operator(FupConfig(rho=0.9), 2187)
+        info = masked_norm(op)
+        assert info.converged and info.dense_value is not None
+        assert abs(info.value - info.dense_value) <= 1e-13 * info.dense_value
+
+    @pytest.mark.parametrize("cfg, iters", [
+        (FupConfig(ladder=(3 ** 10,)), 82),
+        (FupConfig(ladder=(3 ** 12,)), 82),
+        (FupConfig(rho=0.9, ladder=(3 ** 7,)), 182),
+        (FupConfig(rho=0.9, ladder=(3 ** 10,)), 142),
+        (FupConfig(core="log_phase", ladder=(4 * 3 ** 8,), w_list=(8.0,)), 142),
+    ], ids=["cantor-3^10", "cantor-3^12", "rho-3^7", "rho-3^10", "log-w8-26244"])
+    def test_no_more_products_than_arpack_took(self, cfg, iters):
+        # the iters that ARPACK's eigsh(k=1, tol=0) took on these points
+        rows, fits, ok = fup_experiment(cfg)
+        assert ok and rows[0]["iters"] <= iters
 
     def test_empty_mask_gives_zero(self):
         core = semiclassical_dft(27, 1)
