@@ -1070,12 +1070,50 @@ class FupConfig:
                                      f"J={J}, above {_PHASE_ROUNDING_LIMIT:g} rad")
         if self.rho is not None and not 0.0 < self.rho <= 1.0:
             raise ValueError("thickening exponent must lie in (0, 1]")
+        if self.core == "fourier":
+            self._check_budgets()
         if (self.lower_bound_mode and self.set_plus is not None
                 and self.set_plus.occupied_count == 0):
             raise ValueError("lower_bound_mode needs a nonempty set_plus to probe")
 
+    def _check_budgets(self) -> None:
+        """Refuse a Fourier ladder point whose arrays would pass a budget below,
+        from their sizes alone, before any of them is allocated."""
+        n = self.n
+        # both sides the Cantor family, unthickened: supports straight from the digits
+        digits = self.rho is None and self.set_minus is None and self.set_plus is None
+        for N in self.ladder:
+            if digits:
+                depth = _cantor_depth(self.cantor_base, N)
+                cells = len(set(self.cantor_kept)) ** (n * max(depth, 2))
+                if cells > _SUPPORT_CELLS:
+                    raise ValueError(f"ladder value {N}: the Cantor family's support and "
+                                     f"level blocks take {cells} cells, over the budget of "
+                                     f"{_SUPPORT_CELLS}")
+                if n * N ** max(n, 2) >= _INDEX_LIMIT:
+                    raise ValueError(f"ladder value {N}: flat indices or DFT phases overflow "
+                                     f"int64 in {n}-D")
+            pruned = digits and _prime_power(self.cantor_base) == (self.cantor_base, 1)
+            if not pruned and N ** n > _RASTER_CELLS:
+                raise ValueError(f"ladder value {N}: a raster of {N}^{n} cells is over the "
+                                 f"budget of {_RASTER_CELLS}")
+
 
 _PHASE_ROUNDING_LIMIT = 1e-6       # rad
+# Budgets of a Fourier ladder point.  A point of explicit sets or thickening,
+# or a Cantor family of a base that is no prime, is rastered: it holds masks
+# of N^n cells and runs its norm on FFTs of as many entries (16 bytes each,
+# 160 MB an array at the budget).
+_RASTER_CELLS = 10**7
+# A Cantor family of prime base takes an FFT of the grid only where that costs
+# less than the pruned plan, whose work the budget on its support bounds.  The
+# plan holds that support, |kept|^(n depth) cells, on which Lanczos keeps up to
+# _M_MAX vectors (1.7 GB complex at the cap), and per-level blocks of
+# |kept|^n x |kept|^n entries.
+_SUPPORT_CELLS = 2**18
+# Its flat indices, N^n, and its DFT phases, sums of n products of two
+# coordinates, are int64.
+_INDEX_LIMIT = 2**63
 
 
 def _check_arc(arc, name: str) -> tuple[float, float]:
@@ -1100,13 +1138,19 @@ def _cantor_depth(base: int, N: int) -> int:
     return max(1, round(math.log(N, base)))
 
 
-def _family_mask(cfg: FupConfig, which: str, N: int) -> np.ndarray:
-    explicit = cfg.set_minus if which == "minus" else cfg.set_plus
+def _family_support(cfg: FupConfig, explicit: BoxSet | None, N: int) -> np.ndarray:
+    """One side's flat support at N; only resampling and thickening build a mask."""
     if explicit is not None:
-        return resample_mask(explicit, N)
-    depth = _cantor_depth(cfg.cantor_base, N)
-    spec = CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept, depth, cfg.n)
-    return cantor_generate(spec, cfg.n).mask.reshape(-1)
+        mask = resample_mask(explicit, N)
+    else:
+        spec = CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept,
+                                  _cantor_depth(cfg.cantor_base, N), cfg.n)
+        if cfg.rho is None:
+            return spec.cells()
+        mask = cantor_generate(spec, cfg.n).mask.reshape(-1)
+    if cfg.rho is not None:
+        mask = thicken_mask(mask, int(round(N ** (1.0 - cfg.rho))), cfg.n)
+    return np.flatnonzero(mask)
 
 
 def _arc_cantor_mask(cfg: FupConfig, arc: tuple[float, float], grid: SphereGrid) -> np.ndarray:
@@ -1135,14 +1179,8 @@ def _sanity(norm: float) -> bool:
 
 
 def _grid_operator(cfg: FupConfig, N: int) -> MaskedOperator:
-    left = _family_mask(cfg, "minus", N)
-    right = _family_mask(cfg, "plus", N)
-    if cfg.rho is not None:
-        rad = int(round(N ** (1.0 - cfg.rho)))
-        left = thicken_mask(left, rad, cfg.n)
-        right = thicken_mask(right, rad, cfg.n)
-    return MaskedOperator(semiclassical_dft(N, cfg.n), np.flatnonzero(left),
-                          np.flatnonzero(right))
+    return MaskedOperator(semiclassical_dft(N, cfg.n), _family_support(cfg, cfg.set_minus, N),
+                          _family_support(cfg, cfg.set_plus, N))
 
 
 def _log_phase_operator(cfg: FupConfig, w: float, J: int) -> MaskedOperator:

@@ -1,8 +1,8 @@
 r"""Porous subsets of the unit cube: representations, deciders, verifiers.
 
-A fractal set is carried as a bit mask over [0,1]^n (cell occupied iff it
-meets the set).  Two deciders probe the defining property of porosity at a
-ladder of scales:
+A Cantor spec answers its cells from its digits; a bit mask over [0,1]^n
+(cell occupied iff it meets the set) is built only where a grid is the point,
+as for the two deciders, which probe porosity at a ladder of scales:
 
 * on balls: every ball of diameter R in the scale range contains a point
   whose nu*R-ball misses the set;
@@ -92,6 +92,17 @@ class CantorSpec:
     def uniform(cls, base: int, kept: tuple[int, ...], depth: int, n: int) -> "CantorSpec":
         return cls(base, tuple(tuple(sorted(set(kept))) for _ in range(n)), depth)
 
+    def cells(self) -> np.ndarray:
+        """Kept cells of the base^depth-per-axis grid as increasing flat row-major
+        indices, from the digits alone: axis by axis, coarsest digit first."""
+        if self.base ** (self.depth * len(self.digits)) > 2 ** 63:
+            raise ValueError("the flat indices of this grid overflow int64")
+        flat = np.zeros(1, dtype=np.int64)
+        for axis_digits in self.digits:
+            for _ in range(self.depth):
+                flat = (flat[:, None] * self.base + sorted(set(axis_digits))).reshape(-1)
+        return flat
+
 
 @dataclass(frozen=True)
 class BoxSet:
@@ -152,30 +163,23 @@ class BoxSet:
 
 
 # grid budgets: cells per axis of a generated Cantor set, and bytes of a
-# decider's padded distance field with its feature transform
+# decider's padded distance field with its feature transform.  A Cantor mask
+# whose unpadded field alone (8 + 4n bytes a cell) would pass the latter is
+# refused as well: no decider could read it.
 _GRID_CELLS_PER_AXIS = 10**7
 _FIELD_BYTES = 2 << 30
 
 
 def cantor_generate(spec: CantorSpec, n: int) -> BoxSet:
-    """Depth-K iterate of the Cantor construction as a grid mask."""
+    """Depth-K iterate of the Cantor construction: the spec's cells as a grid mask."""
     if len(spec.digits) != n:
         raise ValueError(f"spec carries {len(spec.digits)} axes, expected {n}")
     m = spec.base ** spec.depth
-    if m > _GRID_CELLS_PER_AXIS:
-        raise ResolutionError(f"resolution {m} per axis overflows the grid budget")
-    axes = []
-    for axis_digits in spec.digits:
-        keep = np.zeros(spec.base, dtype=bool)
-        keep[list(axis_digits)] = True
-        cells = keep.copy()
-        for _ in range(spec.depth - 1):
-            cells = (cells[:, None] & keep[None, :]).reshape(-1)
-        axes.append(cells)
-    mask = axes[0]
-    for a in axes[1:]:
-        mask = mask[..., None] & a
-    return BoxSet(n, m, mask)
+    if m > _GRID_CELLS_PER_AXIS or m ** n * (8 + 4 * n) > _FIELD_BYTES:
+        raise ResolutionError(f"a mask of {m} cells per axis in {n}-D overflows the grid budget")
+    mask = np.zeros(m ** n, dtype=bool)
+    mask[spec.cells()] = True
+    return BoxSet(n, m, mask.reshape((m,) * n))
 
 
 # ---------------------------------------------------------------------------

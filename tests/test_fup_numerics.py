@@ -33,7 +33,7 @@ from fuplab.fup_numerics import (
     _log_phase_operator,
     _log_phase_fd_dets,
 )
-from fuplab import fup_numerics
+from fuplab import fup_numerics, porosity
 from fuplab.fup_numerics import _PrunedDft
 from fuplab.porosity import BoxSet, CantorSpec, Verdict, cantor_generate
 
@@ -1196,6 +1196,51 @@ class TestThickenMask:
         assert set(np.flatnonzero(out)) == {12, 13, 14}
 
 
+def mask_route_support(cfg, N):
+    """The Cantor side of ladder point N made through an ambient mask: per axis
+    a Kronecker power of the kept digits, across the axes their outer product,
+    thickened when cfg.rho is set, then flattened to indices."""
+    keep = np.zeros(cfg.cantor_base, dtype=bool)
+    keep[list(cfg.cantor_kept)] = True
+    axis = keep
+    for _ in range(round(math.log(N, cfg.cantor_base)) - 1):
+        axis = (axis[:, None] & keep[None, :]).reshape(-1)
+    mask = axis
+    for _ in range(cfg.n - 1):
+        mask = mask[..., None] & axis
+    mask = mask.reshape(-1)
+    if cfg.rho is not None:
+        mask = thicken_mask(mask, int(round(N ** (1.0 - cfg.rho))), cfg.n)
+    return np.flatnonzero(mask)
+
+
+class TestLadderSupports:
+    @pytest.mark.parametrize("cfg, ladder", [
+        (FupConfig(), [3 ** k for k in range(1, 13)]),
+        (FupConfig(n=2), [3 ** k for k in range(1, 7)]),
+        (FupConfig(rho=0.9), [3 ** k for k in range(2, 11)]),
+        (FupConfig(cantor_base=5, cantor_kept=(0, 2, 4)), [5 ** k for k in range(1, 7)]),
+        (FupConfig(cantor_base=5, cantor_kept=(0, 2, 4), n=2), [5, 25, 125]),
+    ], ids=["cantor", "product", "rho", "base-5", "base-5-product"])
+    def test_supports_are_those_of_the_mask_route(self, cfg, ladder):
+        for N in ladder:
+            op = fup_numerics._grid_operator(cfg, N)
+            want = mask_route_support(cfg, N)
+            for got in (op.rows, op.cols):
+                assert got.dtype == want.dtype and np.array_equal(got, want), N
+
+    def test_an_unthickened_point_builds_no_cantor_mask(self, monkeypatch):
+        def no_mask(*args, **kwargs):
+            raise AssertionError("an unthickened ladder point must not build a Cantor mask")
+
+        monkeypatch.setattr(porosity, "cantor_generate", no_mask)
+        monkeypatch.setattr(fup_numerics, "cantor_generate", no_mask)
+        for cfg in (FupConfig(ladder=(27, 81, 243, 729), lower_bound_mode=True),
+                    FupConfig(n=2, ladder=(9, 27, 81))):
+            rows, _, ok = fup_experiment(cfg)
+            assert ok and len(rows) == len(cfg.ladder)
+
+
 class TestFupExperiment:
     def test_full_masks_flat_ladder(self):
         full = BoxSet.full(1, 3)
@@ -1289,6 +1334,30 @@ class TestConfigValidation:
         # refused by validate itself, not at the first ladder point
         with pytest.raises(ValueError, match=message):
             cfg.validate()
+
+    @pytest.mark.parametrize("cfg, message", [
+        (FupConfig(ladder=(3 ** 19,)), "the Cantor family's support and level blocks take 524288"),
+        (FupConfig(n=2, ladder=(3 ** 10,)), "the Cantor family's support"),
+        (FupConfig(cantor_base=601, cantor_kept=tuple(range(600)), ladder=(601,)),
+         "the Cantor family's support"),                        # one level block of 600^2
+        (FupConfig(cantor_kept=(2,), ladder=(3 ** 20,)), "DFT phases overflow int64 in 1-D"),
+        (FupConfig(cantor_kept=(2,), n=3, ladder=(3 ** 14,)), "overflow int64 in 3-D"),
+        (FupConfig(cantor_base=6, cantor_kept=(0, 5), ladder=(6 ** 10,)), "a raster of"),
+        (FupConfig(n=2, ladder=(3 ** 8,), rho=0.9), r"a raster of 6561\^2 cells"),
+    ])
+    def test_ladder_point_past_a_budget(self, cfg, message):
+        with pytest.raises(ValueError, match=message):
+            cfg.validate()
+
+    @pytest.mark.parametrize("cfg", [
+        FupConfig(ladder=(3 ** 18,)),
+        FupConfig(n=2, ladder=(3 ** 9,)),
+        FupConfig(cantor_kept=(2,), ladder=(3 ** 19,)),
+        FupConfig(cantor_base=6, cantor_kept=(0, 5), ladder=(6 ** 8,)),
+        FupConfig(ladder=(3 ** 14,), rho=0.9),
+    ])
+    def test_ladder_point_within_the_budgets(self, cfg):
+        cfg.validate()
 
     def test_cantor_family_is_not_checked_when_both_sets_are_explicit(self):
         box = BoxSet.full(1, 8)

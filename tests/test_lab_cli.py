@@ -863,6 +863,31 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
                                          prefix="config error:")
 
+    def test_cantor_mask_past_the_grid_budget(self, tmp_path, capsys):
+        # 3^14 cells per axis in 2-D used to end in numpy's 20.8 TiB _ArrayMemoryError
+        spec = self.input_json(tmp_path, {"cantor": {**CANTOR["cantor"], "depth": 14, "dims": 2}})
+        self.assert_one_line_usage_error(tmp_path, capsys, "porosity-check", "--set", spec,
+                                         "--nu", "0.1", "--alpha0", "0.1", "--alpha1", "1",
+                                         prefix="error: a mask of 4782969 cells per axis in 2-D")
+
+    @pytest.mark.parametrize("payload, prefix", [
+        ({"n": 2, "ladder": [4782969, 27, 81, 243]},
+         "config error: ladder value 4782969: the Cantor family's support"),
+        ({"n": 1, "ladder": [847288609443, 27, 81, 243],
+          "set_minus": {"boxes": [[[0.1], [0.4]]], "resolution": 27, "dims": 1},
+          "set_plus": {"boxes": [[[0.6], [0.9]]], "resolution": 27, "dims": 1}},
+         "config error: ladder value 847288609443: a raster of 847288609443^1 cells"),
+        ({"n": 1, "ladder": [847288609443, 27, 81, 243]},
+         "config error: ladder value 847288609443: the Cantor family's support"),
+        ({"n": 1, "ladder": [14348907, 27, 81, 243], "rho": 0.9},
+         "config error: ladder value 14348907: a raster of 14348907^1 cells"),
+    ], ids=["2d-cantor-3^14", "explicit-sets-3^25", "1d-cantor-3^25", "thickened-3^15"])
+    def test_fup_ladder_point_past_its_budget(self, tmp_path, capsys, payload, prefix):
+        # the first two used to end in numpy's _ArrayMemoryError (20.8 and 6.16 TiB)
+        cfg = self.input_json(tmp_path, {"core": "fourier", **payload})
+        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
+                                         prefix=prefix)
+
     @pytest.mark.parametrize("argv", [
         ["porosity-check", "--set", "{cantor}", "--nu", "0.08", "--alpha0", "0.111",
          "--alpha1", "inf"],

@@ -115,6 +115,37 @@ class TestCantorGenerate:
         one = cantor_generate(CantorSpec.uniform(4, (0, 3), 2, 1), 1)
         assert np.array_equal(x.mask, np.outer(one.mask, one.mask))
 
+    @staticmethod
+    def enumerated_cells(spec: CantorSpec) -> list[int]:
+        """Every kept cell, one digit string per axis at a time, in row-major order."""
+        m = spec.base ** spec.depth
+        axes = [[sum(d * spec.base ** (spec.depth - 1 - j) for j, d in enumerate(string))
+                 for string in itertools.product(axis_digits, repeat=spec.depth)]
+                for axis_digits in spec.digits]
+        return sorted({sum(c * m ** (len(axes) - 1 - a) for a, c in enumerate(point))
+                       for point in itertools.product(*axes)})
+
+    @pytest.mark.parametrize("spec", [
+        CantorSpec.uniform(3, (0, 2), 4, 1),
+        CantorSpec.uniform(5, (1, 3, 4), 3, 1),
+        CantorSpec(3, ((2, 0, 2),), 3),                     # unsorted, repeated digits
+        CantorSpec(4, ((0, 3), (1,)), 3),
+        CantorSpec(5, ((4, 1), (0, 2, 3)), 2),
+        CantorSpec.uniform(3, (0, 2), 2, 3),
+        CantorSpec(3, ((1,), (0, 2), (2, 1)), 2),
+    ])
+    def test_cells_are_the_enumerated_digit_strings(self, spec):
+        cells = spec.cells()
+        assert cells.dtype == np.int64
+        assert cells.tolist() == self.enumerated_cells(spec)
+        x = cantor_generate(spec, len(spec.digits))
+        assert np.array_equal(np.flatnonzero(x.mask), cells)
+
+    def test_cells_past_int64_are_refused(self):
+        CantorSpec.uniform(3, (1,), 39, 1).cells()                # 3^39 < 2^63
+        with pytest.raises(ValueError, match="overflow int64"):
+            CantorSpec.uniform(3, (1,), 20, 2).cells()            # 3^40 > 2^63
+
 
 class TestScaleLadder:
     def test_ratio_and_endpoints(self):
