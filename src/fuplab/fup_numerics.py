@@ -24,12 +24,13 @@ unconverged one must not exceed it; for the DFT that matrix is real on the
 same mirror-symmetric supports (on a side of at least 3 points) and is built
 from the DFT's entries at integer phases, never from an FFT or the pruned
 plan, so the two routes share nothing but the mirror test.
-The DFT core runs a pruned Cooley-Tukey plan on the supports of N = p^k whose
-base-p digit tuples form a product over the k levels (every full-depth Cantor
-family of prime base, and joint-digit sets that are no per-axis product),
-whose products never touch the ambient grid, whenever that is estimated
-cheaper than an FFT of the whole grid; on other supports a Gram product is
-one spectral convolution, an FFT of the ambient grid and its inverse.  The
+The DFT core takes any N >= 2.  It runs a pruned Cooley-Tukey plan, whose
+products never touch the ambient grid, on the supports whose base-p digit
+tuples form a product over the k levels of N = p^k, p the smallest root of N
+(every full-depth Cantor family whose base is no perfect power, and joint-digit
+sets that are no per-axis product), whenever that is estimated cheaper than an
+FFT of the whole grid; on other supports a Gram product is one spectral
+convolution, an FFT of the ambient grid and its inverse.  The
 quadrature cores multiply by their block and its adjoint.  The log-phase
 kernel depends on the chord |y - y'| alone, and on evenly spaced circle nodes
 the chord depends on the index difference alone, so there its block is
@@ -48,6 +49,7 @@ Hessian determinant probes for the phase.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -254,16 +256,16 @@ def _fft_work(size: int) -> float:
     return size * math.log2(max(size, 2))
 
 
-def _prime_power(N: int) -> tuple[int, int] | None:
-    """(p, k) with N = p^k and p prime, or None."""
-    if N < 2:
-        return None
-    p = next((d for d in range(2, math.isqrt(N) + 1) if N % d == 0), N)
-    k, m = 0, N
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
+def _smallest_root(N: int) -> tuple[int, int]:
+    """(p, k) with N = p^k for the smallest such p: (N, 1) when N is no perfect
+    power.  The largest exponent gives the smallest root; each float estimate
+    of a root is checked in integers, which is exact up to 2^63."""
+    N = operator.index(N)
+    for k in range(N.bit_length() - 1, 1, -1):
+        p = round(math.exp(math.log(N) / k))
+        if p ** k == N:
+            return p, k
+    return N, 1
 
 
 def _digit_product(support: np.ndarray, p: int, k: int, shape: tuple[int, ...]):
@@ -325,7 +327,7 @@ class _PrunedDft:
     """The restricted unitary DFT on supports that are products of per-level
     digit-tuple sets (see :func:`_digit_product`).
 
-    For N = p^k with p prime such supports keep the Cooley-Tukey recursion
+    For N = p^k, p any radix, such supports keep the Cooley-Tukey recursion
     closed (decimation in time, pruned on input and output; see
     :func:`_stages`), so a product costs about k |D|^(k+1) instead of
     N^n log N^n.  The stages run in level order: a product scatters its input
@@ -340,13 +342,12 @@ class _PrunedDft:
     @classmethod
     def build(cls, core: FourierCore, rows: np.ndarray, cols: np.ndarray,
               budget: float = math.inf):
-        """The plan for increasing rows and cols, or None unless N is a prime
-        power, both supports are digit products and a product's estimated
-        work is below ``budget``."""
-        pk = _prime_power(core.N)
-        if pk is None or rows.size == 0 or cols.size == 0:
+        """The plan for increasing rows and cols in the base p of N's smallest
+        root (see :func:`_smallest_root`), or None unless both supports are
+        digit products and a product's estimated work is below ``budget``."""
+        if rows.size == 0 or cols.size == 0:
             return None
-        p, k = pk
+        p, k = _smallest_root(core.N)
         calls = (3 * k + 2) * _CALL_WORK
         if calls >= budget or np.any(np.diff(rows) <= 0) or np.any(np.diff(cols) <= 0):
             return None
@@ -437,15 +438,10 @@ class SubmatrixKernelCore(_Core):
 
 
 def semiclassical_dft(N: int, n: int) -> FourierCore:
-    """The DFT core; N should be 2- or 3-smooth for fast transforms."""
+    """The DFT core on the grid {j/N}^n, for any N >= 2: scipy.fft transforms
+    every length in O(N log N)."""
     if N < 2:
         raise ValueError("need N >= 2")
-    m = N
-    for p in (2, 3, 5):
-        while m % p == 0:
-            m //= p
-    if m != 1:
-        raise ValueError(f"N={N} is not smooth (factors of 2, 3, 5 only)")
     return FourierCore(N, n)
 
 
@@ -1072,6 +1068,8 @@ class FupConfig:
             raise ValueError("thickening exponent must lie in (0, 1]")
         if self.core == "fourier":
             self._check_budgets()
+        else:
+            self._check_circle_budgets()
         if (self.lower_bound_mode and self.set_plus is not None
                 and self.set_plus.occupied_count == 0):
             raise ValueError("lower_bound_mode needs a nonempty set_plus to probe")
@@ -1093,27 +1091,49 @@ class FupConfig:
                 if n * N ** max(n, 2) >= _INDEX_LIMIT:
                     raise ValueError(f"ladder value {N}: flat indices or DFT phases overflow "
                                      f"int64 in {n}-D")
-            pruned = digits and _prime_power(self.cantor_base) == (self.cantor_base, 1)
+            pruned = digits and _smallest_root(self.cantor_base) == (self.cantor_base, 1)
             if not pruned and N ** n > _RASTER_CELLS:
                 raise ValueError(f"ladder value {N}: a raster of {N}^{n} cells is over the "
                                  f"budget of {_RASTER_CELLS}")
 
+    def _check_circle_budgets(self) -> None:
+        """Refuse a log-phase ladder point whose circle grid or kernel block would
+        pass a budget below, from node counts alone, before any array is built."""
+        for J in self.ladder:
+            if J > _CIRCLE_NODES:
+                raise ValueError(f"ladder value {J}: a circle grid of {J} nodes is over the "
+                                 f"budget of {_CIRCLE_NODES}")
+            rows, cols = (_arc_kept_bound(self, arc, J) for arc in (self.arc_minus, self.arc_plus))
+            if rows * cols > _BLOCK_ENTRIES:
+                raise ValueError(f"ladder value {J}: a kernel block of up to {rows} x {cols} "
+                                 f"entries is over the budget of {_BLOCK_ENTRIES}")
+
 
 _PHASE_ROUNDING_LIMIT = 1e-6       # rad
 # Budgets of a Fourier ladder point.  A point of explicit sets or thickening,
-# or a Cantor family of a base that is no prime, is rastered: it holds masks
+# or a Cantor family whose base is a perfect power (its digits need not be a
+# product over the levels of the smallest root), is rastered: it holds masks
 # of N^n cells and runs its norm on FFTs of as many entries (16 bytes each,
 # 160 MB an array at the budget).
 _RASTER_CELLS = 10**7
-# A Cantor family of prime base takes an FFT of the grid only where that costs
-# less than the pruned plan, whose work the budget on its support bounds.  The
-# plan holds that support, |kept|^(n depth) cells, on which Lanczos keeps up to
-# _M_MAX vectors (1.7 GB complex at the cap), and per-level blocks of
-# |kept|^n x |kept|^n entries.
+# A Cantor family of any other base takes an FFT of the grid only where that
+# costs less than the pruned plan, whose work the budget on its support
+# bounds.  The plan holds that support, |kept|^(n depth) cells, on which
+# Lanczos keeps up to _M_MAX vectors (1.7 GB complex at the cap), and
+# per-level blocks of |kept|^n x |kept|^n entries.
 _SUPPORT_CELLS = 2**18
 # Its flat indices, N^n, and its DFT phases, sums of n products of two
 # coordinates, are int64.
 _INDEX_LIMIT = 2**63
+# Budgets of a log-phase ladder point.  Its circle grid holds points, weights
+# and chords, and the kernel's row of J chords takes its cutoff, amplitude and
+# phase: about 100 bytes a node at the peak, 0.8 GB at the budget.
+_CIRCLE_NODES = 2**23
+# Its |rows| x |cols| block is held as an int64 array of node differences,
+# then as complex entries, and the Gram product keeps the conjugate copy: 40
+# bytes an entry, 2.7 GB at the budget, which J = 4 * 3^13 reaches on the
+# quarter arcs of digits {0, 2} in base 3.
+_BLOCK_ENTRIES = 2**26
 
 
 def _check_arc(arc, name: str) -> tuple[float, float]:
@@ -1153,6 +1173,22 @@ def _family_support(cfg: FupConfig, explicit: BoxSet | None, N: int) -> np.ndarr
     return np.flatnonzero(mask)
 
 
+def _arc_cantor(cfg: FupConfig, arc: tuple[float, float], J: int) -> tuple[range, int]:
+    """The nodes j of the J-node circle grid whose angle fraction j/J lies in
+    the arc [lo, hi), and the depth of the arc's Cantor family.  j/J rounds
+    monotonically in j, so the nodes are a run whose ends lie next to lo J and
+    hi J: they are found with no array of J entries."""
+    def first(t):       # the least j in [0, J] with j/J >= t, J when there is none
+        j = min(max(math.ceil(t * J), 0), J)
+        while j > 0 and (j - 1) / J >= t:
+            j -= 1
+        while j < J and j / J < t:
+            j += 1
+        return j
+    nodes = range(first(arc[0]), first(arc[1]))
+    return nodes, _cantor_depth(cfg.cantor_base, max(len(nodes), cfg.cantor_base))
+
+
 def _arc_cantor_mask(cfg: FupConfig, arc: tuple[float, float], grid: SphereGrid) -> np.ndarray:
     """Cantor set of angles inside an arc, sampled on the circle grid.
 
@@ -1162,16 +1198,30 @@ def _arc_cantor_mask(cfg: FupConfig, arc: tuple[float, float], grid: SphereGrid)
     cube-grid families do: on grids with J = 4 * base^k nodes each quarter arc
     keeps exactly |kept|^k nodes.
     """
-    J = grid.size
-    lo, hi = arc
-    ang = np.arange(J) / J          # angle fraction of each node
-    inside = np.flatnonzero((ang >= lo) & (ang < hi))
-    count = inside.size
-    depth = _cantor_depth(cfg.cantor_base, max(count, cfg.cantor_base))
+    nodes, depth = _arc_cantor(cfg, arc, grid.size)
+    count = len(nodes)
     base = cantor_generate(CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept, depth, 1), 1)
-    mask = np.zeros(J, dtype=bool)
-    mask[inside] = base.mask[np.arange(count) * base.m // max(count, 1)]
+    mask = np.zeros(grid.size, dtype=bool)
+    mask[nodes.start:nodes.stop] = base.mask[np.arange(count) * base.m // max(count, 1)]
     return mask
+
+
+def _arc_kept_bound(cfg: FupConfig, arc: tuple[float, float], J: int) -> int:
+    """A bound on the nodes that a log-phase support keeps in an arc of the
+    J-node grid, from counts alone: each of the |kept|^depth Cantor cells
+    takes at most ceil(count / base^depth) of the arc's count nodes, and
+    thickening by r nodes widens a kept node to at most 2r + 1."""
+    nodes, depth = _arc_cantor(cfg, arc, J)
+    count = len(nodes)
+    kept = min(count, len(set(cfg.cantor_kept)) ** depth * -(-count // cfg.cantor_base ** depth))
+    if cfg.rho is not None:
+        kept = min(J, kept * (2 * _thickening_nodes(cfg.rho, J) + 1))
+    return kept
+
+
+def _thickening_nodes(rho: float, J: int) -> int:
+    """The radius, in nodes, by which a log-phase support is thickened at h = 1/J."""
+    return int(round(J * (1.0 / J) ** rho / (2.0 * np.pi)))
 
 
 def _sanity(norm: float) -> bool:
@@ -1189,7 +1239,7 @@ def _log_phase_operator(cfg: FupConfig, w: float, J: int) -> MaskedOperator:
     left = _arc_cantor_mask(cfg, cfg.arc_minus, grid)
     right = _arc_cantor_mask(cfg, cfg.arc_plus, grid)
     if cfg.rho is not None:
-        rad = int(round(J * h ** cfg.rho / (2.0 * np.pi)))
+        rad = _thickening_nodes(cfg.rho, J)
         left = thicken_mask(left, rad, 1)
         right = thicken_mask(right, rad, 1)
     chi = chordal_cutoff(cfg.chi_gap, cfg.chi_width)

@@ -42,6 +42,34 @@ def cantor_mask(depth, n=1):
     return cantor_generate(CantorSpec.uniform(3, (0, 2), depth, n), n).mask.reshape(-1)
 
 
+def prime_power(N):
+    """(p, k) with N = p^k and p prime, or None, by trial division: the rule that
+    _smallest_root replaced, kept as its reference on prime powers."""
+    if N < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(N) + 1) if N % d == 0), N)
+    k, m = 0, N
+    while m % p == 0:
+        m //= p
+        k += 1
+    return (p, k) if m == 1 else None
+
+
+class TestSmallestRoot:
+    def test_prime_powers_keep_their_prime_and_exponent(self):
+        for N in range(2, 10 ** 5):
+            pk = prime_power(N)
+            if pk is not None:
+                assert fup_numerics._smallest_root(N) == pk, N
+
+    @pytest.mark.parametrize("N, root", [
+        (216, (6, 3)), (4 ** 5, (2, 10)), (60, (60, 1)), (10 ** 18, (10, 18)),
+        (3 ** 39, (3, 39)), (2 ** 62, (2, 62)), ((2 ** 31 - 1) ** 2, (2 ** 31 - 1, 2)),
+    ])
+    def test_composite_roots_and_the_int64_range(self, N, root):
+        assert fup_numerics._smallest_root(N) == root
+
+
 class TestSemiclassicalDft:
     def test_smallest_dft_matrix(self):
         core = semiclassical_dft(2, 1)
@@ -71,9 +99,23 @@ class TestSemiclassicalDft:
         u = rng.standard_normal(81**2) + 1j * rng.standard_normal(81**2)
         assert np.max(np.abs(core.adjoint(core.apply(u)) - u)) < 1e-12
 
-    def test_rough_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            semiclassical_dft(77, 1)
+    def test_rough_sizes_are_grids(self):
+        # N = 77 = 7 * 11, a size that once was refused; its Gram products are
+        # spectral convolutions, complex and real
+        core = semiclassical_dft(77, 1)
+        rng = np.random.default_rng(63)
+        a, b = np.flatnonzero(rng.random(77) < 0.5), np.flatnonzero(rng.random(77) < 0.2)
+        mirror = np.arange(10, 41)          # its own mirror image about 25: a real Gram
+        for rows, cols in ((a, b), (b, a), (mirror, b), (b, mirror)):
+            assert _PrunedDft.build(core, rows, cols,
+                                    budget=fup_numerics._fft_work(core.size)) is None
+            product, dtype = core.gram(rows, cols)
+            assert (dtype is float) == (rows is mirror or cols is mirror)
+            gram = core.gram_matrix(rows, cols)
+            g = rng.standard_normal(gram.shape[0])
+            if dtype is complex:
+                g = g + 1j * rng.standard_normal(gram.shape[0])
+            assert np.max(np.abs(product(g) - gram @ g)) < 1e-13
 
     def test_submatrix_matches_apply(self):
         core = semiclassical_dft(27, 1)
@@ -101,7 +143,8 @@ class TestFourierCoreTransforms:
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (n, N)
 
     def test_spectral_gram_gives_the_dense_gram_on_every_call(self):
-        # N = 60 is no prime power, so every product scatters into one reused buffer
+        # at N = 60 the cost rule keeps the FFT, so every product scatters into one
+        # reused buffer
         core = FourierCore(60, 1)
         rng = np.random.default_rng(58)
         a, b = np.flatnonzero(rng.random(60) < 0.5), np.flatnonzero(rng.random(60) < 0.3)
@@ -319,14 +362,14 @@ def forbid_ambient_fft(monkeypatch):
         monkeypatch.setattr(scipy.fft, name, no_fft)
 
 
-def assert_plan_matches_submatrix(core, rows, cols, rng):
+def assert_plan_matches_submatrix(core, rows, cols, rng, tol=1e-12):
     plan = _PrunedDft.build(core, rows, cols)
     assert plan is not None
     sub = core.submatrix(rows, cols)
     x = rng.standard_normal(cols.size) + 1j * rng.standard_normal(cols.size)
     y = rng.standard_normal(rows.size) + 1j * rng.standard_normal(rows.size)
-    assert rel_err(plan.apply(x), sub @ x) <= 1e-12
-    assert rel_err(plan.adjoint(y), sub.conj().T @ y) <= 1e-12
+    assert rel_err(plan.apply(x), sub @ x) <= tol
+    assert rel_err(plan.adjoint(y), sub.conj().T @ y) <= tol
 
 
 def random_digit_sets(rng, p, k):
@@ -408,6 +451,25 @@ class TestPrunedDft:
             cols = digit_support(5, random_digit_sets(rng, 5, k))
             assert_plan_matches_submatrix(FourierCore(5 ** k, 1), rows, cols, rng)
 
+    @pytest.mark.parametrize("p", [6, 7, 10, 12])
+    def test_bases_6_7_10_and_12_match_submatrix(self, p):
+        # radix p itself, composite or a prime that was no grid; digit sets of at
+        # most 3 digits keep the dense blocks small
+        rng = np.random.default_rng(80 + p)
+
+        def digits(k):
+            return [np.sort(rng.choice(p, int(rng.integers(1, 4)), replace=False))
+                    for _ in range(k)]
+
+        for n, k_max in ((1, 4), (2, 3)):
+            for k in range(1, k_max + 1):
+                N = p ** k
+                rows, cols = (product_support(N, [digit_support(p, digits(k)) for _ in range(n)])
+                              for _ in range(2))
+                for a, b in ((rows, cols), (cols, rows)):
+                    assert_plan_matches_submatrix(FourierCore(N, n), a, b, rng, tol=1e-13)
+                    assert len(_PrunedDft.build(FourierCore(N, n), a, b).forward) == k
+
     def test_matches_masked_fft_up_to_3_to_the_10(self):
         rng = np.random.default_rng(74)
         for k in range(1, 11):
@@ -468,9 +530,9 @@ class TestPrunedDft:
         assert _PrunedDft.build(core, rows, box) is None
         assert _PrunedDft.build(core, rows[::-1], rows) is None
         assert _PrunedDft.build(core, rows, rows) is not None
-        # N = 6^3 is no prime power, even on a full digit product
+        # N = 6^3 takes radix 6, so the full grid is a digit product
         full = np.arange(216)
-        assert _PrunedDft.build(FourierCore(216, 1), full, full) is None
+        assert _PrunedDft.build(FourierCore(216, 1), full, full) is not None
         # in 2-D the cells (0, 0) and (4, 4) of the 9 x 9 grid have level tuples
         # {(0, 0), (1, 1)} at both levels, whose product holds four cells
         pair = np.array([0, 40])
@@ -1342,8 +1404,14 @@ class TestConfigValidation:
          "the Cantor family's support"),                        # one level block of 600^2
         (FupConfig(cantor_kept=(2,), ladder=(3 ** 20,)), "DFT phases overflow int64 in 1-D"),
         (FupConfig(cantor_kept=(2,), n=3, ladder=(3 ** 14,)), "overflow int64 in 3-D"),
-        (FupConfig(cantor_base=6, cantor_kept=(0, 5), ladder=(6 ** 10,)), "a raster of"),
+        (FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 12,)), "a raster of"),
         (FupConfig(n=2, ladder=(3 ** 8,), rho=0.9), r"a raster of 6561\^2 cells"),
+        (FupConfig(core="log_phase", ladder=(4 * 3 ** 14,)),
+         "a circle grid of 19131876 nodes is over the budget"),
+        (FupConfig(core="log_phase", cantor_base=5, cantor_kept=(0, 1, 2, 3),
+                   ladder=(4 * 5 ** 7,)),                     # a grid of 312500 nodes
+         "a kernel block of up to 16384 x 16384 entries"),
+        (FupConfig(core="log_phase", ladder=(4 * 3 ** 12,), rho=0.5), "a kernel block"),
     ])
     def test_ladder_point_past_a_budget(self, cfg, message):
         with pytest.raises(ValueError, match=message):
@@ -1354,7 +1422,9 @@ class TestConfigValidation:
         FupConfig(n=2, ladder=(3 ** 9,)),
         FupConfig(cantor_kept=(2,), ladder=(3 ** 19,)),
         FupConfig(cantor_base=6, cantor_kept=(0, 5), ladder=(6 ** 8,)),
+        FupConfig(cantor_base=6, cantor_kept=(0, 5), ladder=(6 ** 10,)),
         FupConfig(ladder=(3 ** 14,), rho=0.9),
+        FupConfig(core="log_phase", ladder=(4 * 3 ** 13,)),
     ])
     def test_ladder_point_within_the_budgets(self, cfg):
         cfg.validate()

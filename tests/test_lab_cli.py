@@ -306,6 +306,15 @@ class TestFupScan:
         assert lines[0] == "core,n,N,h,rho,w,norm,iters,converged"
         assert [l.split(",")[5] for l in lines[1:9]] == ["0.125"] * 4 + ["1"] * 4
 
+    def test_base_seven_family_scans(self, tmp_path):
+        # N = 7^k has a prime factor above 5: such grids were refused at the first point
+        cfg = write_json(tmp_path / "cfg.json", {
+            "core": "fourier", "n": 1, "cantor_base": 7, "cantor_kept": [0, 3, 6],
+            "ladder": [7, 49, 343, 2401, 16807]})
+        assert main(["--out", str(tmp_path), "fup-scan", "--config", cfg]) == 0
+        rows = (tmp_path / "fup_scan.csv").read_text().splitlines()
+        assert [r.split(",")[2] for r in rows[1:6]] == ["7", "49", "343", "2401", "16807"]
+
     def test_grid_core_scan_has_no_energy_column(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json",
                          {"core": "fourier", "n": 1, "ladder": [27, 81, 243, 729]})
@@ -683,6 +692,14 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
                                          prefix="config error: ladder values [27, 27, 27, 27] "
                                                 "repeat")
+
+    def test_fio_ladder_point_past_a_budget(self, tmp_path, capsys):
+        # 4 * 3^15 nodes, refused before anything is allocated; 4 * 3^14 used to end
+        # in numpy's traceback for a 2 GiB array of node differences
+        self.assert_one_line_usage_error(tmp_path, capsys, "fio-sphere", "--ladder",
+                                         "57395628", "108", "324", "972",
+                                         prefix="config error: ladder value 57395628: a "
+                                                "circle grid")
 
     def test_fio_ladder_of_one_scale(self, tmp_path, capsys):
         self.assert_one_line_usage_error(tmp_path, capsys, "fio-sphere", "--ladder",
