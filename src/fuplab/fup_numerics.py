@@ -292,7 +292,8 @@ def _digit_product(support: np.ndarray, p: int, k: int, shape: tuple[int, ...]):
 
 def _stages(p: int, src: list, dst: list, sign: int, scale: float, budget: float = math.inf):
     """The k stages (size, rest, twiddle, block) of the pruned DFT from the
-    level sets ``src`` to ``dst``, or None once their work reaches ``budget``.
+    level sets ``src`` to ``dst``, or None once their work reaches ``budget``
+    or a block would pass _SUPPORT_CELLS entries (k = 1: the dense submatrix).
 
     Input index b = sum_j b_j p^j with digit tuples b_j in ``src[j]``, output a
     with a_s in ``dst[s]``.  The exponent <a, b>/p^k splits into terms
@@ -310,7 +311,7 @@ def _stages(p: int, src: list, dst: list, sign: int, scale: float, budget: float
         a, b = src[k - 1 - s], dst[s]
         rest //= len(a)
         work += len(a) * rest * len(made) * (len(b) + 2)
-        if work >= budget:
+        if work >= budget or len(a) * len(b) > _SUPPORT_CELLS:
             return None
         q = p ** (s + 1)
         twiddle = np.exp(sign * 2j * np.pi * ((a @ made.T) % q) / q) if s else None
@@ -1120,7 +1121,7 @@ _RASTER_CELLS = 10**7
 # costs less than the pruned plan, whose work the budget on its support
 # bounds.  The plan holds that support, |kept|^(n depth) cells, on which
 # Lanczos keeps up to _M_MAX vectors (1.7 GB complex at the cap), and
-# per-level blocks of |kept|^n x |kept|^n entries.
+# per-level blocks of |kept|^n x |kept|^n entries; no plan's block is larger.
 _SUPPORT_CELLS = 2**18
 # Its flat indices, N^n, and its DFT phases, sums of n products of two
 # coordinates, are int64.
@@ -1208,15 +1209,16 @@ def _arc_cantor_mask(cfg: FupConfig, arc: tuple[float, float], grid: SphereGrid)
 
 def _arc_kept_bound(cfg: FupConfig, arc: tuple[float, float], J: int) -> int:
     """A bound on the nodes that a log-phase support keeps in an arc of the
-    J-node grid, from counts alone: each of the |kept|^depth Cantor cells
-    takes at most ceil(count / base^depth) of the arc's count nodes, and
-    thickening by r nodes widens a kept node to at most 2r + 1."""
+    J-node grid, from counts alone.  At every level l <= depth a kept node
+    lies in one of |kept|^l Cantor cells, each a run of at most
+    ceil(count / base^l) of the arc's count nodes, which thickening by r nodes
+    widens by 2r; the least of these bounds is taken (l = 0 gives count + 2r),
+    so neighbouring thickened nodes that overlap are not counted twice."""
     nodes, depth = _arc_cantor(cfg, arc, J)
-    count = len(nodes)
-    kept = min(count, len(set(cfg.cantor_kept)) ** depth * -(-count // cfg.cantor_base ** depth))
-    if cfg.rho is not None:
-        kept = min(J, kept * (2 * _thickening_nodes(cfg.rho, J) + 1))
-    return kept
+    count, kept = len(nodes), len(set(cfg.cantor_kept))
+    r = 0 if cfg.rho is None else _thickening_nodes(cfg.rho, J)
+    return min(J, min(kept ** l * (-(-count // cfg.cantor_base ** l) + 2 * r)
+                      for l in range(depth + 1)))
 
 
 def _thickening_nodes(rho: float, J: int) -> int:

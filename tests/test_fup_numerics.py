@@ -538,6 +538,20 @@ class TestPrunedDft:
         pair = np.array([0, 40])
         assert _PrunedDft.build(FourierCore(9, 2), pair, pair) is None
 
+    @pytest.mark.parametrize("N", [60000, 1000003])
+    def test_a_block_past_the_cap_declines(self, N):
+        # N is no perfect power, so a plan is one dense |rows| x |cols| block:
+        # under the cost rule it is taken up to 2^18 entries, past them the
+        # FFT is
+        core = FourierCore(N, 1)
+        rng = np.random.default_rng(N % 1000)
+        for side, planned in ((512, True), (513, False), (11000, False)):
+            box = np.arange(100, 100 + side)
+            plan = _PrunedDft.build(core, box, box, budget=fup_numerics._fft_work(N))
+            assert (plan is not None) is planned, side
+        box = np.arange(100, 612)
+        assert_plan_matches_submatrix(core, box, box, rng)
+
     def test_joint_digit_sets_match_submatrix(self):
         # non-product tuple sets, unequal on the two sides
         rng = np.random.default_rng(76)
@@ -849,6 +863,21 @@ class TestArcCantorMask:
                 got = _arc_cantor_mask(cfg, (lo, hi), grid)
                 assert np.array_equal(got, expect), (k, lo)
                 assert got.sum() == 2 ** k
+
+    @pytest.mark.parametrize("base, kept", [(3, (0, 2)), (4, (0, 3)), (5, (0, 1, 2, 3)),
+                                            (7, (0, 3, 6))])
+    def test_kept_bound_holds_the_thickened_support(self, base, kept):
+        # the budget's count bound is never below the nodes the run keeps
+        for J in sorted({4 * base ** k for k in range(1, 6)} | {97, 1000, 4096}):
+            for rho in (None, 0.5, 0.7, 1.0):
+                for arc in ((0.0, 0.25), (0.5, 0.75), (0.1, 0.9), (0.0, 1.0), (0.33, 0.34)):
+                    cfg = FupConfig(core="log_phase", cantor_base=base, cantor_kept=kept,
+                                    ladder=(J,), rho=rho)
+                    mask = _arc_cantor_mask(cfg, arc, circle_grid(J))
+                    if rho is not None:
+                        mask = thicken_mask(mask, fup_numerics._thickening_nodes(rho, J), 1)
+                    bound = fup_numerics._arc_kept_bound(cfg, arc, J)
+                    assert mask.sum() <= bound, (J, rho, arc)
 
 
 class TestResampleMask:
@@ -1425,6 +1454,8 @@ class TestConfigValidation:
         FupConfig(cantor_base=6, cantor_kept=(0, 5), ladder=(6 ** 10,)),
         FupConfig(ladder=(3 ** 14,), rho=0.9),
         FupConfig(core="log_phase", ladder=(4 * 3 ** 13,)),
+        # thickened by 7 nodes, 1024 kept nodes an arc overlap to about 5250
+        FupConfig(core="log_phase", ladder=(4 * 3 ** 10,), rho=0.7),
     ])
     def test_ladder_point_within_the_budgets(self, cfg):
         cfg.validate()
