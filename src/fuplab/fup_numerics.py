@@ -25,12 +25,17 @@ same mirror-symmetric supports (on a side of at least 3 points) and is built
 from the DFT's entries at integer phases, never from an FFT or the pruned
 plan, so the two routes share nothing but the mirror test.
 The DFT core takes any N >= 2.  It runs a pruned Cooley-Tukey plan, whose
-products never touch the ambient grid, on the supports whose base-p digit
-tuples form a product over the k levels of N = p^k, p the smallest root of N
-(every full-depth Cantor family whose base is no perfect power, and joint-digit
-sets that are no per-axis product), whenever that is estimated cheaper than an
-FFT of the whole grid; on other supports a Gram product is one spectral
-convolution, an FFT of the ambient grid and its inverse.  The
+products never touch the ambient grid, whenever that is estimated cheaper than
+an FFT of the whole grid, build included.  Write N = p^k, p the smallest root
+of N.  The plan runs on a cover of each support, a product of base-p^d digit
+tuple sets over the levels above a bottom block of any integer tuples, with
+zeros on the cover's cells outside the support: every full-depth Cantor
+family (in the radix of its own base) and joint-digit sets that are no
+per-axis product are their own covers, and a thickened Cantor set is covered
+by its digits with the thickening's offsets in the bottom block.  Its levels
+are merged into groups of a few dozen tuples, a mixed-radix stage each.
+Otherwise a Gram product is one spectral convolution, an FFT of the ambient
+grid and its inverse.  The
 quadrature cores multiply by their block and its adjoint.  The log-phase
 kernel depends on the chord |y - y'| alone, and on evenly spaced circle nodes
 the chord depends on the index difference alone, so there its block is
@@ -48,6 +53,7 @@ Hessian determinant probes for the phase.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -100,12 +106,16 @@ class _Core:
     def gram(self, rows: np.ndarray, cols: np.ndarray):
         """(product, dtype) of the Gram operator of the |rows| x |cols| block A
         on its smaller side: A^H A on cols when |rows| >= |cols|, else A A^H
-        on rows; here the block and its adjoint, formed once, complex."""
+        on rows; here from the block, formed once, complex.  A^H y is taken as
+        conj(conj(y) A), with no conjugate copy of the block: BLAS runs the
+        same kernel over the same memory, so the bits are A^H y's."""
         block = self.submatrix(rows, cols)
-        adjoint = block.conj().T
+
+        def adjoint(y):
+            return (y.conj() @ block).conj()
         if rows.size >= cols.size:
-            return (lambda x: adjoint @ (block @ x)), complex
-        return (lambda y: block @ (adjoint @ y)), complex
+            return (lambda x: adjoint(block @ x)), complex
+        return (lambda y: block @ adjoint(y)), complex
 
     def gram_matrix(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The Gram matrix of the block B = submatrix(rows, cols) on its smaller
@@ -182,7 +192,8 @@ class FourierCore(_Core):
             if centre is None:
                 return (lambda g: outer(inner(g))), complex
             d = np.exp(sign * 2j * np.pi * ((self._coords(t) @ centre) % self.N) / self.N)
-            return (lambda g: (d.conj() * outer(inner(d * g))).real), float
+            back = d.conj()
+            return (lambda g: (back * outer(inner(d * g))).real), float
         from scipy.fft import fftn, ifftn, irfftn, rfftn
         at = np.stack(np.unravel_index(s, shape))
         spectrum = np.zeros(shape, dtype=bool)
@@ -227,15 +238,21 @@ class FourierCore(_Core):
         return m.T @ m
 
 
-# The cost rule by which FourierCore.gram takes the pruned plan counts work in
-# complex multiply-adds on contiguous arrays.  An FFT of size S with its
-# scatter and gather costs about S log2(S) of them; every numpy call of a
-# pruned product (three per stage, plus the scatter into level order and the
-# gather out of it) is charged _CALL_WORK, about twice its measured overhead,
-# so that the pruned path is taken only where it wins clearly (on the Cantor
-# masks of digits {0, 2} in base 3: from 3^9 cells in one dimension and 81^2
-# in two).
+# The cost rule by which FourierCore.gram takes the pruned plan compares the
+# estimated work of one Gram product on either route, counted in complex
+# multiply-adds on contiguous arrays.  By FFT it is a transform of the S cells
+# and its inverse, S log2(S) each, and every numpy call on either route (five
+# by FFT; on the plan three per stage, plus a scatter and a gather, both ways)
+# is charged _CALL_WORK, about twice its measured overhead.  The plan's build
+# computes each entry of its blocks and twiddles once, by np.exp: an entry
+# costs about as much as 50 multiply-adds, spread over the 15 or more Gram
+# products of a norm, so it is charged _ENTRY_WORK.  On the Cantor masks of
+# digits {0, 2} in base 3 the plan is taken from 3^8 cells in one dimension
+# and 81^2 in two, and on their rho = 0.9 thickenings from 3^9.
 _CALL_WORK = 4000
+_ENTRY_WORK = 3
+# A group of merged digit levels holds at most this many tuples on each side.
+_GROUP_TUPLES = 32
 
 
 def _mirror_centre(support: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -253,7 +270,9 @@ def _mirror_centre(support: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | 
 
 
 def _fft_work(size: int) -> float:
-    return size * math.log2(max(size, 2))
+    """The work of a Gram product by FFT: a transform of the grid and its
+    inverse, and five numpy calls (see _CALL_WORK)."""
+    return 2 * size * math.log2(max(size, 2)) + 5 * _CALL_WORK
 
 
 def _smallest_root(N: int) -> tuple[int, int]:
@@ -268,71 +287,225 @@ def _smallest_root(N: int) -> tuple[int, int]:
     return N, 1
 
 
-def _digit_product(support: np.ndarray, p: int, k: int, shape: tuple[int, ...]):
-    """(levels, position) of a flat support whose cells are the whole product
-    of their per-level digit tuples (coords // p^j) % p, else None.
+def _ranks(codes: np.ndarray, size: int):
+    """(values, rank): the increasing distinct values of ``codes``, integers in
+    [0, size), and the place of each code among them."""
+    if size <= 4 * codes.size + 1024:
+        seen = np.bincount(codes, minlength=size) > 0
+        return np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes]
+    return np.unique(codes, return_inverse=True)
 
-    ``levels[j]`` is the increasing (|D_j|, n) array of the level-j tuples
-    (level 0 the units), and ``position`` the place of each cell in level order,
-    the row-major order of prod_j D_j with level k-1 slowest.
+
+def _scan(coords: np.ndarray, p: int, k: int, m: int):
+    """(bottom, levels, position): a cover P = {b + p^m a} of the support whose
+    cells have the coordinates ``coords`` (n, S) on the (p^k)^n grid.
+
+    A cell's coarse cell is its coordinates // p^m.  A cell stays in its coarse
+    cell when that is one of the fullest (holds the most cells), and otherwise
+    moves to the nearest fullest of its 3^n - 1 neighbours, if it has one; its
+    bottom tuple b is the cell minus p^m times the coarse cell it is in, any
+    integers (negative, or p^m and beyond, for a moved cell).  ``bottom`` is
+    the (|B|, n) array of the distinct b, ``levels[i]`` the (|A_i|, n) array of
+    the base-p digit tuples at level m + i of the coarse cells that hold a
+    cell, and the cover is B x A_0 x A_1 ..., in row-major order with the top
+    level slowest and b fastest: ``position`` is each cell's place in it.
+    Every cell lies in P, which is the support itself when the support is a
+    product over its levels (then B is the bottom m levels' digit tuples) or,
+    away from the grid's ends, a product thickened by less than p^m.
     """
-    coords = np.array(np.unravel_index(support, shape))
-    weights = p ** np.arange(len(shape) - 1, -1, -1)
-    levels, position, total = [], 0, 1
-    for j in range(k):
-        codes = weights @ (coords // p ** j % p)
-        seen = np.bincount(codes, minlength=p ** len(shape)) > 0
-        position = position + (np.cumsum(seen) - 1)[codes] * total
-        total *= np.count_nonzero(seen)
-        if total > support.size:
-            return None
-        levels.append(np.stack(np.unravel_index(np.flatnonzero(seen), (p,) * len(shape)), axis=1))
-    return (levels, position) if total == support.size else None
+    n, q, side = coords.shape[0], p ** m, p ** (k - m)
+    coarse = coords // q
+    weights = side ** np.arange(n - 1, -1, -1)
+    cells, home, counts = np.unique(weights @ coarse, return_inverse=True, return_counts=True)
+    full = counts == counts.max()
+    stray = np.flatnonzero(~full[home])
+    if stray.size:
+        # every neighbour step of every stray cell: (steps, n, strays)
+        steps = np.array([s for s in itertools.product((-1, 0, 1), repeat=n) if any(s)])[:, :, None]
+        at, offset = coarse[:, stray], coords[:, stray] - q * coarse[:, stray]
+        near = at + steps
+        code = np.tensordot(weights, near, (0, 1))
+        found = np.minimum(np.searchsorted(cells, code), cells.size - 1)
+        gap = np.where(steps < 0, offset + 1, np.where(steps > 0, q - offset, 0))
+        valid = (np.all((near >= 0) & (near < side), axis=1) & (cells[found] == code)
+                 & full[found])
+        dist = np.where(valid, (gap ** 2).sum(axis=1), np.iinfo(np.int64).max)
+        nearest, each = dist.argmin(axis=0), np.arange(stray.size)
+        moved = valid[nearest, each]
+        home[stray[moved]] = found[nearest, each][moved]
+    cell_at = np.array(np.unravel_index(cells, (side,) * n))
+    b = coords - q * cell_at[:, home]
+    width, shift = (q, 0) if b.min() >= 0 and b.max() < q else (3 * q, q)
+    bottom, place = _ranks((width ** np.arange(n - 1, -1, -1)) @ (b + shift), width ** n)
+    bottom = np.array(np.unravel_index(bottom, (width,) * n)).T - shift
+    used = np.zeros(cells.size, dtype=bool)
+    used[home] = True
+    # the digit tuple codes of every used coarse cell at every level, level j
+    # offset by j p^n, so that one ranking serves all levels
+    depth, cube = k - m, p ** n
+    digits = cell_at[:, used, None] // p ** np.arange(depth) % p
+    codes = np.tensordot(p ** np.arange(n - 1, -1, -1), digits, 1) + cube * np.arange(depth)
+    values, rank = _ranks(codes.reshape(-1), depth * cube)
+    starts = np.searchsorted(values, cube * np.arange(depth + 1))
+    sizes = np.diff(starts)
+    strides = np.cumprod(np.concatenate([[1], sizes]))[:-1]
+    places = np.zeros(cells.size, dtype=np.int64)
+    places[used] = (rank.reshape(digits.shape[1], depth) - starts[:-1]) @ strides
+    tuples = np.array(np.unravel_index(values % cube, (p,) * n)).T
+    levels = np.split(tuples, starts[1:-1]) if depth else []
+    return bottom, levels, place + len(bottom) * places[home]
 
 
-def _stages(p: int, src: list, dst: list, sign: int, scale: float, budget: float = math.inf):
-    """The k stages (size, rest, twiddle, block) of the pruned DFT from the
-    level sets ``src`` to ``dst``, or None once their work reaches ``budget``
-    or a block would pass _SUPPORT_CELLS entries (k = 1: the dense submatrix).
+def _cover_size(cover) -> int:
+    return len(cover[0]) * math.prod(len(a) for a in cover[1])
 
-    Input index b = sum_j b_j p^j with digit tuples b_j in ``src[j]``, output a
-    with a_s in ``dst[s]``.  The exponent <a, b>/p^k splits into terms
-    <b_j, a mod p^(k-j)> / p^(k-j), so stage s contracts the tuple b_(k-1-s)
-    into a_s: a twiddle by <b_j, a mod p^s> / p^(s+1) over the output tuples
-    made so far, then the |dst[s]| x |src[j]| block of the n-D p-point DFT.
-    Each stage is charged the tensor it takes times |dst[s]| + 2 (block,
-    twiddle, copy).
+
+def _covers(rows: np.ndarray, cols: np.ndarray, n: int, p: int, k: int):
+    """(radix, depth, m, row cover, col cover): the covers of both supports
+    (see :func:`_scan`) on the grid of side p^k read in base radix = p^d,
+    depth = k / d levels, with a bottom of m levels.
+
+    Radix p is tried with m = 1, 2, ... up to k / 2 while the covers shrink,
+    and with m = 1 the covers of supports that are products over their
+    levels are the supports themselves.  Then the radices p^d for the other
+    d that divide k (d < k) are tried with m = 1, which finds the supports
+    that are products over the levels of such a radix (a Cantor family of
+    base p^d among them).  The first covers that are the supports are
+    taken, else the smallest seen.
     """
-    k = len(src)
+    coords = [np.array(np.unravel_index(s, (p ** k,) * n)) for s in (rows, cols)]
+    same = np.array_equal(rows, cols)
+    least = rows.size + cols.size
+
+    def covers(d: int, m: int):
+        row = _scan(coords[0], p ** d, k // d, m)
+        col = row if same else _scan(coords[1], p ** d, k // d, m)
+        return _cover_size(row) + _cover_size(col), (p ** d, k // d, m, row, col)
+
+    best = covers(1, 1)
+    for m in range(2, k // 2 + 1):
+        if best[0] == least:
+            break
+        found = covers(1, m)
+        if found[0] >= best[0]:
+            break
+        best = found
+    for d in range(2, k):
+        if best[0] == least:
+            break
+        if k % d == 0:
+            best = min(best, covers(d, 1), key=lambda c: c[0])
+    return best[1]
+
+
+def _groups(radix: int, depth: int, m: int, covers) -> tuple[list, list]:
+    """(radices, groups): the depth levels of the covers (see :func:`_covers`)
+    merged into consecutive groups, and per cover the (|G|, n) tuple array of
+    each group, bottom group first.
+
+    The group widths, in levels, read the same from both ends: the output's
+    digit order is the input's reversed (see :func:`_stages`), so only then do
+    both supports split the same way.  The bottom group takes the cover's
+    bottom tuples, the top group is as wide, and from the outside in each pair
+    of groups grows while either group of it holds at most _GROUP_TUPLES
+    tuples on every cover; what is left in the middle is one group when it
+    holds that few.  A group's tuples run over the product of its levels, top
+    level slowest, so the groups keep the cover's order.
+    """
+    sizes = [[len(c[0])] + [len(a) for a in c[1]] for c in covers]
+
+    def fits(lo: int, hi: int) -> bool:      # levels [lo, hi), lo = 0 with the bottom
+        return all(math.prod(s[max(lo - m + 1, 0):hi - m + 1]) <= _GROUP_TUPLES
+                   for s in sizes)
+
+    outer, middle, lo, hi = [], [], 0, depth
+    while hi > lo:
+        v = m if lo == 0 else 1
+        if 2 * v > hi - lo or (lo > 0 and fits(lo, hi)):
+            middle = [hi - lo]
+            break
+        while 2 * (v + 1) <= hi - lo and fits(lo, lo + v + 1) and fits(hi - v - 1, hi):
+            v += 1
+        outer.append(v)
+        lo, hi = lo + v, hi - v
+    widths = outer + middle + outer[::-1]
+    ends = np.cumsum([0] + widths)
+    groups = []
+    for bottom, levels, _ in covers:
+        tuples = []
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            t = bottom if lo == 0 else np.zeros((1, bottom.shape[1]), dtype=np.int64)
+            for j in range(max(lo, m), hi):
+                t = (levels[j - m][:, None, :] * radix ** (j - lo) + t[None]).reshape(-1, t.shape[1])
+            tuples.append(t)
+        groups.append(tuples)
+    return [radix ** w for w in widths], groups
+
+
+def _work(src: list, dst: list) -> float:
+    """Estimated work of one direction of a plan on groups of these sizes, or
+    inf when a block would pass _SUPPORT_CELLS entries (a single group: the
+    dense submatrix).  Each stage is charged the tensor it takes times
+    |dst[s]| + 2 (block, twiddle, copy), and _ENTRY_WORK for each entry of
+    its block and twiddle, which the plan's build computes once."""
+    g, rest, made, work = len(src), math.prod(src), 1, 0.0
+    for s in range(g):
+        a, b = src[g - 1 - s], dst[s]
+        if a * b > _SUPPORT_CELLS:
+            return math.inf
+        rest //= a
+        work += a * rest * made * (b + 2) + _ENTRY_WORK * (a * b + (a * made if s else 0))
+        made *= b
+    return work
+
+
+def _stages(radices: list, src: list, dst: list, sign: int, scale: float) -> list:
+    """The stages (size, rest, twiddle, block) of the pruned DFT from the group
+    tuples ``src`` to ``dst`` (see :func:`_groups`), one stage per group.
+
+    Group i has radix r_i = radices[i], and the radices read the same from
+    both ends.  Input index b = sum_i b_i R_i with R_i = r_0 ... r_(i-1) and
+    b_i in ``src[i]``, output a = sum_s a_s R_s with a_s in ``dst[s]``; the
+    tuples may be any integers.  With symmetric radices the exponent <a, b>/N
+    keeps, modulo 1, the terms <a_s, b_(g-1-t)> R_s R_(g-1-t) / N for s <= t,
+    so stage t contracts b_(g-1-t) into a_t: a twiddle by <b_(g-1-t), made>/
+    (R_t r_t) with made = sum_(s<t) a_s R_s the output tuples made so far,
+    then the |dst[t]| x |src[g-1-t]| block e(<a_t, b>/r_t).  The exact unitary
+    scale goes into the last block.
+    """
+    g = len(radices)
     rest = math.prod(len(a) for a in src)
-    made = np.zeros((1, src[0].shape[1]), dtype=np.int64)   # a mod p^s, made so far
-    stages, work = [], 0
-    for s in range(k):
-        a, b = src[k - 1 - s], dst[s]
+    made = np.zeros((1, src[0].shape[1]), dtype=np.int64)
+    stages, below = [], 1
+    for s in range(g):
+        a, b, r = src[g - 1 - s], dst[s], radices[s]
         rest //= len(a)
-        work += len(a) * rest * len(made) * (len(b) + 2)
-        if work >= budget or len(a) * len(b) > _SUPPORT_CELLS:
-            return None
-        q = p ** (s + 1)
-        twiddle = np.exp(sign * 2j * np.pi * ((a @ made.T) % q) / q) if s else None
-        block = np.exp(sign * 2j * np.pi * ((b @ a.T) % p) / p)
-        if s == k - 1:
+        q = below * r
+        twiddle = np.exp(sign * 2j * np.pi / q * ((a @ made.T) % q)) if s else None
+        block = np.exp(sign * 2j * np.pi / r * ((b @ a.T) % r))
+        if s == g - 1:
             block *= scale
         stages.append((len(a), rest, twiddle, block))
-        made = (b[:, None] * p ** s + made[None, :]).reshape(-1, made.shape[1])
+        made = (b[:, None] * below + made[None, :]).reshape(-1, made.shape[1])
+        below = q
     return stages
 
 
 @dataclass(frozen=True)
 class _PrunedDft:
-    """The restricted unitary DFT on supports that are products of per-level
-    digit-tuple sets (see :func:`_digit_product`).
+    """The restricted unitary DFT on supports with covers of few levels.
 
-    For N = p^k, p any radix, such supports keep the Cooley-Tukey recursion
-    closed (decimation in time, pruned on input and output; see
-    :func:`_stages`), so a product costs about k |D|^(k+1) instead of
-    N^n log N^n.  The stages run in level order: a product scatters its input
-    into that order and gathers its output back.
+    For N = p^k, p any radix, the scan (:func:`_covers`) finds a cover P =
+    {b + p^m a} of each support, with a ranging over a product of per-level
+    digit tuple sets and b over any set of integer tuples; the plan's levels
+    are merged into groups (:func:`_groups`), and over such products the
+    Cooley-Tukey recursion stays closed (decimation in time, pruned on input
+    and output, mixed radix; see :func:`_stages`), so a product costs about
+    g |P| |G| for g groups of |G| tuples instead of N^n log N^n.  A product
+    scatters its input into the input cover, zero on the cover's other
+    cells, and gathers its output from the output cover, so it is exact on
+    any cover: a digit product is its own cover, and a thickened one is
+    covered by its digits plus the offsets of the thickening.
     """
 
     forward: list
@@ -343,35 +516,38 @@ class _PrunedDft:
     @classmethod
     def build(cls, core: FourierCore, rows: np.ndarray, cols: np.ndarray,
               budget: float = math.inf):
-        """The plan for increasing rows and cols in the base p of N's smallest
-        root (see :func:`_smallest_root`), or None unless both supports are
-        digit products and a product's estimated work is below ``budget``."""
-        if rows.size == 0 or cols.size == 0:
+        """The plan for increasing rows and cols in powers of the base p of N's
+        smallest root (see :func:`_smallest_root`), or None unless its
+        estimated work (a product, an adjoint and the build) is below
+        ``budget``, no cover passes _SUPPORT_CELLS cells and no block
+        _SUPPORT_CELLS entries."""
+        if rows.size == 0 or cols.size == 0 or np.any(np.diff(rows) <= 0) \
+                or np.any(np.diff(cols) <= 0):
             return None
         p, k = _smallest_root(core.N)
-        calls = (3 * k + 2) * _CALL_WORK
-        if calls >= budget or np.any(np.diff(rows) <= 0) or np.any(np.diff(cols) <= 0):
+        if 2 * (3 * min(k, 2) + 2) * _CALL_WORK >= budget:     # the calls of the fewest stages
             return None
-        shape, scale = (core.N,) * core.n, core.N ** (-core.n / 2)
-        row = _digit_product(rows, p, k, shape)
-        col = None if row is None else _digit_product(cols, p, k, shape)
-        if col is None:
+        radix, depth, m, row, col = _covers(rows, cols, core.n, p, k)
+        if max(_cover_size(row), _cover_size(col)) > _SUPPORT_CELLS:
             return None
-        (row_levels, row_position), (col_levels, col_position) = row, col
-        forward = _stages(p, col_levels, row_levels, -1, scale, budget - calls)
-        if forward is None:
+        radices, (row_groups, col_groups) = _groups(radix, depth, m, (row, col))
+        row_sizes, col_sizes = [len(t) for t in row_groups], [len(t) for t in col_groups]
+        work = (2 * (3 * len(radices) + 2) * _CALL_WORK + _work(col_sizes, row_sizes)
+                + _work(row_sizes, col_sizes))
+        if work >= budget:
             return None
-        return cls(forward, _stages(p, row_levels, col_levels, 1, scale),
-                   row_position, col_position)
+        scale = core.N ** (-core.n / 2)
+        return cls(_stages(radices, col_groups, row_groups, -1, scale),
+                   _stages(radices, row_groups, col_groups, 1, scale), row[2], col[2])
 
     @staticmethod
     def _run(stages: list, src: np.ndarray, dst: np.ndarray, x: np.ndarray) -> np.ndarray:
-        t = np.empty_like(x)
+        t = np.zeros(stages[0][0] * stages[0][1], dtype=complex)
         t[src] = x
         for size, rest, twiddle, block in stages:
             t = t.reshape(size, rest, -1)
             if twiddle is not None:
-                t = t * twiddle[:, None, :]
+                t *= twiddle[:, None, :]        # t is the plan's own: zeros or a stage's output
             t = block @ t.reshape(size, -1)
             t = t.reshape(block.shape[0], rest, -1).transpose(1, 0, 2)
         return t.reshape(-1)[dst]
@@ -725,28 +901,40 @@ def _log_phase_block(w: float, h: float, chi, grid: SphereGrid, rows: np.ndarray
     The entry depends on the chord and on dy' alone.  On a grid that knows
     its chords by node difference (``grid.chords``, evenly spaced circle
     nodes) chi, amplitude and phase are evaluated once per difference, the
-    circulant row of the kernel, and the block gathers that row; other grids
+    circulant row of the kernel, and the block gathers that row a chunk of
+    rows at a time, so no array of all node differences is held; other grids
     take the chord of every pair.
     """
-    if grid.chords is None:
-        d = np.linalg.norm(grid.points[rows][:, None, :] - grid.points[cols][None, :, :], axis=-1)
-        diff = None
-    else:
+    circle = grid.chords is not None
+    if circle:
         d = grid.chords
-        diff = cols[None, :] - rows[:, None]
-        diff %= grid.size
+    else:
+        d = np.linalg.norm(grid.points[rows][:, None, :] - grid.points[cols][None, :, :], axis=-1)
     cut = np.asarray(chi(d), dtype=np.float64)
     near = (d < 1e-6) & (cut != 0.0)
-    if near.any() and (diff is None or near[diff].any()):
-        raise ValueError("cutoff does not vanish near the diagonal")
     with np.errstate(divide="ignore"):
         logd = np.where(d > 0.0, np.log(np.maximum(d, 1e-300) / 2.0), 0.0)
     kernel = (2.0 * np.pi * h) ** (-grid.n / 2) * cut * np.exp(1j * (2.0 * w / h) * logd)
     kernel[cut == 0.0] = 0.0
-    if diff is not None:
-        kernel = kernel[diff]
-    kernel *= grid.weights[cols][None, :]
-    return kernel
+    if not circle:
+        if near.any():
+            raise ValueError("cutoff does not vanish near the diagonal")
+        kernel *= grid.weights[cols][None, :]
+        return kernel
+    block = np.empty((rows.size, cols.size), dtype=complex)
+    weights, close = grid.weights[cols], near.any()
+    step = max(1, _GATHER_ENTRIES // max(cols.size, 1))
+    for lo in range(0, rows.size, step):
+        diff = cols[None, :] - rows[lo:lo + step, None]
+        diff %= grid.size
+        if close and near[diff].any():
+            raise ValueError("cutoff does not vanish near the diagonal")
+        np.multiply(kernel[diff], weights, out=block[lo:lo + step])
+    return block
+
+
+# A circle-grid log-phase block is gathered this many entries at a time.
+_GATHER_ENTRIES = 2**20
 
 
 def log_phase_kernel(w: float, h: float, chi, grid: SphereGrid) -> KernelCore:
@@ -1092,8 +1280,7 @@ class FupConfig:
                 if n * N ** max(n, 2) >= _INDEX_LIMIT:
                     raise ValueError(f"ladder value {N}: flat indices or DFT phases overflow "
                                      f"int64 in {n}-D")
-            pruned = digits and _smallest_root(self.cantor_base) == (self.cantor_base, 1)
-            if not pruned and N ** n > _RASTER_CELLS:
+            if not digits and N ** n > _RASTER_CELLS:
                 raise ValueError(f"ladder value {N}: a raster of {N}^{n} cells is over the "
                                  f"budget of {_RASTER_CELLS}")
 
@@ -1111,15 +1298,13 @@ class FupConfig:
 
 
 _PHASE_ROUNDING_LIMIT = 1e-6       # rad
-# Budgets of a Fourier ladder point.  A point of explicit sets or thickening,
-# or a Cantor family whose base is a perfect power (its digits need not be a
-# product over the levels of the smallest root), is rastered: it holds masks
-# of N^n cells and runs its norm on FFTs of as many entries (16 bytes each,
-# 160 MB an array at the budget).
+# Budgets of a Fourier ladder point.  A point of explicit sets or thickening
+# is rastered: it holds masks of N^n cells and may run its norm on FFTs of as
+# many entries (16 bytes each, 160 MB an array at the budget).
 _RASTER_CELLS = 10**7
-# A Cantor family of any other base takes an FFT of the grid only where that
-# costs less than the pruned plan, whose work the budget on its support
-# bounds.  The plan holds that support, |kept|^(n depth) cells, on which
+# An unthickened Cantor family, of any base, takes an FFT of the grid only
+# where that costs less than the pruned plan, whose work the budget on its
+# support bounds.  The plan holds that support, |kept|^(n depth) cells, on which
 # Lanczos keeps up to _M_MAX vectors (1.7 GB complex at the cap), and
 # per-level blocks of |kept|^n x |kept|^n entries; no plan's block is larger.
 _SUPPORT_CELLS = 2**18
@@ -1130,9 +1315,9 @@ _INDEX_LIMIT = 2**63
 # and chords, and the kernel's row of J chords takes its cutoff, amplitude and
 # phase: about 100 bytes a node at the peak, 0.8 GB at the budget.
 _CIRCLE_NODES = 2**23
-# Its |rows| x |cols| block is held as an int64 array of node differences,
-# then as complex entries, and the Gram product keeps the conjugate copy: 40
-# bytes an entry, 2.7 GB at the budget, which J = 4 * 3^13 reaches on the
+# Its |rows| x |cols| block is held once, as complex entries gathered a chunk
+# of rows at a time, and the Gram product takes its adjoint without a copy:
+# 16 bytes an entry, 1.1 GB at the budget, which J = 4 * 3^13 reaches on the
 # quarter arcs of digits {0, 2} in base 3.
 _BLOCK_ENTRIES = 2**26
 

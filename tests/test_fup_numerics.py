@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -468,7 +469,8 @@ class TestPrunedDft:
                               for _ in range(2))
                 for a, b in ((rows, cols), (cols, rows)):
                     assert_plan_matches_submatrix(FourierCore(N, n), a, b, rng, tol=1e-13)
-                    assert len(_PrunedDft.build(FourierCore(N, n), a, b).forward) == k
+                    # one stage per group of levels, so at most one per level
+                    assert len(_PrunedDft.build(FourierCore(N, n), a, b).forward) <= k
 
     def test_matches_masked_fft_up_to_3_to_the_10(self):
         rng = np.random.default_rng(74)
@@ -511,43 +513,46 @@ class TestPrunedDft:
             assert fast.iters == slow.iters
 
     def test_cost_rule_keeps_small_points_on_the_fft(self):
-        for n, k, expect_fft in ((1, 8, True), (1, 9, False), (2, 3, True), (2, 4, False)):
+        for n, k, expect_fft in ((1, 7, True), (1, 8, False), (2, 3, True), (2, 4, False)):
             rows = np.flatnonzero(cantor_mask(k, n))
             core = FourierCore(3 ** k, n)
             plan = _PrunedDft.build(core, rows, rows, budget=fup_numerics._fft_work(core.size))
             assert (plan is None) is expect_fft, (n, k)
 
-    def test_non_product_supports_decline(self):
+    def test_supports_that_are_no_product_take_covers(self):
+        # a thickened Cantor set, a box and a box against a Cantor set all plan,
+        # on covers larger than the supports, zero off them; an unsorted
+        # support does not
         k = 6
         N = 3 ** k
         core = FourierCore(N, 1)
+        rng = np.random.default_rng(75)
         cantor = cantor_mask(k)
         thick = np.flatnonzero(thicken_mask(cantor, round(N ** 0.1), 1))
         box = np.flatnonzero(resample_mask(BoxSet.from_boxes([([0.1], [0.4])], N, 1), N))
         rows = np.flatnonzero(cantor)
-        assert _PrunedDft.build(core, thick, thick) is None
-        assert _PrunedDft.build(core, box, box) is None
-        assert _PrunedDft.build(core, rows, box) is None
+        for a, b in ((thick, thick), (box, box), (rows, box), (box, rows), (rows, rows)):
+            assert_plan_matches_submatrix(core, a, b, rng, tol=1e-13)
         assert _PrunedDft.build(core, rows[::-1], rows) is None
-        assert _PrunedDft.build(core, rows, rows) is not None
         # N = 6^3 takes radix 6, so the full grid is a digit product
         full = np.arange(216)
-        assert _PrunedDft.build(FourierCore(216, 1), full, full) is not None
+        assert_plan_matches_submatrix(FourierCore(216, 1), full, full, rng, tol=1e-13)
         # in 2-D the cells (0, 0) and (4, 4) of the 9 x 9 grid have level tuples
-        # {(0, 0), (1, 1)} at both levels, whose product holds four cells
+        # {(0, 0), (1, 1)} at both levels: their cover holds four cells
         pair = np.array([0, 40])
-        assert _PrunedDft.build(FourierCore(9, 2), pair, pair) is None
+        assert_plan_matches_submatrix(FourierCore(9, 2), pair, pair, rng, tol=1e-13)
+        assert fup_numerics._cover_size(fup_numerics._scan(
+            np.array(np.unravel_index(pair, (9, 9))), 3, 2, 1)) == 4
 
     @pytest.mark.parametrize("N", [60000, 1000003])
     def test_a_block_past_the_cap_declines(self, N):
-        # N is no perfect power, so a plan is one dense |rows| x |cols| block:
-        # under the cost rule it is taken up to 2^18 entries, past them the
-        # FFT is
+        # N is no perfect power, so a plan is one dense |rows| x |cols| block,
+        # which is refused past 2^18 entries whatever the cost rule says
         core = FourierCore(N, 1)
         rng = np.random.default_rng(N % 1000)
         for side, planned in ((512, True), (513, False), (11000, False)):
             box = np.arange(100, 100 + side)
-            plan = _PrunedDft.build(core, box, box, budget=fup_numerics._fft_work(N))
+            plan = _PrunedDft.build(core, box, box)
             assert (plan is not None) is planned, side
         box = np.arange(100, 612)
         assert_plan_matches_submatrix(core, box, box, rng)
@@ -592,6 +597,169 @@ class TestPrunedDft:
             assert info.converged and info.iters > 0
             dense = dense_norm(op)
             assert abs(info.value - dense) <= 1e-12 * dense, (p, n, k)
+
+
+def thick_cantor(base, kept, k, rho, n=1):
+    """Flat indices of the Cantor family thickened as FupConfig thickens it."""
+    mask = cantor_generate(CantorSpec.uniform(base, kept, k, n), n).mask.reshape(-1)
+    return np.flatnonzero(thicken_mask(mask, int(round((base ** k) ** (1.0 - rho))), n))
+
+
+def plan_mutant(monkeypatch, name, old, new):
+    """Replace fup_numerics.<name> by a copy whose source has ``old`` put as ``new``."""
+    src = inspect.getsource(getattr(fup_numerics, name))
+    assert src.count(old) == 1
+    scope = dict(vars(fup_numerics))
+    exec(compile(src.replace(old, new), f"<mutant {name}>", "exec"), scope)
+    monkeypatch.setattr(fup_numerics, name, scope[name])
+
+
+def widths(radices, radix):
+    return [round(math.log(r, radix)) for r in radices]
+
+
+class TestCovers:
+    """Plans on covers of supports that are no product over their levels."""
+
+    @pytest.mark.parametrize("base, kept, ks, rho, n", [
+        (3, (0, 2), range(4, 10), 0.9, 1), (3, (0, 2), range(4, 10), 0.7, 1),
+        (5, (0, 2, 4), range(2, 6), 0.9, 1), (3, (0, 2), range(2, 6), 0.9, 2),
+    ], ids=["base3-rho0.9", "base3-rho0.7", "base5-rho0.9", "base3-rho0.9-2d"])
+    def test_thickened_supports_match_submatrix(self, base, kept, ks, rho, n):
+        # the thickenings are clipped at cell 0 and cell N - 1, where the
+        # Cantor sets end; against the Cantor set in both orientations, and
+        # against themselves while the block stays small
+        rng = np.random.default_rng(90 + base + n)
+        for k in ks:
+            core = FourierCore(base ** k, n)
+            thick = thick_cantor(base, kept, k, rho, n)
+            cantor = np.flatnonzero(cantor_generate(CantorSpec.uniform(base, kept, k, n), n)
+                                    .mask.reshape(-1))
+            assert thick[0] == 0 and thick[-1] == core.size - 1
+            pairs = [(thick, cantor), (cantor, thick)]
+            if thick.size <= 2048:
+                pairs.append((thick, thick))
+            for rows, cols in pairs:
+                assert_plan_matches_submatrix(core, rows, cols, rng, tol=1e-13)
+
+    def test_boxes_against_the_grid_ends_match_submatrix(self):
+        rng = np.random.default_rng(95)
+        N = 3 ** 6
+        core = FourierCore(N, 1)
+        ends = np.r_[np.arange(0, 40), np.arange(N - 40, N)]
+        middle = np.arange(300, 420)
+        cantor = np.flatnonzero(cantor_mask(6))
+        for rows, cols in ((ends, ends), (ends, middle), (middle, ends), (ends, cantor)):
+            assert_plan_matches_submatrix(core, rows, cols, rng, tol=1e-13)
+
+    def test_a_digit_product_is_its_own_cover(self):
+        # the bottom block is the bottom level's digits, in [0, p)
+        for k in range(1, 10):
+            coords = np.array(np.unravel_index(np.flatnonzero(cantor_mask(k)), (3 ** k,)))
+            bottom, levels, position = fup_numerics._scan(coords, 3, k, 1)
+            assert np.array_equal(bottom[:, 0], [0, 2])
+            assert fup_numerics._cover_size((bottom, levels)) == coords.shape[1]
+            assert np.array_equal(np.sort(position), np.arange(coords.shape[1]))
+
+    def test_a_thickened_cover_holds_the_ball_offsets(self):
+        # rho = 0.9 at 3^10 thickens by 3 cells: the 9-cell coarse cells of the
+        # Cantor set hold 9 cells each, and their neighbours' cells move to them
+        k = 10
+        thick = thick_cantor(3, (0, 2), k, 0.9)
+        coords = np.array(np.unravel_index(thick, (3 ** k,)))
+        bottom, levels, position = fup_numerics._scan(coords, 3, k, 2)
+        assert np.array_equal(bottom[:, 0], np.arange(-3, 12))
+        assert [len(a) for a in levels] == [2] * (k - 2)
+        assert np.unique(position).size == thick.size     # one cover cell per support cell
+        # the cover misses only the three cells past each end of the grid
+        assert fup_numerics._cover_size((bottom, levels)) == thick.size + 6
+
+    def test_group_sizes_read_the_same_from_both_ends(self):
+        for k in range(1, 14):
+            for support in (np.flatnonzero(cantor_mask(k)), thick_cantor(3, (0, 2), k, 0.9)):
+                radix, depth, m, row, col = fup_numerics._covers(support, support, 1, 3, k)
+                radices, groups = fup_numerics._groups(radix, depth, m, (row, col))
+                w = widths(radices, radix)
+                assert w == w[::-1] and sum(w) == depth, (k, w)
+                for tuples, width in zip(groups[0], w):
+                    assert len(tuples) <= fup_numerics._GROUP_TUPLES or width == m \
+                        or width == 1, (k, w)
+        # the Cantor set at 3^12 runs 3 stages, not 12
+        rows = np.flatnonzero(cantor_mask(12))
+        assert len(_PrunedDft.build(FourierCore(3 ** 12, 1), rows, rows).forward) == 3
+
+    def test_a_cover_without_its_negative_offsets_fails(self, monkeypatch):
+        rng = np.random.default_rng(96)
+        core, thick = FourierCore(3 ** 6, 1), thick_cantor(3, (0, 2), 6, 0.9)
+        assert_plan_matches_submatrix(core, thick, thick, rng, tol=1e-13)
+        plan_mutant(monkeypatch, "_scan", "b = coords - q * cell_at[:, home]",
+                    "b = np.maximum(coords - q * cell_at[:, home], 0)")
+        with pytest.raises(AssertionError):
+            assert_plan_matches_submatrix(core, thick, thick, rng, tol=1e-13)
+
+    def test_groups_that_are_not_symmetric_fail(self, monkeypatch):
+        # level widths 5, 2, 5 and 3, 4, 3; the mutant moves the middle group to
+        # the top.  A few rows of the Cantor set keep the oracle small.
+        rng = np.random.default_rng(97)
+        cantor = np.flatnonzero(cantor_mask(12))
+        cases = [(FourierCore(3 ** 12, 1), cantor[:256], cantor),
+                 (FourierCore(3 ** 10, 1), np.flatnonzero(cantor_mask(10)),
+                  thick_cantor(3, (0, 2), 10, 0.9))]
+        for core, rows, cols in cases:
+            assert_plan_matches_submatrix(core, rows, cols, rng, tol=1e-13)
+        plan_mutant(monkeypatch, "_groups", "widths = outer + middle + outer[::-1]",
+                    "widths = outer + outer[::-1] + middle")
+        for core, rows, cols in cases:
+            with pytest.raises(AssertionError):
+                assert_plan_matches_submatrix(core, rows, cols, rng, tol=1e-13)
+
+    def test_the_rho_09_plan_at_3_10_matches_the_spectral_product(self, monkeypatch):
+        op = fup_numerics._grid_operator(FupConfig(rho=0.9), 3 ** 10)
+        assert _PrunedDft.build(op.core, op.rows, op.cols,
+                                budget=fup_numerics._fft_work(op.size)) is not None
+        with monkeypatch.context() as patch:
+            forbid_ambient_fft(patch)
+            planned, dtype = op.core.gram(op.rows, op.cols)
+        monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: 0.0)
+        spectral, spectral_dtype = op.core.gram(op.rows, op.cols)
+        assert dtype is float and spectral_dtype is float
+        rng = np.random.default_rng(98)
+        for _ in range(3):
+            g = rng.standard_normal(op.rows.size)
+            assert rel_err(planned(g), spectral(g)) <= 1e-14
+
+    def test_cost_rule_charges_the_build(self):
+        # a box of 512 cells at N = 60000 is one 512 x 512 block each way, whose
+        # entries cost more to build than the FFTs they save; the Cantor sets
+        # and the rho = 0.9 thickening keep their plans
+        box = np.arange(100, 612)
+        assert _PrunedDft.build(FourierCore(60000, 1), box, box,
+                                budget=fup_numerics._fft_work(60000)) is None
+        assert _PrunedDft.build(FourierCore(60000, 1), box, box) is not None
+        points = [(np.flatnonzero(cantor_mask(k)), k) for k in range(9, 13)]
+        points.append((thick_cantor(3, (0, 2), 10, 0.9), 10))
+        for support, k in points:
+            core = FourierCore(3 ** k, 1)
+            assert _PrunedDft.build(core, support, support,
+                                    budget=fup_numerics._fft_work(core.size)) is not None, k
+
+    @pytest.mark.parametrize("base, kept, d", [(4, (0, 3), 2), (8, (0, 7), 3), (9, (0, 8), 2)])
+    def test_perfect_power_bases_plan_in_their_own_radix(self, base, kept, d):
+        # {0, 3} in base 4 is no product over binary levels, but a product over
+        # pairs of them, so the plan reads the grid in radix 4 = 2^2
+        rng = np.random.default_rng(base)
+        p = fup_numerics._smallest_root(base)[0]
+        for k in range(1, 5):
+            N = base ** k
+            support = digit_support(base, [kept] * k)
+            if k > 1:       # one base-p^d level is no product of base-p ones: a cover
+                radix, depth, m, row, col = fup_numerics._covers(support, support, 1, p, d * k)
+                assert radix == p ** d and fup_numerics._cover_size(row) == support.size
+            assert_plan_matches_submatrix(FourierCore(N, 1), support, support, rng, tol=1e-13)
+        op = fup_numerics._grid_operator(FupConfig(cantor_base=base, cantor_kept=kept),
+                                         base ** 6)
+        assert _PrunedDft.build(op.core, op.rows, op.cols,
+                                budget=fup_numerics._fft_work(op.size)) is not None
 
 
 def gram_oracle(core, rows, cols, g):
@@ -640,7 +808,7 @@ class TestGram:
         rng = np.random.default_rng(80)
         for label, core, rows, cols in symmetric_pairs():
             with monkeypatch.context() as patch:
-                if path == "pruned" and "thick" not in label:     # thickenings have no plan
+                if path == "pruned":                 # thickenings plan on their covers too
                     forbid_ambient_fft(patch)
                 product, dtype = core.gram(rows, cols)
                 g = rng.standard_normal(min(rows.size, cols.size))
@@ -683,8 +851,7 @@ class TestGram:
     @pytest.mark.parametrize("k", [9, 10])
     def test_unequal_supports_above_the_dense_limit(self, monkeypatch, k):
         # masked_norm cross-checks nothing at these sizes, so dense_norm is called
-        # here; both orientations, on the pruned plan (digit products only) and
-        # on the real FFT
+        # here; both orientations, on the pruned plan and on the real FFT
         N = 3 ** k
         core = FourierCore(N, 1)
         assert core.size > fup_numerics._DENSE_LIMIT
@@ -698,7 +865,7 @@ class TestGram:
                 with monkeypatch.context() as patch:
                     patch.setattr(fup_numerics, "_fft_work",
                                   lambda size: math.inf if path == "pruned" else 0.0)
-                    if path == "pruned" and name == "digits":
+                    if path == "pruned":
                         forbid_ambient_fft(patch)
                     for rows, cols in ((small, large), (large, small)):
                         assert core.gram(rows, cols)[1] is float
@@ -1433,7 +1600,15 @@ class TestConfigValidation:
          "the Cantor family's support"),                        # one level block of 600^2
         (FupConfig(cantor_kept=(2,), ladder=(3 ** 20,)), "DFT phases overflow int64 in 1-D"),
         (FupConfig(cantor_kept=(2,), n=3, ladder=(3 ** 14,)), "overflow int64 in 3-D"),
-        (FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 12,)), "a raster of"),
+        # a perfect-power base plans on the radix of its own digits: the support
+        # budget and the int64 range refuse it, never a raster
+        (FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 16,)),
+         "DFT phases overflow int64 in 1-D"),
+        (FupConfig(cantor_base=8, cantor_kept=(0, 7), ladder=(8 ** 11,)),
+         "DFT phases overflow int64 in 1-D"),
+        (FupConfig(cantor_base=4, cantor_kept=(0, 1, 3), ladder=(4 ** 12,)),
+         "the Cantor family's support and level blocks take 531441"),
+        (FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 12,), rho=0.9), "a raster of"),
         (FupConfig(n=2, ladder=(3 ** 8,), rho=0.9), r"a raster of 6561\^2 cells"),
         (FupConfig(core="log_phase", ladder=(4 * 3 ** 14,)),
          "a circle grid of 19131876 nodes is over the budget"),
@@ -1452,6 +1627,9 @@ class TestConfigValidation:
         FupConfig(cantor_kept=(2,), ladder=(3 ** 19,)),
         FupConfig(cantor_base=6, cantor_kept=(0, 5), ladder=(6 ** 8,)),
         FupConfig(cantor_base=6, cantor_kept=(0, 5), ladder=(6 ** 10,)),
+        FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 12,)),     # once rastered
+        FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 15,)),
+        FupConfig(cantor_base=8, cantor_kept=(0, 7), ladder=(8 ** 10,)),
         FupConfig(ladder=(3 ** 14,), rho=0.9),
         FupConfig(core="log_phase", ladder=(4 * 3 ** 13,)),
         # thickened by 7 nodes, 1024 kept nodes an arc overlap to about 5250

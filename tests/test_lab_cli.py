@@ -315,6 +315,17 @@ class TestFupScan:
         rows = (tmp_path / "fup_scan.csv").read_text().splitlines()
         assert [r.split(",")[2] for r in rows[1:6]] == ["7", "49", "343", "2401", "16807"]
 
+    def test_perfect_power_base_scans_past_the_raster_budget(self, tmp_path):
+        # digits {0, 3} of base 4 are a product over pairs of binary levels, so
+        # the family plans in radix 4; 4^12 was refused as a raster of 4^12 cells
+        cfg = write_json(tmp_path / "cfg.json", {
+            "core": "fourier", "n": 1, "cantor_base": 4, "cantor_kept": [0, 3],
+            "ladder": [64, 4096, 4 ** 9, 4 ** 12], "lower_bound_mode": True})
+        assert main(["--out", str(tmp_path), "fup-scan", "--config", cfg]) == 0
+        rows = (tmp_path / "fup_scan.csv").read_text().splitlines()
+        assert [r.split(",")[2] for r in rows[1:5]] == ["64", "4096", "262144", "16777216"]
+        assert all(r.endswith(",True") for r in rows[1:5])
+
     def test_grid_core_scan_has_no_energy_column(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json",
                          {"core": "fourier", "n": 1, "ladder": [27, 81, 243, 729]})
@@ -898,7 +909,10 @@ class TestUsageContract:
          "config error: ladder value 847288609443: the Cantor family's support"),
         ({"n": 1, "ladder": [14348907, 27, 81, 243], "rho": 0.9},
          "config error: ladder value 14348907: a raster of 14348907^1 cells"),
-    ], ids=["2d-cantor-3^14", "explicit-sets-3^25", "1d-cantor-3^25", "thickened-3^15"])
+        ({"n": 1, "cantor_base": 4, "cantor_kept": [0, 3], "ladder": [4 ** 16, 16, 64, 256]},
+         "config error: ladder value 4294967296: flat indices or DFT phases overflow int64"),
+    ], ids=["2d-cantor-3^14", "explicit-sets-3^25", "1d-cantor-3^25", "thickened-3^15",
+            "base-4-cantor-4^16"])
     def test_fup_ladder_point_past_its_budget(self, tmp_path, capsys, payload, prefix):
         # the first two used to end in numpy's _ArrayMemoryError (20.8 and 6.16 TiB)
         cfg = self.input_json(tmp_path, {"core": "fourier", **payload})
