@@ -367,11 +367,12 @@ def _covers(rows: np.ndarray, cols: np.ndarray, n: int, p: int, k: int):
 
     Radix p is tried with m = 1, 2, ... up to k / 2 while the covers shrink,
     and with m = 1 the covers of supports that are products over their
-    levels are the supports themselves.  Then the radices p^d for the other
-    d that divide k (d < k) are tried with m = 1, which finds the supports
-    that are products over the levels of such a radix (a Cantor family of
-    base p^d among them).  The first covers that are the supports are
-    taken, else the smallest seen.
+    levels are the supports themselves.  Covers of at least twice the
+    supports then try the radices p^d for the other d that divide k
+    (d < k) with m = 1, which finds the supports that are products over the
+    levels of such a radix (a Cantor family of base p^d among them); a
+    cover of less than that is kept, as no radix can shrink it below the
+    support.  The smallest covers seen are taken.
     """
     coords = [np.array(np.unravel_index(s, (p ** k,) * n)) for s in (rows, cols)]
     same = np.array_equal(rows, cols)
@@ -391,7 +392,7 @@ def _covers(rows: np.ndarray, cols: np.ndarray, n: int, p: int, k: int):
             break
         best = found
     for d in range(2, k):
-        if best[0] == least:
+        if best[0] < 2 * least:
             break
         if k % d == 0:
             best = min(best, covers(d, 1), key=lambda c: c[0])
