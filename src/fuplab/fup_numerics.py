@@ -7,18 +7,21 @@ tied to the grid (h = 1/N) the discretized transform is the unitary DFT, so
 unitarity and the single-column norm are exact and serve as hard anchors.
 
 A masked operator is a core and two supports: strictly increasing flat
-indices of the output cells (``rows``) and the input cells (``cols``).  Every
-core answers the same protocol: its ambient ``size``, the dense block
-``submatrix(rows, cols)``, the product ``gram(rows, cols)`` of the block's
-Gram matrix on the smaller side, the only product that norms take, and that
-Gram matrix formed densely, ``gram_matrix(rows, cols)``.  A norm is the
+indices of the output cells (``rows``) and the input cells (``cols``), made
+from the digits of a Cantor family or the raster of an explicit set, and
+thickened on those indices, never on a raster.  Every core answers the same
+protocol: its ambient ``size``, the dense block ``submatrix(rows, cols)``, the
+product ``gram(rows, cols)`` of the block's Gram matrix on the smaller side,
+the only product that norms take, and that Gram matrix formed densely,
+``gram_matrix(rows, cols)``.  A norm is the
 square root of the top eigenvalue of the Gram operator, computed matrix-free
 by Lanczos: complex in general, real for the DFT when the larger support is
 its own mirror image about an integer point.  Lanczos stops when its top Ritz
 value stops moving (theta_m - theta_(m-4) <= 1e-15 theta_m) or its Krylov
 space is invariant; a run that reaches the cap of ``_M_MAX`` steps reports
 the Ritz value, a lower bound, with ``converged`` False.  On small problems
-the dense norm, from the top eigenvalue of ``gram_matrix``, runs
+the dense norm, from the top eigenvalue of ``gram_matrix`` (exactly 1, with no
+matrix, when the larger of two DFT supports is the whole grid), runs
 automatically: a converged value must agree with it to 1e-10 (relative), an
 unconverged one must not exceed it; for the DFT that matrix is real on the
 same mirror-symmetric supports (on a side of at least 3 points) and is built
@@ -59,9 +62,8 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import ndimage
 
-from .porosity import BoxSet, CantorSpec, PorosityReport, Verdict, cantor_generate
+from .porosity import BoxSet, CantorSpec, PorosityReport, Verdict
 from .porosity import _checked, _combine, _require_kind
 
 __all__ = [
@@ -89,7 +91,6 @@ __all__ = [
     "log_phase_hessian_factors",
     "SphereAtlas",
     "sphere_porosity_check",
-    "thicken_mask",
     "FupConfig",
     "fup_experiment",
 ]
@@ -194,6 +195,9 @@ class FourierCore(_Core):
             d = np.exp(sign * 2j * np.pi * ((self._coords(t) @ centre) % self.N) / self.N)
             back = d.conj()
             return (lambda g: (back * outer(inner(d * g))).real), float
+        if self.size > _RASTER_CELLS:
+            raise ValueError(f"the pruned plan declines these supports, and an FFT of the {self.N}"
+                             f"^{self.n} grid is over the budget of {_RASTER_CELLS} cells")
         from scipy.fft import fftn, ifftn, irfftn, rfftn
         at = np.stack(np.unravel_index(s, shape))
         spectrum = np.zeros(shape, dtype=bool)
@@ -698,10 +702,15 @@ def dense_norm(op: MaskedOperator) -> float:
     costs less than the singular values of the block.  A complex Gram matrix
     takes LAPACK's subset driver for its top eigenvalue alone; a real one
     takes every eigenvalue (``eigvalsh``), since the subset drivers raise on
-    some real ones (near-identity matrices of full masks).
+    some real ones (near-identity matrices of full masks).  On the DFT a
+    larger support that is the whole grid takes whole columns (or rows) of a
+    unitary matrix, which are orthonormal: the norm is exactly 1, and no
+    matrix is formed.
     """
     if op.rows.size == 0 or op.cols.size == 0:
         return 0.0
+    if isinstance(op.core, FourierCore) and max(op.rows.size, op.cols.size) == op.size:
+        return 1.0
     gram = op.core.gram_matrix(op.rows, op.cols)
     if np.iscomplexobj(gram):
         from scipy.linalg import eigh
@@ -1171,18 +1180,6 @@ def sphere_porosity_check(oracle, nu: float, alpha0: float, alpha1: float,
 # experiment driver
 
 
-def thicken_mask(mask: np.ndarray, radius_cells: int, n: int) -> np.ndarray:
-    """Dilate a flat grid mask by the discrete ball of center distance radius."""
-    if radius_cells <= 0:
-        return mask.copy()
-    side = round(mask.size ** (1.0 / n))
-    shaped = mask.reshape((side,) * n)
-    rng = np.arange(-radius_cells, radius_cells + 1)
-    grids = np.meshgrid(*([rng] * n), indexing="ij")
-    se = sum(g.astype(np.int64) ** 2 for g in grids) <= radius_cells ** 2
-    return ndimage.binary_dilation(shaped, structure=se).reshape(-1)
-
-
 # The fields that only the other core reads.  A config must leave them at
 # their defaults, or it would run while ignoring what it asked for.
 _UNREAD_FIELDS = {"fourier": ("w_list", "chi_gap", "chi_width", "arc_minus", "arc_plus"),
@@ -1267,23 +1264,23 @@ class FupConfig:
     def _check_budgets(self) -> None:
         """Refuse a Fourier ladder point whose arrays would pass a budget below,
         from their sizes alone, before any of them is allocated."""
-        n = self.n
-        # both sides the Cantor family, unthickened: supports straight from the digits
-        digits = self.rho is None and self.set_minus is None and self.set_plus is None
+        n, explicit = self.n, self.set_minus is not None or self.set_plus is not None
         for N in self.ladder:
-            if digits:
-                depth = _cantor_depth(self.cantor_base, N)
-                cells = len(set(self.cantor_kept)) ** (n * max(depth, 2))
-                if cells > _SUPPORT_CELLS:
-                    raise ValueError(f"ladder value {N}: the Cantor family's support and "
-                                     f"level blocks take {cells} cells, over the budget of "
-                                     f"{_SUPPORT_CELLS}")
-                if n * N ** max(n, 2) >= _INDEX_LIMIT:
-                    raise ValueError(f"ladder value {N}: flat indices or DFT phases overflow "
-                                     f"int64 in {n}-D")
-            if not digits and N ** n > _RASTER_CELLS:
+            if explicit and N ** n > _RASTER_CELLS:
                 raise ValueError(f"ladder value {N}: a raster of {N}^{n} cells is over the "
                                  f"budget of {_RASTER_CELLS}")
+            if None not in (self.set_minus, self.set_plus):
+                continue
+            depth, r = _cantor_depth(self.cantor_base, N), _thickening_cells(self.rho, N)
+            cells = (_kept_bound(self, N, depth, r, N ** n) if r
+                     else len(set(self.cantor_kept)) ** (n * max(depth, 2)))
+            if cells > _SUPPORT_CELLS:
+                what = "thickened support takes up to" if r else "support and level blocks take"
+                raise ValueError(f"ladder value {N}: the Cantor family's {what} {cells} cells, "
+                                 f"over the budget of {_SUPPORT_CELLS}")
+            if n * N ** max(n, 2) >= _INDEX_LIMIT:
+                raise ValueError(f"ladder value {N}: flat indices or DFT phases overflow "
+                                 f"int64 in {n}-D")
 
     def _check_circle_budgets(self) -> None:
         """Refuse a log-phase ladder point whose circle grid or kernel block would
@@ -1292,22 +1289,21 @@ class FupConfig:
             if J > _CIRCLE_NODES:
                 raise ValueError(f"ladder value {J}: a circle grid of {J} nodes is over the "
                                  f"budget of {_CIRCLE_NODES}")
-            rows, cols = (_arc_kept_bound(self, arc, J) for arc in (self.arc_minus, self.arc_plus))
+            r = _thickening_nodes(self.rho, J)
+            arcs = (_arc_cantor(self, arc, J) for arc in (self.arc_minus, self.arc_plus))
+            rows, cols = (_kept_bound(self, len(nodes), depth, r, J) for nodes, depth in arcs)
             if rows * cols > _BLOCK_ENTRIES:
                 raise ValueError(f"ladder value {J}: a kernel block of up to {rows} x {cols} "
                                  f"entries is over the budget of {_BLOCK_ENTRIES}")
 
 
 _PHASE_ROUNDING_LIMIT = 1e-6       # rad
-# Budgets of a Fourier ladder point.  A point of explicit sets or thickening
-# is rastered: it holds masks of N^n cells and may run its norm on FFTs of as
-# many entries (16 bytes each, 160 MB an array at the budget).
+# Budgets of a Fourier ladder point.  An explicit set's raster and an FFT off
+# the pruned plan hold N^n cells (16 bytes each, 160 MB an array at the budget).
 _RASTER_CELLS = 10**7
-# An unthickened Cantor family, of any base, takes an FFT of the grid only
-# where that costs less than the pruned plan, whose work the budget on its
-# support bounds.  The plan holds that support, |kept|^(n depth) cells, on which
-# Lanczos keeps up to _M_MAX vectors (1.7 GB complex at the cap), and
-# per-level blocks of |kept|^n x |kept|^n entries; no plan's block is larger.
+# A Cantor family takes an FFT of the grid only where that costs less than the
+# pruned plan, whose support (_kept_bound cells, up to _M_MAX Lanczos vectors on
+# it: 1.7 GB complex at the cap) and level blocks this budget bounds.
 _SUPPORT_CELLS = 2**18
 # Its flat indices, N^n, and its DFT phases, sums of n products of two
 # coordinates, are int64.
@@ -1345,19 +1341,43 @@ def _cantor_depth(base: int, N: int) -> int:
     return max(1, round(math.log(N, base)))
 
 
+def _fill(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The integers of the increasing, disjoint runs [starts, stops), in order."""
+    sizes = stops - starts
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+def _thicken(cells: np.ndarray, r: int, N: int, n: int) -> np.ndarray:
+    """``cells`` (increasing flat indices of the N^n grid) dilated by the ball |o|^2 <= r^2 and
+    clipped at the grid's ends: each row o' of the ball moves runs along the last axis to other
+    lines and widens them by isqrt(r^2 - |o'|^2), in arrays of n runs (2r + 1)^(n - 1) entries."""
+    if r <= 0 or cells.size == 0:
+        return cells
+    first = np.flatnonzero((np.diff(cells, prepend=-2) != 1) | (cells % N == 0))
+    last = np.append(first[1:], cells.size) - 1
+    rows = np.array([o for o in itertools.product(range(-r, r + 1), repeat=n - 1)
+                     if sum(x * x for x in o) <= r * r], dtype=np.int64)
+    half = np.array([math.isqrt(r * r - int(o @ o)) for o in rows])[:, None]
+    coords = np.array(np.unravel_index(cells[first], (N,) * n))
+    moved = coords[:-1, None] + rows.T[:, :, None]      # each run's line moved by each row
+    inside = ((moved >= 0) & (moved < N)).all(axis=0)
+    line = (N ** np.arange(n - 2, -1, -1)[:, None, None] * moved).sum(axis=0)
+    starts = (line * N + np.maximum(coords[-1] - half, 0))[inside]
+    stops = (line * N + np.minimum(cells[last] % N + half, N - 1) + 1)[inside]
+    order = starts.argsort()
+    starts, stops = starts[order], np.maximum.accumulate(stops[order])
+    new = np.append(True, starts[1:] > stops[:-1])
+    return _fill(starts[new], stops[np.append(new[1:], True)])
+
+
 def _family_support(cfg: FupConfig, explicit: BoxSet | None, N: int) -> np.ndarray:
-    """One side's flat support at N; only resampling and thickening build a mask."""
+    """One side's flat support at N, from its raster or its digits, thickened."""
     if explicit is not None:
-        mask = resample_mask(explicit, N)
+        cells = np.flatnonzero(resample_mask(explicit, N))
     else:
-        spec = CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept,
-                                  _cantor_depth(cfg.cantor_base, N), cfg.n)
-        if cfg.rho is None:
-            return spec.cells()
-        mask = cantor_generate(spec, cfg.n).mask.reshape(-1)
-    if cfg.rho is not None:
-        mask = thicken_mask(mask, int(round(N ** (1.0 - cfg.rho))), cfg.n)
-    return np.flatnonzero(mask)
+        cells = CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept,
+                                   _cantor_depth(cfg.cantor_base, N), cfg.n).cells()
+    return _thicken(cells, _thickening_cells(cfg.rho, N), N, cfg.n)
 
 
 def _arc_cantor(cfg: FupConfig, arc: tuple[float, float], J: int) -> tuple[range, int]:
@@ -1376,40 +1396,32 @@ def _arc_cantor(cfg: FupConfig, arc: tuple[float, float], J: int) -> tuple[range
     return nodes, _cantor_depth(cfg.cantor_base, max(len(nodes), cfg.cantor_base))
 
 
-def _arc_cantor_mask(cfg: FupConfig, arc: tuple[float, float], grid: SphereGrid) -> np.ndarray:
-    """Cantor set of angles inside an arc, sampled on the circle grid.
-
-    The arc holds a run of consecutive nodes; the t-th of its count nodes lies
-    in Cantor cell t * base^depth // count, in integer arithmetic.  The depth
-    tracks the node count, so the mask refines with the ladder the way the
-    cube-grid families do: on grids with J = 4 * base^k nodes each quarter arc
-    keeps exactly |kept|^k nodes.
-    """
-    nodes, depth = _arc_cantor(cfg, arc, grid.size)
-    count = len(nodes)
-    base = cantor_generate(CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept, depth, 1), 1)
-    mask = np.zeros(grid.size, dtype=bool)
-    mask[nodes.start:nodes.stop] = base.mask[np.arange(count) * base.m // max(count, 1)]
-    return mask
-
-
-def _arc_kept_bound(cfg: FupConfig, arc: tuple[float, float], J: int) -> int:
-    """A bound on the nodes that a log-phase support keeps in an arc of the
-    J-node grid, from counts alone.  At every level l <= depth a kept node
-    lies in one of |kept|^l Cantor cells, each a run of at most
-    ceil(count / base^l) of the arc's count nodes, which thickening by r nodes
-    widens by 2r; the least of these bounds is taken (l = 0 gives count + 2r),
-    so neighbouring thickened nodes that overlap are not counted twice."""
+def _arc_support(cfg: FupConfig, arc: tuple[float, float], J: int) -> np.ndarray:
+    """The nodes of the J-node grid that a log-phase support keeps in an arc: the
+    t-th of its count nodes lies in Cantor cell t p^depth // count, so kept cell
+    c holds t from ceil(c count / p^depth) up to ceil((c + 1) count / p^depth)."""
     nodes, depth = _arc_cantor(cfg, arc, J)
-    count, kept = len(nodes), len(set(cfg.cantor_kept))
-    r = 0 if cfg.rho is None else _thickening_nodes(cfg.rho, J)
-    return min(J, min(kept ** l * (-(-count // cfg.cantor_base ** l) + 2 * r)
-                      for l in range(depth + 1)))
+    low = CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept, depth, 1).cells() * len(nodes)
+    start, stop = (nodes.start - (-e // cfg.cantor_base ** depth) for e in (low, low + len(nodes)))
+    return _thicken(_fill(start, stop), _thickening_nodes(cfg.rho, J), J, 1)
 
 
-def _thickening_nodes(rho: float, J: int) -> int:
+def _kept_bound(cfg: FupConfig, count: int, depth: int, r: int, cap: int) -> int:
+    """The least over levels l <= depth of |kept|^(n l) (ceil(count / base^l) + 2r)^n, or
+    cap: a bound on the cells of cfg's family over ``count`` cells an axis thickened by r."""
+    kept, n = len(set(cfg.cantor_kept)), cfg.n
+    return min(cap, min(kept ** (n * l) * (-(-count // cfg.cantor_base ** l) + 2 * r) ** n
+                        for l in range(depth + 1)))
+
+
+def _thickening_cells(rho: float | None, N: int) -> int:
+    """The radius, in cells, by which a grid support is thickened at h = 1/N."""
+    return 0 if rho is None else int(round(N ** (1.0 - rho)))
+
+
+def _thickening_nodes(rho: float | None, J: int) -> int:
     """The radius, in nodes, by which a log-phase support is thickened at h = 1/J."""
-    return int(round(J * (1.0 / J) ** rho / (2.0 * np.pi)))
+    return 0 if rho is None else int(round(J * (1.0 / J) ** rho / (2.0 * np.pi)))
 
 
 def _sanity(norm: float) -> bool:
@@ -1417,22 +1429,16 @@ def _sanity(norm: float) -> bool:
 
 
 def _grid_operator(cfg: FupConfig, N: int) -> MaskedOperator:
-    return MaskedOperator(semiclassical_dft(N, cfg.n), _family_support(cfg, cfg.set_minus, N),
-                          _family_support(cfg, cfg.set_plus, N))
+    rows = _family_support(cfg, cfg.set_minus, N)
+    cols = rows if cfg.set_plus is cfg.set_minus else _family_support(cfg, cfg.set_plus, N)
+    return MaskedOperator(semiclassical_dft(N, cfg.n), rows, cols)
 
 
 def _log_phase_operator(cfg: FupConfig, w: float, J: int) -> MaskedOperator:
-    h = 1.0 / J
-    grid = circle_grid(J)
-    left = _arc_cantor_mask(cfg, cfg.arc_minus, grid)
-    right = _arc_cantor_mask(cfg, cfg.arc_plus, grid)
-    if cfg.rho is not None:
-        rad = _thickening_nodes(cfg.rho, J)
-        left = thicken_mask(left, rad, 1)
-        right = thicken_mask(right, rad, 1)
     chi = chordal_cutoff(cfg.chi_gap, cfg.chi_width)
-    return log_phase_masked_operator(w, h, chi, grid, np.flatnonzero(left),
-                                     np.flatnonzero(right))
+    return log_phase_masked_operator(w, 1.0 / J, chi, circle_grid(J),
+                                     _arc_support(cfg, cfg.arc_minus, J),
+                                     _arc_support(cfg, cfg.arc_plus, J))
 
 
 def fup_experiment(cfg: FupConfig):

@@ -123,11 +123,14 @@ def _sha256(path: str) -> str:
 
 
 def _environment() -> dict:
-    """Interpreter, numerical libraries and core count that produced a run."""
+    """Interpreter, numerical libraries, core count and BLAS thread settings (each
+    variable's value, None when unset) that produced a run."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(),
+            **{name: os.environ.get(name) for name in
+               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
 
 
 def write_manifest(out_dir: str, name: str, command: list[str], config: dict,

@@ -1,10 +1,12 @@
 import dataclasses
 import inspect
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import ndimage
 
 from fuplab.fup_numerics import (
     DecayFit,
@@ -29,8 +31,6 @@ from fuplab.fup_numerics import (
     smooth_step,
     sphere2_grid,
     sphere_porosity_check,
-    thicken_mask,
-    _arc_cantor_mask,
     _log_phase_operator,
     _log_phase_fd_dets,
 )
@@ -41,6 +41,19 @@ from fuplab.porosity import BoxSet, CantorSpec, Verdict, cantor_generate
 
 def cantor_mask(depth, n=1):
     return cantor_generate(CantorSpec.uniform(3, (0, 2), depth, n), n).mask.reshape(-1)
+
+
+def thicken_mask(mask, radius_cells, n):
+    """The raster oracle of a thickening: the flat mask of the (side)^n grid
+    dilated by the discrete ball |o|^2 <= radius^2, cells past the grid's ends
+    dropped (ndimage.binary_dilation with a zero border)."""
+    if radius_cells <= 0:
+        return mask.copy()
+    side = round(mask.size ** (1.0 / n))
+    rng = np.arange(-radius_cells, radius_cells + 1)
+    grids = np.meshgrid(*([rng] * n), indexing="ij")
+    se = sum(g.astype(np.int64) ** 2 for g in grids) <= radius_cells ** 2
+    return ndimage.binary_dilation(mask.reshape((side,) * n), structure=se).reshape(-1)
 
 
 def prime_power(N):
@@ -174,6 +187,42 @@ class TestDenseNorm:
             want = np.linalg.svd(matrix[np.ix_(rows, cols)], compute_uv=False)[0]
             got = dense_norm(MaskedOperator(core, rows, cols))
             assert abs(got - want) <= 1e-13 * want, (kind, name)
+
+
+    @pytest.mark.parametrize("N, n", [(27, 1), (2187, 1), (9, 2), (6, 2)])
+    def test_a_whole_grid_side_is_exactly_one_with_no_matrix(self, monkeypatch, N, n):
+        # whole columns (or rows) of the unitary DFT are orthonormal
+        def no_matrix(*args):
+            raise AssertionError("the dense norm of a whole grid side forms no matrix")
+
+        monkeypatch.setattr(FourierCore, "gram_matrix", no_matrix)
+        whole = np.arange(N ** n)
+        for small in (np.array([3]), np.arange(0, N ** n, 4), whole):
+            for rows, cols in ((whole, small), (small, whole)):
+                assert dense_norm(MaskedOperator(FourierCore(N, n), rows, cols)) == 1.0
+
+    @pytest.mark.parametrize("N, n", [(27, 1), (2187, 1), (9, 2)])
+    def test_one_cell_short_of_the_grid_is_no_whole_grid(self, N, n):
+        # one column of the DFT without one row has norm sqrt(1 - 1/N^n): a
+        # shortcut taken one cell short would give 1
+        core = FourierCore(N, n)
+        for missing in (0, 5, N ** n - 1):
+            short = np.delete(np.arange(N ** n), missing)
+            for col in (0, 7):
+                one = np.array([col])
+                for rows, cols in ((short, one), (one, short)):
+                    got = dense_norm(MaskedOperator(core, rows, cols))
+                    assert abs(got - math.sqrt(1 - N ** -n)) <= 1e-14, (missing, col)
+
+    def test_lanczos_on_a_whole_grid_is_checked_against_one(self):
+        # the 2187-cell grid: Lanczos stops at once, the dense value is 1 exactly
+        c0 = time.thread_time()
+        whole = np.arange(2187)
+        for cols in (whole, np.flatnonzero(cantor_mask(7))):
+            info = masked_norm(MaskedOperator(FourierCore(2187, 1), whole, cols))
+            assert info.dense_value == 1.0 and info.converged
+            assert abs(info.value - 1.0) <= 1e-10
+        assert time.thread_time() - c0 < 1.0
 
 
 class TestMaskedOperator:
@@ -422,6 +471,18 @@ class TestPrunedDft:
         for k in range(1, 6):
             rows = np.flatnonzero(cantor_mask(k, 2))
             assert_plan_matches_submatrix(FourierCore(3 ** k, 2), rows, rows, rng)
+
+    def test_product_norm_is_the_square_of_the_axis_norm(self):
+        # the 2-D DFT on C x C is the Kronecker square of the 1-D block; these
+        # points run on the plan above _DENSE_LIMIT, where no dense check runs
+        for k in range(5, 9):
+            axis = masked_norm(fup_numerics._grid_operator(FupConfig(), 3 ** k)).value
+            op = fup_numerics._grid_operator(FupConfig(n=2), 3 ** k)
+            assert op.size > fup_numerics._DENSE_LIMIT
+            assert _PrunedDft.build(op.core, op.rows, op.cols) is not None
+            info = masked_norm(op)
+            assert info.converged and info.dense_value is None
+            assert abs(info.value - axis ** 2) <= 1e-14 * axis ** 2, k
 
     def test_unequal_digit_sets_on_the_two_sides(self):
         rng = np.random.default_rng(72)
@@ -1017,19 +1078,48 @@ class TestCrossCheckFails:
             masked_norm(op)
 
 
-class TestArcCantorMask:
+def arc_mask_route(cfg, arc, J):
+    """The arc support of a log-phase ladder point made through masks: the
+    arc's Cantor family rastered at its depth and sampled on the arc's nodes,
+    node t in cell t * base^depth // count, then the raster oracle's
+    thickening on the J-node grid."""
+    nodes, depth = fup_numerics._arc_cantor(cfg, arc, J)
+    count = len(nodes)
+    base = cantor_generate(CantorSpec.uniform(cfg.cantor_base, cfg.cantor_kept, depth, 1), 1)
+    mask = np.zeros(J, dtype=bool)
+    mask[nodes.start:nodes.stop] = base.mask[np.arange(count) * base.m // max(count, 1)]
+    if cfg.rho is not None:
+        mask = thicken_mask(mask, fup_numerics._thickening_nodes(cfg.rho, J), 1)
+    return np.flatnonzero(mask)
+
+
+class TestArcSupport:
     def test_arcs_are_exact_cantor_sets(self):
         cfg = FupConfig(core="log_phase")
         for k in range(3, 10):
             J = 4 * 3 ** k
-            grid = circle_grid(J)
             for lo, hi in (cfg.arc_minus, cfg.arc_plus):
                 first = round(lo * J)
                 expect = np.zeros(J, dtype=bool)
                 expect[first:first + 3 ** k] = cantor_mask(k)
-                got = _arc_cantor_mask(cfg, (lo, hi), grid)
-                assert np.array_equal(got, expect), (k, lo)
-                assert got.sum() == 2 ** k
+                got = fup_numerics._arc_support(cfg, (lo, hi), J)
+                assert np.array_equal(got, np.flatnonzero(expect)), (k, lo)
+                assert got.size == 2 ** k
+
+    @pytest.mark.parametrize("rho, ks", [(None, range(1, 10)), (0.05, range(1, 8)),
+                                         (0.7, range(1, 10))])
+    def test_supports_are_those_of_the_mask_route(self, rho, ks):
+        # at J = 4 * 3^k and at J of no such form, on arcs that meet the grid's
+        # ends (where thickening is clipped), span it or hold few nodes
+        arcs = ((0.5, 0.75), (0.0, 0.25), (0.75, 1.0), (0.1, 0.9), (0.0, 1.0), (0.33, 0.34))
+        for J in sorted({4 * 3 ** k for k in ks} | {97, 100, 1000, 4097}):
+            for base, kept in ((3, (0, 2)), (5, (0, 1, 3))):
+                cfg = FupConfig(core="log_phase", cantor_base=base, cantor_kept=kept,
+                                ladder=(J,), rho=rho)
+                for arc in arcs:
+                    got = fup_numerics._arc_support(cfg, arc, J)
+                    want = arc_mask_route(cfg, arc, J)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (J, base, arc)
 
     @pytest.mark.parametrize("base, kept", [(3, (0, 2)), (4, (0, 3)), (5, (0, 1, 2, 3)),
                                             (7, (0, 3, 6))])
@@ -1040,11 +1130,10 @@ class TestArcCantorMask:
                 for arc in ((0.0, 0.25), (0.5, 0.75), (0.1, 0.9), (0.0, 1.0), (0.33, 0.34)):
                     cfg = FupConfig(core="log_phase", cantor_base=base, cantor_kept=kept,
                                     ladder=(J,), rho=rho)
-                    mask = _arc_cantor_mask(cfg, arc, circle_grid(J))
-                    if rho is not None:
-                        mask = thicken_mask(mask, fup_numerics._thickening_nodes(rho, J), 1)
-                    bound = fup_numerics._arc_kept_bound(cfg, arc, J)
-                    assert mask.sum() <= bound, (J, rho, arc)
+                    nodes, depth = fup_numerics._arc_cantor(cfg, arc, J)
+                    bound = fup_numerics._kept_bound(cfg, len(nodes), depth,
+                                                     fup_numerics._thickening_nodes(rho, J), J)
+                    assert fup_numerics._arc_support(cfg, arc, J).size <= bound, (J, rho, arc)
 
 
 class TestResampleMask:
@@ -1442,16 +1531,51 @@ class TestSpherePorosity:
         assert all(r.verdict is not Verdict.COUNTEREXAMPLE for r in reports)
 
 
-class TestThickenMask:
+class TestThicken:
+    """The index thickening against its raster oracle."""
+
     def test_zero_radius_is_identity(self):
-        m = cantor_mask(3)
-        assert np.array_equal(thicken_mask(m, 0, 1), m)
+        cells = np.flatnonzero(cantor_mask(3))
+        assert np.array_equal(fup_numerics._thicken(cells, 0, 27, 1), cells)
 
     def test_radius_one_dilates_neighbors(self):
-        mask = np.zeros(27, dtype=bool)
-        mask[13] = True
-        out = thicken_mask(mask, 1, 1)
-        assert set(np.flatnonzero(out)) == {12, 13, 14}
+        out = fup_numerics._thicken(np.array([13]), 1, 27, 1)
+        assert out.tolist() == [12, 13, 14]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_sets_match_the_raster_oracle(self, n):
+        # sparse and dense sets, runs that meet the grid's ends and radii past the grid
+        rng = np.random.default_rng(40 + n)
+        for _ in range(60):
+            N = int(rng.integers(2, 30 if n < 3 else 10))
+            mask = rng.random(N ** n) < rng.uniform(0.0, 0.6)
+            r = int(rng.integers(0, N + 2))
+            got = fup_numerics._thicken(np.flatnonzero(mask), r, N, n)
+            want = np.flatnonzero(thicken_mask(mask, r, n))
+            assert got.dtype == want.dtype and np.array_equal(got, want), (N, r)
+
+    @pytest.mark.parametrize("n, boxes", [
+        (1, [([0.0], [0.1]), ([0.45], [0.5]), ([0.95], [1.0])]),
+        (2, [([0.0, 0.0], [0.1, 0.3]), ([0.4, 0.8], [0.6, 1.0])]),
+    ])
+    def test_explicit_boxes_match_the_raster_oracle(self, n, boxes):
+        # an explicit set thickens from the indices of its raster, clipped at the ends
+        box = BoxSet.from_boxes(boxes, 27, n)
+        for N in (9, 27, 81, 100) if n == 1 else (9, 27, 40):
+            for rho in (0.05, 0.5, 0.9):
+                op = fup_numerics._grid_operator(FupConfig(n=n, rho=rho, set_minus=box,
+                                                           set_plus=box), N)
+                want = np.flatnonzero(thicken_mask(resample_mask(box, N),
+                                                   int(round(N ** (1.0 - rho))), n))
+                assert np.array_equal(op.rows, want) and np.array_equal(op.cols, want), (N, rho)
+
+    def test_a_half_width_one_short_fails(self, monkeypatch):
+        plan_mutant(monkeypatch, "_thicken", "math.isqrt(r * r - int(o @ o))",
+                    "max(math.isqrt(r * r - int(o @ o)) - 1, 0)")
+        for n in (1, 2):
+            cells = np.flatnonzero(cantor_mask(3, n))
+            got = fup_numerics._thicken(cells, 2, 27, n)
+            assert not np.array_equal(got, np.flatnonzero(thicken_mask(cantor_mask(3, n), 2, n)))
 
 
 def mask_route_support(cfg, N):
@@ -1476,25 +1600,41 @@ class TestLadderSupports:
     @pytest.mark.parametrize("cfg, ladder", [
         (FupConfig(), [3 ** k for k in range(1, 13)]),
         (FupConfig(n=2), [3 ** k for k in range(1, 7)]),
-        (FupConfig(rho=0.9), [3 ** k for k in range(2, 11)]),
+        (FupConfig(rho=0.9), [3 ** k for k in range(1, 11)]),
+        (FupConfig(rho=0.7), [3 ** k for k in range(1, 10)]),
+        (FupConfig(rho=0.5), [3 ** k for k in range(1, 10)]),
+        (FupConfig(rho=0.05), [3 ** k for k in range(1, 8)]),
+        (FupConfig(n=2, rho=0.9), [3 ** k for k in range(1, 6)]),
+        (FupConfig(n=2, rho=0.7), [3 ** k for k in range(1, 6)]),
+        (FupConfig(n=2, rho=0.5), [3 ** k for k in range(1, 5)]),
+        (FupConfig(n=2, rho=0.05), [3 ** k for k in range(1, 4)]),
         (FupConfig(cantor_base=5, cantor_kept=(0, 2, 4)), [5 ** k for k in range(1, 7)]),
         (FupConfig(cantor_base=5, cantor_kept=(0, 2, 4), n=2), [5, 25, 125]),
-    ], ids=["cantor", "product", "rho", "base-5", "base-5-product"])
+        (FupConfig(cantor_base=5, cantor_kept=(0, 2, 4), rho=0.7), [5 ** k for k in range(1, 6)]),
+    ], ids=["cantor", "product", "rho", "rho-0.7", "rho-0.5", "rho-0.05", "product-rho",
+            "product-rho-0.7", "product-rho-0.5", "product-rho-0.05", "base-5", "base-5-product",
+            "base-5-rho-0.7"])
     def test_supports_are_those_of_the_mask_route(self, cfg, ladder):
+        # thickened supports reach both ends of the grid, where they are clipped;
+        # ladders stop where the raster oracle's dilation takes seconds
         for N in ladder:
             op = fup_numerics._grid_operator(cfg, N)
             want = mask_route_support(cfg, N)
             for got in (op.rows, op.cols):
                 assert got.dtype == want.dtype and np.array_equal(got, want), N
 
-    def test_an_unthickened_point_builds_no_cantor_mask(self, monkeypatch):
+    def test_no_point_builds_a_cantor_mask_or_a_raster(self, monkeypatch):
         def no_mask(*args, **kwargs):
-            raise AssertionError("an unthickened ladder point must not build a Cantor mask")
+            raise AssertionError("a Cantor ladder point must build no mask or raster")
 
         monkeypatch.setattr(porosity, "cantor_generate", no_mask)
-        monkeypatch.setattr(fup_numerics, "cantor_generate", no_mask)
+        monkeypatch.setattr(fup_numerics, "resample_mask", no_mask)
+        monkeypatch.setattr(ndimage, "binary_dilation", no_mask)
         for cfg in (FupConfig(ladder=(27, 81, 243, 729), lower_bound_mode=True),
-                    FupConfig(n=2, ladder=(9, 27, 81))):
+                    FupConfig(n=2, ladder=(9, 27, 81)),
+                    FupConfig(ladder=(27, 81, 243, 729), rho=0.9),
+                    FupConfig(n=2, ladder=(9, 27, 81), rho=0.9),
+                    FupConfig(core="log_phase", ladder=(108, 324, 972, 2916), rho=0.7)):
             rows, _, ok = fup_experiment(cfg)
             assert ok and len(rows) == len(cfg.ladder)
 
@@ -1600,16 +1740,25 @@ class TestConfigValidation:
          "the Cantor family's support"),                        # one level block of 600^2
         (FupConfig(cantor_kept=(2,), ladder=(3 ** 20,)), "DFT phases overflow int64 in 1-D"),
         (FupConfig(cantor_kept=(2,), n=3, ladder=(3 ** 14,)), "overflow int64 in 3-D"),
-        # a perfect-power base plans on the radix of its own digits: the support
-        # budget and the int64 range refuse it, never a raster
+        # a Cantor family, of any base, thickened or not, plans on the radix of
+        # its own digits: the support budget and the int64 range refuse it,
+        # never a raster
         (FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 16,)),
          "DFT phases overflow int64 in 1-D"),
         (FupConfig(cantor_base=8, cantor_kept=(0, 7), ladder=(8 ** 11,)),
          "DFT phases overflow int64 in 1-D"),
         (FupConfig(cantor_base=4, cantor_kept=(0, 1, 3), ladder=(4 ** 12,)),
          "the Cantor family's support and level blocks take 531441"),
-        (FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 12,), rho=0.9), "a raster of"),
-        (FupConfig(n=2, ladder=(3 ** 8,), rho=0.9), r"a raster of 6561\^2 cells"),
+        (FupConfig(ladder=(3 ** 16,), rho=0.9),
+         "the Cantor family's thickened support takes up to 319488 cells"),
+        (FupConfig(ladder=(3 ** 15,), rho=0.7),
+         "the Cantor family's thickened support takes up to 516608 cells"),
+        (FupConfig(n=2, ladder=(3 ** 8,), rho=0.9),
+         "the Cantor family's thickened support takes up to 692224 cells"),
+        (FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 16,), rho=1.0),
+         "DFT phases overflow int64 in 1-D"),
+        # an explicit set is rastered
+        (FupConfig(ladder=(3 ** 15,), set_minus=BoxSet.full(1, 3)), r"a raster of 14348907\^1"),
         (FupConfig(core="log_phase", ladder=(4 * 3 ** 14,)),
          "a circle grid of 19131876 nodes is over the budget"),
         (FupConfig(core="log_phase", cantor_base=5, cantor_kept=(0, 1, 2, 3),
@@ -1631,12 +1780,35 @@ class TestConfigValidation:
         FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 15,)),
         FupConfig(cantor_base=8, cantor_kept=(0, 7), ladder=(8 ** 10,)),
         FupConfig(ladder=(3 ** 14,), rho=0.9),
+        FupConfig(ladder=(3 ** 15,), rho=0.9),
+        FupConfig(ladder=(3 ** 14,), rho=0.7),
+        FupConfig(ladder=(3 ** 10,), rho=0.05),          # the whole grid
+        FupConfig(n=2, ladder=(3 ** 5,), rho=0.05),
+        FupConfig(n=2, ladder=(3 ** 7,), rho=0.9),
+        FupConfig(cantor_base=4, cantor_kept=(0, 3), ladder=(4 ** 12,), rho=0.9),
         FupConfig(core="log_phase", ladder=(4 * 3 ** 13,)),
         # thickened by 7 nodes, 1024 kept nodes an arc overlap to about 5250
         FupConfig(core="log_phase", ladder=(4 * 3 ** 10,), rho=0.7),
     ])
     def test_ladder_point_within_the_budgets(self, cfg):
         cfg.validate()
+
+    @pytest.mark.parametrize("base, kept, n, ks", [
+        (3, (0, 2), 1, range(1, 11)), (3, (0, 2), 2, range(1, 6)), (4, (0, 3), 1, range(1, 8)),
+        (5, (0, 1, 3), 1, range(1, 6)), (5, (0, 1, 3), 2, range(1, 4))])
+    def test_kept_bound_holds_the_thickened_support(self, base, kept, n, ks):
+        # the budget's count bound is never below the cells the run keeps; at
+        # rho = 0.9 on the 1-D family of base 3 it is at most 6 cells above them
+        for k in ks:
+            N = base ** k
+            for rho in (0.05, 0.5, 0.7, 0.9, 1.0):
+                cfg = FupConfig(n=n, cantor_base=base, cantor_kept=kept, ladder=(N,), rho=rho)
+                support = fup_numerics._family_support(cfg, None, N).size
+                bound = fup_numerics._kept_bound(cfg, N, k, fup_numerics._thickening_cells(rho, N),
+                                                 N ** n)
+                assert support <= bound, (k, rho)
+                if (base, n, rho) == (3, 1, 0.9):
+                    assert bound <= support + 6, (k, bound, support)
 
     def test_cantor_family_is_not_checked_when_both_sets_are_explicit(self):
         box = BoxSet.full(1, 8)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuplab import lab_cli, lorentz_core
+from fuplab import fup_numerics, lab_cli, lorentz_core
 from fuplab.fup_numerics import FupConfig, log_phase_hessian_factors, mixed_hessian_det
 from fuplab.lab_cli import (
     _commutator_table_exact,
@@ -326,6 +327,17 @@ class TestFupScan:
         assert [r.split(",")[2] for r in rows[1:5]] == ["64", "4096", "262144", "16777216"]
         assert all(r.endswith(",True") for r in rows[1:5])
 
+    @pytest.mark.parametrize("n, N", [(1, 59049), (2, 243)])
+    def test_small_rho_fills_the_grid_in_a_fresh_process(self, tmp_path, n, N):
+        # at rho = 0.05 the thickened supports are the whole grid, so the norm
+        # is 1; the ball of radius N^0.95 is never rastered
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"core": "fourier", "n": n, "ladder": [N], "rho": 0.05})
+        proc = fresh_cli(tmp_path / "out", "fup-scan", "--config", cfg)
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        row = (tmp_path / "out" / "fup_scan.csv").read_text().splitlines()[1].split(",")
+        assert int(row[2]) == N and abs(float(row[5]) - 1.0) <= 1e-12 and row[7] == "True"
+
     def test_grid_core_scan_has_no_energy_column(self, tmp_path):
         cfg = write_json(tmp_path / "cfg.json",
                          {"core": "fourier", "n": 1, "ladder": [27, 81, 243, 729]})
@@ -356,8 +368,18 @@ class TestFupScan:
         assert cfg in manifest["inputs"]
         assert manifest["tool"] == "fuplab"
         env = manifest["environment"]
-        assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count"}
+        threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count", *threads}
         assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+        assert all(env[name] == os.environ.get(name) for name in threads)
+
+    def test_manifest_records_an_unset_thread_variable_as_null(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        cfg = write_json(tmp_path / "cfg.json", {"core": "fourier", "n": 1, "ladder": [27, 81]})
+        main(["--out", str(tmp_path), "fup-scan", "--config", cfg])
+        env = json.loads((tmp_path / "fup_scan.manifest.json").read_text())["environment"]
+        assert env["MKL_NUM_THREADS"] is None and env["OMP_NUM_THREADS"] == "1"
 
 
 class TestWordsCount:
@@ -596,6 +618,20 @@ class TestSetSpecLoader:
         spec = write_json(tmp_path / "u.json", {"circles": []})
         with pytest.raises(ValueError):
             load_set_spec(spec)
+
+
+def fresh_cli(tmp_path, *argv, address_space=None):
+    """``python -m fuplab.lab_cli --out tmp_path *argv`` in a fresh process on
+    this checkout's src, its address space capped at ``address_space`` bytes."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+    return subprocess.run([sys.executable, "-m", "fuplab.lab_cli", "--out", str(tmp_path),
+                           *argv], capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=None if address_space is None else cap)
 
 
 class TestUsageContract:
@@ -907,17 +943,42 @@ class TestUsageContract:
          "config error: ladder value 847288609443: a raster of 847288609443^1 cells"),
         ({"n": 1, "ladder": [847288609443, 27, 81, 243]},
          "config error: ladder value 847288609443: the Cantor family's support"),
-        ({"n": 1, "ladder": [14348907, 27, 81, 243], "rho": 0.9},
-         "config error: ladder value 14348907: a raster of 14348907^1 cells"),
+        ({"n": 1, "ladder": [43046721, 27, 81, 243], "rho": 0.9},
+         "config error: ladder value 43046721: the Cantor family's thickened support takes up "
+         "to 319488 cells"),
         ({"n": 1, "cantor_base": 4, "cantor_kept": [0, 3], "ladder": [4 ** 16, 16, 64, 256]},
          "config error: ladder value 4294967296: flat indices or DFT phases overflow int64"),
-    ], ids=["2d-cantor-3^14", "explicit-sets-3^25", "1d-cantor-3^25", "thickened-3^15",
+    ], ids=["2d-cantor-3^14", "explicit-sets-3^25", "1d-cantor-3^25", "thickened-3^16",
             "base-4-cantor-4^16"])
     def test_fup_ladder_point_past_its_budget(self, tmp_path, capsys, payload, prefix):
         # the first two used to end in numpy's _ArrayMemoryError (20.8 and 6.16 TiB)
         cfg = self.input_json(tmp_path, {"core": "fourier", **payload})
         self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
                                          prefix=prefix)
+
+    def test_thickened_point_past_the_support_bound_in_a_fresh_process(self, tmp_path):
+        # refused from counts before anything is allocated: the process stays
+        # within 512 MB of address space, where one complex array of the
+        # 3^16-cell grid takes 689 MB
+        cfg = self.input_json(tmp_path, {"core": "fourier", "n": 1, "ladder": [3 ** 16],
+                                         "rho": 0.9})
+        proc = fresh_cli(tmp_path / "out", "fup-scan", "--config", cfg, address_space=2 ** 29)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines() == [
+            "config error: ladder value 43046721: the Cantor family's thickened support takes "
+            "up to 319488 cells, over the budget of 262144"]
+
+    def test_declined_plan_past_the_fft_budget_is_refused(self, tmp_path, capsys, monkeypatch):
+        # the thickened 3^15 point runs on the pruned plan; without it the
+        # FFT route would need arrays of the whole 3^15-cell grid
+        monkeypatch.setattr(fup_numerics._PrunedDft, "build",
+                            classmethod(lambda cls, *args, **kwargs: None))
+        cfg = self.input_json(tmp_path, {"core": "fourier", "n": 1, "ladder": [3 ** 15],
+                                         "rho": 0.9})
+        self.assert_one_line_usage_error(
+            tmp_path, capsys, "fup-scan", "--config", cfg,
+            prefix="config error: the pruned plan declines these supports, and an FFT of the "
+                   "14348907^1 grid is over the budget of 10000000 cells")
 
     @pytest.mark.parametrize("argv", [
         ["porosity-check", "--set", "{cantor}", "--nu", "0.08", "--alpha0", "0.111",
@@ -1075,23 +1136,13 @@ class TestUsageContract:
     ])
     def test_fresh_process_exits_one_without_traceback(self, tmp_path, argv):
         band = write_json(tmp_path / "band.json", BAND)
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "fuplab.lab_cli", "--out", str(tmp_path),
-                               *(a.format(band=band) for a in argv)],
-                              capture_output=True, text=True, env=env, timeout=30)
+        proc = fresh_cli(tmp_path, *(a.format(band=band) for a in argv))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("error:")
 
     def test_fresh_process_parse_error_takes_one_line(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        proc = subprocess.run([sys.executable, "-m", "fuplab.lab_cli", "--out", str(tmp_path),
-                               "porosity-check", "--set", "x.json", "--nu", "0.1"],
-                              capture_output=True, text=True, env=env, timeout=30)
+        proc = fresh_cli(tmp_path, "porosity-check", "--set", "x.json", "--nu", "0.1")
         assert proc.returncode == 1
         lines = [ln for ln in (proc.stdout + proc.stderr).splitlines() if ln.strip()]
         assert len(lines) == 1 and lines[0].startswith("error:"), lines
