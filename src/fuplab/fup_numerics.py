@@ -28,10 +28,11 @@ same mirror-symmetric supports (on a side of at least 3 points) and is built
 from the DFT's entries at integer phases, never from an FFT or the pruned
 plan, so the two routes share nothing but the mirror test.
 The DFT core takes any N >= 2.  It runs a pruned Cooley-Tukey plan, whose
-products never touch the ambient grid, whenever that is estimated cheaper than
-an FFT of the whole grid, build included.  Write N = p^k, p the smallest root
-of N.  The plan runs on a cover of each support, a product of base-p^d digit
-tuple sets over the levels above a bottom block of any integer tuples, with
+products never touch the ambient grid, whenever a product takes fewer
+multiply-adds than an FFT of the whole grid, on grids of more cells than the
+dense check covers.  Write N = p^k, p the smallest root of N.  The plan runs
+on a cover of each support, a product of base-p^d digit tuple sets over the
+levels above a bottom block of any integer tuples, with
 zeros on the cover's cells outside the support: every full-depth Cantor
 family (in the radix of its own base) and joint-digit sets that are no
 per-axis product are their own covers, and a thickened Cantor set is covered
@@ -170,8 +171,9 @@ class FourierCore(_Core):
         """(product, dtype) of the Gram operator on the smaller side T; real
         when the other, summed support S is mirror-symmetric.
 
-        On the pruned plan (see :class:`_PrunedDft` and the cost rule below) a
-        product never leaves the supports: adjoint after apply, or the reverse.
+        On the pruned plan (see :class:`_PrunedDft` and the cost rule of
+        :func:`_fft_work`) a product never leaves the supports: adjoint after
+        apply, or the reverse.
         Otherwise it is one spectral convolution: scatter onto T, FFT, multiply
         by the indicator of S (of -S when T = rows: F 1_S F* = F* 1_(-S) F),
         inverse FFT, gather on T.
@@ -242,19 +244,6 @@ class FourierCore(_Core):
         return m.T @ m
 
 
-# The cost rule by which FourierCore.gram takes the pruned plan compares the
-# estimated work of one Gram product on either route, counted in complex
-# multiply-adds on contiguous arrays.  By FFT it is a transform of the S cells
-# and its inverse, S log2(S) each, and every numpy call on either route (five
-# by FFT; on the plan three per stage, plus a scatter and a gather, both ways)
-# is charged _CALL_WORK, about twice its measured overhead.  The plan's build
-# computes each entry of its blocks and twiddles once, by np.exp: an entry
-# costs about as much as 50 multiply-adds, spread over the 15 or more Gram
-# products of a norm, so it is charged _ENTRY_WORK.  On the Cantor masks of
-# digits {0, 2} in base 3 the plan is taken from 3^8 cells in one dimension
-# and 81^2 in two, and on their rho = 0.9 thickenings from 3^9.
-_CALL_WORK = 4000
-_ENTRY_WORK = 3
 # A group of merged digit levels holds at most this many tuples on each side.
 _GROUP_TUPLES = 32
 
@@ -274,9 +263,13 @@ def _mirror_centre(support: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | 
 
 
 def _fft_work(size: int) -> float:
-    """The work of a Gram product by FFT: a transform of the grid and its
-    inverse, and five numpy calls (see _CALL_WORK)."""
-    return 2 * size * math.log2(max(size, 2)) + 5 * _CALL_WORK
+    """The cost rule's budget for the pruned plan on a grid of ``size`` cells:
+    the multiply-adds of a Gram product by FFT, a transform of the grid and its
+    inverse, size log2(size) each, which the plan's stage work (see
+    :func:`_work`) must undercut.  It is 0, no plan and no scan, on a grid of
+    at most _DENSE_LIMIT cells: the dense check runs there anyway, and a
+    product on either route takes tens of microseconds."""
+    return 0.0 if size <= _DENSE_LIMIT else 2 * size * math.log2(size)
 
 
 def _smallest_root(N: int) -> tuple[int, int]:
@@ -448,18 +441,17 @@ def _groups(radix: int, depth: int, m: int, covers) -> tuple[list, list]:
 
 
 def _work(src: list, dst: list) -> float:
-    """Estimated work of one direction of a plan on groups of these sizes, or
-    inf when a block would pass _SUPPORT_CELLS entries (a single group: the
-    dense submatrix).  Each stage is charged the tensor it takes times
-    |dst[s]| + 2 (block, twiddle, copy), and _ENTRY_WORK for each entry of
-    its block and twiddle, which the plan's build computes once."""
+    """The work of one direction of a plan on groups of these sizes, or inf
+    when a block would pass _SUPPORT_CELLS entries (a single group: the dense
+    submatrix).  Each stage is charged the tensor it takes times |dst[s]| + 2
+    (block, twiddle, copy)."""
     g, rest, made, work = len(src), math.prod(src), 1, 0.0
     for s in range(g):
         a, b = src[g - 1 - s], dst[s]
         if a * b > _SUPPORT_CELLS:
             return math.inf
         rest //= a
-        work += a * rest * made * (b + 2) + _ENTRY_WORK * (a * b + (a * made if s else 0))
+        work += a * rest * made * (b + 2)
         made *= b
     return work
 
@@ -522,24 +514,19 @@ class _PrunedDft:
     def build(cls, core: FourierCore, rows: np.ndarray, cols: np.ndarray,
               budget: float = math.inf):
         """The plan for increasing rows and cols in powers of the base p of N's
-        smallest root (see :func:`_smallest_root`), or None unless its
-        estimated work (a product, an adjoint and the build) is below
-        ``budget``, no cover passes _SUPPORT_CELLS cells and no block
-        _SUPPORT_CELLS entries."""
-        if rows.size == 0 or cols.size == 0 or np.any(np.diff(rows) <= 0) \
+        smallest root (see :func:`_smallest_root`), or None unless its work
+        (a product and an adjoint, see :func:`_work`) is below ``budget``, no
+        cover passes _SUPPORT_CELLS cells and no block _SUPPORT_CELLS entries.
+        A budget that is not positive returns None before any scan."""
+        if budget <= 0 or rows.size == 0 or cols.size == 0 or np.any(np.diff(rows) <= 0) \
                 or np.any(np.diff(cols) <= 0):
             return None
-        p, k = _smallest_root(core.N)
-        if 2 * (3 * min(k, 2) + 2) * _CALL_WORK >= budget:     # the calls of the fewest stages
-            return None
-        radix, depth, m, row, col = _covers(rows, cols, core.n, p, k)
+        radix, depth, m, row, col = _covers(rows, cols, core.n, *_smallest_root(core.N))
         if max(_cover_size(row), _cover_size(col)) > _SUPPORT_CELLS:
             return None
         radices, (row_groups, col_groups) = _groups(radix, depth, m, (row, col))
         row_sizes, col_sizes = [len(t) for t in row_groups], [len(t) for t in col_groups]
-        work = (2 * (3 * len(radices) + 2) * _CALL_WORK + _work(col_sizes, row_sizes)
-                + _work(row_sizes, col_sizes))
-        if work >= budget:
+        if _work(col_sizes, row_sizes) + _work(row_sizes, col_sizes) >= budget:
             return None
         scale = core.N ** (-core.n / 2)
         return cls(_stages(radices, col_groups, row_groups, -1, scale),

@@ -789,20 +789,65 @@ class TestCovers:
             g = rng.standard_normal(op.rows.size)
             assert rel_err(planned(g), spectral(g)) <= 1e-14
 
-    def test_cost_rule_charges_the_build(self):
-        # a box of 512 cells at N = 60000 is one 512 x 512 block each way, whose
-        # entries cost more to build than the FFTs they save; the Cantor sets
-        # and the rho = 0.9 thickening keep their plans
+    def test_cost_rule_counts_multiply_adds(self):
+        # a box of 512 cells at N = 60000 is one 512 x 512 block each way, fewer
+        # multiply-adds than the FFTs, and its norm is faster on the plan; the
+        # Cantor sets and the rho = 0.9 thickening keep their plans
         box = np.arange(100, 612)
         assert _PrunedDft.build(FourierCore(60000, 1), box, box,
-                                budget=fup_numerics._fft_work(60000)) is None
-        assert _PrunedDft.build(FourierCore(60000, 1), box, box) is not None
+                                budget=fup_numerics._fft_work(60000)) is not None
         points = [(np.flatnonzero(cantor_mask(k)), k) for k in range(9, 13)]
         points.append((thick_cantor(3, (0, 2), 10, 0.9), 10))
         for support, k in points:
             core = FourierCore(3 ** k, 1)
             assert _PrunedDft.build(core, support, support,
                                     budget=fup_numerics._fft_work(core.size)) is not None, k
+
+    @pytest.mark.parametrize("N, fields, route", [
+        (3 ** 7, {}, "fft"), (3 ** 8, {}, "plan"),
+        (27, {"n": 2}, "fft"), (81, {"n": 2}, "plan"),
+        (3 ** 7, {"rho": 0.9}, "fft"), (3 ** 8, {"rho": 0.9}, "plan"),
+        (3 ** 9, {"rho": 0.9}, "plan"),
+        (3 ** 9, {"rho": 0.7}, "fft"), (3 ** 10, {"rho": 0.7}, "fft"),
+        (3 ** 11, {"rho": 0.7}, "fft"),
+        (243, {"n": 2, "rho": 0.9}, "fft"), (729, {"n": 2, "rho": 0.9}, "fft"),
+        (4 ** 6, {"cantor_base": 4, "cantor_kept": (0, 3)}, "fft"),
+        (4 ** 7, {"cantor_base": 4, "cantor_kept": (0, 3)}, "plan"),
+        (60000, None, "plan"),
+    ], ids=["cantor-3^7", "cantor-3^8", "product-27^2", "product-81^2", "rho0.9-3^7",
+            "rho0.9-3^8", "rho0.9-3^9", "rho0.7-3^9", "rho0.7-3^10", "rho0.7-3^11",
+            "rho0.9-243^2", "rho0.9-729^2", "base4-4^6", "base4-4^7", "box512-60000"])
+    def test_route_table(self, monkeypatch, N, fields, route):
+        # the route FourierCore.gram takes at ladder points (fields of a
+        # FupConfig) and at a box of 512 cells (fields None)
+        if fields is None:
+            box = np.arange(100, 612)
+            op = MaskedOperator(FourierCore(N, 1), box, box)
+        else:
+            op = fup_numerics._grid_operator(FupConfig(**fields), N)
+        built, build = [], _PrunedDft.build.__func__
+
+        def spy(cls, *args, **kwargs):
+            built.append(build(cls, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(_PrunedDft, "build", classmethod(spy))
+        op.core.gram(op.rows, op.cols)
+        assert ["fft" if plan is None else "plan" for plan in built] == [route]
+
+    def test_grids_the_dense_check_covers_are_never_scanned(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a grid of at most _DENSE_LIMIT cells was scanned")
+
+        monkeypatch.setattr(fup_numerics, "_scan", no_scan)
+        cfgs = [FupConfig(ladder=tuple(3 ** k for k in range(1, 8))),
+                FupConfig(ladder=tuple(3 ** k for k in range(1, 8)), rho=0.9),
+                FupConfig(n=2, ladder=(3, 9, 27)), FupConfig(n=2, ladder=(3, 9, 27), rho=0.9),
+                FupConfig(cantor_base=4, cantor_kept=(0, 3),
+                          ladder=tuple(4 ** k for k in range(1, 7)))]
+        for cfg in cfgs:
+            assert max(cfg.ladder) ** cfg.n <= fup_numerics._DENSE_LIMIT
+            fup_experiment(cfg)
 
     @pytest.mark.parametrize("base, kept, d", [(4, (0, 3), 2), (8, (0, 7), 3), (9, (0, 8), 2)])
     def test_perfect_power_bases_plan_in_their_own_radix(self, base, kept, d):
@@ -818,7 +863,7 @@ class TestCovers:
                 assert radix == p ** d and fup_numerics._cover_size(row) == support.size
             assert_plan_matches_submatrix(FourierCore(N, 1), support, support, rng, tol=1e-13)
         op = fup_numerics._grid_operator(FupConfig(cantor_base=base, cantor_kept=kept),
-                                         base ** 6)
+                                         base ** 7)      # past _DENSE_LIMIT, which takes the FFT
         assert _PrunedDft.build(op.core, op.rows, op.cols,
                                 budget=fup_numerics._fft_work(op.size)) is not None
 

@@ -290,6 +290,17 @@ class TestFupScan:
         beta = float(footer[0].split("beta=")[1].split()[0])
         assert beta > 0
 
+    def test_unconverged_point_fails_the_scan(self, tmp_path, capsys):
+        # the 2-D rho = 0.7 thickening at 81^2 reaches the Lanczos cap below
+        # 1; a printed pass must be able to fail
+        cfg = write_json(tmp_path / "cfg.json",
+                         {"core": "fourier", "n": 2, "ladder": [9, 27, 81], "rho": 0.7})
+        assert main(["--out", str(tmp_path), "fup-scan", "--config", cfg]) == 2
+        assert "sanity FAIL" in capsys.readouterr().out
+        rows = (tmp_path / "fup_scan.csv").read_text().splitlines()
+        assert rows[3].startswith("fourier,2,81,")
+        assert rows[3].endswith(",0.99999997268875984,800,False")
+
     def test_log_phase_scan_writes_what_fio_sphere_writes(self, tmp_path, capsys):
         # fio-sphere's manifest config, run as a fup-scan config, gives its CSV
         # byte for byte: both carry the energy column w, so rows of the two
