@@ -28,11 +28,11 @@ same mirror-symmetric supports (on a side of at least 3 points) and is built
 from the DFT's entries at integer phases, never from an FFT or the pruned
 plan, so the two routes share nothing but the mirror test.
 The DFT core takes any N >= 2.  It runs a pruned Cooley-Tukey plan, whose
-products never touch the ambient grid, whenever a product takes fewer
-multiply-adds than an FFT of the whole grid, on grids of more cells than the
-dense check covers.  Write N = p^k, p the smallest root of N.  The plan runs
-on a cover of each support, a product of base-p^d digit tuple sets over the
-levels above a bottom block of any integer tuples, with
+products never touch the ambient grid, whenever that takes fewer
+multiply-adds than an FFT of the whole grid, build included, on grids of more
+cells than the dense check covers.  Write N = p^k, p the smallest root of N.
+The plan runs on a cover of each support, a product of base-p^d digit tuple
+sets over the levels above a bottom block of any integer tuples, with
 zeros on the cover's cells outside the support: every full-depth Cantor
 family (in the radix of its own base) and joint-digit sets that are no
 per-axis product are their own covers, and a thickened Cantor set is covered
@@ -172,7 +172,7 @@ class FourierCore(_Core):
         when the other, summed support S is mirror-symmetric.
 
         On the pruned plan (see :class:`_PrunedDft` and the cost rule of
-        :func:`_fft_work`) a product never leaves the supports: adjoint after
+        :func:`_plan_budget`) a product never leaves the supports: adjoint after
         apply, or the reverse.
         Otherwise it is one spectral convolution: scatter onto T, FFT, multiply
         by the indicator of S (of -S when T = rows: F 1_S F* = F* 1_(-S) F),
@@ -189,7 +189,7 @@ class FourierCore(_Core):
         t, s, sign = (cols, rows, 1) if rows.size >= cols.size else (rows, cols, -1)
         shape = (self.N,) * self.n
         centre = _mirror_centre(s, shape)
-        plan = _PrunedDft.build(self, rows, cols, budget=_fft_work(self.size))
+        plan = _PrunedDft.build(self, rows, cols, budget=_plan_budget(self.size))
         if plan is not None:
             inner, outer = (plan.apply, plan.adjoint) if sign > 0 else (plan.adjoint, plan.apply)
             if centre is None:
@@ -244,6 +244,10 @@ class FourierCore(_Core):
         return m.T @ m
 
 
+# The pruned plan's build computes each entry of its blocks and twiddles once,
+# by np.exp: an entry costs about as much as 50 multiply-adds, spread over the
+# 15 or more Gram products of a norm, so the cost rule charges it this many.
+_ENTRY_WORK = 3
 # A group of merged digit levels holds at most this many tuples on each side.
 _GROUP_TUPLES = 32
 
@@ -262,13 +266,14 @@ def _mirror_centre(support: np.ndarray, shape: tuple[int, ...]) -> np.ndarray | 
     return ends // 2 if np.array_equal(mirrored, support) else None
 
 
-def _fft_work(size: int) -> float:
+def _plan_budget(size: int) -> float:
     """The cost rule's budget for the pruned plan on a grid of ``size`` cells:
     the multiply-adds of a Gram product by FFT, a transform of the grid and its
-    inverse, size log2(size) each, which the plan's stage work (see
-    :func:`_work`) must undercut.  It is 0, no plan and no scan, on a grid of
-    at most _DENSE_LIMIT cells: the dense check runs there anyway, and a
-    product on either route takes tens of microseconds."""
+    inverse, size log2(size) each, which the plan's work (see :func:`_work`)
+    must undercut.  It is 0, no plan and no scan, on a grid of at most
+    _DENSE_LIMIT cells: the dense check runs there anyway, a product on
+    either route takes tens of microseconds, and most plans there are slower
+    than the FFT for their numpy calls."""
     return 0.0 if size <= _DENSE_LIMIT else 2 * size * math.log2(size)
 
 
@@ -441,17 +446,18 @@ def _groups(radix: int, depth: int, m: int, covers) -> tuple[list, list]:
 
 
 def _work(src: list, dst: list) -> float:
-    """The work of one direction of a plan on groups of these sizes, or inf
-    when a block would pass _SUPPORT_CELLS entries (a single group: the dense
-    submatrix).  Each stage is charged the tensor it takes times |dst[s]| + 2
-    (block, twiddle, copy)."""
+    """Estimated work of one direction of a plan on groups of these sizes, or
+    inf when a block would pass _SUPPORT_CELLS entries (a single group: the
+    dense submatrix).  Each stage is charged the tensor it takes times
+    |dst[s]| + 2 (block, twiddle, copy), and _ENTRY_WORK for each entry of
+    its block and twiddle, which the plan's build computes once."""
     g, rest, made, work = len(src), math.prod(src), 1, 0.0
     for s in range(g):
         a, b = src[g - 1 - s], dst[s]
         if a * b > _SUPPORT_CELLS:
             return math.inf
         rest //= a
-        work += a * rest * made * (b + 2)
+        work += a * rest * made * (b + 2) + _ENTRY_WORK * (a * b + (a * made if s else 0))
         made *= b
     return work
 
@@ -515,9 +521,10 @@ class _PrunedDft:
               budget: float = math.inf):
         """The plan for increasing rows and cols in powers of the base p of N's
         smallest root (see :func:`_smallest_root`), or None unless its work
-        (a product and an adjoint, see :func:`_work`) is below ``budget``, no
-        cover passes _SUPPORT_CELLS cells and no block _SUPPORT_CELLS entries.
-        A budget that is not positive returns None before any scan."""
+        (a product, an adjoint and the build, see :func:`_work`) is below
+        ``budget``, no cover passes _SUPPORT_CELLS cells and no block
+        _SUPPORT_CELLS entries.  A budget that is not positive returns None
+        before any scan."""
         if budget <= 0 or rows.size == 0 or cols.size == 0 or np.any(np.diff(rows) <= 0) \
                 or np.any(np.diff(cols) <= 0):
             return None

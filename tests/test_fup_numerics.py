@@ -122,7 +122,7 @@ class TestSemiclassicalDft:
         mirror = np.arange(10, 41)          # its own mirror image about 25: a real Gram
         for rows, cols in ((a, b), (b, a), (mirror, b), (b, mirror)):
             assert _PrunedDft.build(core, rows, cols,
-                                    budget=fup_numerics._fft_work(core.size)) is None
+                                    budget=fup_numerics._plan_budget(core.size)) is None
             product, dtype = core.gram(rows, cols)
             assert (dtype is float) == (rows is mirror or cols is mirror)
             gram = core.gram_matrix(rows, cols)
@@ -547,7 +547,7 @@ class TestPrunedDft:
 
     def test_lanczos_on_the_pruned_map_matches_dense(self, monkeypatch):
         # an unbounded FFT cost makes every digit-product support take the pruned map
-        monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: math.inf)
+        monkeypatch.setattr(fup_numerics, "_plan_budget", lambda size: math.inf)
         forbid_ambient_fft(monkeypatch)
         for k in range(3, 8):
             rows = np.flatnonzero(cantor_mask(k))
@@ -565,7 +565,7 @@ class TestPrunedDft:
                 rows = np.flatnonzero(cantor_mask(k, n))
                 op = MaskedOperator(FourierCore(3 ** k, n), rows, rows)
                 pruned[n, k] = masked_norm(op, seed=3)
-        monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: 0.0)
+        monkeypatch.setattr(fup_numerics, "_plan_budget", lambda size: 0.0)
         for (n, k), fast in pruned.items():
             rows = np.flatnonzero(cantor_mask(k, n))
             op = MaskedOperator(FourierCore(3 ** k, n), rows, rows)
@@ -577,7 +577,7 @@ class TestPrunedDft:
         for n, k, expect_fft in ((1, 7, True), (1, 8, False), (2, 3, True), (2, 4, False)):
             rows = np.flatnonzero(cantor_mask(k, n))
             core = FourierCore(3 ** k, n)
-            plan = _PrunedDft.build(core, rows, rows, budget=fup_numerics._fft_work(core.size))
+            plan = _PrunedDft.build(core, rows, rows, budget=fup_numerics._plan_budget(core.size))
             assert (plan is None) is expect_fft, (n, k)
 
     def test_supports_that_are_no_product_take_covers(self):
@@ -647,7 +647,7 @@ class TestPrunedDft:
             assert rel_err(plan.adjoint(y), want) <= 1e-12, k
 
     def test_lanczos_on_joint_digit_sets_matches_dense(self, monkeypatch):
-        monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: math.inf)
+        monkeypatch.setattr(fup_numerics, "_plan_budget", lambda size: math.inf)
         forbid_ambient_fft(monkeypatch)
         rng = np.random.default_rng(78)
         for p, n, k in JOINT_CASES:
@@ -777,11 +777,11 @@ class TestCovers:
     def test_the_rho_09_plan_at_3_10_matches_the_spectral_product(self, monkeypatch):
         op = fup_numerics._grid_operator(FupConfig(rho=0.9), 3 ** 10)
         assert _PrunedDft.build(op.core, op.rows, op.cols,
-                                budget=fup_numerics._fft_work(op.size)) is not None
+                                budget=fup_numerics._plan_budget(op.size)) is not None
         with monkeypatch.context() as patch:
             forbid_ambient_fft(patch)
             planned, dtype = op.core.gram(op.rows, op.cols)
-        monkeypatch.setattr(fup_numerics, "_fft_work", lambda size: 0.0)
+        monkeypatch.setattr(fup_numerics, "_plan_budget", lambda size: 0.0)
         spectral, spectral_dtype = op.core.gram(op.rows, op.cols)
         assert dtype is float and spectral_dtype is float
         rng = np.random.default_rng(98)
@@ -789,19 +789,20 @@ class TestCovers:
             g = rng.standard_normal(op.rows.size)
             assert rel_err(planned(g), spectral(g)) <= 1e-14
 
-    def test_cost_rule_counts_multiply_adds(self):
-        # a box of 512 cells at N = 60000 is one 512 x 512 block each way, fewer
-        # multiply-adds than the FFTs, and its norm is faster on the plan; the
-        # Cantor sets and the rho = 0.9 thickening keep their plans
+    def test_cost_rule_charges_the_build(self):
+        # a box of 512 cells at N = 60000 is one 512 x 512 block each way, whose
+        # entries cost more to build than the FFTs they save; the Cantor sets
+        # and the rho = 0.9 thickening keep their plans
         box = np.arange(100, 612)
         assert _PrunedDft.build(FourierCore(60000, 1), box, box,
-                                budget=fup_numerics._fft_work(60000)) is not None
+                                budget=fup_numerics._plan_budget(60000)) is None
+        assert _PrunedDft.build(FourierCore(60000, 1), box, box) is not None
         points = [(np.flatnonzero(cantor_mask(k)), k) for k in range(9, 13)]
         points.append((thick_cantor(3, (0, 2), 10, 0.9), 10))
         for support, k in points:
             core = FourierCore(3 ** k, 1)
             assert _PrunedDft.build(core, support, support,
-                                    budget=fup_numerics._fft_work(core.size)) is not None, k
+                                    budget=fup_numerics._plan_budget(core.size)) is not None, k
 
     @pytest.mark.parametrize("N, fields, route", [
         (3 ** 7, {}, "fft"), (3 ** 8, {}, "plan"),
@@ -813,16 +814,21 @@ class TestCovers:
         (243, {"n": 2, "rho": 0.9}, "fft"), (729, {"n": 2, "rho": 0.9}, "fft"),
         (4 ** 6, {"cantor_base": 4, "cantor_kept": (0, 3)}, "fft"),
         (4 ** 7, {"cantor_base": 4, "cantor_kept": (0, 3)}, "plan"),
-        (60000, None, "plan"),
+        (60000, (1, 512), "fft"), (20000, (1, 512), "fft"), (6000, (1, 128), "plan"),
+        (150, (2, 22), "fft"),
     ], ids=["cantor-3^7", "cantor-3^8", "product-27^2", "product-81^2", "rho0.9-3^7",
             "rho0.9-3^8", "rho0.9-3^9", "rho0.7-3^9", "rho0.7-3^10", "rho0.7-3^11",
-            "rho0.9-243^2", "rho0.9-729^2", "base4-4^6", "base4-4^7", "box512-60000"])
+            "rho0.9-243^2", "rho0.9-729^2", "base4-4^6", "base4-4^7", "box512-60000",
+            "box512-20000", "box128-6000", "box22^2-150^2"])
     def test_route_table(self, monkeypatch, N, fields, route):
         # the route FourierCore.gram takes at ladder points (fields of a
-        # FupConfig) and at a box of 512 cells (fields None)
-        if fields is None:
-            box = np.arange(100, 612)
-            op = MaskedOperator(FourierCore(N, 1), box, box)
+        # FupConfig) and at boxes (fields (n, side)); every box is one block
+        # each way, and its route is the faster one but at 60000, where the
+        # plan is about 20 % faster, short of its build charge
+        if isinstance(fields, tuple):
+            n, side = fields
+            box = product_support(N, [np.arange(N // 4, N // 4 + side)] * n)
+            op = MaskedOperator(FourierCore(N, n), box, box)
         else:
             op = fup_numerics._grid_operator(FupConfig(**fields), N)
         built, build = [], _PrunedDft.build.__func__
@@ -849,6 +855,26 @@ class TestCovers:
             assert max(cfg.ladder) ** cfg.n <= fup_numerics._DENSE_LIMIT
             fup_experiment(cfg)
 
+    def test_forced_plans_pass_the_dense_check_on_small_ladders(self, monkeypatch):
+        # grids of at most _DENSE_LIMIT cells take the FFT, so no norm the
+        # lab prints from the plan meets masked_norm's dense check; forced
+        # onto the plan, these ladders pass it at every point
+        monkeypatch.setattr(fup_numerics, "_plan_budget", lambda size: math.inf)
+        forbid_ambient_fft(monkeypatch)
+        checked, dense = [], fup_numerics.dense_norm
+        monkeypatch.setattr(fup_numerics, "dense_norm",
+                            lambda op: checked.append(op.size) or dense(op))
+        cfgs = [FupConfig(ladder=tuple(3 ** k for k in range(1, 8))),
+                FupConfig(ladder=tuple(3 ** k for k in range(1, 8)), rho=0.9),
+                FupConfig(n=2, ladder=(3, 9, 27)), FupConfig(n=2, ladder=(3, 9, 27), rho=0.9),
+                FupConfig(cantor_base=4, cantor_kept=(0, 3),
+                          ladder=tuple(4 ** k for k in range(1, 7))),
+                FupConfig(cantor_base=8, cantor_kept=(0, 3, 7), ladder=(8, 64, 512, 4096))]
+        for cfg in cfgs:
+            assert fup_experiment(cfg)[2], cfg
+        assert len(checked) == sum(len(cfg.ladder) for cfg in cfgs)
+        assert max(checked) <= fup_numerics._DENSE_LIMIT
+
     @pytest.mark.parametrize("base, kept, d", [(4, (0, 3), 2), (8, (0, 7), 3), (9, (0, 8), 2)])
     def test_perfect_power_bases_plan_in_their_own_radix(self, base, kept, d):
         # {0, 3} in base 4 is no product over binary levels, but a product over
@@ -865,7 +891,7 @@ class TestCovers:
         op = fup_numerics._grid_operator(FupConfig(cantor_base=base, cantor_kept=kept),
                                          base ** 7)      # past _DENSE_LIMIT, which takes the FFT
         assert _PrunedDft.build(op.core, op.rows, op.cols,
-                                budget=fup_numerics._fft_work(op.size)) is not None
+                                budget=fup_numerics._plan_budget(op.size)) is not None
 
 
 def gram_oracle(core, rows, cols, g):
@@ -909,7 +935,7 @@ class TestGram:
 
     @pytest.mark.parametrize("path", ["pruned", "fft"])
     def test_real_gram_is_the_phased_gram_of_the_block(self, monkeypatch, path):
-        monkeypatch.setattr(fup_numerics, "_fft_work",
+        monkeypatch.setattr(fup_numerics, "_plan_budget",
                             lambda size: math.inf if path == "pruned" else 0.0)
         rng = np.random.default_rng(80)
         for label, core, rows, cols in symmetric_pairs():
@@ -969,7 +995,7 @@ class TestGram:
             dense = dense_norm(MaskedOperator(core, small, large))
             for path in ("pruned", "fft"):
                 with monkeypatch.context() as patch:
-                    patch.setattr(fup_numerics, "_fft_work",
+                    patch.setattr(fup_numerics, "_plan_budget",
                                   lambda size: math.inf if path == "pruned" else 0.0)
                     if path == "pruned":
                         forbid_ambient_fft(patch)
