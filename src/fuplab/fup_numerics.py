@@ -1176,8 +1176,13 @@ def sphere_porosity_check(oracle, nu: float, alpha0: float, alpha1: float,
 
 # The fields that only the other core reads.  A config must leave them at
 # their defaults, or it would run while ignoring what it asked for.
-_UNREAD_FIELDS = {"fourier": ("w_list", "chi_gap", "chi_width", "arc_minus", "arc_plus"),
+_UNREAD_FIELDS = {"fourier": ("w_list",),
                   "log_phase": ("set_minus", "set_plus", "lower_bound_mode")}
+
+# The log-phase geometry: the minus and plus quarter arcs of the unit circle, in
+# fractions of a turn, and the chordal cutoff chi(d) = smooth_step((d - gap) / width).
+_ARC_MINUS, _ARC_PLUS = (0.5, 0.75), (0.0, 0.25)
+_CHI_GAP, _CHI_WIDTH = 0.4, 0.3
 
 
 @dataclass
@@ -1193,10 +1198,6 @@ class FupConfig:
     set_plus: BoxSet | None = None
     rho: float | None = None               # mask thickening exponent
     w_list: tuple[float, ...] = (1.0,)
-    chi_gap: float = 0.4
-    chi_width: float = 0.3
-    arc_minus: tuple[float, float] = (0.5, 0.75)
-    arc_plus: tuple[float, float] = (0.0, 0.25)
     lower_bound_mode: bool = False
     seed: int = 0
 
@@ -1208,14 +1209,6 @@ class FupConfig:
         if unread:
             raise ValueError(f"the {self.core} core does not read {', '.join(unread)}; "
                              "leave them at their defaults")
-        if self.core == "log_phase":
-            for key in ("arc_minus", "arc_plus"):
-                _check_arc(getattr(self, key), key)
-            # chords are at most 2, so a cutoff past 2 vanishes on every pair
-            if not (math.isfinite(self.chi_width) and self.chi_width > 0.0):
-                raise ValueError(f"chi_width must be a finite number > 0, got {self.chi_width!r}")
-            if not 0.0 <= self.chi_gap < 2.0:
-                raise ValueError(f"chi_gap must lie in [0, 2), got {self.chi_gap!r}")
         for key in ("set_minus", "set_plus"):
             explicit = getattr(self, key)
             if explicit is not None and explicit.n != self.n:
@@ -1241,7 +1234,7 @@ class FupConfig:
         if self.core == "log_phase":
             J = max(self.ladder)
             for w in self.w_list:
-                err = _phase_rounding_error(w, J, self.chi_gap)
+                err = _phase_rounding_error(w, J)
                 if not err <= _PHASE_ROUNDING_LIMIT:
                     raise ValueError(f"w={w:.17g} rounds the log phase by {err:.3g} rad at "
                                      f"J={J}, above {_PHASE_ROUNDING_LIMIT:g} rad")
@@ -1284,7 +1277,7 @@ class FupConfig:
                 raise ValueError(f"ladder value {J}: a circle grid of {J} nodes is over the "
                                  f"budget of {_CIRCLE_NODES}")
             r = _thickening_nodes(self.rho, J)
-            arcs = (_arc_cantor(self, arc, J) for arc in (self.arc_minus, self.arc_plus))
+            arcs = (_arc_cantor(self, arc, J) for arc in (_ARC_MINUS, _ARC_PLUS))
             rows, cols = (_kept_bound(self, len(nodes), depth, r, J) for nodes, depth in arcs)
             if rows * cols > _BLOCK_ENTRIES:
                 raise ValueError(f"ladder value {J}: a kernel block of up to {rows} x {cols} "
@@ -1313,20 +1306,11 @@ _CIRCLE_NODES = 2**23
 _BLOCK_ENTRIES = 2**26
 
 
-def _check_arc(arc, name: str) -> tuple[float, float]:
-    """The arc (lo, hi) of angle fractions as two floats; ValueError unless it is
-    two finite numbers with 0 <= lo < hi <= 1."""
-    lo, hi = (float(v) for v in arc) if len(arc) == 2 else (math.nan, math.nan)
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError(f"{name} must be two numbers 0 <= lo < hi <= 1, got {arc!r}")
-    return lo, hi
-
-
-def _phase_rounding_error(w: float, J: int, chi_gap: float) -> float:
+def _phase_rounding_error(w: float, J: int) -> float:
     """Float64 rounding error (2w/h) max|log(d/2)| 2^-52 of the log phase at
     h = 1/J, the max over the chords d of the unit circle that the cutoff
-    keeps: above chi_gap and no shorter than the grid's neighbour chord."""
-    d_min = max(chi_gap, 2.0 * math.sin(math.pi / J))
+    keeps: above its gap and no shorter than the grid's neighbour chord."""
+    d_min = max(_CHI_GAP, 2.0 * math.sin(math.pi / J))
     return 2.0 * abs(w) * J * max(0.0, math.log(2.0 / d_min)) * 2.0 ** -52
 
 
@@ -1429,10 +1413,9 @@ def _grid_operator(cfg: FupConfig, N: int) -> MaskedOperator:
 
 
 def _log_phase_operator(cfg: FupConfig, w: float, J: int) -> MaskedOperator:
-    chi = chordal_cutoff(cfg.chi_gap, cfg.chi_width)
-    return log_phase_masked_operator(w, 1.0 / J, chi, circle_grid(J),
-                                     _arc_support(cfg, cfg.arc_minus, J),
-                                     _arc_support(cfg, cfg.arc_plus, J))
+    return log_phase_masked_operator(w, 1.0 / J, chordal_cutoff(_CHI_GAP, _CHI_WIDTH),
+                                     circle_grid(J), _arc_support(cfg, _ARC_MINUS, J),
+                                     _arc_support(cfg, _ARC_PLUS, J))
 
 
 def fup_experiment(cfg: FupConfig):

@@ -72,13 +72,12 @@ from .porosity import (
 from .fup_numerics import (
     FupConfig,
     SphereAtlas,
-    _check_arc,
     _log_phase_fd_dets,
     fup_experiment,
     log_phase_hessian_factors,
     sphere_porosity_check,
 )
-from .word_combinatorics import bound_check
+from .word_combinatorics import SLACK, bound_check
 
 VERDICT_EXIT = {Verdict.CERTIFIED: 0, Verdict.COUNTEREXAMPLE: 2, Verdict.INCONCLUSIVE: 3}
 
@@ -87,6 +86,11 @@ VERDICT_EXIT = {Verdict.CERTIFIED: 0, Verdict.COUNTEREXAMPLE: 2, Verdict.INCONCL
 # shape, so a wrongly typed field raises TypeError wherever it is first used.
 INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
 CONFIG_COMMANDS = ("fup-scan", "fio-sphere")   # their input errors read "config error:"
+# hessian-check draws its energies uniformly from this range, takes finite
+# differences of this step and passes when no relative error exceeds the tolerance.
+HESSIAN_ENERGIES = (0.25, 4.0)
+HESSIAN_FD_STEP = 1e-5
+HESSIAN_REL_TOL = 1e-4
 
 
 @dataclasses.dataclass
@@ -430,7 +434,10 @@ def cmd_sphere_porosity(args) -> tuple[int, RunRecord | None]:
     with open(args.set) as fh:
         band = json.load(fh)["band"]
     base = _cantor_set(band, 1)
-    lo, hi = _check_arc(band["arc"], "arc")
+    arc = band["arc"]       # fractions of a turn
+    lo, hi = (float(v) for v in arc) if len(arc) == 2 else (math.nan, math.nan)
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError(f"arc must be two numbers 0 <= lo < hi <= 1, got {arc!r}")
 
     def oracle(y):
         ang = (np.arctan2(y[:, 1], y[:, 0]) / (2 * np.pi)) % 1.0
@@ -471,12 +478,10 @@ def _config_from_json(path: str) -> tuple[FupConfig, dict]:
     for key in ("n", "cantor_base", "seed"):
         if key in parsed:
             _json_int(parsed[key], key)
-    for key in ("chi_gap", "chi_width", "rho"):
-        if key in parsed and not (key == "rho" and parsed[key] is None):   # null: no thickening
-            _json_number(parsed[key], key)
-    for key in ("w_list", "arc_minus", "arc_plus"):
-        if key in parsed:
-            parsed[key] = tuple(float(_json_number(v, key)) for v in parsed[key])
+    if parsed.get("rho") is not None:       # null: no thickening
+        _json_number(parsed["rho"], "rho")
+    if "w_list" in parsed:
+        parsed["w_list"] = tuple(float(_json_number(v, "w_list")) for v in parsed["w_list"])
     if not isinstance(parsed.get("lower_bound_mode", False), bool):
         raise ValueError("lower_bound_mode must be true or false, got "
                          f"{json.dumps(parsed['lower_bound_mode'])}")
@@ -516,14 +521,14 @@ def cmd_fio_sphere(args) -> tuple[int, RunRecord | None]:
 
 def cmd_words_count(args) -> tuple[int, RunRecord | None]:
     ladder = [float(args.base) ** (-j) for j in range(args.j_min, args.j_max + 1)]
-    rows = bound_check(args.rho, args.alpha, ladder, args.slack)
+    rows = bound_check(args.rho, args.alpha, ladder)
     out_csv = os.path.join(args.out, "words_count.csv")
     _write_csv(out_csv, ["alpha", "rho", "h", "T0", "count", "ratio", "logC"],
                [[r["alpha"], r["rho"], r["h"], r["T0"], r["count"], r["ratio"], r["logC"]]
                 for r in rows])
     final = rows[-1]
     print(f"final ratio {_fmt(final['ratio'])} vs bound "
-          f"{_fmt(4 * math.sqrt(args.alpha) + args.slack)}; wrote {out_csv}")
+          f"{_fmt(4 * math.sqrt(args.alpha) + SLACK)}; wrote {out_csv}")
     return (0 if final["within"] else 2), RunRecord([], [out_csv])
 
 
@@ -539,23 +544,23 @@ def cmd_hessian_check(args) -> tuple[int, RunRecord | None]:
             continue
         ys.append(a)
         yprimes.append(b)
-        ws.append(float(rng.uniform(args.w_min, args.w_max)))
-    with np.errstate(all="ignore"):     # a step that overflows is reported below
-        fds = _log_phase_fd_dets(np.array(ws), np.array(ys), np.array(yprimes), args.fd_step)
+        ws.append(float(rng.uniform(*HESSIAN_ENERGIES)))
+    with np.errstate(all="ignore"):     # a determinant that overflows is reported below
+        fds = _log_phase_fd_dets(np.array(ws), np.array(ys), np.array(yprimes), HESSIAN_FD_STEP)
     rows = []
     worst = 0.0
     for w, a, b, fd in zip(ws, ys, yprimes, fds.tolist()):
         _, _, sym = log_phase_hessian_factors(w, a, b)
         rel = abs(fd - sym) / abs(sym)
         if not math.isfinite(rel):
-            raise ValueError(f"--fd-step {args.fd_step!r} gives the finite-difference "
-                             f"determinant {fd!r}, relative error {rel!r}")
+            raise ValueError(f"the finite-difference determinant at w={w!r} is {fd!r}, "
+                             f"a relative error of {rel!r}")
         worst = max(worst, rel)
         rows.append([args.n, w, float(np.linalg.norm(a - b)), fd, sym, rel])
     out_csv = os.path.join(args.out, "hessian_check.csv")
     _write_csv(out_csv, ["n", "w", "separation", "fd_det", "symbolic_det", "rel_err"], rows)
     print(f"worst relative error {_fmt(worst)} over {args.pairs} pairs; wrote {out_csv}")
-    return (0 if worst <= args.rel_tol else 2), RunRecord([], [out_csv])
+    return (0 if worst <= HESSIAN_REL_TOL else 2), RunRecord([], [out_csv])
 
 
 # ---------------------------------------------------------------------------
@@ -665,19 +670,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("words-count", help="exact uncontrolled-word counting table")
     p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--rho", type=_finite_float, required=True)
-    p.add_argument("--j-min", type=int, required=True)
-    p.add_argument("--j-max", type=int, required=True)
+    p.add_argument("--j-min", type=_COUNT, required=True)      # h = base^-j < 1
+    p.add_argument("--j-max", type=_COUNT, required=True)
     p.add_argument("--base", type=_bounded(_finite_float, 1, strict=True), default=2.0)
-    p.add_argument("--slack", type=_finite_float, default=0.1)
     p.set_defaults(func=cmd_words_count)
 
     p = sub.add_parser("hessian-check", help="finite-difference vs symbolic phase Hessian")
     p.add_argument("--n", type=_COUNT, default=1)
     p.add_argument("--pairs", type=_COUNT, default=100)
-    p.add_argument("--w-min", type=_POSITIVE, default=0.25)
-    p.add_argument("--w-max", type=_finite_float, default=4.0)
-    p.add_argument("--fd-step", type=_POSITIVE, default=1e-5)
-    p.add_argument("--rel-tol", type=_finite_float, default=1e-4)
     p.set_defaults(func=cmd_hessian_check)
 
     return parser
@@ -695,8 +695,6 @@ def _usage_problem(args) -> str | None:
     cmd = args.subcommand
     if cmd == "algebra-verify" and args.n_min > args.n_max:
         return "need 1 <= --n-min <= --n-max"
-    if cmd == "hessian-check" and args.w_min > args.w_max:
-        return "need 0 < --w-min <= --w-max"
     if cmd == "words-count" and args.j_min > args.j_max:
         return "need --j-min <= --j-max"
     if cmd == "fio-sphere" and len(args.ladder) < 4:

@@ -149,6 +149,7 @@ class BoxSet:
             corners = None
         if corners is None or corners.shape != (len(boxes), 2, n) or not np.isfinite(corners).all():
             raise ValueError(f"every box needs two finite corners of {n} coordinates")
+        _require_grid_budget(m, n)
         mask = np.zeros((m,) * n, dtype=bool)
         first = np.maximum(np.floor(corners[:, 0] * m + 1e-9).astype(np.int64), 0)
         last = np.minimum(np.ceil(corners[:, 1] * m - 1e-9).astype(np.int64) - 1, m - 1)
@@ -162,12 +163,18 @@ class BoxSet:
         return idx * self.delta, (idx + 1) * self.delta
 
 
-# grid budgets: cells per axis of a generated Cantor set, and bytes of a
-# decider's padded distance field with its feature transform.  A Cantor mask
-# whose unpadded field alone (8 + 4n bytes a cell) would pass the latter is
-# refused as well: no decider could read it.
+# grid budgets: cells per axis of a mask built from boxes or Cantor digits, and
+# bytes of a decider's padded distance field with its feature transform.  A
+# mask whose unpadded field alone (8 + 4n bytes a cell) would pass the latter
+# is refused as well: no decider could read it.
 _GRID_CELLS_PER_AXIS = 10**7
 _FIELD_BYTES = 2 << 30
+
+
+def _require_grid_budget(m: int, n: int) -> None:
+    """Refuse a mask of m cells per axis in n-D over the grid budget, before it is allocated."""
+    if m > _GRID_CELLS_PER_AXIS or m ** n * (8 + 4 * n) > _FIELD_BYTES:
+        raise ResolutionError(f"a mask of {m} cells per axis in {n}-D overflows the grid budget")
 
 
 def cantor_generate(spec: CantorSpec, n: int) -> BoxSet:
@@ -175,8 +182,7 @@ def cantor_generate(spec: CantorSpec, n: int) -> BoxSet:
     if len(spec.digits) != n:
         raise ValueError(f"spec carries {len(spec.digits)} axes, expected {n}")
     m = spec.base ** spec.depth
-    if m > _GRID_CELLS_PER_AXIS or m ** n * (8 + 4 * n) > _FIELD_BYTES:
-        raise ResolutionError(f"a mask of {m} cells per axis in {n}-D overflows the grid budget")
+    _require_grid_budget(m, n)
     mask = np.zeros(m ** n, dtype=bool)
     mask[spec.cells()] = True
     return BoxSet(n, m, mask.reshape((m,) * n))

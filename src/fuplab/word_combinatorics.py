@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 BLOCKS = 8      # a long word is eight blocks of length T0 (2*T1 = 8*T0)
+SLACK = 0.1     # a row is within the counting bound when its ratio <= 4 sqrt(alpha) + SLACK
 
 
 def _snap_ceil(x: float) -> int:
@@ -69,13 +70,13 @@ def count_uncontrolled(t0: int, alpha) -> int:
     return total
 
 
-def bound_check(rho: float, alpha, h_ladder, slack: float = 0.1):
+def bound_check(rho: float, alpha, h_ladder):
     """Exponent-ratio table for the counting bound along an h-ladder.
 
     For each h the row carries the exact count of uncontrolled long words
     (the eighth power of the single-block count, since blocks are
     independent), the ratio log(count)/log(1/h), the bound
-    4 sqrt(alpha) + slack it is compared against, and the implied-constant
+    4 sqrt(alpha) + SLACK it is compared against, and the implied-constant
     diagnostic log C = log(count) - 4 sqrt(alpha) log(1/h).  A ladder with an
     h so small that 1/h overflows a float (h = 2^-j for j >= 1024) is refused
     before any row is computed.
@@ -96,7 +97,7 @@ def bound_check(rho: float, alpha, h_ladder, slack: float = 0.1):
         rows.append(dict(alpha=float(alpha), rho=rho, h=h, T0=t0,
                          count=cnt, ratio=ratio,
                          logC=log_count - target * log_inv_h,
-                         within=ratio <= target + slack))
+                         within=ratio <= target + SLACK))
     return rows
 
 

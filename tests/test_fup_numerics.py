@@ -1169,7 +1169,7 @@ class TestArcSupport:
         cfg = FupConfig(core="log_phase")
         for k in range(3, 10):
             J = 4 * 3 ** k
-            for lo, hi in (cfg.arc_minus, cfg.arc_plus):
+            for lo, hi in (fup_numerics._ARC_MINUS, fup_numerics._ARC_PLUS):
                 first = round(lo * J)
                 expect = np.zeros(J, dtype=bool)
                 expect[first:first + 3 ** k] = cantor_mask(k)
@@ -1365,10 +1365,11 @@ class TestLogPhaseKernel:
             with pytest.raises(ValueError, match="own supports"):
                 core.submatrix(r, c)
 
-    def test_kernel_vanishing_on_the_arcs_gives_norm_zero(self):
-        # chords are at most 2, so this cutoff vanishes on every pair; validate
-        # refuses it in a config, and the operator built from it has norm 0
-        cfg = FupConfig(core="log_phase", n=1, ladder=(108,), chi_gap=2.0)
+    def test_kernel_vanishing_on_the_arcs_gives_norm_zero(self, monkeypatch):
+        # chords are at most 2, so a cutoff of gap 2 vanishes on every pair, and
+        # the operator built from it has norm 0
+        monkeypatch.setattr(fup_numerics, "_CHI_GAP", 2.0)
+        cfg = FupConfig(core="log_phase", n=1, ladder=(108,))
         info = masked_norm(_log_phase_operator(cfg, 1.0, 108))
         assert info.converged and info.value == 0.0
 
@@ -1885,32 +1886,6 @@ class TestConfigValidation:
         box = BoxSet.full(1, 8)
         FupConfig(ladder=(2, 4), cantor_base=2, set_minus=box, set_plus=box).validate()
 
-    @pytest.mark.parametrize("arc", [(0.5, 0.5), (0.9, 0.2), (-0.1, 0.5), (0.5, 1.5),
-                                     (0.1, math.nan), (0.1, math.inf), (0.1,)])
-    @pytest.mark.parametrize("field", ["arc_minus", "arc_plus"])
-    def test_log_phase_arc_that_is_not_an_arc(self, field, arc):
-        with pytest.raises(ValueError, match=f"{field} must be two numbers 0 <= lo < hi <= 1"):
-            FupConfig(core="log_phase", ladder=(108, 324), **{field: arc}).validate()
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("chi_width", -0.3, "chi_width must be a finite number > 0"),
-        ("chi_width", 0.0, "chi_width must be a finite number > 0"),
-        ("chi_width", math.inf, "chi_width must be a finite number > 0"),
-        ("chi_width", math.nan, "chi_width must be a finite number > 0"),
-        ("chi_gap", 2.5, r"chi_gap must lie in \[0, 2\)"),
-        ("chi_gap", 2.0, r"chi_gap must lie in \[0, 2\)"),
-        ("chi_gap", -0.1, r"chi_gap must lie in \[0, 2\)"),
-        ("chi_gap", math.nan, r"chi_gap must lie in \[0, 2\)"),
-    ])
-    def test_log_phase_cutoff_that_vanishes_everywhere_or_divides_by_zero(self, field, value,
-                                                                          message):
-        # chords are at most 2; such cutoffs used to give zero norms and "sanity pass"
-        with pytest.raises(ValueError, match=message):
-            FupConfig(core="log_phase", ladder=(108, 324), **{field: value}).validate()
-
-    def test_log_phase_arcs_may_span_the_circle(self):
-        FupConfig(core="log_phase", ladder=(108, 324), arc_minus=(0.0, 1.0)).validate()
-
     def test_explicit_sets_and_log_phase_take_any_ladder_from_2(self):
         box = BoxSet.from_boxes([((0.0,), (1.0,))], 8, 1)
         FupConfig(ladder=(2, 4, 10), set_minus=box, set_plus=box).validate()
@@ -1922,7 +1897,8 @@ class TestConfigValidation:
         FupConfig(core="log_phase", ladder=ladder, w_list=(1 / 8, 1.0, 8.0)).validate()
 
     def test_energy_whose_phase_rounding_exceeds_a_microradian(self):
-        # (2w/h) log(2/chi_gap) 2^-52 crosses 1e-6 rad between these two energies at J = 2916
+        # (2w/h) log(2/0.4) 2^-52, 0.4 the cutoff's gap, crosses 1e-6 rad between these
+        # two energies at J = 2916
         limit = 1e-6 / (2 * 2916 * math.log(2 / 0.4) * 2.0 ** -52)
         FupConfig(core="log_phase", ladder=(108, 2916), w_list=(0.99 * limit,)).validate()
         with pytest.raises(ValueError, match="rounds the log phase"):
@@ -1938,10 +1914,6 @@ class TestConfigValidation:
         ("log_phase", "set_plus", BoxSet.from_boxes([((0.1,), (0.4,))], 27, 1)),
         ("log_phase", "lower_bound_mode", True),
         ("fourier", "w_list", (0.5, 2.0)),
-        ("fourier", "chi_gap", 0.2),
-        ("fourier", "chi_width", 0.1),
-        ("fourier", "arc_minus", (0.25, 0.5)),
-        ("fourier", "arc_plus", (0.25, 0.5)),
     ])
     def test_field_that_the_core_never_reads(self, core, field, value):
         with pytest.raises(ValueError, match=f"the {core} core does not read {field}"):

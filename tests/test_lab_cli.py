@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fuplab import fup_numerics, lab_cli, lorentz_core
+from fuplab import fup_numerics, lab_cli, lorentz_core, word_combinatorics
 from fuplab.fup_numerics import FupConfig, log_phase_hessian_factors, mixed_hessian_det
 from fuplab.lab_cli import (
     _commutator_table_exact,
@@ -178,11 +180,13 @@ class TestStackedTrials:
             assert got.integers(1 << 62) == want.integers(1 << 62)
 
     @pytest.mark.parametrize("n, fd_step", [(1, 1e-5), (2, 1e-5), (3, 1e-5), (2, 1e-3)])
-    def test_hessian_check_csv_equals_the_per_pair_loop(self, tmp_path, n, fd_step):
+    def test_hessian_check_csv_equals_the_per_pair_loop(self, tmp_path, monkeypatch, n,
+                                                        fd_step):
+        monkeypatch.setattr(lab_cli, "HESSIAN_FD_STEP", fd_step)
+        monkeypatch.setattr(lab_cli, "HESSIAN_REL_TOL", 1.0)
         for seed in (0, 5):
             assert main(["--out", str(tmp_path), "--seed", str(seed), "hessian-check",
-                         "--n", str(n), "--pairs", "40", "--fd-step", str(fd_step),
-                         "--rel-tol", "1"]) == 0
+                         "--n", str(n), "--pairs", "40"]) == 0
             want = tmp_path / "want.csv"
             _hessian_check_per_pair(str(want), n, 40, seed, fd_step)
             assert read_bytes(tmp_path / "hessian_check.csv") == read_bytes(want)
@@ -415,15 +419,62 @@ class TestWordsCount:
         assert main(["--out", str(tmp_path), "words-count", "--alpha", "0.7",
                      "--rho", "0.9", "--j-min", "5", "--j-max", "6"]) == 1
 
+    def test_count_past_the_bound_exits_two(self, tmp_path, monkeypatch):
+        # the pass can fail: with every word uncontrolled the ratio is 8 T0 log 2 / log(1/h),
+        # about 1.25, over the bound 4 sqrt(0.04) + 0.1 = 0.9
+        monkeypatch.setattr(word_combinatorics, "count_uncontrolled", lambda t0, alpha: 2 ** t0)
+        assert main(["--out", str(tmp_path), "words-count", "--alpha", "0.04",
+                     "--rho", "0.9", "--j-min", "40", "--j-max", "60"]) == 2
+
+    def test_printed_bound_carries_the_slack(self, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "words-count", "--alpha", "0.25",
+                     "--rho", "0.9", "--j-min", "12", "--j-max", "12"]) == 0
+        assert f" vs bound {4 * math.sqrt(0.25) + 0.1:.17g}; wrote " in capsys.readouterr().out
+
 
 class TestHessianCheck:
     def test_passes_at_default_tolerance(self, tmp_path):
         assert main(["--out", str(tmp_path), "hessian-check", "--n", "1",
                      "--pairs", "30"]) == 0
 
-    def test_impossible_tolerance_exits_two(self, tmp_path):
+    def test_wrong_symbolic_determinant_exits_two(self, tmp_path, monkeypatch):
+        # the pass can fail: a determinant 1e-3 off in relative terms is caught
+        def off(w, y, yprime):
+            pref, struct, det = log_phase_hessian_factors(w, y, yprime)
+            return pref, struct, det * (1.0 + 1e-3)
+        monkeypatch.setattr(lab_cli, "log_phase_hessian_factors", off)
         assert main(["--out", str(tmp_path), "hessian-check", "--n", "1",
-                     "--pairs", "10", "--rel-tol", "1e-18"]) == 2
+                     "--pairs", "10"]) == 2
+
+    @pytest.mark.parametrize("off, code", [(5e-5, 0), (2e-4, 2)])
+    def test_pass_is_a_relative_error_of_at_most_1e_4(self, tmp_path, monkeypatch, off, code):
+        # the finite differences agree to far below 5e-5, so the offset decides
+        def shifted(w, y, yprime):
+            pref, struct, det = log_phase_hessian_factors(w, y, yprime)
+            return pref, struct, det * (1.0 + off)
+        monkeypatch.setattr(lab_cli, "log_phase_hessian_factors", shifted)
+        assert main(["--out", str(tmp_path), "hessian-check", "--n", "2",
+                     "--pairs", "20"]) == code
+
+    def test_energies_are_drawn_from_a_quarter_to_four(self, tmp_path):
+        assert main(["--out", str(tmp_path), "hessian-check", "--pairs", "200"]) == 0
+        with open(tmp_path / "hessian_check.csv") as fh:
+            ws = [float(row["w"]) for row in csv.DictReader(fh)]
+        assert len(ws) == 200 and all(0.25 <= w <= 4.0 for w in ws)
+        assert min(ws) < 0.5 and max(ws) > 3.5
+
+    @pytest.mark.parametrize("argv", [
+        ["hessian-check", "--w-min", "1"],
+        ["hessian-check", "--w-max", "1"],
+        ["hessian-check", "--fd-step", "1"],
+        ["hessian-check", "--rel-tol", "1"],
+        ["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "40", "--j-max", "60",
+         "--slack", "1"],
+    ], ids=["w-min", "w-max", "fd-step", "rel-tol", "slack"])
+    def test_fixed_value_is_not_a_flag(self, tmp_path, capsys, argv):
+        assert main(["--out", str(tmp_path), *argv]) == 1
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.strip()]
+        assert lines == [f"error: unrecognized arguments: {' '.join(argv[-2:])}"]
 
 
 class TestFlowTrace:
@@ -462,7 +513,7 @@ class TestManifestConfig:
         ["sphere-porosity", "--set", "{band}", "--nu", "0.1", "--alpha0", "0.45",
          "--alpha1", "0.9", "--charts", "4"],
         ["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "40", "--j-max", "45"],
-        ["hessian-check", "--pairs", "5", "--w-max", "2"],
+        ["hessian-check", "--pairs", "5", "--n", "2"],
     ], ids=lambda argv: argv[0])
     def test_manifest_is_named_after_the_subcommand_and_records_the_parsed_flags(
             self, tmp_path, argv):
@@ -548,6 +599,13 @@ class TestSpherePorosity:
         code = main(["--out", str(tmp_path), "sphere-porosity", "--set", spec,
                      "--nu", "0.1", "--alpha0", "0.45", "--alpha1", "0.9"])
         assert code == 0
+
+    def test_band_arc_may_span_the_circle(self, tmp_path):
+        # a whole turn is an arc; the band spread over it is decided, not refused
+        spec = write_json(tmp_path / "band.json", {"band": {**BAND["band"], "arc": [0.0, 1.0]}})
+        code = main(["--out", str(tmp_path), "sphere-porosity", "--set", spec,
+                     "--nu", "0.1", "--alpha0", "0.45", "--alpha1", "0.9"])
+        assert code == 2
 
 
 class TestDeterminism:
@@ -668,9 +726,6 @@ class TestUsageContract:
     def test_hessian_without_pairs(self, tmp_path, capsys):
         self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check", "--pairs", "0")
 
-    def test_hessian_with_zero_difference_step(self, tmp_path, capsys):
-        self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check", "--fd-step", "0")
-
     def test_flow_without_steps(self, tmp_path, capsys):
         self.assert_one_line_usage_error(tmp_path, capsys, "flow-trace", "--steps", "0")
 
@@ -690,18 +745,14 @@ class TestUsageContract:
                                          "--nu", "0.1", "--alpha0", "0.45", "--alpha1", "0.9",
                                          *flags)
 
-    @pytest.mark.parametrize("w_range", [("0", "0"), ("2", "1"), ("-1", "2")])
-    def test_hessian_energy_range_not_positive_and_ordered(self, tmp_path, capsys, w_range):
-        self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check",
-                                         "--w-min", w_range[0], "--w-max", w_range[1])
-
     @pytest.mark.parametrize("w", ["1e300", "1e-300"])
-    def test_hessian_determinant_outside_the_float_range(self, tmp_path, capsys, w):
+    def test_hessian_determinant_outside_the_float_range(self, tmp_path, capsys, monkeypatch,
+                                                         w):
         # (4w/|v|^4)^m overflows at the top and underflows to 0 at the bottom
+        monkeypatch.setattr(lab_cli, "HESSIAN_ENERGIES", (float(w), float(w)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check", "--w-min", w,
-                                             "--w-max", w, "--pairs", "2")
+            self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check", "--pairs", "2")
 
     @pytest.mark.parametrize("argv", [("flow-trace", "--n", "-1"), ("flow-trace", "--n", "0"),
                                       ("hessian-check", "--n", "0")])
@@ -722,7 +773,8 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "group-decompose", "--input",
                                          str(path), "--mode", "normalizer", "--l", "9")
 
-    @pytest.mark.parametrize("arc", [[0.3, 0.3], [0.5, 0.2]])
+    @pytest.mark.parametrize("arc", [[0.3, 0.3], [0.5, 0.2], [-0.1, 0.5], [0.5, 1.5],
+                                     [0.1, math.nan], [0.1, math.inf], [0.1]])
     def test_sphere_band_arc_that_is_not_an_arc(self, tmp_path, capsys, arc):
         # [0.3, 0.3] used to warn and certify, [0.5, 0.2] to certify the empty set
         spec = self.input_json(tmp_path, {"band": {**BAND["band"], "arc": arc}})
@@ -730,13 +782,18 @@ class TestUsageContract:
                                          "--nu", "0.1", "--alpha0", "0.45", "--alpha1", "0.9",
                                          prefix="error: arc must be two numbers")
 
-    @pytest.mark.parametrize("arc", [[0.5, 0.5], [0.9, 0.2]])
-    def test_log_phase_scan_arc_that_is_not_an_arc(self, tmp_path, capsys, arc):
-        # both used to print "sanity pass" over rows of norm 0
-        cfg = self.input_json(tmp_path, {"core": "log_phase", "n": 1,
-                                         "ladder": [108, 324, 972, 2916], "arc_minus": arc})
+    @pytest.mark.parametrize("field, value", [("chi_gap", 0.4), ("chi_width", 0.3),
+                                              ("arc_minus", [0.5, 0.75]),
+                                              ("arc_plus", [0.0, 0.25])])
+    @pytest.mark.parametrize("core", ["log_phase", "fourier"])
+    def test_log_phase_geometry_is_not_a_config_field(self, tmp_path, capsys, core, field,
+                                                      value):
+        # the arcs and the cutoff are fixed; a config naming one, even at its value, is refused
+        cfg = self.input_json(tmp_path, {"core": core, "n": 1,
+                                         "ladder": [108, 324, 972, 2916], field: value})
         self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
-                                         prefix="config error: arc_minus must be two numbers")
+                                         prefix=f"config error: unknown config fields: "
+                                                f"['{field}']")
 
     def test_cantor_declaration_without_axes(self, tmp_path, capsys):
         spec = self.input_json(tmp_path, {"cantor": {**CANTOR["cantor"], "depth": 2, "dims": 0}})
@@ -750,6 +807,24 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
                                          prefix="config error: ladder values [27, 27, 27, 27] "
                                                 "repeat")
+
+    @pytest.mark.parametrize("command, prefix", [("porosity-check", "error"),
+                                                 ("fup-scan", "config error")])
+    def test_box_set_whose_raster_is_over_the_grid_budget(self, tmp_path, command, prefix):
+        # refused before the raster is allocated: 10^12 cells used to end in numpy's
+        # _ArrayMemoryError traceback (931 GiB), in a fup-scan before its config was checked
+        boxes = {"boxes": [[[0.1], [0.2]]], "resolution": 10 ** 12, "dims": 1}
+        if command == "porosity-check":
+            argv = ["--set", self.input_json(tmp_path, boxes), "--nu", "0.1", "--alpha0", "0.5",
+                    "--alpha1", "1"]
+        else:
+            argv = ["--config", self.input_json(tmp_path, {"core": "fourier", "ladder": [27, 81],
+                                                           "set_minus": boxes,
+                                                           "set_plus": boxes})]
+        proc = fresh_cli(tmp_path / "out", command, *argv, address_space=2 ** 29)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"{prefix}: a mask of 1000000000000 cells per axis in 1-D overflows the grid budget"]
 
     def test_fio_ladder_point_past_a_budget(self, tmp_path, capsys):
         # 4 * 3^15 nodes, refused before anything is allocated; 4 * 3^14 used to end
@@ -815,10 +890,12 @@ class TestUsageContract:
           "--base", "{v}"], "1.0000000000000002", "1", "must exceed 1"),
         (["hessian-check", "--n", "{v}"], "1", "0", "must be at least 1"),
         (["hessian-check", "--pairs", "{v}"], "1", "0", "must be at least 1"),
-        (["hessian-check", "--w-min", "{v}"], "5e-324", "0", "must exceed 0"),
-        (["hessian-check", "--fd-step", "{v}"], "5e-324", "0", "must exceed 0"),
+        (["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "{v}", "--j-max", "41"],
+         "1", "0", "must be at least 1"),
+        (["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "1", "--j-max", "{v}"],
+         "1", "0", "must be at least 1"),
     ], ids=["seed", "n-min", "flow-n", "steps", "flow-tol", "decompose-tol", "charts",
-            "resolution", "base", "hessian-n", "pairs", "w-min", "fd-step"])
+            "resolution", "base", "hessian-n", "pairs", "j-min", "j-max"])
     def test_flag_range_is_refused_by_the_parser(self, tmp_path, capsys, argv, bound, past,
                                                  refusal):
         flag = argv[argv.index("{v}") - 1]
@@ -924,9 +1001,7 @@ class TestUsageContract:
         {"core": "log_phase", "ladder": [108], "lower_bound_mode": True,
          "set_minus": {"boxes": [[[0.1], [0.4]]], "resolution": 27, "dims": 1}},
         {"core": "fourier", "ladder": [27], "w_list": [0.5, 2.0]},
-        {"core": "fourier", "ladder": [27], "chi_gap": 0.2},
-    ], ids=["sets-of-another-dimension", "log-phase-with-sets", "fourier-with-energies",
-            "fourier-with-cutoff"])
+    ], ids=["sets-of-another-dimension", "log-phase-with-sets", "fourier-with-energies"])
     def test_fup_config_that_the_run_would_ignore(self, tmp_path, capsys, payload):
         cfg = self.input_json(tmp_path, payload)
         self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
@@ -996,27 +1071,13 @@ class TestUsageContract:
          "--alpha1", "inf"],
         ["sphere-porosity", "--set", "{band}", "--nu", "0.1", "--alpha0", "0.45",
          "--alpha1", "inf"],
-        ["hessian-check", "--w-max", "inf"],
-    ], ids=["porosity-scale", "sphere-scale", "hessian-energy"])
+    ], ids=["porosity-scale", "sphere-scale"])
     def test_infinite_float_that_overflowed(self, tmp_path, capsys, argv):
         (tmp_path / "in").mkdir()
         files = {"cantor": write_json(tmp_path / "in" / "cantor.json", CANTOR),
                  "band": write_json(tmp_path / "in" / "band.json", BAND)}
         self.assert_one_line_usage_error(tmp_path, capsys, *(a.format(**files) for a in argv),
                                          prefix="error: argument --")
-
-    @pytest.mark.parametrize("argv", [
-        ["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "40", "--j-max", "60",
-         "--slack", "inf"],
-        ["hessian-check", "--fd-step", "inf"],
-        ["hessian-check", "--rel-tol", "inf"],
-        ["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "40", "--j-max", "60",
-         "--slack", "nan"],
-        ["hessian-check", "--rel-tol", "nan"],
-    ], ids=["words-slack-inf", "hessian-step-inf", "hessian-tol-inf", "words-slack-nan",
-            "hessian-tol-nan"])
-    def test_non_finite_float_that_decided_nothing(self, tmp_path, capsys, argv):
-        self.assert_one_line_usage_error(tmp_path, capsys, *argv, prefix="error: argument --")
 
     def test_flow_time_whose_boost_overflows(self, tmp_path, capsys):
         # cosh(t) leaves the float range just past t = 710.47
@@ -1100,9 +1161,7 @@ class TestUsageContract:
         ("lower_bound_mode", "no", "lower_bound_mode must be true or false"),
         ("lower_bound_mode", 1, "lower_bound_mode must be true or false"),
         ("rho", True, "rho must be a number"), ("rho", "0.9", "rho must be a number"),
-        ("w_list", [True], "w_list must be a number"), ("chi_gap", False, "chi_gap must be a number"),
-        ("chi_width", None, "chi_width must be a number"),
-        ("arc_minus", [0.5, True], "arc_minus must be a number"),
+        ("w_list", [True], "w_list must be a number"),
     ])
     def test_fup_config_field_of_the_wrong_type(self, tmp_path, capsys, field, value, prefix):
         # "no" used to turn the probe on, true to run rho = 1 and [true] to run w = 1
@@ -1112,22 +1171,14 @@ class TestUsageContract:
         self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
                                          prefix=f"config error: {prefix}")
 
-    @pytest.mark.parametrize("field, value", [("chi_width", -0.3), ("chi_width", 0),
-                                              ("chi_gap", 2.5)])
-    def test_log_phase_cutoff_that_cannot_run(self, tmp_path, capsys, field, value):
-        # -0.3 and 2.5 used to write zero norms and print "sanity pass"; 0 divided by zero
-        cfg = self.input_json(tmp_path, {"core": "log_phase", "n": 1, field: value,
-                                         "ladder": [108, 324, 972, 2916]})
-        self.assert_one_line_usage_error(tmp_path, capsys, "fup-scan", "--config", cfg,
-                                         prefix=f"config error: {field} must")
-
     @pytest.mark.parametrize("step", ["1e300", "1e-300"])
-    def test_hessian_step_whose_determinant_is_not_finite(self, tmp_path, capsys, step):
+    def test_hessian_step_whose_determinant_is_not_finite(self, tmp_path, capsys, monkeypatch,
+                                                          step):
         # 1e300 overflows every probe to nan; 1e-300 squared underflows to zero
+        monkeypatch.setattr(lab_cli, "HESSIAN_FD_STEP", float(step))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check", "--fd-step",
-                                             step, "--pairs", "3")
+            self.assert_one_line_usage_error(tmp_path, capsys, "hessian-check", "--pairs", "3")
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_energy_whose_phase_float64_cannot_resolve(self, tmp_path, capsys):
@@ -1144,6 +1195,9 @@ class TestUsageContract:
         ["sphere-porosity", "--set", "{band}", "--nu", "0.1", "--alpha0", "0.45",
          "--alpha1", "0.9", "--charts", "0"],
         ["hessian-check", "--n", "-1"],          # used to loop forever
+        # base^-j used to overflow a float with a traceback
+        ["words-count", "--alpha", "0.04", "--rho", "0.9", "--j-min", "-2000",
+         "--j-max", "-1999"],
     ])
     def test_fresh_process_exits_one_without_traceback(self, tmp_path, argv):
         band = write_json(tmp_path / "band.json", BAND)
@@ -1174,9 +1228,8 @@ NUMERIC_FLAGS = {
     "fup-scan": {},
     "fio-sphere": {"--w": None, "--ladder": None, "--rho": None},
     "words-count": {"--alpha": "0.04", "--rho": "0.9", "--j-min": "40", "--j-max": "60",
-                    "--base": None, "--slack": None},
-    "hessian-check": {"--n": None, "--pairs": None, "--w-min": None, "--w-max": None,
-                      "--fd-step": None, "--rel-tol": None},
+                    "--base": None},
+    "hessian-check": {"--n": None, "--pairs": None},
 }
 FILE_ARGS = {
     "group-decompose": ["--input", "{g}", "--mode", "normalizer"],
@@ -1186,6 +1239,34 @@ FILE_ARGS = {
 }
 # Half the draws keep the default, so that most runs get past the usage checks.
 EDGE = st.one_of(st.none(), st.sampled_from(("-1", "0", "1", "2", "inf", "nan")))
+# More edges of some flags: base^-j at j = -2000 used to overflow a float.
+FLAG_EDGES = {"--j-min": st.one_of(EDGE, st.just("-2000"))}
+
+
+def _numeric_flags(parser) -> list[str]:
+    """The flags of a parser whose argparse type is an int or float cast."""
+    return [flag for action in parser._actions if action.option_strings
+            and getattr(action.type, "__name__", None) in ("int", "_finite_float")
+            for flag in action.option_strings]
+
+
+def _subparsers() -> dict:
+    parser = lab_cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_numeric_flags_cover_the_parser():
+    # a subcommand or global flag missing from NUMERIC_FLAGS would escape the argv
+    # property test
+    assert _numeric_flags(lab_cli.build_parser()) == ["--seed"]
+    assert sorted(_subparsers()) == sorted(NUMERIC_FLAGS)
+
+
+@pytest.mark.parametrize("cmd", sorted(NUMERIC_FLAGS))
+def test_numeric_flags_are_those_of_the_parser(cmd):
+    # a numeric flag missing from NUMERIC_FLAGS would escape the argv property test
+    assert sorted(_numeric_flags(_subparsers()[cmd])) == sorted(NUMERIC_FLAGS[cmd])
 
 
 @st.composite
@@ -1196,7 +1277,7 @@ def cli_argv(draw):
     cmd = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
     argv += [cmd, *FILE_ARGS.get(cmd, [])]
     for flag, default in NUMERIC_FLAGS[cmd].items():
-        value = draw(EDGE) or default
+        value = draw(FLAG_EDGES.get(flag, EDGE)) or default
         if value is not None:
             argv += [flag, *[value] * (4 if flag == "--ladder" else 1)]
     return argv
@@ -1204,14 +1285,13 @@ def cli_argv(draw):
 
 # Edge values of the fields of the input files, each drawn or left as written
 # half the time.  dims stops at 1, since a 2-D set at depth 6 takes seconds to
-# decide; core is drawn so that arc_minus is read.
+# decide; core is drawn so that the log-phase checks run too.
 FILE_EDGES = {
     "cantor": {"dims": (-1, 0, 1), "depth": (-1, 0, 1, 2, 1.5), "base": (-1, 0, 2, 4)},
     "band": {"arc": ([0.3, 0.3], [0.5, 0.2], [0.0, 1.0], [-0.1, 0.5], [0.1, math.nan],
                      [0.1], "arc")},
     "fup": {"core": ("log_phase",), "ladder": ([27, 27, 27, 27], [27, 81], [0, 1, 2, 3],
-                                               [3, 9, 27, 81]),
-            "arc_minus": ([0.5, 0.5], [0.9, 0.2], [0.0, 1.0], [1.0, 2.0])},
+                                               [3, 9, 27, 81])},
 }
 
 

@@ -39,6 +39,7 @@ from fuplab.porosity import (
     _segment_min,
     _segment_offsets,
     _WindowMax,
+    _require_grid_budget,
     _witness_holds,
 )
 
@@ -1178,6 +1179,25 @@ class TestResolutionAndRangeGuards:
     def test_cantor_resolution_overflow(self):
         with pytest.raises(ResolutionError):
             cantor_generate(CantorSpec.uniform(3, (0, 2), 15, 1), 1)
+
+    @pytest.mark.parametrize("m, n, refused", [
+        (10**7, 1, False), (10**7 + 1, 1, True),        # cells per axis
+        (11585, 2, False), (11586, 2, True),            # 16 bytes a cell in 2 GiB
+        (475, 3, False), (476, 3, True),                # 20 bytes a cell in 2 GiB
+    ])
+    def test_grid_budget_edge(self, m, n, refused):
+        if refused:
+            with pytest.raises(ResolutionError, match=f"a mask of {m} cells per axis in {n}-D"):
+                _require_grid_budget(m, n)
+        else:
+            _require_grid_budget(m, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_box_raster_over_budget_is_refused_before_it_is_allocated(self, n):
+        # 10^12 cells in all; the raster alone would take 931 GiB
+        m = round(10 ** (12 / n))
+        with pytest.raises(ResolutionError, match="overflows the grid budget"):
+            BoxSet.from_boxes([((0.1,) * n, (0.2,) * n)], m, n)
 
     def test_direction_count_floor(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
+from fuplab import word_combinatorics
 from fuplab.word_combinatorics import (
     BLOCKS,
+    SLACK,
     bound_check,
     count_uncontrolled,
     split_XY,
@@ -145,6 +147,17 @@ class TestSplitXY:
 
 
 class TestBoundCheck:
+    @pytest.mark.parametrize("slack", [SLACK, -1.5])
+    def test_row_is_within_when_its_ratio_is_at_most_the_bound_plus_slack(self, monkeypatch,
+                                                                          slack):
+        # exact counts keep to the bound; a negative slack shows that rows can fall outside
+        monkeypatch.setattr(word_combinatorics, "SLACK", slack)
+        alpha = Fraction(3, 10)
+        rows = bound_check(0.9, alpha, [2.0 ** (-j) for j in range(4, 61, 4)])
+        assert {r["within"] for r in rows} == ({True} if slack == SLACK else {True, False})
+        for r in rows:
+            assert r["within"] == (r["ratio"] <= 4 * math.sqrt(alpha) + slack)
+
     def test_degenerate_ladder_counts_one(self):
         rows = bound_check(0.9, Fraction(1, 100), [2.0 ** (-j) for j in range(10, 20)])
         assert all(r["count"] == 1 for r in rows)
